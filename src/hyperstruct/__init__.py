@@ -8,11 +8,13 @@ with nerve homology, and detect Brunnian binding patterns.
 
 from .core import (
     Bond,
+    BondSpec,
     ElementId,
     Hyperstructure,
     IDENTITY_PROPERTY,
     Support,
     add_bond,
+    add_bonds,
     assign_property,
     boundary,
     gamma,
@@ -25,6 +27,7 @@ from .report import CheckReport, Finding
 
 __all__ = [
     "Bond",
+    "BondSpec",
     "CheckReport",
     "ElementId",
     "Finding",
@@ -32,6 +35,7 @@ __all__ = [
     "IDENTITY_PROPERTY",
     "Support",
     "add_bond",
+    "add_bonds",
     "assign_property",
     "boundary",
     "gamma",

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from . import catelem, composition, installers, states, topology
@@ -336,12 +337,10 @@ def cmd_brunnian(args) -> int:
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     lines = _tower_summary(h)
-    per_level = []
-    for i in range(1, h.order + 1):
-        count = sum(1 for b in h.bonds_at(i) if installers.is_brunnian_bond(h, b.id))
-        per_level.append(count)
-        lines.append(f"level-{i} brunnian bonds: {count}")
-    lines.append(f"order: {installers.brunnian_order(h)}")
+    brunnians = installers.brunnian_bond_ids(h)
+    counts = Counter(e.level for e in brunnians)
+    lines += [f"level-{i} brunnian bonds: {counts[i]}" for i in range(1, h.order + 1)]
+    lines.append(f"order: {installers.brunnian_order(h, brunnians)}")
     _print(lines)
     return 0
 

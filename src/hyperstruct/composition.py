@@ -8,11 +8,12 @@ is the weak-mode gluing recorded in the tower's operation log.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Literal
 
 from .core import (
     Bond,
+    BondSpec,
     ElementId,
     FusionRecord,
     Hyperstructure,
@@ -21,6 +22,8 @@ from .core import (
     RawId,
     Support,
     add_bond,
+    add_bonds,
+    assemble,
     assign_property,
     identity_bond,
     iterated_boundary,
@@ -167,35 +170,18 @@ def _prefix_element(e: ElementId, tag: str) -> ElementId:
     return ElementId(e.level, f"{tag}:{e.id}")
 
 
-def _prefix_tower(h: Hyperstructure, tag: str) -> Hyperstructure:
-    def ps(s: Support) -> Support:
-        return Support(s.level, frozenset(_prefix_element(m, tag) for m in s.members))
-
-    return Hyperstructure(
-        order=h.order,
-        levels=tuple(frozenset(_prefix_element(e, tag) for e in lvl) for lvl in h.levels),
-        omegas=tuple({ps(s): tokens for s, tokens in table.items()} for table in h.omegas),
-        bonds=tuple(
-            sorted(
-                (
-                    Bond(id=_prefix_element(b.id, tag), support=ps(b.support), property=b.property, identity=b.identity)
-                    for b in h.bonds
-                ),
-                key=lambda b: b.key,
-            )
-        ),
-    )
+def _prefix_support(s: Support, tag: str) -> Support:
+    return Support(s.level, frozenset(_prefix_element(m, tag) for m in s.members))
 
 
 def _pad_to_order(h: Hyperstructure, order: int) -> Hyperstructure:
     """Raise a tower's order by wrapping every top element in an identity bond."""
-    while h.order < order:
-        top = h.order
-        for e in sorted_elements(h.levels[top]):
-            h, _ = identity_bond(h, top, e)
-        if h.order == top:  # empty top level: grow by hand
-            h = replace(h, order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
-    return h
+    specs = []
+    top = sorted_elements(h.levels[h.order])
+    for i in range(h.order, order):
+        specs += [BondSpec(i, Support(i, frozenset({e})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{e.id}", True) for e in top]
+        top = [ElementId(i + 1, f"{IDENTITY_PROPERTY}:{e.id}") for e in top]
+    return add_bonds(h, specs, order)
 
 
 def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
@@ -205,17 +191,17 @@ def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
     bonds between the halves are the caller's next move, followed by fuse.
     """
     order = max(h1.order, h2.order)
-    a = _prefix_tower(_pad_to_order(h1, order), "1")
-    b = _prefix_tower(_pad_to_order(h2, order), "2")
-    omegas = []
-    for i in range(order + 1):
-        table = dict(a.omegas[i])
-        for s, tokens in b.omegas[i].items():
-            table[s] = table.get(s, frozenset()) | tokens  # only the empty support can collide
-        omegas.append(table)
-    return Hyperstructure(
-        order=order,
-        levels=tuple(a.levels[i] | b.levels[i] for i in range(order + 1)),
-        omegas=tuple(omegas),
-        bonds=tuple(sorted(a.bonds + b.bonds, key=lambda bd: bd.key)),
-    )
+    levels: list[set[ElementId]] = [set() for _ in range(order + 1)]
+    omegas: list[dict[Support, frozenset[PropertyToken]]] = [{} for _ in range(order + 1)]
+    bonds: list[Bond] = []
+    for h, tag in ((_pad_to_order(h1, order), "1"), (_pad_to_order(h2, order), "2")):
+        for i in range(order + 1):
+            levels[i].update(_prefix_element(e, tag) for e in h.levels[i])
+            for s, tokens in h.omegas[i].items():
+                ps = _prefix_support(s, tag)
+                omegas[i][ps] = omegas[i].get(ps, frozenset()) | tokens  # only the empty support can collide
+        bonds += (
+            Bond(id=_prefix_element(b.id, tag), support=_prefix_support(b.support, tag), property=b.property, identity=b.identity)
+            for b in h.bonds
+        )
+    return assemble(levels, omegas, bonds)

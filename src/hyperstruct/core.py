@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -175,11 +175,22 @@ class Hyperstructure:
         return out
 
     @cached_property
-    def supports_index(self) -> dict[tuple[int, frozenset[ElementId]], list[Bond]]:
-        out: dict[tuple[int, frozenset[ElementId]], list[Bond]] = {}
+    def bonds_by_level(self) -> dict[int, tuple[Bond, ...]]:
+        """Each level's bonds in canonical registry order; levels without bonds are absent."""
+        grouped: dict[int, list[Bond]] = {}
         for b in self.bonds:
-            out.setdefault((b.id.level, b.support.members), []).append(b)
-        return out
+            grouped.setdefault(b.id.level, []).append(b)
+        return {i: tuple(sorted(bs, key=lambda b: b.key)) for i, bs in grouped.items()}
+
+    @cached_property
+    def supports_by_level(self) -> dict[int, frozenset[frozenset[ElementId]]]:
+        """Each level's set of bound member sets."""
+        return {i: frozenset(b.support.members for b in bs) for i, bs in self.bonds_by_level.items()}
+
+    @cached_property
+    def refinement_orders(self) -> dict[int, object]:
+        """Per-level views of the refinement preorder, filled in by the topology layer on first use."""
+        return {}
 
     # -- queries --
 
@@ -190,9 +201,6 @@ class Hyperstructure:
     def elements(self, i: int) -> frozenset[ElementId]:
         self.check_level(i)
         return self.levels[i]
-
-    def all_elements(self) -> list[ElementId]:
-        return [e for lvl in self.levels for e in sorted_elements(lvl)]
 
     def has_element(self, e: ElementId) -> bool:
         return 0 <= e.level <= self.order and e in self.levels[e.level]
@@ -224,14 +232,11 @@ class Hyperstructure:
 
     def bonds_at(self, i: int) -> list[Bond]:
         self.check_level(i)
-        return sorted((b for b in self.bonds if b.id.level == i), key=lambda b: b.key)
+        return list(self.bonds_by_level.get(i, ()))
 
     def omega(self, i: int, s: Support) -> frozenset[PropertyToken]:
         self.check_level(i)
         return self.omegas[i].get(s, frozenset())
-
-    def top_level(self) -> int:
-        return self.order
 
     @classmethod
     def empty(cls, order: int = 0) -> "Hyperstructure":
@@ -332,6 +337,81 @@ def add_bond(
         h = _with_omega(h, i, s, h.omega(i, s) | {token})
     h = _register(h, Bond(id=eid, support=s, property=token, identity=_identity))
     return h, eid
+
+
+class BondSpec(NamedTuple):
+    """One bond for add_bonds: bind the level-`level` support under `token` as `raw_id`."""
+
+    level: int
+    support: Support
+    token: PropertyToken
+    raw_id: RawId
+    identity: bool = False
+
+
+def assemble(
+    levels: Iterable[Iterable[ElementId]],
+    omegas: Iterable[OmegaTable],
+    bonds: Iterable[Bond],
+    fusion_log: tuple[FusionRecord, ...] = (),
+) -> Hyperstructure:
+    """Freeze a tower's parts into a tower, sorting the bond registry once.
+
+    Nothing is checked here: callers either checked their input already or
+    leave that to validate(), which reports a broken document's faults.
+    """
+    frozen = tuple(frozenset(lvl) for lvl in levels)
+    return Hyperstructure(
+        order=len(frozen) - 1,
+        levels=frozen,
+        omegas=tuple(omegas),
+        bonds=tuple(sorted(bonds, key=lambda b: b.key)),  # canonical registry order
+        fusion_log=fusion_log,
+    )
+
+
+def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> Hyperstructure:
+    """Register many bonds at once, assigning each token to its support first.
+
+    Empty levels are added until the tower has at least the given order;
+    then each spec acts as assign_property followed by add_bond would (an
+    identity spec as identity_bond's add_bond), with the same errors, in
+    time linear in the specs rather than quadratic.
+    """
+    levels = [set(lvl) for lvl in h.levels]
+    omegas = [dict(table) for table in h.omegas]
+    bonds = list(h.bonds)
+
+    def grow():
+        levels.append(set())
+        omegas.append({})
+
+    while len(levels) <= order:
+        grow()
+    for i, s, token, raw_id, identity in specs:
+        top = len(levels) - 1
+        if not 0 <= i <= top:
+            raise LevelOutOfRange(f"level {i} outside 0..{top}")
+        if s.level != i:
+            raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
+        if not s.members:
+            raise EmptySupport("a bond must bind a nonempty support")
+        for m in s.members:
+            if not (0 <= m.level <= top and m in levels[m.level]):
+                raise UnknownElement(f"support member {m!r} not in the tower")
+        if token == IDENTITY_PROPERTY and not identity:
+            raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
+        if i == top:
+            grow()
+        eid = ElementId(i + 1, raw_id)
+        if eid in levels[i + 1]:
+            raise DuplicateId(f"element {raw_id!r} already present at level {i + 1}")
+        have = omegas[i].get(s, frozenset())
+        if token not in have:
+            omegas[i][s] = have | {token}
+        levels[i + 1].add(eid)
+        bonds.append(Bond(id=eid, support=s, property=token, identity=identity))
+    return assemble(levels, omegas, bonds, h.fusion_log)
 
 
 def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructure, ElementId]:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .catelem import FiniteCategory, Morphism, Presheaf, SimplicialData, finite_category, validate_presheaf
-from .core import Bond, ElementId, Hyperstructure, IDENTITY_PROPERTY, RawId, Support
+from .core import Bond, ElementId, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
 from .states import (
     CoConnector,
@@ -186,17 +186,13 @@ def _h_from_json(value) -> Hyperstructure:
             raise ReservedProperty(f"bonds[{k}]: {IDENTITY_PROPERTY!r} is reserved for identity bonds")
         bonds.append(Bond(id=eid, support=Support(lvl - 1, members), property=prop, identity=identity))
 
+    # identity bonds imply their (stripped) omega entries, added in registry order
     bonds.sort(key=lambda b: b.key)
-    h = Hyperstructure(order=order, levels=tuple(levels), omegas=tuple(omegas), bonds=tuple(bonds))
-    # identity bonds imply their (stripped) omega entries
     for b in bonds:
         if b.identity:
-            table = dict(h.omegas[b.support.level])
+            table = omegas[b.support.level]
             table[b.support] = table.get(b.support, frozenset()) | {b.property}
-            tables = list(h.omegas)
-            tables[b.support.level] = table
-            h = Hyperstructure(order=h.order, levels=h.levels, omegas=tuple(tables), bonds=h.bonds)
-    return h
+    return assemble(levels, omegas, bonds)
 
 
 def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:
@@ -470,7 +466,7 @@ def _category_from_json(value) -> FiniteCategory:
         pair = _expect_list(e, "category.identities")
         if len(pair) != 2:
             raise SchemaError("category.identities: expected [object, morphism]")
-        if pair[0] not in obj_set or pair[1] not in mor_set:
+        if _expect_id(pair[0], "category.identities") not in obj_set or _expect_id(pair[1], "category.identities") not in mor_set:
             raise DanglingReference(f"category.identities: unresolved pair {pair!r}")
         identities[pair[0]] = pair[1]
     composition = {}
@@ -479,7 +475,7 @@ def _category_from_json(value) -> FiniteCategory:
         if len(trip) != 3:
             raise SchemaError("category.composition: expected [g, f, gf]")
         for m in trip:
-            if m not in mor_set:
+            if _expect_id(m, "category.composition") not in mor_set:
                 raise DanglingReference(f"category.composition: unknown morphism {m!r}")
         composition[(trip[0], trip[1])] = trip[2]
     return finite_category(objects, morphisms, identities, composition)
@@ -504,7 +500,7 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
         pair = _expect_list(e, "presheaf.on_objects")
         if len(pair) != 2:
             raise SchemaError("presheaf.on_objects: expected [object, elements]")
-        if pair[0] not in cat.objects:
+        if _expect_id(pair[0], "presheaf.on_objects") not in cat.objects:
             raise DanglingReference(f"presheaf.on_objects: unknown object {pair[0]!r}")
         on_objects[pair[0]] = frozenset(_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects"))
     on_morphisms = {}
@@ -512,14 +508,14 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
         pair = _expect_list(e, "presheaf.on_morphisms")
         if len(pair) != 2:
             raise SchemaError("presheaf.on_morphisms: expected [morphism, table]")
-        if pair[0] not in cat.by_id:
+        if _expect_id(pair[0], "presheaf.on_morphisms") not in cat.by_id:
             raise DanglingReference(f"presheaf.on_morphisms: unknown morphism {pair[0]!r}")
         table = {}
         for xy in _expect_list(pair[1], "presheaf.on_morphisms"):
             x = _expect_list(xy, "presheaf.on_morphisms")
             if len(x) != 2:
                 raise SchemaError("presheaf.on_morphisms: expected [from, to]")
-            table[x[0]] = x[1]
+            table[_expect_id(x[0], "presheaf.on_morphisms")] = _expect_id(x[1], "presheaf.on_morphisms")
         on_morphisms[pair[0]] = table
     p = Presheaf(on_objects=on_objects, on_morphisms=on_morphisms)
     validate_presheaf(cat, p)

@@ -6,19 +6,18 @@ whose codimension-1 sub-collections are bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (
+    BondSpec,
     ElementId,
     Hyperstructure,
     RawId,
     Support,
-    add_bond,
-    assign_property,
+    add_bonds,
     new_hyperstructure,
-    sorted_elements,
 )
 from .errors import (
     ArityMismatch,
@@ -35,8 +34,8 @@ SIMPLEX_PROPERTY = "simplex"
 BRUNNIAN_PROPERTY = "brunnian"
 
 
-def _grow_empty_level(h: Hyperstructure) -> Hyperstructure:
-    return replace(h, order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
+def _base_support(raw_ids: Iterable[RawId]) -> Support:
+    return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
 
 
 def _canonical_name(raw_ids: Iterable[RawId]) -> str:
@@ -53,24 +52,24 @@ def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequen
     comps = [set(c) for c in components]
     base = [f"{x}@{k + 1}" for k, comp in enumerate(comps) for x in sorted(comp, key=lambda r: (isinstance(r, str), r))]
     h = new_hyperstructure(base)
-    h = _grow_empty_level(h)
-    for t in sorted(tuples, key=lambda t: tuple(str(x) for x in t)):
-        if len(t) != len(comps):
-            raise ArityMismatch(f"tuple {tuple(t)!r} has arity {len(t)}, expected {len(comps)}")
-        for k, x in enumerate(t):
-            if x not in comps[k]:
-                raise UnknownCoordinate(f"coordinate {x!r} not in component {k + 1}")
-        s = h.support_at(0, [f"{x}@{k + 1}" for k, x in enumerate(t)])
-        h = assign_property(h, 0, s, REL_PROPERTY)
-        h, _ = add_bond(h, 0, s, REL_PROPERTY, "(" + ",".join(str(x) for x in t) + ")")
-    return h
+
+    def specs():
+        for t in sorted(tuples, key=lambda t: tuple(str(x) for x in t)):
+            if len(t) != len(comps):
+                raise ArityMismatch(f"tuple {tuple(t)!r} has arity {len(t)}, expected {len(comps)}")
+            for k, x in enumerate(t):
+                if x not in comps[k]:
+                    raise UnknownCoordinate(f"coordinate {x!r} not in component {k + 1}")
+            s = _base_support(f"{x}@{k + 1}" for k, x in enumerate(t))
+            yield BondSpec(0, s, REL_PROPERTY, "(" + ",".join(str(x) for x in t) + ")")
+
+    return add_bonds(h, specs(), order=1)
 
 
 def from_hypergraph(vertices: Iterable[RawId], edges: Iterable[Iterable[RawId]]) -> Hyperstructure:
     """Install a hypergraph: vertices at level 0, one bond per edge."""
     vs = list(vertices)
     h = new_hyperstructure(vs)
-    h = _grow_empty_level(h)
     vset = set(vs)
     canon = []
     for e in edges:
@@ -81,11 +80,11 @@ def from_hypergraph(vertices: Iterable[RawId], edges: Iterable[Iterable[RawId]])
             if v not in vset:
                 raise UnknownVertex(f"edge vertex {v!r} not declared")
         canon.append(members)
-    for members in sorted(set(canon), key=_canonical_name):
-        s = h.support_at(0, members)
-        h = assign_property(h, 0, s, EDGE_PROPERTY)
-        h, _ = add_bond(h, 0, s, EDGE_PROPERTY, _canonical_name(members))
-    return h
+    specs = [
+        BondSpec(0, _base_support(members), EDGE_PROPERTY, _canonical_name(members))
+        for members in sorted(set(canon), key=_canonical_name)
+    ]
+    return add_bonds(h, specs, order=1)
 
 
 def from_simplicial_complex(
@@ -123,29 +122,20 @@ def from_simplicial_complex(
         return h
 
     if not graded:
-        h = _grow_empty_level(h)
-        for s in by_size:
-            sup = h.support_at(0, s)
-            h = assign_property(h, 0, sup, SIMPLEX_PROPERTY)
-            h, _ = add_bond(h, 0, sup, SIMPLEX_PROPERTY, _canonical_name(s))
-        return h
+        specs = [BondSpec(0, _base_support(s), SIMPLEX_PROPERTY, _canonical_name(s)) for s in by_size]
+        return add_bonds(h, specs)
 
     # graded: the level-k bond for a k-simplex binds its (k-1)-face bonds
-    name_of: dict[frozenset, ElementId] = {}
+    specs = []
     for s in by_size:
         k = len(s) - 1
         if k == 1:
-            sup = h.support_at(0, s)
+            sup = _base_support(s)
         else:
-            faces = [
-                name_of[frozenset(face)]
-                for face in combinations(sorted(s, key=lambda r: (isinstance(r, str), r)), len(s) - 1)
-            ]
-            sup = Support.of(faces)
-        h = assign_property(h, k - 1, sup, SIMPLEX_PROPERTY)
-        h, eid = add_bond(h, k - 1, sup, SIMPLEX_PROPERTY, _canonical_name(s))
-        name_of[s] = eid
-    return h
+            faces = combinations(sorted(s, key=lambda r: (isinstance(r, str), r)), len(s) - 1)
+            sup = Support(k - 1, frozenset(ElementId(k - 1, _canonical_name(face)) for face in faces))
+        specs.append(BondSpec(k - 1, sup, SIMPLEX_PROPERTY, _canonical_name(s)))
+    return add_bonds(h, specs)
 
 
 # -- Brunnian structure ----------------------------------------------------------
@@ -187,25 +177,29 @@ def brunnian_bonds(k: BrunnianComplex) -> set[frozenset]:
 
 
 def is_brunnian_bond(h: Hyperstructure, bond_id: ElementId) -> bool:
-    b = h.bond(bond_id)
-    members = b.support.members
+    """A bond over two or more elements none of whose codim-1 sub-supports is bound at its level."""
+    members = h.bond(bond_id).support.members
     if len(members) < 2:
         return False
-    level_supports = {bb.support.members for bb in h.bonds_at(bond_id.level)}
-    for sub in combinations(sorted_elements(members), len(members) - 1):
-        if frozenset(sub) in level_supports:
-            return False
-    return True
+    bound = h.supports_by_level[bond_id.level]
+    return not any(members - {m} in bound for m in members)
 
 
-def brunnian_order(h: Hyperstructure) -> int:
-    """Length of the longest boundary-nested chain of Brunnian bonds."""
-    brunnians = [b.id for i in range(1, h.order + 1) for b in h.bonds_at(i) if is_brunnian_bond(h, b.id)]
-    bset = set(brunnians)
+def brunnian_bond_ids(h: Hyperstructure) -> list[ElementId]:
+    """Every Brunnian bond, level by level in registry order."""
+    return [b.id for i in range(1, h.order + 1) for b in h.bonds_at(i) if is_brunnian_bond(h, b.id)]
+
+
+def brunnian_order(h: Hyperstructure, brunnians: Iterable[ElementId] | None = None) -> int:
+    """Length of the longest boundary-nested chain of Brunnian bonds.
+
+    Callers that already hold brunnian_bond_ids(h) pass it as `brunnians`.
+    """
+    if brunnians is None:
+        brunnians = brunnian_bond_ids(h)
     depth: dict[ElementId, int] = {}
-    for e in sorted(brunnians, key=lambda x: (x.level, x.key)):
-        below = [m for m in h.bond(e).support.members if m in bset]
-        depth[e] = 1 + max((depth[m] for m in below), default=0)
+    for e in sorted(brunnians, key=lambda x: x.level):  # members before the bonds over them
+        depth[e] = 1 + max((depth.get(m, 0) for m in h.bond(e).support.members), default=0)
     return max(depth.values(), default=0)
 
 
@@ -225,14 +219,13 @@ def make_brunnian_tower(branching: Sequence[int]) -> Hyperstructure:
     for n in branching:
         total *= n
     h = new_hyperstructure([f"v{j}" for j in range(total)])
-    current = [h.element(0, f"v{j}") for j in range(total)]
+    current = [ElementId(0, f"v{j}") for j in range(total)]
+    specs = []
     for level, n in enumerate(branching):
         nxt = []
         for j in range(len(current) // n):
-            block = current[j * n : (j + 1) * n]
-            sup = Support.of(block)
-            h = assign_property(h, level, sup, BRUNNIAN_PROPERTY)
-            h, eid = add_bond(h, level, sup, BRUNNIAN_PROPERTY, f"g{level + 1}.{j}")
-            nxt.append(eid)
+            raw = f"g{level + 1}.{j}"
+            specs.append(BondSpec(level, Support(level, frozenset(current[j * n : (j + 1) * n])), BRUNNIAN_PROPERTY, raw))
+            nxt.append(ElementId(level + 1, raw))
         current = nxt
-    return h
+    return add_bonds(h, specs)

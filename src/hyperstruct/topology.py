@@ -8,13 +8,12 @@ collections satisfying the maximality, stability and transitivity axioms,
 and a site is a tower paired with a topology that passed the checks.
 
 The axiom checker runs on a bitmask view of one level's preorder; that view
-is memoized per tower instance (towers are immutable), so sweeping many
-candidate topologies over one tower pays the setup cost once.
+is cached on the tower (towers are immutable), so sweeping many candidate
+topologies over one tower pays the setup cost once.
 """
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -152,40 +151,12 @@ class _LevelOrder:
         return out
 
 
-_ORDER_CACHE: dict[tuple[int, int], tuple] = {}
-
-
 def _level_order(h: Hyperstructure, level: int) -> _LevelOrder:
-    key = (id(h), level)
-    hit = _ORDER_CACHE.get(key)
-    if hit is not None and hit[0]() is h:
-        return hit[1]
-    if len(_ORDER_CACHE) > 256:
-        _ORDER_CACHE.clear()
-    order = _LevelOrder(h, level)
-    _ORDER_CACHE[key] = (weakref.ref(h), order)
-    return order
-
-
-def downward_closed_subsets(h: Hyperstructure, below: list[ElementId]) -> list[frozenset[ElementId]]:
-    """All downward-closed subsets of the given same-level elements."""
-    out: list[frozenset[ElementId]] = []
-    n = len(below)
-    leq = [[refines(h, below[i], below[j]) for j in range(n)] for i in range(n)]
-    for mask in range(1 << n):
-        chosen = [i for i in range(n) if mask >> i & 1]
-        in_set = [mask >> i & 1 for i in range(n)]
-        ok = True
-        for i in chosen:
-            for j in range(n):
-                if leq[j][i] and not in_set[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(below[i] for i in chosen))
-    return out
+    orders = h.refinement_orders
+    got = orders.get(level)
+    if got is None:
+        got = orders[level] = _LevelOrder(h, level)
+    return got
 
 
 def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:

@@ -10,10 +10,12 @@ import random
 from itertools import combinations, product
 
 from hyperstruct.core import (
+    BondSpec,
     ElementId,
     Hyperstructure,
     Support,
     add_bond,
+    add_bonds,
     assign_property,
     identity_bond,
     new_hyperstructure,
@@ -156,16 +158,98 @@ def naive_is_topology(h: Hyperstructure, topology, level: int) -> bool:
 
 def tower_from_supports(supports: list[frozenset[str]]) -> Hyperstructure:
     """An order-1 tower whose level-1 bonds realize the given support family."""
-    from dataclasses import replace
-
     base = sorted({v for s in supports for v in s})
     h = new_hyperstructure(base if base else ["x0"])
-    h = replace(h, order=1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
-    for j, s in enumerate(supports):
-        sup = h.support_at(0, sorted(s))
-        h = assign_property(h, 0, sup, "p")
-        h, _ = add_bond(h, 0, sup, "p", f"b{j}")
+    return add_bonds(h, [BondSpec(0, h.support_at(0, s), "p", f"b{j}") for j, s in enumerate(supports)], order=1)
+
+
+# -- bond-by-bond reference builders ---------------------------------------------------
+
+
+def chain_add_bonds(h: Hyperstructure, specs, order: int = 0) -> Hyperstructure:
+    """add_bonds restated one bond at a time: assign_property, then add_bond."""
+    from dataclasses import replace
+
+    while h.order < order:
+        h = replace(h, order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
+    for i, s, token, raw_id, identity in specs:
+        if not identity:
+            h = assign_property(h, i, s, token)
+        h, _ = add_bond(h, i, s, token, raw_id, _identity=identity)
     return h
+
+
+def _name(raw_ids) -> str:
+    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=lambda r: (isinstance(r, str), r))) + "}"
+
+
+def chain_from_hypergraph(vertices, edges) -> Hyperstructure:
+    h = chain_add_bonds(new_hyperstructure(vertices), [], order=1)
+    for members in sorted({frozenset(e) for e in edges}, key=_name):
+        s = h.support_at(0, members)
+        h = assign_property(h, 0, s, "edge")
+        h, _ = add_bond(h, 0, s, "edge", _name(members))
+    return h
+
+
+def chain_from_relation(components, tuples) -> Hyperstructure:
+    base = [f"{x}@{k + 1}" for k, comp in enumerate(components) for x in sorted(set(comp), key=lambda r: (isinstance(r, str), r))]
+    h = chain_add_bonds(new_hyperstructure(base), [], order=1)
+    for t in sorted(tuples, key=lambda t: tuple(str(x) for x in t)):
+        s = h.support_at(0, [f"{x}@{k + 1}" for k, x in enumerate(t)])
+        h = assign_property(h, 0, s, "rel")
+        h, _ = add_bond(h, 0, s, "rel", "(" + ",".join(str(x) for x in t) + ")")
+    return h
+
+
+def chain_from_simplicial_complex(vertices, simplices, graded: bool) -> Hyperstructure:
+    h = new_hyperstructure(sorted(set(vertices), key=lambda r: (isinstance(r, str), r)))
+    by_size = sorted({frozenset(s) for s in simplices if len(s) >= 2}, key=lambda s: (len(s), _name(s)))
+    name_of = {}
+    for s in by_size:
+        k = len(s) - 1 if graded else 1
+        if k == 1:
+            sup = h.support_at(0, s)
+        else:
+            sup = Support.of(name_of[s - {v}] for v in s)
+        h = assign_property(h, k - 1, sup, "simplex")
+        h, name_of[s] = add_bond(h, k - 1, sup, "simplex", _name(s))
+    return h
+
+
+def chain_brunnian_tower(branching) -> Hyperstructure:
+    total = 1
+    for n in branching:
+        total *= n
+    h = new_hyperstructure([f"v{j}" for j in range(total)])
+    current = [ElementId(0, f"v{j}") for j in range(total)]
+    for level, n in enumerate(branching):
+        nxt = []
+        for j in range(len(current) // n):
+            sup = Support.of(current[j * n : (j + 1) * n])
+            h = assign_property(h, level, sup, "brunnian")
+            h, eid = add_bond(h, level, sup, "brunnian", f"g{level + 1}.{j}")
+            nxt.append(eid)
+        current = nxt
+    return h
+
+
+def naive_brunnian_order(h: Hyperstructure) -> int:
+    """Brunnian bonds found by scanning every bond, nested by plain recursion."""
+    def bound_at(level, members):
+        return any(b.id.level == level and b.support.members == members for b in h.bonds)
+
+    brunnian = {
+        b.id
+        for b in h.bonds
+        if len(b.support.members) >= 2
+        and not any(bound_at(b.id.level, b.support.members - {m}) for m in b.support.members)
+    }
+
+    def depth(e):
+        return 1 + max((depth(m) for m in _naive_support(h, e) if m in brunnian), default=0)
+
+    return max((depth(e) for e in brunnian), default=0)
 
 
 # -- labeled posets up to isomorphism ---------------------------------------------------

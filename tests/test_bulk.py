@@ -1,0 +1,210 @@
+"""The bulk constructor and the per-level indexes against bond-by-bond references."""
+import random
+import re
+from dataclasses import replace
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    chain_add_bonds,
+    chain_brunnian_tower,
+    chain_from_hypergraph,
+    chain_from_relation,
+    chain_from_simplicial_complex,
+    naive_brunnian_order,
+    random_tower,
+)
+from hyperstruct.composition import _pad_to_order
+from hyperstruct.core import (
+    BondSpec,
+    ElementId,
+    IDENTITY_PROPERTY,
+    Support,
+    add_bonds,
+    identity_bond,
+    new_hyperstructure,
+    sorted_elements,
+)
+from hyperstruct.document import Document, serialize
+from hyperstruct.errors import DuplicateId, HyperstructError
+from hyperstruct.installers import (
+    brunnian_bond_ids,
+    brunnian_order,
+    from_hypergraph,
+    from_relation,
+    from_simplicial_complex,
+    make_brunnian_tower,
+)
+
+# 1 and "1" share the canonical name {1}, so edges over them collide
+RAW = st.one_of(st.integers(0, 4), st.sampled_from(["0", "1", "2", "a", "b"]))
+
+
+def outcome(build, *args):
+    """The tower and its document, or the error class the build raised."""
+    try:
+        h = build(*args)
+    except HyperstructError as e:
+        return type(e), None
+    return h, serialize(Document(hyperstructure=h))
+
+
+@st.composite
+def hypergraphs(draw):
+    vs = draw(st.lists(RAW, min_size=1, max_size=7, unique=True))
+    edges = draw(st.lists(st.lists(st.sampled_from(vs), min_size=1, max_size=4), max_size=12))
+    return vs, edges
+
+
+@st.composite
+def relations(draw):
+    comps = draw(st.lists(st.lists(RAW, min_size=1, max_size=3), min_size=1, max_size=3))
+    tuples = draw(st.lists(st.tuples(*(st.sampled_from(c) for c in comps)), max_size=8))
+    return comps, tuples
+
+
+@st.composite
+def complexes(draw):
+    vs = draw(st.lists(RAW, min_size=1, max_size=6, unique=True))
+    tops = draw(st.lists(st.lists(st.sampled_from(vs), min_size=1, max_size=4, unique=True), max_size=4))
+    closed = {frozenset({v}) for v in vs}
+    for top in tops:
+        closed |= {frozenset(c) for k in range(1, len(top) + 1) for c in combinations(top, k)}
+    return vs, [list(s) for s in closed], draw(st.booleans())
+
+
+@st.composite
+def spec_lists(draw):
+    """Specs over a small base, mostly valid; about one in three carries a fault."""
+    base = ["a", "b", "c", 1]
+    order = draw(st.integers(0, 2))
+    known = [[ElementId(0, r) for r in base]] + [[] for _ in range(order)]
+    specs = []
+    for n in range(draw(st.integers(0, 10))):
+        level = draw(st.sampled_from([i for i, elems in enumerate(known) if elems]))
+        members = set(draw(st.lists(st.sampled_from(known[level]), min_size=1, max_size=3)))
+        raw = draw(st.sampled_from([f"n{n}", f"n{n}", "x", 1, "1"]))
+        identity = draw(st.integers(0, 5)) == 0
+        token = IDENTITY_PROPERTY if identity else draw(st.sampled_from(["p", "q"]))
+        support_level = level
+        fault = draw(st.sampled_from([None] * 12 + ["ghost", "other-level", "empty", "level", "support-level", "reserved", "dup"]))
+        if fault == "ghost":
+            members.add(ElementId(level, "ghost"))
+        elif fault == "other-level":  # an existing element, but not at the support's level
+            members.add(draw(st.sampled_from([e for elems in known for e in elems])))
+        elif fault == "empty":
+            members = set()
+        elif fault == "level":
+            level = draw(st.sampled_from([-1, len(known)]))
+        elif fault == "support-level":
+            support_level = level + 1
+        elif fault == "reserved":
+            token, identity = IDENTITY_PROPERTY, False
+        elif fault == "dup" and specs:
+            raw = specs[-1].raw_id
+            level = specs[-1].level
+            members = set(specs[-1].support.members)
+        specs.append(BondSpec(level, Support(support_level, frozenset(members)), token, raw, identity))
+        if fault is None:
+            if level + 1 == len(known):
+                known.append([])
+            known[level + 1].append(ElementId(level + 1, raw))
+    return base, specs, order
+
+
+class TestAddBondsMatchesChain:
+    @settings(max_examples=200, deadline=None)
+    @given(spec_lists())
+    def test_same_tower_or_same_error(self, case):
+        base, specs, order = case
+        h = new_hyperstructure(base)
+        assert outcome(add_bonds, h, specs, order) == outcome(chain_add_bonds, h, specs, order)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**31), st.lists(st.sampled_from(["p", "q"]), min_size=1, max_size=6))
+    def test_extends_a_built_tower(self, seed, tokens):
+        h = random_tower(random.Random(seed))
+        top = sorted_elements(h.levels[h.order])
+        assume(top)
+        specs = [BondSpec(h.order, Support(h.order, frozenset(top[: k + 1])), t, f"n{k}") for k, t in enumerate(tokens)]
+        assert add_bonds(h, specs) == chain_add_bonds(h, specs)
+
+    def test_equal_canonical_names_still_collide(self):
+        with pytest.raises(DuplicateId, match=re.escape("element '{1}' already present at level 1")):
+            from_hypergraph([1, "1"], [[1], ["1"]])
+
+
+class TestInstallersMatchChain:
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs())
+    def test_hypergraph(self, case):
+        assert outcome(from_hypergraph, *case) == outcome(chain_from_hypergraph, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations())
+    def test_relation(self, case):
+        assert outcome(from_relation, *case) == outcome(chain_from_relation, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(complexes())
+    def test_simplicial_flat_and_graded(self, case):
+        assert outcome(from_simplicial_complex, *case) == outcome(chain_from_simplicial_complex, *case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    def test_brunnian_branching(self, branching):
+        assert outcome(make_brunnian_tower, branching) == outcome(chain_brunnian_tower, branching)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(0, 2))
+    def test_padding_matches_identity_bonds(self, seed, extra):
+        h = random_tower(random.Random(seed))
+        ref = h
+        while ref.order < h.order + extra:
+            top = ref.order
+            for e in sorted_elements(ref.levels[top]):
+                ref, _ = identity_bond(ref, top, e)
+            if ref.order == top:
+                ref = chain_add_bonds(ref, [], top + 1)
+        assert _pad_to_order(h, h.order + extra) == ref
+
+
+class TestLevelIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_matches_naive_scan(self, seed):
+        h = random_tower(random.Random(seed))
+        shuffled = list(h.bonds)
+        random.Random(seed).shuffle(shuffled)
+        for t in (h, replace(h, bonds=tuple(shuffled))):
+            for i in range(t.order + 1):
+                scan = [b for b in t.bonds if b.id.level == i]
+                assert t.bonds_at(i) == sorted(scan, key=lambda b: b.key)
+                assert t.supports_by_level.get(i, frozenset()) == {b.support.members for b in scan}
+
+
+class TestBrunnianOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraphs())
+    def test_hypergraph_matches_naive(self, case):
+        try:
+            h = from_hypergraph(*case)
+        except DuplicateId:
+            return
+        assert brunnian_order(h) == naive_brunnian_order(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_tower_matches_naive(self, seed):
+        h = random_tower(random.Random(seed), max_order=4)
+        found = brunnian_bond_ids(h)
+        assert brunnian_order(h) == brunnian_order(h, found) == naive_brunnian_order(h)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    def test_brunnian_tower_matches_naive(self, branching):
+        h = make_brunnian_tower(branching)
+        assert brunnian_order(h) == naive_brunnian_order(h) == len(branching)

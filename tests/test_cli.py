@@ -233,3 +233,27 @@ class TestErrorShape:
         code, out = run(capsys, "validate", "/no/such/path.json")
         assert code != 0
         assert out.splitlines()[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("presheaf", "on_objects", 0, 0),  # object key
+            ("presheaf", "on_morphisms", 0, 0),  # morphism id
+            ("presheaf", "on_morphisms", 0, 1, 0, 0),  # morphism table "from"
+            ("presheaf", "on_morphisms", 0, 1, 0, 1),  # morphism table "to"
+            ("category", "identities", 0, 0),
+            ("category", "identities", 0, 1),
+            ("category", "composition", 0, 0),
+        ],
+    )
+    def test_list_as_category_or_presheaf_key(self, capsys, tmp_path, path):
+        obj = json.loads((CORPUS / "square_category.json").read_text())
+        target = obj
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = ["x"]
+        p = tmp_path / "bad_key.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "nerve", str(p))
+        assert code == 2
+        assert out.startswith("error: SchemaError")
