@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
-import numpy as np
-
 from .core import Hyperstructure, sorted_elements
 from .errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
 from .topology import refines
@@ -290,45 +288,41 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     return SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
 
 
-def boundary_matrix(s: SimplicialData, k: int) -> np.ndarray:
-    """GF(2) boundary from dimension k to k-1 (faces counted mod 2)."""
-    rows = {x: i for i, x in enumerate(s.simplices[k - 1])}
-    cols = s.simplices[k]
-    mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for j, simplex in enumerate(cols):
+def boundary_matrix(s: SimplicialData, k: int) -> list[int]:
+    """GF(2) boundary from dimension k to k-1 as one bitset column per
+    k-simplex: bit i is set when the i-th (k-1)-simplex is a face an odd
+    number of times."""
+    rows = {x: 1 << i for i, x in enumerate(s.simplices[k - 1])}
+    cols = []
+    for simplex in s.simplices[k]:
         fs = s.faces.get(simplex)
         if fs is None or len(fs) != k + 1:
             raise InconsistentComplex(f"simplex {simplex!r} lacks {k + 1} faces")
+        col = 0
         for f in fs:
             if f is None:
                 continue
-            i = rows.get(f)
-            if i is None:
+            bit = rows.get(f)
+            if bit is None:
                 raise InconsistentComplex(f"face {f!r} of {simplex!r} is not listed in dimension {k - 1}")
-            mat[i, j] ^= 1
-    return mat
+            col ^= bit
+        cols.append(col)
+    return cols
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c]:
-                pivot = r
+def gf2_rank(cols: Iterable[int]) -> int:
+    """Rank of bitset columns over GF(2): reduce each column against the
+    pivots found so far, keyed by their highest set bit."""
+    pivots: dict[int, int] = {}
+    for col in cols:
+        while col:
+            top = col.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = col
                 break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            col ^= pivot
+    return len(pivots)
 
 
 def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
@@ -337,16 +331,17 @@ def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
     mats = {k: boundary_matrix(s, k) for k in range(1, s.max_dim + 1) if s.dim_count(k)}
     for k in range(1, s.max_dim):
         a, b = mats.get(k), mats.get(k + 1)
-        if a is not None and b is not None and a.size and b.size:
-            if ((a.astype(np.int64) @ b.astype(np.int64)) % 2).any():
-                raise InconsistentComplex(f"boundary of boundary nonzero between dimensions {k + 1} and {k - 1}")
-    out = []
-    for k in range(top + 1):
-        n_k = s.dim_count(k)
-        rank_k = gf2_rank(mats[k]) if k in mats else 0
-        rank_k1 = gf2_rank(mats[k + 1]) if (k + 1) in mats else 0
-        out.append(n_k - rank_k - rank_k1)
-    return out
+        if a and b:
+            for col in b:
+                acc = 0
+                while col:
+                    low = col & -col
+                    acc ^= a[low.bit_length() - 1]
+                    col ^= low
+                if acc:
+                    raise InconsistentComplex(f"boundary of boundary nonzero between dimensions {k + 1} and {k - 1}")
+    ranks = {k: gf2_rank(m) for k, m in mats.items() if k <= top + 1}
+    return [s.dim_count(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(top + 1)]
 
 
 # -- bridges from a tower ----------------------------------------------------------

@@ -187,6 +187,7 @@ def _pad_to_order(h: Hyperstructure, order: int) -> Hyperstructure:
 def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
     """Levelwise disjoint union with id prefixing and no cross bonds.
 
+    Both fusion logs are kept, first h1's then h2's, with prefixed ids.
     Towers of unequal order are padded with identity levels first. Spanning
     bonds between the halves are the caller's next move, followed by fuse.
     """
@@ -194,6 +195,7 @@ def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
     levels: list[set[ElementId]] = [set() for _ in range(order + 1)]
     omegas: list[dict[Support, frozenset[PropertyToken]]] = [{} for _ in range(order + 1)]
     bonds: list[Bond] = []
+    log: list[FusionRecord] = []
     for h, tag in ((_pad_to_order(h1, order), "1"), (_pad_to_order(h2, order), "2")):
         for i in range(order + 1):
             levels[i].update(_prefix_element(e, tag) for e in h.levels[i])
@@ -204,4 +206,8 @@ def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
             Bond(id=_prefix_element(b.id, tag), support=_prefix_support(b.support, tag), property=b.property, identity=b.identity)
             for b in h.bonds
         )
-    return assemble(levels, omegas, bonds)
+        log += (
+            replace(r, a=_prefix_element(r.a, tag), b=_prefix_element(r.b, tag), result=_prefix_element(r.result, tag))
+            for r in h.fusion_log
+        )
+    return assemble(levels, omegas, bonds, tuple(log))

@@ -477,6 +477,7 @@ EMPTY_SUPPORT = "empty-support"
 LEVEL_MISMATCH = "level-mismatch"
 MALFORMED_TOWER = "malformed-tower"
 EMPTY_OMEGA = "empty-omega-entry"
+DANGLING_FUSION = "dangling-fusion-record"
 
 
 def validate(h: Hyperstructure) -> CheckReport:
@@ -549,5 +550,10 @@ def validate(h: Hyperstructure) -> CheckReport:
             for m in s.members:
                 if not h.has_element(m):
                     flag(DANGLING_SUPPORT, f"omega support {s!r} references missing {m!r}")
+
+    for k, rec in enumerate(h.fusion_log):
+        for e in (rec.a, rec.b, rec.result):
+            if not h.has_element(e):
+                flag(DANGLING_FUSION, f"fusion record {k} references missing {e!r}")
 
     return report("validate", findings)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .catelem import FiniteCategory, Morphism, Presheaf, SimplicialData, finite_category, validate_presheaf
-from .core import Bond, ElementId, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
+from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
 from .states import (
     CoConnector,
@@ -123,11 +123,17 @@ def _h_to_json(h: Hyperstructure) -> dict:
                 "identity": b.identity,
             }
         )
-    return {"order": h.order, "levels": levels, "omega": omega, "bonds": bonds}
+    out = {"order": h.order, "levels": levels, "omega": omega, "bonds": bonds}
+    if h.fusion_log:  # written only when present, so unfused towers keep their bytes
+        out["fusion_log"] = [
+            {"k": r.k, "a": [r.a.level, r.a.id], "b": [r.b.level, r.b.id], "result": [r.result.level, r.result.id]}
+            for r in h.fusion_log
+        ]
+    return out
 
 
 def _h_from_json(value) -> Hyperstructure:
-    obj = _expect_obj(value, "hyperstructure", {"order", "levels", "omega", "bonds"}, {"order", "levels", "omega", "bonds"})
+    obj = _expect_obj(value, "hyperstructure", {"order", "levels", "omega", "bonds", "fusion_log"}, {"order", "levels", "omega", "bonds"})
     order = obj["order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise SchemaError("hyperstructure.order: expected a non-negative integer")
@@ -186,13 +192,29 @@ def _h_from_json(value) -> Hyperstructure:
             raise ReservedProperty(f"bonds[{k}]: {IDENTITY_PROPERTY!r} is reserved for identity bonds")
         bonds.append(Bond(id=eid, support=Support(lvl - 1, members), property=prop, identity=identity))
 
+    def ref(value, where: str) -> ElementId:
+        pair = _expect_list(value, where)
+        if len(pair) != 2 or not isinstance(pair[0], int) or isinstance(pair[0], bool):
+            raise SchemaError(f"{where}: expected [level, id]")
+        return resolve(pair[0], _expect_id(pair[1], where), where)
+
+    fusion_log = []
+    for k, entry in enumerate(_expect_list(obj.get("fusion_log", []), "hyperstructure.fusion_log")):
+        e = _expect_obj(entry, f"fusion_log[{k}]", {"k", "a", "b", "result"}, {"k", "a", "b", "result"})
+        a, b, result = (ref(e[name], f"fusion_log[{k}].{name}") for name in ("a", "b", "result"))
+        m, n = max(a.level, b.level), min(a.level, b.level)
+        glue = e["k"]
+        if not isinstance(glue, int) or isinstance(glue, bool) or not 0 <= glue < n:
+            raise SchemaError(f"fusion_log[{k}]: k must be an integer in 0..{n - 1}")
+        fusion_log.append(FusionRecord(k=glue, m=m, n=n, a=a, b=b, result=result))
+
     # identity bonds imply their (stripped) omega entries, added in registry order
     bonds.sort(key=lambda b: b.key)
     for b in bonds:
         if b.identity:
             table = omegas[b.support.level]
             table[b.support] = table.get(b.support, frozenset()) | {b.property}
-    return assemble(levels, omegas, bonds)
+    return assemble(levels, omegas, bonds, tuple(fusion_log))
 
 
 def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:

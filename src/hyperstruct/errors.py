@@ -81,6 +81,10 @@ class NotRefinement(HyperstructError):
     kind = "NotRefinement"
 
 
+class SweepTooLarge(HyperstructError):
+    kind = "SweepTooLarge"
+
+
 class NotATopology(HyperstructError):
     kind = "NotATopology"
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import ElementId, Hyperstructure, sorted_elements
-from .errors import MixedLevels, NotABond, NotATopology, NotRefinement, UnknownElement
+from .errors import MixedLevels, NotABond, NotATopology, NotRefinement, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding, report
 
-#: Exhaustive transitivity sweeps are capped at this many bonds per level.
+#: Transitivity sweeps are exhaustive by default up to this many bonds per
+#: level, and refused for a root whose ideal has more members than this.
 EXHAUSTIVE_CAP = 16
 SAMPLE_SIZE = 64
 
@@ -120,7 +121,12 @@ class _LevelOrder:
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
-        return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(members)
 
     def is_downset(self, mask: int) -> bool:
         closure = 0
@@ -189,8 +195,10 @@ def is_grothendieck_topology(
 
     Transitivity quantifies candidate sieves over all downward-closed
     families, which is exponential; above EXHAUSTIVE_CAP bonds the sweep
-    switches to seeded sampling and says so in the report notes. Each
-    violated axiom is reported with a witness.
+    switches to seeded sampling and says so in the report notes. An
+    explicitly exhaustive check raises SweepTooLarge when some root's ideal
+    has more than EXHAUSTIVE_CAP members. Each violated axiom is reported
+    with a witness.
     """
     h.check_level(level)
     order = _level_order(h, level)
@@ -200,7 +208,15 @@ def is_grothendieck_topology(
 
     if exhaustive is None:
         exhaustive = len(elements) <= EXHAUSTIVE_CAP
-    if not exhaustive:
+    if exhaustive:
+        for i, b in enumerate(elements):
+            size = order.below[i].bit_count()
+            if size > EXHAUSTIVE_CAP:
+                raise SweepTooLarge(
+                    f"exhaustive sweep at {b!r} would enumerate the subsets of a {size}-element ideal; "
+                    f"the cap is {EXHAUSTIVE_CAP}, use a sampled check"
+                )
+    else:
         notes.append(f"sampled: seed={seed} size={SAMPLE_SIZE}")
     rng = random.Random(seed)
 
@@ -274,7 +290,12 @@ def is_grothendieck_topology(
 
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     """The topology whose only covering of each element is its maximal sieve."""
-    return {e: frozenset({maximal_sieve(h, e)}) for i in range(h.order + 1) for e in h.elements(i)}
+    out = {}
+    for i in range(h.order + 1):
+        order = _level_order(h, i)
+        for j, e in enumerate(order.elements):
+            out[e] = frozenset({Sieve(e, order.unmask(order.below[j]))})
+    return out
 
 
 @dataclass(frozen=True)

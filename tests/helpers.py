@@ -252,6 +252,43 @@ def naive_brunnian_order(h: Hyperstructure) -> int:
     return max((depth(e) for e in brunnian), default=0)
 
 
+# -- dense GF(2) linear algebra over lists of 0/1 rows -----------------------------------
+
+
+def naive_boundary_rows(s, k: int) -> list[list[int]]:
+    """The boundary from dimension k to k-1 as dense 0/1 rows, read straight
+    off the face pointers (a degenerate None face contributes nothing)."""
+    rows, cols = s.simplices[k - 1], s.simplices[k]
+    return [[sum(1 for f in s.faces[c] if f == r) % 2 for c in cols] for r in rows]
+
+
+def bit_columns_as_rows(cols: list[int], n_rows: int) -> list[list[int]]:
+    """Bitset columns (bit i = row i) as dense 0/1 rows."""
+    return [[c >> i & 1 for c in cols] for i in range(n_rows)]
+
+
+def naive_gf2_rank(rows: list[list[int]]) -> int:
+    """Gauss-Jordan elimination over GF(2), one column at a time."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                m[r] = [x ^ y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def gf2_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two dense 0/1 matrices, reduced mod 2."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % 2 for col in cols] for row in a]
+
+
 # -- labeled posets up to isomorphism ---------------------------------------------------
 
 

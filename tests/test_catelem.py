@@ -1,8 +1,10 @@
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import bit_columns_as_rows, gf2_matmul, naive_boundary_rows, naive_gf2_rank
 from hyperstruct.catelem import (
     FiniteCategory,
     Morphism,
@@ -253,16 +255,90 @@ class TestBetti:
         with pytest.raises(InconsistentComplex):
             betti_gf2(s, 1)
 
+    def test_nonzero_boundary_of_boundary_rejected(self):
+        # the triangle lists edge ab twice and ca never: its boundary bc has boundary b + c
+        s = SimplicialData(
+            max_dim=2,
+            simplices=(("a", "b", "c"), ("ab", "bc", "ca"), ("t",)),
+            faces={"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "t": ("ab", "ab", "bc")},
+        )
+        with pytest.raises(InconsistentComplex, match="boundary of boundary"):
+            betti_gf2(s, 2)
+
     def test_dd_zero_for_emitted_nerves(self):
         rng = random.Random(70)
         for _ in range(10):
             cat = random_poset_category(rng, max_objects=4)
             n = nerve(cat, 3)
             for k in range(1, n.max_dim):
-                a = boundary_matrix(n, k)
-                b = boundary_matrix(n, k + 1)
-                if a.size and b.size:
-                    assert not ((a.astype(np.int64) @ b.astype(np.int64)) % 2).any()
+                a = bit_columns_as_rows(boundary_matrix(n, k), n.dim_count(k - 1))
+                b = bit_columns_as_rows(boundary_matrix(n, k + 1), n.dim_count(k))
+                assert not any(any(row) for row in gf2_matmul(a, b))
+
+
+@st.composite
+def preorder_categories(draw, max_objects=5):
+    """Thin categories of random preorders; ties (x <= y <= x) make nerve
+    faces degenerate, so the None-face path is exercised too."""
+    n = draw(st.integers(1, max_objects))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rel = {(i, i) for i in range(n)} | set(draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else [])
+    while not (closure := {(a, d) for (a, b) in rel for (c, d) in rel if b == c}) <= rel:
+        rel |= closure
+    return poset_category(list(range(n)), lambda a, b: (a, b) in rel)
+
+
+@st.composite
+def face_lists(draw, max_dim=3, max_per_dim=6):
+    """Simplicial data with arbitrary face pointers: repeated, degenerate
+    (None) or scattered faces, not necessarily a complex."""
+    counts = draw(st.lists(st.integers(1, max_per_dim), min_size=1, max_size=max_dim + 1))
+    simplices = tuple(tuple(f"s{k}_{i}" for i in range(n)) for k, n in enumerate(counts))
+    faces = {}
+    for k in range(1, len(simplices)):
+        below = st.one_of(st.none(), st.sampled_from(simplices[k - 1]))
+        for x in simplices[k]:
+            faces[x] = tuple(draw(st.lists(below, min_size=k + 1, max_size=k + 1)))
+    return SimplicialData(max_dim=len(simplices) - 1, simplices=simplices, faces=faces)
+
+
+class TestGF2Oracles:
+    """Bitset boundaries and ranks against dense 0/1 elimination."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(face_lists())
+    def test_boundary_and_rank_on_arbitrary_faces(self, s):
+        for k in range(1, s.max_dim + 1):
+            cols = boundary_matrix(s, k)
+            assert bit_columns_as_rows(cols, s.dim_count(k - 1)) == naive_boundary_rows(s, k)
+            assert gf2_rank(cols) == naive_gf2_rank(naive_boundary_rows(s, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=14))))
+    def test_rank_matches_dense_elimination(self, case):
+        n_rows, cols = case
+        assert gf2_rank(cols) == naive_gf2_rank(bit_columns_as_rows(cols, n_rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(preorder_categories())
+    def test_boundaries_match_faces_and_square_to_zero(self, cat):
+        n = nerve(cat, 3)
+        dense = {k: naive_boundary_rows(n, k) for k in range(1, n.max_dim + 1)}
+        for k in range(1, n.max_dim + 1):
+            assert bit_columns_as_rows(boundary_matrix(n, k), n.dim_count(k - 1)) == dense[k]
+        for k in range(1, n.max_dim):
+            assert not any(any(row) for row in gf2_matmul(dense[k], dense[k + 1]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(preorder_categories(), st.integers(0, 2))
+    def test_betti_matches_ranks_and_euler_characteristic(self, cat, extra):
+        n = nerve(cat, 3)
+        betti = betti_gf2(n, n.max_dim + extra)
+        assert len(betti) == n.max_dim + 1
+        ranks = [0] + [naive_gf2_rank(naive_boundary_rows(n, k)) for k in range(1, n.max_dim + 1)] + [0]
+        assert betti == [n.dim_count(k) - ranks[k] - ranks[k + 1] for k in range(n.max_dim + 1)]
+        euler = sum((-1) ** k * n.dim_count(k) for k in range(n.max_dim + 1))
+        assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler
 
 
 def _component_count(cat: FiniteCategory) -> int:

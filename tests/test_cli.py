@@ -1,10 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from helpers import tower_from_supports
 from hyperstruct.cli import main
-from hyperstruct.document import parse
+from hyperstruct.core import ElementId, FusionRecord
+from hyperstruct.document import Document, parse, serialize
+from hyperstruct.topology import EXHAUSTIVE_CAP, maximal_topology
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -126,6 +130,40 @@ class TestComposeAndFuse:
         assert code == 0
         assert "signature: (k=0, m=1, n=1)" in out
 
+    def test_fuse_out_keeps_the_record(self, capsys, tmp_path):
+        first, second = tmp_path / "fused.json", tmp_path / "fused2.json"
+        args = ["--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "0"]
+        code, _ = run(capsys, "fuse", str(CORPUS / "flat_triangle.json"), *args, "--id", "glued", "--out", str(first))
+        assert code == 0
+        code, _ = run(capsys, "fuse", str(first), *args, "--id", "again", "--out", str(second))
+        assert code == 0
+        a, b = ElementId(1, "{v0,v1}"), ElementId(1, "{v1,v2}")
+        assert parse(second.read_text()).hyperstructure.fusion_log == (
+            FusionRecord(k=0, m=1, n=1, a=a, b=b, result=ElementId(1, "glued")),
+            FusionRecord(k=0, m=1, n=1, a=a, b=b, result=ElementId(1, "again")),
+        )
+        code, out = run(capsys, "validate", str(second))
+        assert code == 0 and out.startswith("validate: pass")
+
+    @pytest.mark.parametrize(
+        "record, kind",
+        [
+            ({"k": 0, "a": [1, "{v0,v1}"], "b": [1, "nope"], "result": [1, "{v0,v1}"]}, "ReferenceError"),
+            ({"k": 1, "a": [1, "{v0,v1}"], "b": [1, "{v1,v2}"], "result": [1, "{v0,v1}"]}, "SchemaError"),
+            ({"k": 0, "a": "{v0,v1}", "b": [1, "{v1,v2}"], "result": [1, "{v0,v1}"]}, "SchemaError"),
+            ({"k": 0, "a": [1, ["x"]], "b": [1, "{v1,v2}"], "result": [1, "{v0,v1}"]}, "SchemaError"),
+            ({"k": 0, "a": [1, "{v0,v1}"], "b": [1, "{v1,v2}"]}, "SchemaError"),
+        ],
+    )
+    def test_bad_fusion_record_is_input_error(self, capsys, tmp_path, record, kind):
+        obj = json.loads((CORPUS / "flat_triangle.json").read_text())
+        obj["hyperstructure"]["fusion_log"] = [record]
+        p = tmp_path / "bad_log.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(p))
+        assert code == 2
+        assert out.startswith(f"error: {kind}")
+
     def test_unknown_bond_reference(self, capsys):
         code, out = run(
             capsys,
@@ -156,6 +194,19 @@ class TestChecks:
         code, out = run(capsys, "topology-check", str(p))
         assert code == 1
         assert "maximality" in out
+
+    def test_exhaustive_check_refuses_a_20_bond_chain(self, capsys, tmp_path):
+        h = tower_from_supports([frozenset(f"v{i}" for i in range(k + 1)) for k in range(20)])
+        p = tmp_path / "chain.json"
+        p.write_text(serialize(Document(hyperstructure=h, topology=maximal_topology(h))))
+        code, out = run(capsys, "topology-check", str(p), "--exhaustive")
+        assert code == 2
+        assert out.splitlines()[0] == "error: SweepTooLarge"
+        # the first root past the cap is named with its ideal's size (bond b_k sits above k + 1 bonds)
+        root, size = re.search(r"at 1:b(\d+) .* a (\d+)-element ideal", out).groups()
+        assert int(size) == int(root) + 1 > EXHAUSTIVE_CAP
+        code, out = run(capsys, "topology-check", str(p), "--sampled", "3")
+        assert code == 0 and "grothendieck-topology level 1: pass" in out
 
     def test_globalize_writes_assignment(self, capsys, tmp_path):
         out_path = tmp_path / "g.json"

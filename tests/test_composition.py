@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,9 @@ from hyperstruct.composition import (
     union_token,
 )
 from hyperstruct.core import (
+    DANGLING_FUSION,
+    ElementId,
+    FusionRecord,
     Hyperstructure,
     Support,
     add_bond,
@@ -196,7 +200,32 @@ class TestFuse:
         assert c.level == 2
 
 
+    def test_validate_flags_a_dangling_record(self):
+        h, a, b = chain_tower()
+        h2, c = fuse(h, a, b, 0, None, "c")
+        ghost = ElementId(1, "ghost")
+        broken = replace(h2, fusion_log=h2.fusion_log + (FusionRecord(k=0, m=1, n=1, a=a, b=ghost, result=c),))
+        rep = validate(broken)
+        assert rep.codes == {DANGLING_FUSION}
+        assert validate(h2).passed
+
+
 class TestDisjointUnion:
+    def test_fusion_logs_carried_with_prefixes(self):
+        h, a, b = chain_tower()
+        h1, c = fuse(h, a, b, 0, None, "c")
+        h2, d = fuse(h, b, a, 0, None, "d")
+        u = disjoint_union(h1, h2)
+
+        def tagged(e, tag):
+            return ElementId(e.level, f"{tag}:{e.id}")
+
+        assert u.fusion_log == (
+            FusionRecord(k=0, m=1, n=1, a=tagged(a, 1), b=tagged(b, 1), result=tagged(c, 1)),
+            FusionRecord(k=0, m=1, n=1, a=tagged(b, 2), b=tagged(a, 2), result=tagged(d, 2)),
+        )
+        assert validate(u).passed
+
     def test_cardinality_additivity(self):
         rng = random.Random(31)
         for _ in range(10):

@@ -3,11 +3,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tower
-from hyperstruct.core import identity_bond
+from hyperstruct.composition import fuse
+from hyperstruct.core import identity_bond, sorted_elements, validate
 from hyperstruct.document import Document, StatesSection, parse, serialize
-from hyperstruct.errors import DanglingReference, ParseError, ReservedProperty, SchemaError
+from hyperstruct.errors import DanglingReference, HyperstructError, ParseError, ReservedProperty, SchemaError
 from hyperstruct.installers import make_brunnian_tower
 from hyperstruct.states import PRODUCT
 from hyperstruct.topology import maximal_topology
@@ -34,6 +37,28 @@ class TestRoundTrip:
         text = serialize(Document(hyperstructure=h))
         assert '"id"' not in text.split('"bonds"')[0]  # omega tables carry no reserved token
         assert parse(text).hyperstructure == h
+
+    def test_unfused_tower_writes_no_fusion_log(self):
+        h = make_brunnian_tower([2, 2])
+        assert "fusion_log" not in serialize(Document(hyperstructure=h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_fusion_log_survives(self, seed):
+        rng = random.Random(seed)
+        h = random_tower(rng, max_order=3, max_per_level=8)
+        bonds = sorted_elements(b.id for b in h.bonds)
+        for n in range(6):
+            if not bonds:
+                break
+            a, b = rng.choice(bonds), rng.choice(bonds)
+            try:
+                h, _ = fuse(h, a, b, rng.randrange(min(a.level, b.level)), None, f"fused{n}")
+            except HyperstructError:
+                continue
+        again = parse(serialize(Document(hyperstructure=h))).hyperstructure
+        assert again == h
+        assert validate(again).passed
 
     def test_topology_survives(self):
         h = make_brunnian_tower([2, 2])

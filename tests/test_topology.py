@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_posets_up_to_iso,
@@ -11,9 +13,10 @@ from helpers import (
     tower_from_supports,
 )
 from hyperstruct.core import add_bond, assign_property, new_hyperstructure
-from hyperstruct.errors import MixedLevels, NotATopology, NotRefinement
-from hyperstruct.installers import from_simplicial_complex
+from hyperstruct.errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge
+from hyperstruct.installers import from_simplicial_complex, make_brunnian_tower
 from hyperstruct.topology import (
+    EXHAUSTIVE_CAP,
     CoveringChain,
     Sieve,
     all_sieves_on,
@@ -137,6 +140,27 @@ class TestPullbackSieve:
             assert is_sieve(h, pullback_sieve(h, sieve, b1).members, b1)
 
 
+class TestMaximalTopology:
+    """maximal_topology reads the cached level order; maximal_sieve scans supports."""
+
+    @staticmethod
+    def assert_matches_maximal_sieves(h):
+        j = maximal_topology(h)
+        assert set(j) == {e for level in h.levels for e in level}
+        for e, sieves in j.items():
+            assert sieves == frozenset({maximal_sieve(h, e)})
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_towers(self, seed):
+        self.assert_matches_maximal_sieves(random_tower(random.Random(seed), max_order=3, max_per_level=10))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    def test_brunnian_towers(self, branching):
+        self.assert_matches_maximal_sieves(make_brunnian_tower(branching))
+
+
 class TestGrothendieckAxioms:
     def test_maximal_topology_passes(self):
         rng = random.Random(41)
@@ -253,6 +277,18 @@ class TestSite:
         with pytest.raises(NotATopology) as exc:
             make_site(h, j)
         assert exc.value.report is not None and not exc.value.report.passed
+
+    def test_exhaustive_refuses_an_ideal_above_the_cap(self):
+        def chain(n):  # nested supports: bond b_k's ideal holds b_0..b_k
+            return tower_from_supports([frozenset(f"v{i}" for i in range(k + 1)) for k in range(n)])
+
+        at_cap, above = chain(EXHAUSTIVE_CAP), chain(EXHAUSTIVE_CAP + 1)
+        assert is_grothendieck_topology(at_cap, maximal_topology(at_cap), 1, exhaustive=True).passed
+        with pytest.raises(SweepTooLarge, match=rf"1:b{EXHAUSTIVE_CAP}\b.*{EXHAUSTIVE_CAP + 1}-element ideal"):
+            is_grothendieck_topology(above, maximal_topology(above), 1, exhaustive=True)
+        # the default sweep samples that level, and level 0 stays exhaustive
+        assert is_grothendieck_topology(above, maximal_topology(above), 1).passed
+        assert is_grothendieck_topology(above, maximal_topology(above), 0, exhaustive=True).passed
 
     def test_sampled_mode_notes_seed(self):
         supports = [frozenset({"x", "y"})]
