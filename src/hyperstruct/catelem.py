@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .core import Hyperstructure, sorted_elements
 from .errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
@@ -60,8 +60,20 @@ class FiniteCategory:
     def non_identity_morphisms(self) -> list[Morphism]:
         return [m for m in self.morphisms if not self.is_identity(m.id)]
 
+    @cached_property
+    def out_of(self) -> dict[ObjId, list[Morphism]]:
+        """Morphisms grouped by source, each group in morphism order."""
+        groups: dict = {}
+        for m in self.morphisms:
+            groups.setdefault(m.src, []).append(m)
+        return groups
+
+    def composable_pairs(self) -> Iterator[tuple[Morphism, Morphism]]:
+        """Every (g, f) with f.tgt == g.src: f in morphism order, then g."""
+        return ((g, f) for f in self.morphisms for g in self.out_of.get(f.tgt, ()))
+
     def hom(self, src: ObjId, tgt: ObjId) -> list[MorId]:
-        return [m.id for m in self.morphisms if m.src == src and m.tgt == tgt]
+        return [m.id for m in self.out_of.get(src, ()) if m.tgt == tgt]
 
 
 def finite_category(
@@ -74,43 +86,42 @@ def finite_category(
     objs = frozenset(objects)
     mors = tuple(sorted(morphisms, key=lambda m: _key(m.id)))
     cat = FiniteCategory(objects=objs, morphisms=mors, identities=dict(identities), composition=dict(composition))
-    ids = {m.id for m in mors}
-    if len(ids) != len(mors):
+    if len(cat.by_id) != len(mors):
         raise InvalidCategory("morphism ids repeat")
     for m in mors:
         if m.src not in objs or m.tgt not in objs:
             raise InvalidCategory(f"morphism {m.id!r} touches unknown objects")
+    for c in identities:
+        if c not in objs:
+            raise InvalidCategory(f"identity listed for unknown object {c!r}")
     for c in objs:
         i = identities.get(c)
-        if i is None or i not in ids:
+        if i is None or i not in cat.by_id:
             raise InvalidCategory(f"object {c!r} lacks an identity morphism")
         im = cat.morphism(i)
         if im.src != c or im.tgt != c:
             raise InvalidCategory(f"identity of {c!r} is not an endomorphism")
-    for g in mors:
-        for f in mors:
-            if f.tgt != g.src:
-                if (g.id, f.id) in composition:
-                    raise InvalidCategory(f"composite listed for non-composable ({g.id!r}, {f.id!r})")
-                continue
-            gf = composition.get((g.id, f.id))
-            if gf is None:
-                raise InvalidCategory(f"missing composite ({g.id!r}, {f.id!r})")
-            gfm = cat.morphism(gf)
-            if gfm.src != f.src or gfm.tgt != g.tgt:
-                raise InvalidCategory(f"composite ({g.id!r}, {f.id!r}) has wrong endpoints")
+    for key in composition:
+        g, f = map(cat.by_id.get, key) if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if g is None or f is None:
+            raise InvalidCategory(f"composite listed for unknown morphisms {key!r}")
+        if f.tgt != g.src:
+            raise InvalidCategory(f"composite listed for non-composable ({g.id!r}, {f.id!r})")
+    for g, f in cat.composable_pairs():
+        gf = composition.get((g.id, f.id))
+        if gf is None:
+            raise InvalidCategory(f"missing composite ({g.id!r}, {f.id!r})")
+        gfm = cat.morphism(gf)
+        if gfm.src != f.src or gfm.tgt != g.tgt:
+            raise InvalidCategory(f"composite ({g.id!r}, {f.id!r}) has wrong endpoints")
     for m in mors:
         if cat.compose(m.id, identities[m.src]) != m.id or cat.compose(identities[m.tgt], m.id) != m.id:
             raise InvalidCategory(f"identity law fails at {m.id!r}")
-    for h_ in mors:
-        for g in mors:
-            if g.tgt != h_.src:
-                continue
-            for f in mors:
-                if f.tgt != g.src:
-                    continue
-                if cat.compose(cat.compose(h_.id, g.id), f.id) != cat.compose(h_.id, cat.compose(g.id, f.id)):
-                    raise InvalidCategory(f"associativity fails at ({h_.id!r}, {g.id!r}, {f.id!r})")
+    for g, f in cat.composable_pairs():
+        gf = cat.compose(g.id, f.id)
+        for h_ in cat.out_of.get(g.tgt, ()):
+            if cat.compose(cat.compose(h_.id, g.id), f.id) != cat.compose(h_.id, gf):
+                raise InvalidCategory(f"associativity fails at ({h_.id!r}, {g.id!r}, {f.id!r})")
     return cat
 
 
@@ -125,13 +136,10 @@ def discrete_category(objects: Iterable[ObjId]) -> FiniteCategory:
 def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
     """One morphism x -> y per related pair x <= y."""
     objs = list(elements)
-    mors = [Morphism((x, y), x, y) for x in objs for y in objs if leq(x, y)]
+    up = {x: [y for y in objs if leq(x, y)] for x in objs}
+    mors = [Morphism((x, y), x, y) for x in objs for y in up[x]]
     identities = {x: (x, x) for x in objs}
-    composition = {}
-    for g in mors:
-        for f in mors:
-            if f.tgt == g.src:
-                composition[(g.id, f.id)] = (f.src, g.tgt)
+    composition = {((y, z), (x, y)): (x, z) for x in objs for y in up[x] for z in up[y]}
     return finite_category(objs, mors, identities, composition)
 
 
@@ -157,6 +165,12 @@ class Presheaf:
 
 def validate_presheaf(cat: FiniteCategory, p: Presheaf) -> None:
     """Brute-force the functor laws; raises on the first failure."""
+    for c in p.on_objects:
+        if c not in cat.objects:
+            raise InvalidPresheaf(f"value listed at unknown object {c!r}")
+    for u in p.on_morphisms:
+        if u not in cat.by_id:
+            raise InvalidPresheaf(f"action listed for unknown morphism {u!r}")
     for c in cat.objects:
         p.at(c)
     for m in cat.morphisms:
@@ -168,14 +182,11 @@ def validate_presheaf(cat: FiniteCategory, p: Presheaf) -> None:
         for x in p.at(c):
             if p.act(cat.identities[c], x) != x:
                 raise InvalidPresheaf(f"identity action at {c!r} moves {x!r}")
-    for g in cat.morphisms:
-        for f in cat.morphisms:
-            if f.tgt != g.src:
-                continue
-            gf = cat.compose(g.id, f.id)
-            for x in p.at(g.tgt):
-                if p.act(f.id, p.act(g.id, x)) != p.act(gf, x):
-                    raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
+    for g, f in cat.composable_pairs():
+        gf = cat.compose(g.id, f.id)
+        for x in p.at(g.tgt):
+            if p.act(f.id, p.act(g.id, x)) != p.act(gf, x):
+                raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
 
 
 def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
@@ -203,13 +214,10 @@ def category_of_elements(cat: FiniteCategory, p: Presheaf) -> FiniteCategory:
     for c, x in objects:
         identities[(c, x)] = (cat.identities[c], x)
     composition = {}
-    for g in cat.morphisms:
-        for f in cat.morphisms:
-            if f.tgt != g.src:
-                continue
-            gf = cat.compose(g.id, f.id)
-            for x in p.at(g.tgt):
-                composition[((g.id, x), (f.id, p.act(g.id, x)))] = (gf, x)
+    for g, f in cat.composable_pairs():
+        gf = cat.compose(g.id, f.id)
+        for x in p.at(g.tgt):
+            composition[((g.id, x), (f.id, p.act(g.id, x)))] = (gf, x)
     return finite_category(objects, morphisms, identities, composition)
 
 
@@ -249,42 +257,28 @@ class SimplicialData:
 
 
 def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
-    """Chains of composable non-identity morphisms, up to the given length."""
-    objects = sorted(cat.objects, key=_key)
-    dims: list[tuple] = [tuple(objects)]
-    faces: dict = {}
+    """Chains of composable non-identity morphisms, up to the given length.
+    Morphisms are held in id-key order, so chains come out lexicographically."""
+    if max_dim < 0:
+        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    dims: list[tuple] = [tuple(sorted(cat.objects, key=_key))]
     non_id = cat.non_identity_morphisms()
-    by_src: dict = {}
-    for m in non_id:
-        by_src.setdefault(m.src, []).append(m)
-    chains: list[tuple] = [(m.id,) for m in sorted(non_id, key=lambda m: _key(m.id))]
-    for m in non_id:
-        faces[(m.id,)] = (m.tgt, m.src)  # drop-source vertex first, then drop-target
+    chains: list[tuple] = [(m.id,) for m in non_id]
+    faces: dict = {(m.id,): (m.tgt, m.src) for m in non_id}  # drop-source vertex first, then drop-target
     if max_dim >= 1:
-        dims.append(tuple(sorted(chains, key=lambda c: tuple(_key(x) for x in c))))
-    k = 2
-    while k <= max_dim:
-        new_chains = []
+        dims.append(tuple(chains))
+    for _ in range(2, max_dim + 1):
+        chains = [
+            chain + (m.id,) for chain in chains for m in cat.out_of.get(cat.morphism(chain[-1]).tgt, ()) if not cat.is_identity(m.id)
+        ]
         for chain in chains:
-            last = cat.morphism(chain[-1])
-            for m in sorted(by_src.get(last.tgt, []), key=lambda m: _key(m.id)):
-                new_chains.append(chain + (m.id,))
-        for chain in new_chains:
-            fs: list = []
-            fs.append(chain[1:])  # drop first arrow
+            fs: list = [chain[1:]]  # drop first arrow
             for j in range(len(chain) - 1):
                 comp = cat.compose(chain[j + 1], chain[j])
-                if cat.is_identity(comp):
-                    fs.append(None)
-                else:
-                    fs.append(chain[:j] + (comp,) + chain[j + 2 :])
+                fs.append(None if cat.is_identity(comp) else chain[:j] + (comp,) + chain[j + 2 :])
             fs.append(chain[:-1])  # drop last arrow
             faces[chain] = tuple(fs)
-        chains = new_chains
-        dims.append(tuple(sorted(chains, key=lambda c: tuple(_key(x) for x in c))))
-        k += 1
-    while len(dims) < max_dim + 1:
-        dims.append(())
+        dims.append(tuple(chains))
     return SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
 
 
@@ -327,6 +321,8 @@ def gf2_rank(cols: Iterable[int]) -> int:
 
 def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
     """GF(2) Betti numbers for dimensions 0..min(max_dim, declared dim)."""
+    if max_dim < 0:
+        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
     top = min(max_dim, s.max_dim)
     mats = {k: boundary_matrix(s, k) for k in range(1, s.max_dim + 1) if s.dim_count(k)}
     for k in range(1, s.max_dim):

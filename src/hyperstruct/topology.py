@@ -97,6 +97,16 @@ def pullback_sieve(h: Hyperstructure, sieve: Sieve, finer_root: ElementId) -> Si
     return Sieve(root=finer_root, members=frozenset(s for s in sieve.members if refines(h, s, finer_root)))
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _LevelOrder:
     """Bitmask view of one level's refinement preorder."""
 
@@ -142,8 +152,7 @@ class _LevelOrder:
         got = self.downsets.get(i)
         if got is not None:
             return got
-        ideal = self.below[i]
-        bits = [j for j in range(len(self.elements)) if ideal >> j & 1]
+        bits = _bit_indices(self.below[i])
         out = []
         for k in range(1 << len(bits)):
             mask = 0
@@ -173,7 +182,7 @@ def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
     ideal = order.below[i]
-    bits = [j for j in range(len(order.elements)) if ideal >> j & 1]
+    bits = _bit_indices(ideal)
     seen = {0, ideal}
     for _ in range(count):
         closure = 0

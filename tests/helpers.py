@@ -289,6 +289,61 @@ def gf2_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) % 2 for col in cols] for row in a]
 
 
+# -- naive finite-category oracle ---------------------------------------------------------
+
+
+def naive_category_ok(objects, morphisms, identities, composition) -> bool:
+    """The category laws by all-pairs and all-triples scans, plus the rule a
+    document enforces: identity and composition entries name only known
+    objects and morphisms, and the table has exactly the composable pairs."""
+    objs, mors = set(objects), list(morphisms)
+    by_id = {m.id: m for m in mors}
+    ends = {m.id: (m.src, m.tgt) for m in mors}
+    if len(by_id) != len(mors) or any(m.src not in objs or m.tgt not in objs for m in mors):
+        return False
+    if not set(identities) <= objs or any(ends.get(identities.get(c)) != (c, c) for c in objs):
+        return False
+    pairs = [(g.id, f.id) for g in mors for f in mors if f.tgt == g.src]
+    if set(composition) != set(pairs):
+        return False
+    if any(ends.get(composition[(g, f)]) != (by_id[f].src, by_id[g].tgt) for g, f in pairs):
+        return False
+    for m in mors:
+        if composition[(m.id, identities[m.src])] != m.id or composition[(identities[m.tgt], m.id)] != m.id:
+            return False
+    for h in mors:
+        for g in mors:
+            for f in mors:
+                if f.tgt == g.src and g.tgt == h.src:
+                    if composition[(composition[(h.id, g.id)], f.id)] != composition[(h.id, composition[(g.id, f.id)])]:
+                        return False
+    return True
+
+
+def naive_composable_pairs(cat) -> list:
+    """Every (g, f) with f.tgt == g.src by an all-pairs scan, f-major."""
+    return [(g, f) for f in cat.morphisms for g in cat.morphisms if f.tgt == g.src]
+
+
+def naive_hom(cat, src, tgt) -> list:
+    return [m.id for m in cat.morphisms if m.src == src and m.tgt == tgt]
+
+
+def _id_key(x) -> str:
+    return f"{type(x).__name__}:{x}" if isinstance(x, (str, int)) else repr(x)
+
+
+def naive_nerve_dims(cat, max_dim: int) -> list[tuple]:
+    """Objects, then every chain of k composable non-identity morphisms
+    (first arrow first), each dimension sorted by its ids' keys."""
+    non_id = [m for m in cat.morphisms if cat.identities[m.src] != m.id]
+    dims = [tuple(sorted(cat.objects, key=_id_key))]
+    for k in range(1, max_dim + 1):
+        chains = [c for c in product(non_id, repeat=k) if all(a.tgt == b.src for a, b in zip(c, c[1:]))]
+        dims.append(tuple(sorted((tuple(m.id for m in c) for c in chains), key=lambda c: tuple(map(_id_key, c)))))
+    return dims
+
+
 # -- labeled posets up to isomorphism ---------------------------------------------------
 
 

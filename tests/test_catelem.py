@@ -1,10 +1,20 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bit_columns_as_rows, gf2_matmul, naive_boundary_rows, naive_gf2_rank
+from helpers import (
+    bit_columns_as_rows,
+    gf2_matmul,
+    naive_boundary_rows,
+    naive_category_ok,
+    naive_composable_pairs,
+    naive_gf2_rank,
+    naive_hom,
+    naive_nerve_dims,
+)
 from hyperstruct.catelem import (
     FiniteCategory,
     Morphism,
@@ -96,6 +106,93 @@ class TestFiniteCategory:
                     comp[(g.id, f.id)] = (f.src, g.tgt) if f.src != g.tgt else (f.src, f.src)
         with pytest.raises(InvalidCategory):
             finite_category(objs, mors, identities, comp)
+
+
+def _parallel_arrows():
+    """x with identity ix, y with identity iy, and two arrows f, g: x -> y."""
+    mors = [Morphism("ix", "x", "x"), Morphism("iy", "y", "y"), Morphism("f", "x", "y"), Morphism("g", "x", "y")]
+    comp = {("ix", "ix"): "ix", ("iy", "iy"): "iy"}
+    for a in ("f", "g"):
+        comp[(a, "ix")] = a
+        comp[("iy", a)] = a
+    return ["x", "y"], mors, {"x": "ix", "y": "iy"}, comp
+
+
+def _two_bracketings():
+    """w -a-> x -b-> y -c-> z, where c(ba) = p and (cb)a = q are different arrows."""
+    arrows = {"a": ("w", "x"), "b": ("x", "y"), "c": ("y", "z"), "ba": ("w", "y"), "cb": ("x", "z"), "p": ("w", "z"), "q": ("w", "z")}
+    objs = ["w", "x", "y", "z"]
+    mors = [Morphism(f"1{o}", o, o) for o in objs] + [Morphism(m, src, tgt) for m, (src, tgt) in arrows.items()]
+    comp = {(f"1{o}", f"1{o}"): f"1{o}" for o in objs}
+    for m, (src, tgt) in arrows.items():
+        comp[(m, f"1{src}")] = m
+        comp[(f"1{tgt}", m)] = m
+    comp.update({("b", "a"): "ba", ("c", "b"): "cb", ("c", "ba"): "p", ("cb", "a"): "q"})
+    return objs, mors, {o: f"1{o}" for o in objs}, comp
+
+
+def _with(base, mors=(), identities=None, drop_identity=None, comp=None, drop=None):
+    objs, ms, ids, cs = base()
+    ids = {c: i for c, i in {**ids, **(identities or {})}.items() if c != drop_identity}
+    cs = {k: v for k, v in {**cs, **(comp or {})}.items() if k != drop}
+    return objs, ms + list(mors), ids, cs
+
+
+CATEGORY_FAULTS = [
+    ("ids repeat", _with(_parallel_arrows, mors=[Morphism("f", "y", "y")]), "morphism ids repeat"),
+    ("unknown object", _with(_parallel_arrows, mors=[Morphism("h", "x", "z")]), "morphism 'h' touches unknown objects"),
+    ("identity for unknown object", _with(_parallel_arrows, identities={"z": "ix"}), "identity listed for unknown object 'z'"),
+    ("no identity", _with(_parallel_arrows, drop_identity="y"), "object 'y' lacks an identity morphism"),
+    ("identity not endo", _with(_parallel_arrows, identities={"x": "f"}), "identity of 'x' is not an endomorphism"),
+    ("unknown key", _with(_parallel_arrows, comp={("ghost", "ix"): "ix"}), "composite listed for unknown morphisms ('ghost', 'ix')"),
+    ("non-composable", _with(_parallel_arrows, comp={("f", "g"): "f"}), "composite listed for non-composable ('f', 'g')"),
+    ("missing", _with(_parallel_arrows, drop=("iy", "g")), "missing composite ('iy', 'g')"),
+    ("unknown composite", _with(_parallel_arrows, comp={("f", "ix"): "ghost"}), "unknown morphism 'ghost'"),
+    ("wrong source", _with(_parallel_arrows, comp={("f", "ix"): "iy"}), "composite ('f', 'ix') has wrong endpoints"),
+    ("wrong target", _with(_parallel_arrows, comp={("f", "ix"): "ix"}), "composite ('f', 'ix') has wrong endpoints"),
+    ("identity law", _with(_parallel_arrows, comp={("f", "ix"): "g"}), "identity law fails at 'f'"),
+    ("associativity", _two_bracketings(), "associativity fails at ('c', 'b', 'a')"),
+]
+
+CHAIN = poset_category([0, 1, 2], lambda a, b: a <= b)
+
+
+def _chain_presheaf(on_objects=(), on_morphisms=(), drop_value=None):
+    """The constant presheaf {0, 1} on the chain 0 < 1 < 2, every action the
+    identity, with the given entries replaced."""
+    values = {c: frozenset({0, 1}) for c in CHAIN.objects} | dict(on_objects)
+    values.pop(drop_value, None)
+    actions = {m.id: {0: 0, 1: 1} for m in CHAIN.morphisms} | dict(on_morphisms)
+    return Presheaf(on_objects=values, on_morphisms=actions)
+
+
+PRESHEAF_FAULTS = [
+    ("value at unknown object", _chain_presheaf(on_objects={9: frozenset()}), "value listed at unknown object 9"),
+    ("action of unknown morphism", _chain_presheaf(on_morphisms={(2, 0): {}}), "action listed for unknown morphism (2, 0)"),
+    ("no value", _chain_presheaf(drop_value=1), "no value at object 1"),
+    ("outside the value", _chain_presheaf(on_morphisms={(0, 1): {0: 0, 1: 5}}), "(0, 1) maps 1 outside the value at 0"),
+    ("undefined action", _chain_presheaf(on_morphisms={(0, 1): {0: 0}}), "action of (0, 1) undefined at 1"),
+    ("identity moves", _chain_presheaf(on_morphisms={(1, 1): {0: 1, 1: 0}}), "identity action at 1 moves"),
+    ("contravariance", _chain_presheaf(on_morphisms={(0, 2): {0: 1, 1: 0}}), "contravariance fails at ((1, 2), (0, 1)) on 0"),
+]
+
+
+class TestRejections:
+    """Each law or reference check, hit by exactly one fault."""
+
+    def test_fault_free_bases_pass(self):
+        finite_category(*_parallel_arrows())
+        validate_presheaf(CHAIN, _chain_presheaf())
+
+    @pytest.mark.parametrize("spec, message", [row[1:] for row in CATEGORY_FAULTS], ids=[row[0] for row in CATEGORY_FAULTS])
+    def test_category_fault(self, spec, message):
+        with pytest.raises(InvalidCategory, match=re.escape(message)):
+            finite_category(*spec)
+
+    @pytest.mark.parametrize("p, message", [row[1:] for row in PRESHEAF_FAULTS], ids=[row[0] for row in PRESHEAF_FAULTS])
+    def test_presheaf_fault(self, p, message):
+        with pytest.raises(InvalidPresheaf, match=re.escape(message)):
+            validate_presheaf(CHAIN, p)
 
 
 class TestPresheaf:
@@ -339,6 +436,80 @@ class TestGF2Oracles:
         assert betti == [n.dim_count(k) - ranks[k] - ranks[k + 1] for k in range(n.max_dim + 1)]
         euler = sum((-1) ** k * n.dim_count(k) for k in range(n.max_dim + 1))
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler
+
+
+def _cyclic_group(n):
+    """Z/n on one object, morphisms 0..n-1 with identity 0."""
+    mors = [Morphism(k, "*", "*") for k in range(n)]
+    return finite_category(["*"], mors, {"*": 0}, {(a, b): (a + b) % n for a in range(n) for b in range(n)})
+
+
+@st.composite
+def small_categories(draw):
+    """Preorders (thin, ties allowed), cyclic groups, and action groupoids of a
+    cyclic group rotating one of its quotients (non-thin, tuple ids)."""
+    kind = draw(st.sampled_from(["preorder", "group", "action"]))
+    if kind == "preorder":
+        return draw(preorder_categories(max_objects=4))
+    n = draw(st.integers(1, 4))
+    group = _cyclic_group(n)
+    if kind == "group":
+        return group
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    rotation = Presheaf(on_objects={"*": frozenset(range(d))}, on_morphisms={k: {r: (r + k) % d for r in range(d)} for k in range(n)})
+    return category_of_elements(group, rotation)
+
+
+def _inject_fault(data, cat):
+    """The category's spec, with at most one drawn change to it."""
+    objs, mors, ids, comp = list(cat.objects), list(cat.morphisms), dict(cat.identities), dict(cat.composition)
+    names = [m.id for m in mors] + ["ghost"]
+    pick = lambda xs: data.draw(st.sampled_from(xs))  # noqa: E731
+    kind = pick(["none", "duplicate id", "stray morphism", "set identity", "drop identity", "drop composite", "set composite"])
+    if kind == "duplicate id":
+        mors.append(Morphism(pick(mors).id, pick(objs), pick(objs)))
+    elif kind == "stray morphism":
+        mors.append(Morphism("stray", pick(objs + ["nowhere"]), pick(objs)))
+    elif kind == "set identity":
+        ids[pick(objs + ["nowhere"])] = pick(names)
+    elif kind == "drop identity":
+        del ids[pick(objs)]
+    elif kind == "drop composite":
+        del comp[pick(sorted(comp, key=repr))]
+    elif kind == "set composite":
+        comp[(pick(names), pick(names))] = pick(names)
+    return objs, mors, ids, comp
+
+
+class TestCompositionIndex:
+    """`out_of`, `composable_pairs` and their readers against all-pairs scans."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_categories(), st.data())
+    def test_finite_category_accepts_what_the_oracle_accepts(self, cat, data):
+        spec = _inject_fault(data, cat)
+        try:
+            finite_category(*spec)
+            accepted = True
+        except InvalidCategory:
+            accepted = False
+        assert accepted == naive_category_ok(*spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_categories())
+    def test_pairs_hom_and_nerve_match_scans(self, cat):
+        assert list(cat.composable_pairs()) == naive_composable_pairs(cat)
+        for a in cat.objects:
+            for b in cat.objects:
+                assert cat.hom(a, b) == naive_hom(cat, a, b)
+        assert list(nerve(cat, 3).simplices) == naive_nerve_dims(cat, 3)
+
+    @pytest.mark.parametrize("max_dim", [-1, -2])
+    def test_negative_dimension_rejected(self, max_dim):
+        with pytest.raises(InconsistentComplex, match="non-negative"):
+            nerve(ARROW, max_dim)
+        with pytest.raises(InconsistentComplex, match="non-negative"):
+            betti_gf2(nerve(ARROW, 1), max_dim)
 
 
 def _component_count(cat: FiniteCategory) -> int:

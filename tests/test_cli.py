@@ -308,3 +308,19 @@ class TestErrorShape:
         code, out = run(capsys, "nerve", str(p))
         assert code == 2
         assert out.startswith("error: SchemaError")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nerve", "square_category.json", "--max-dim", "-2"),
+            ("betti", "square_category.json", "--max-dim", "-1"),
+            ("betti", "hollow_triangle.json", "--max-dim", "-1"),
+        ],
+    )
+    def test_negative_max_dim(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out.json"
+        extra = ["--out", str(out_path)] if argv[0] == "nerve" else []
+        code, out = run(capsys, argv[0], str(CORPUS / argv[1]), *argv[2:], *extra)
+        assert code == 2
+        assert out.startswith("error: InconsistentComplex")
+        assert not out_path.exists()

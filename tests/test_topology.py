@@ -28,6 +28,7 @@ from hyperstruct.topology import (
     maximal_topology,
     pullback_sieve,
 )
+from hyperstruct.topology import _bit_indices
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -296,3 +297,10 @@ class TestSite:
         rep = is_grothendieck_topology(h, maximal_topology(h), 1, exhaustive=False, seed=7)
         assert rep.passed
         assert any("sampled" in n for n in rep.notes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 70) - 1))
+def test_bit_indices_match_a_full_scan(mask):
+    # sampled sieves draw one coin per listed bit, so the order fixes the draws
+    assert _bit_indices(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
