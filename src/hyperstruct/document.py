@@ -148,8 +148,8 @@ def _h_from_json(value) -> Hyperstructure:
             raise SchemaError(f"levels[{i}]: duplicate identifiers")
         levels.append(elems)
 
-    def resolve(i: int, raw: RawId, where: str) -> ElementId:
-        e = ElementId(i, raw)
+    def resolve(i: int, raw, where: str) -> ElementId:
+        e = ElementId(i, _expect_id(raw, where))
         if i < 0 or i > order or e not in levels[i]:
             raise DanglingReference(f"{where}: no element {raw!r} at level {i}")
         return e
@@ -180,7 +180,7 @@ def _h_from_json(value) -> Hyperstructure:
         lvl = e["level"]
         if not isinstance(lvl, int) or isinstance(lvl, bool) or not 1 <= lvl <= order:
             raise SchemaError(f"bonds[{k}]: level must be an integer in 1..{order}")
-        eid = resolve(lvl, _expect_id(e["id"], f"bonds[{k}].id"), f"bonds[{k}].id")
+        eid = resolve(lvl, e["id"], f"bonds[{k}].id")
         members = frozenset(resolve(lvl - 1, r, f"bonds[{k}].support") for r in _expect_list(e["support"], f"bonds[{k}].support"))
         prop = e["property"]
         if not isinstance(prop, str):
@@ -196,7 +196,7 @@ def _h_from_json(value) -> Hyperstructure:
         pair = _expect_list(value, where)
         if len(pair) != 2 or not isinstance(pair[0], int) or isinstance(pair[0], bool):
             raise SchemaError(f"{where}: expected [level, id]")
-        return resolve(pair[0], _expect_id(pair[1], where), where)
+        return resolve(pair[0], pair[1], where)
 
     fusion_log = []
     for k, entry in enumerate(_expect_list(obj.get("fusion_log", []), "hyperstructure.fusion_log")):

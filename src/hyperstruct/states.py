@@ -195,9 +195,13 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
     per_level: list[dict[ElementId, StateToken]] = [level0]
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
+        below = per_level[i - 1]
         current: dict[ElementId, StateToken] = {}
         for b in h.bonds_at(i):
-            values = [per_level[i - 1][m] for m in sorted_elements(b.support.members)]
+            try:
+                values = [below[m] for m in sorted_elements(b.support.members)]
+            except KeyError as e:  # a member without a bond record has no state
+                raise MissingState(f"no state for {e.args[0]!r} in the boundary of {b.id!r}") from None
             current[b.id] = delta.apply(values, at=b.id)
         per_level.append(current)
     return LambdaAssignment(per_level=tuple(per_level))

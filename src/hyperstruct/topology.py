@@ -9,7 +9,12 @@ and a site is a tower paired with a topology that passed the checks.
 
 The axiom checker runs on a bitmask view of one level's preorder; that view
 is cached on the tower (towers are immutable), so sweeping many candidate
-topologies over one tower pays the setup cost once.
+topologies over one tower pays the setup cost once. The view is built from
+one member-to-elements mask per level, comparing each support only with the
+supports that share a member with it. An exhaustive transitivity sweep
+enumerates the sieves on a root by branching, at a cost proportional to the
+number of sieves rather than to the 2^|ideal| subsets of the root's ideal.
+Every axiom is decided on masks; witness text is written from the bits.
 """
 from __future__ import annotations
 
@@ -108,20 +113,39 @@ def _bit_indices(mask: int) -> list[int]:
 
 
 class _LevelOrder:
-    """Bitmask view of one level's refinement preorder."""
+    """Bitmask view of one level's refinement preorder.
 
-    __slots__ = ("elements", "index", "below", "downsets")
+    Bit j stands for elements[j]; the level is sorted by key, so ascending
+    bits list a family in sorted_elements order.
+    """
+
+    __slots__ = ("elements", "index", "ids", "below", "downsets")
 
     def __init__(self, h: Hyperstructure, level: int):
         self.elements = level_members(h, level)
         self.index = {e: i for i, e in enumerate(self.elements)}
+        self.ids = [str(e.id) for e in self.elements]
         supports = [refinement_support(h, e) for e in self.elements]
-        n = len(self.elements)
-        self.below = [0] * n  # below[i] = mask of elements refining element i
-        for i in range(n):
-            for j in range(n):
-                if supports[j] <= supports[i]:
-                    self.below[i] |= 1 << j
+        # containing[m] = mask of elements whose support holds member m; a
+        # support under another is empty or shares one of its members, so
+        # only those candidates are compared
+        containing: dict[ElementId, int] = {}
+        empty = 0
+        for j, s in enumerate(supports):
+            for m in s:
+                containing[m] = containing.get(m, 0) | 1 << j
+            if not s:
+                empty |= 1 << j
+        self.below = []  # below[i] = mask of elements refining element i
+        for s in supports:
+            sharing = 0
+            for m in s:
+                sharing |= containing[m]
+            refining = empty
+            for j in _bit_indices(sharing):
+                if supports[j] <= s:
+                    refining |= 1 << j
+            self.below.append(refining)
         self.downsets: dict[int, list[int]] = {}
 
     def mask_of(self, members: Iterable[ElementId]) -> int:
@@ -131,37 +155,46 @@ class _LevelOrder:
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(self.elements[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(members)
+        return frozenset(self.elements[j] for j in _bit_indices(mask))
+
+    def sieve_text(self, i: int, mask: int) -> str:
+        """repr(Sieve(elements[i], unmask(mask))), written from the bits."""
+        return f"Sieve({self.elements[i]!r}: {{{','.join(self.ids[j] for j in _bit_indices(mask))}}})"
 
     def is_downset(self, mask: int) -> bool:
         closure = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            closure |= self.below[i]
-            m &= m - 1
+        for j in _bit_indices(mask):
+            closure |= self.below[j]
         return closure == mask
 
     def downsets_below(self, i: int) -> list[int]:
-        """All downward-closed subsets of {j : j <= i}, memoized per root."""
+        """All downward-closed subsets of {j : j <= i}, ascending, memoized per root.
+
+        Branches on the highest undecided element y of the ideal: either y
+        and everything above it are out, or y and everything below it are
+        in. Both branches hold at least one downset, so the cost is
+        proportional to the number of downsets, not to 2^|ideal|; taking
+        the "out" branch first lists them in ascending order.
+        """
         got = self.downsets.get(i)
         if got is not None:
             return got
-        bits = _bit_indices(self.below[i])
+        below = self.below
+        ideal = below[i]
+        above = dict.fromkeys(_bit_indices(ideal), 0)  # above[y] = mask of ideal members over y
+        for z in above:
+            for y in _bit_indices(below[z]):
+                above[y] |= 1 << z
         out = []
-        for k in range(1 << len(bits)):
-            mask = 0
-            kk = k
-            for pos, j in enumerate(bits):
-                if kk >> pos & 1:
-                    mask |= 1 << j
-            if self.is_downset(mask):
-                out.append(mask)
+        stack = [(0, ideal)]
+        while stack:
+            chosen, free = stack.pop()
+            if not free:
+                out.append(chosen)
+                continue
+            y = free.bit_length() - 1
+            stack.append((chosen | below[y], free & ~below[y]))
+            stack.append((chosen, free & ~above[y]))
         self.downsets[i] = out
         return out
 
@@ -250,49 +283,49 @@ def is_grothendieck_topology(
             got.add(m)
         masks.append(got)
 
+    below = order.below
     for i, b in enumerate(elements):
         sieves = masks[i]
+        text = {}  # witness text per sieve mask on b, written on first use
+
+        def witness(mask: int) -> str:
+            got = text.get(mask)
+            if got is None:
+                got = text[mask] = order.sieve_text(i, mask)
+            return got
 
         # (i) maximality
-        if order.below[i] not in sieves:
+        if below[i] not in sieves:
             findings.append(Finding("maximality", f"maximal sieve on {b!r} missing from J({b.id})"))
 
         # (ii) stability under pullback along every refinement
-        finer_bits = order.below[i] & ~(1 << i)
-        fb = finer_bits
-        while fb:
-            j = (fb & -fb).bit_length() - 1
-            fb &= fb - 1
-            for s in sorted(sieves):
-                if s & order.below[j] not in masks[j]:
+        for j in _bit_indices(below[i] & ~(1 << i)):
+            below_j, sieves_j = below[j], masks[j]
+            for s in sieves:
+                if s & below_j not in sieves_j:
                     findings.append(
-                        Finding(
-                            "stability",
-                            f"pullback of {Sieve(b, order.unmask(s))!r} along {elements[j]!r} missing from J({elements[j].id})",
-                        )
+                        Finding("stability", f"pullback of {witness(s)} along {elements[j]!r} missing from J({elements[j].id})")
                     )
 
-        # (iii) transitivity: locally covering families must be covering
+        # (iii) transitivity: locally covering families must be covering.
+        # r covers locally at j when r's pullback along j is in J(j); it
+        # covers locally over s when that holds at every member of s.
         candidates = order.downsets_below(i) if exhaustive else _sampled_masks(order, i, rng, SAMPLE_SIZE)
-        for s in sorted(sieves):
-            for r in candidates:
-                if r in sieves:
-                    continue
-                sb = s
-                covers = True
-                while sb:
-                    j = (sb & -sb).bit_length() - 1
-                    sb &= sb - 1
-                    if r & order.below[j] not in masks[j]:
-                        covers = False
-                        break
-                if covers:
+        covered = 0
+        for s in sieves:
+            covered |= s
+        members = _bit_indices(covered)
+        for r in candidates:
+            if r in sieves:
+                continue
+            local = 0
+            for j in members:
+                if r & below[j] in masks[j]:
+                    local |= 1 << j
+            for s in sieves:
+                if not s & ~local:
                     findings.append(
-                        Finding(
-                            "transitivity",
-                            f"{Sieve(b, order.unmask(r))!r} covers locally over {Sieve(b, order.unmask(s))!r} "
-                            f"but is missing from J({b.id})",
-                        )
+                        Finding("transitivity", f"{witness(r)} covers locally over {witness(s)} but is missing from J({b.id})")
                     )
     return report(f"grothendieck-topology level {level}", findings, notes)
 

@@ -324,3 +324,40 @@ class TestErrorShape:
         assert code == 2
         assert out.startswith("error: InconsistentComplex")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", [{}, ["x@1"], True, None, 1.5])
+    @pytest.mark.parametrize("section", [("omega", 0, 0), ("bonds", 0)])
+    def test_non_id_in_a_support_list(self, capsys, tmp_path, section, value):
+        obj = json.loads((CORPUS / "relation.json").read_text())
+        target = obj["hyperstructure"]
+        for step in section:
+            target = target[step]
+        target["support"][1] = value
+        p = tmp_path / "bad_support.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(p))
+        assert code == 2
+        assert out.startswith("error: SchemaError")
+
+    def test_boolean_does_not_stand_for_an_integer_id(self, capsys, tmp_path):
+        # True == 1 in Python, so an unchecked `true` would resolve to element 1
+        h = tower_from_supports([frozenset({"x"})])
+        obj = json.loads(serialize(Document(hyperstructure=h)))
+        obj["hyperstructure"]["levels"][0] = [1]
+        obj["hyperstructure"]["omega"][0][0]["support"] = [True]
+        obj["hyperstructure"]["bonds"][0]["support"] = [1]
+        p = tmp_path / "bool_id.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(p))
+        assert code == 2
+        assert out.startswith("error: SchemaError")
+
+    def test_member_without_a_bond_record_has_no_state(self, capsys, tmp_path):
+        obj = json.loads((CORPUS / "graded_triangle_site.json").read_text())
+        bonds = obj["hyperstructure"]["bonds"]
+        bonds.remove(next(b for b in bonds if b["id"] == "{v0,v1}"))
+        p = tmp_path / "orphan.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "globalize", str(p))
+        assert code == 2
+        assert out.splitlines()[:2] == ["error: MissingState", "no state for 1:{v0,v1} in the boundary of 2:{v0,v1,v2}"]

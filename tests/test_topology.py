@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -12,7 +13,8 @@ from helpers import (
     random_tower,
     tower_from_supports,
 )
-from hyperstruct.core import add_bond, assign_property, new_hyperstructure
+from hyperstruct.core import BondSpec, add_bond, add_bonds, assign_property, identity_bond, new_hyperstructure, sorted_elements
+from hyperstruct.document import Document, parse, serialize
 from hyperstruct.errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge
 from hyperstruct.installers import from_simplicial_complex, make_brunnian_tower
 from hyperstruct.topology import (
@@ -27,8 +29,9 @@ from hyperstruct.topology import (
     maximal_sieve,
     maximal_topology,
     pullback_sieve,
+    refines,
 )
-from hyperstruct.topology import _bit_indices
+from hyperstruct.topology import _bit_indices, _level_order
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -304,3 +307,126 @@ class TestSite:
 def test_bit_indices_match_a_full_scan(mask):
     # sampled sieves draw one coin per listed bit, so the order fixes the draws
     assert _bit_indices(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def mixed_id_tower(rng):
+    """An order-2 tower whose ids mix ints and strings; small levels make ties likely."""
+    h = new_hyperstructure([0, 1, 2, "a", "b", 10])
+    for level, props in ((0, "p"), (1, "q")):
+        current = sorted_elements(h.elements(level))
+        specs = []
+        for j in range(rng.randint(2, 8)):
+            members = rng.sample(current, rng.randint(1, min(3, len(current))))
+            raw = 100 * level + j if rng.random() < 0.5 else f"s{level}_{j}"
+            specs.append(BondSpec(level, h.support_at(level, [m.id for m in members]), props, raw))
+        h = add_bonds(h, specs, order=level + 1)
+    return h
+
+
+class TestLevelOrder:
+    """The cached mask view against oracles that compare supports directly."""
+
+    @staticmethod
+    def assert_matches_oracles(h, rng):
+        for level in range(h.order + 1):
+            order = _level_order(h, level)
+            elements = order.elements
+            assert elements == sorted_elements(h.elements(level))
+            below = [sum(1 << j for j, e in enumerate(elements) if refines(h, e, b)) for b in elements]
+            assert order.below == below
+            for i, b in enumerate(elements):
+                ideal = _bit_indices(below[i])
+                if len(ideal) <= 10:
+                    subsets = (sum(1 << j for pos, j in enumerate(ideal) if k >> pos & 1) for k in range(1 << len(ideal)))
+                    brute = [m for m in subsets if all(below[j] & ~m == 0 for j in _bit_indices(m))]
+                    assert order.downsets_below(i) == sorted(brute)
+                # witness text for sieves and for arbitrary families of the level
+                families = [below[i], 0, rng.getrandbits(len(elements))]
+                for m in families:
+                    assert order.sieve_text(i, m) == repr(Sieve(b, order.unmask(m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches_oracles(random_tower(rng, max_order=3, max_per_level=10), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mixed_id_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches_oracles(mixed_id_tower(rng), rng)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    def test_brunnian_towers(self, branching):
+        self.assert_matches_oracles(make_brunnian_tower(branching), random.Random(len(branching)))
+
+    def test_ties_share_their_ideal(self):
+        # two bonds on one support refine each other, and so do an identity
+        # bond and a singleton bond on the same element
+        h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"}), frozenset({"x", "y"})])
+        h, ident = identity_bond(h, 0, h.element(0, "x"))
+        order = _level_order(h, 1)
+        idx = {e.id: order.index[e] for e in order.elements}
+        assert order.below[idx["b1"]] == order.below[idx["b2"]]
+        assert order.below[order.index[ident]] == order.below[idx["b0"]] == 1 << idx["b0"] | 1 << order.index[ident]
+        assert len(order.downsets_below(idx["b1"])) == 3  # {}, the tied pair below, everything
+
+    def test_empty_support_from_a_document(self):
+        # validate flags a bond with an empty support, but parse keeps it and
+        # topology-check still orders it: it refines every bond of its level
+        obj = json.loads(serialize(Document(hyperstructure=tower_from_supports([frozenset({"x"}), frozenset({"y"})]))))
+        obj["hyperstructure"]["bonds"][0]["support"] = []
+        h = parse(json.dumps(obj)).hyperstructure
+        self.assert_matches_oracles(h, random.Random(0))
+        assert _level_order(h, 1).below == [0b01, 0b11]
+
+
+GOLDEN_TOWER = [(5, [0]), ("a", [0, 1]), ("t", [0, 1]), (7, [0, 1, "x"]), ("z", ["y"]), (12, [1])]
+GOLDEN_EXHAUSTIVE = """\
+grothendieck-topology level 1: FAIL
+maximality: maximal sieve on 1:7 missing from J(7)
+not-a-sieve: family under 1:z is not downward closed: Sieve(1:z: {a})
+stability: pullback of Sieve(1:7: {5,12}) along 1:a missing from J(a)
+stability: pullback of Sieve(1:a: {}) along 1:12 missing from J(12)
+stability: pullback of Sieve(1:a: {}) along 1:5 missing from J(5)
+stability: pullback of Sieve(1:a: {}) along 1:t missing from J(t)
+stability: pullback of Sieve(1:t: {5,12}) along 1:a missing from J(a)
+transitivity: Sieve(1:7: {5,12,a,t}) covers locally over Sieve(1:7: {5,12}) but is missing from J(7)
+transitivity: Sieve(1:7: {5,7,12,a,t}) covers locally over Sieve(1:7: {5,12}) but is missing from J(7)
+transitivity: Sieve(1:a: {12}) covers locally over Sieve(1:a: {}) but is missing from J(a)
+transitivity: Sieve(1:a: {5,12}) covers locally over Sieve(1:a: {}) but is missing from J(a)
+transitivity: Sieve(1:a: {5}) covers locally over Sieve(1:a: {}) but is missing from J(a)"""
+GOLDEN_SAMPLED = """\
+grothendieck-topology level 1: FAIL
+note: sampled: seed=3 size=64
+maximality: maximal sieve on 1:7 missing from J(7)
+not-a-sieve: family under 1:z is not downward closed: Sieve(1:z: {a})
+stability: pullback of Sieve(1:7: {5,12}) along 1:a missing from J(a)
+stability: pullback of Sieve(1:a: {}) along 1:12 missing from J(12)
+stability: pullback of Sieve(1:a: {}) along 1:5 missing from J(5)
+stability: pullback of Sieve(1:a: {}) along 1:t missing from J(t)
+stability: pullback of Sieve(1:t: {5,12}) along 1:a missing from J(a)
+transitivity: Sieve(1:7: {5,12,a,t}) covers locally over Sieve(1:7: {5,12}) but is missing from J(7)
+transitivity: Sieve(1:7: {5,7,12,a,t}) covers locally over Sieve(1:7: {5,12}) but is missing from J(7)
+transitivity: Sieve(1:a: {12}) covers locally over Sieve(1:a: {}) but is missing from J(a)
+transitivity: Sieve(1:a: {5,12}) covers locally over Sieve(1:a: {}) but is missing from J(a)"""
+
+
+def test_golden_report():
+    """Full report text on a damaged topology that raises every witness-bearing code."""
+    h = new_hyperstructure([0, 1, "x", "y"])
+    h = add_bonds(h, [BondSpec(0, h.support_at(0, s), "p", raw) for raw, s in GOLDEN_TOWER], order=1)
+    e = {raw: h.element(1, raw) for raw, _ in GOLDEN_TOWER}
+
+    def sieve(root, *members):
+        return Sieve(e[root], frozenset(e[m] for m in members))
+
+    j = maximal_topology(h)
+    j[e["a"]] = frozenset({sieve("a", 5, "a", "t", 12), sieve("a")})  # the empty sieve does not pull back
+    j[e[7]] = frozenset({sieve(7, 5, 12)})  # maximal sieve missing
+    j[e["z"]] = frozenset({sieve("z", "z"), sieve("z", "a")})  # {a} is not under z
+    j[e["t"]] = frozenset({sieve("t", 5, "a", "t", 12), sieve("t", 5, 12)})
+    assert is_grothendieck_topology(h, j, 1).render() == GOLDEN_EXHAUSTIVE
+    assert is_grothendieck_topology(h, j, 1, exhaustive=False, seed=3).render() == GOLDEN_SAMPLED
