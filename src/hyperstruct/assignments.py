@@ -123,10 +123,6 @@ def emergent(omega: Mapping[Support, TokenSet], s1: Support, s2: Support, combin
 # -- pushout / pullback ------------------------------------------------------------
 
 
-def _tag(side: int, x: PropertyToken):
-    return (side, x)
-
-
 def pushout_classes(w1: TokenSet, w2: TokenSet, w12: TokenSet, f1: TokenMap, f2: TokenMap):
     """Equivalence classes of the finite-set pushout of w1 <- w12 -> w2.
 

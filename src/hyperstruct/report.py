@@ -6,6 +6,7 @@ rendering is byte-stable for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -14,12 +15,39 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    name: str
-    passed: bool
-    findings: tuple[Finding, ...] = ()
-    notes: tuple[str, ...] = ()
+    """A check's verdict, its findings sorted by code and message, and notes.
+
+    The findings may arrive as an iterator that the checker writes as a
+    generator: `passed` draws at most the first finding, and the rest are
+    drained when `findings` (or anything rendered from it) is first read.
+    So a caller that wants only the verdict never pays for the remaining
+    witnesses, and the rendered text is the same whichever is read first.
+    """
+
+    __slots__ = ("name", "notes", "_pending", "_drawn", "_sorted")
+
+    def __init__(self, name: str, findings: Iterable[Finding] = (), notes: Iterable[str] = ()):
+        self.name = name
+        self.notes = tuple(notes)
+        self._pending = iter(findings)
+        self._drawn: list[Finding] = []
+        self._sorted: tuple[Finding, ...] | None = None
+
+    @property
+    def passed(self) -> bool:
+        if not self._drawn:
+            first = next(self._pending, None)
+            if first is not None:
+                self._drawn.append(first)
+        return not self._drawn
+
+    @property
+    def findings(self) -> tuple[Finding, ...]:
+        if self._sorted is None:
+            self._drawn.extend(self._pending)
+            self._sorted = tuple(sorted(self._drawn, key=lambda f: (f.code, f.message)))
+        return self._sorted
 
     @property
     def codes(self) -> frozenset[str]:
@@ -35,7 +63,6 @@ class CheckReport:
         return "\n".join(self.lines())
 
 
-def report(name: str, findings, notes=()) -> CheckReport:
+def report(name: str, findings: Iterable[Finding], notes: Iterable[str] = ()) -> CheckReport:
     """Build a report; sorted findings keep output order-independent."""
-    fs = tuple(sorted(findings, key=lambda f: (f.code, f.message)))
-    return CheckReport(name=name, passed=not fs, findings=fs, notes=tuple(notes))
+    return CheckReport(name, findings, notes)

@@ -23,7 +23,7 @@ from .errors import (
     UnknownElement,
 )
 from .report import CheckReport, Finding, report
-from .topology import Site
+from .topology import Site, _bit_indices, _level_order
 
 StateToken = str | int
 
@@ -246,37 +246,71 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
         return report("amalgamation", findings, notes)
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
-        for b in h.bonds_at(i):
+        # families and boundaries as masks; ascending bits list them in
+        # sorted_elements order, which fixes the order values are read in
+        index = _level_order(h, i).index
+        lower = _level_order(h, i - 1)
+        bonds = h.bonds_at(i)
+        support = [0] * len(index)  # support[k] = boundary mask of the level's k-th element
+        for b in bonds:
+            support[index[b.id]] = lower.mask_of(b.support.members)
+
+        def values(mask: int) -> list[StateToken]:
+            states = lam.per_level[i - 1]
+            return [states[lower.elements[j]] for j in _bit_indices(mask)]
+
+        for b in bonds:
             want = lam.get(b.id)
             if want is None or isinstance(want, Marker):
                 findings.append(Finding("totality", f"no state for {b.id!r}"))
                 continue
-            for sieve in sorted(site.topology.get(b.id, frozenset()), key=lambda s: s.key):
-                family = [m for m in sorted_elements(sieve.members) if h.is_bond(m)]
+            sieves = site.topology.get(b.id, ())
+            if len(sieves) > 1:
+                sieves = sorted(sieves, key=lambda s: s.key)
+            boundary = support[index[b.id]]
+            got = None  # every covering family recomputes b's boundary, so once per bond
+            for sieve in sieves:
+                family = _family_bits(h, index, sieve.members)
                 if not family:
                     continue
-                boundaries = [h.bond(m).support.members for m in family]
-                covered = frozenset().union(*boundaries)
-                if covered != b.support.members:
+                covered = size = 0
+                for k in family:
+                    covered |= support[k]
+                    size += support[k].bit_count()
+                if covered != boundary:
                     continue
-                values = [lam.per_level[i - 1][m] for m in sorted_elements(covered)]
-                got = delta.apply(values, at=b.id)
+                if got is None:
+                    got = delta.apply(values(boundary), at=b.id)
                 if got != want:
                     findings.append(
                         Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
                     )
-                disjoint = sum(len(bd) for bd in boundaries) == len(covered)
-                if disjoint and delta.is_fold:
-                    partials = [
-                        delta.apply([lam.per_level[i - 1][m] for m in sorted_elements(bd)], at=b.id)
-                        for bd in boundaries
-                    ]
+                if size == boundary.bit_count() and delta.is_fold:
+                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got
+                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family]
                     staged = delta.apply(partials, at=b.id)
                     if staged != want:
                         findings.append(
                             Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
                         )
     return report("amalgamation", findings, notes)
+
+
+def _family_bits(h: Hyperstructure, index: Mapping[ElementId, int], members) -> list[int]:
+    """Bit positions of a sieve's bonds at the level index covers, ascending.
+
+    Non-bond members carry no boundary and drop out. A bond of another level
+    has its boundary elsewhere, so the family covers nothing: [] is returned.
+    """
+    bits = []
+    for m in members:
+        k = index.get(m)
+        if k is not None:
+            bits.append(k)
+        elif h.is_bond(m):
+            return []
+    bits.sort()
+    return bits
 
 
 def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment, level: int) -> CheckReport:

@@ -14,7 +14,15 @@ one member-to-elements mask per level, comparing each support only with the
 supports that share a member with it. An exhaustive transitivity sweep
 enumerates the sieves on a root by branching, at a cost proportional to the
 number of sieves rather than to the 2^|ideal| subsets of the root's ideal.
-Every axiom is decided on masks; witness text is written from the bits.
+
+Every axiom is decided on masks. The only sieve on a root that holds the
+root is its maximal sieve, and a candidate covers locally over it only when
+the candidate is already listed; so transitivity sweeps a root only over
+its other sieves, and a root whose collection holds no other sieve is not
+swept at all (a sampled check still makes that root's draws, so later roots
+see the same stream). The checker's report is lazy: reading its verdict
+stops at the first violation, and the axioms' witness text is written from
+the bits only when the findings are read.
 """
 from __future__ import annotations
 
@@ -214,14 +222,25 @@ def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
 
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
+    """count random downsets under element i, with the empty and maximal ones, ascending.
+
+    Each closure takes the ideal of every ideal member whose coin comes up.
+    All coins come from one draw of 64 bits per coin: coin p of closure c is
+    set when bit 31 of 64-bit chunk c*k + p is 0. That chunk is the pair of
+    Mersenne Twister words one `random()` call reads, and the bit is its
+    `random() < 0.5` test, so the closures and the generator's state
+    afterwards match a loop of `rng.random()` calls.
+    """
     ideal = order.below[i]
-    bits = _bit_indices(ideal)
+    lows = [order.below[j] for j in _bit_indices(ideal)]
+    k = len(lows)
+    coins = rng.getrandbits(64 * k * count).to_bytes(8 * k * count, "little")[3::8]  # byte 3 holds bit 31
     seen = {0, ideal}
-    for _ in range(count):
+    for start in range(0, k * count, k):
         closure = 0
-        for j in bits:
-            if rng.random() < 0.5:
-                closure |= order.below[j]
+        for low, coin in zip(lows, coins[start : start + k]):
+            if coin < 128:
+                closure |= low
         seen.add(closure)
     return sorted(seen)
 
@@ -241,11 +260,16 @@ def is_grothendieck_topology(
     explicitly exhaustive check raises SweepTooLarge when some root's ideal
     has more than EXHAUSTIVE_CAP members. Each violated axiom is reported
     with a witness.
+
+    The collections are read into masks before this returns, so changing
+    the mapping afterwards changes nothing in the report. The axiom
+    violations are found as the report is read: `passed` stops at the
+    first, and the witnesses of the rest are written when the findings are.
     """
     h.check_level(level)
     order = _level_order(h, level)
     elements = order.elements
-    findings: list[Finding] = []
+    name = f"grothendieck-topology level {level}"
     notes: list[str] = []
 
     if exhaustive is None:
@@ -260,59 +284,79 @@ def is_grothendieck_topology(
                 )
     else:
         notes.append(f"sampled: seed={seed} size={SAMPLE_SIZE}")
-    rng = random.Random(seed)
 
-    for b in elements:
-        if b not in topology:
-            findings.append(Finding("undefined", f"no sieve collection at {b!r}"))
-    if findings:
-        return report(f"grothendieck-topology level {level}", findings, notes)
+    undefined = [Finding("undefined", f"no sieve collection at {b!r}") for b in elements if b not in topology]
+    if undefined:
+        return report(name, undefined, notes)
 
     # convert each collection to a set of masks, validating as we go
+    invalid: list[Finding] = []
     masks: list[set[int]] = []
     for i, b in enumerate(elements):
         got = set()
         for s in topology[b]:
             if s.root != b:
-                findings.append(Finding("misrooted", f"sieve rooted at {s.root!r} listed under {b!r}"))
+                invalid.append(Finding("misrooted", f"sieve rooted at {s.root!r} listed under {b!r}"))
                 continue
-            m = order.mask_of(s.members)
+            try:
+                m = order.mask_of(s.members)
+            except KeyError:
+                stray = next(e for e in sorted_elements(s.members) if e not in order.index)
+                invalid.append(Finding("not-a-sieve", f"family under {b!r} names {stray!r}, not a level-{level} element: {s!r}"))
+                continue
             if m & ~order.below[i] or not order.is_downset(m):
-                findings.append(Finding("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
+                invalid.append(Finding("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
                 continue
             got.add(m)
         masks.append(got)
+    rng = None if exhaustive else random.Random(seed)
+    return report(name, _axiom_violations(order, masks, invalid, rng), notes)
 
-    below = order.below
-    for i, b in enumerate(elements):
-        sieves = masks[i]
-        text = {}  # witness text per sieve mask on b, written on first use
 
-        def witness(mask: int) -> str:
-            got = text.get(mask)
-            if got is None:
-                got = text[mask] = order.sieve_text(i, mask)
-            return got
+def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[Finding], rng: random.Random | None):
+    """Yield the invalid families, then every axiom violation, cheapest axioms first.
 
-        # (i) maximality
+    Candidate sieves are enumerated when rng is None and sampled from it
+    otherwise, root by root in level order either way.
+    """
+    yield from invalid
+    elements, below = order.elements, order.below
+    text: dict[tuple[int, int], str] = {}  # witness text per (root, sieve mask), written on first use
+
+    def witness(i: int, mask: int) -> str:
+        got = text.get((i, mask))
+        if got is None:
+            got = text[i, mask] = order.sieve_text(i, mask)
+        return got
+
+    # (i) maximality
+    for i, sieves in enumerate(masks):
         if below[i] not in sieves:
-            findings.append(Finding("maximality", f"maximal sieve on {b!r} missing from J({b.id})"))
+            b = elements[i]
+            yield Finding("maximality", f"maximal sieve on {b!r} missing from J({b.id})")
 
-        # (ii) stability under pullback along every refinement
+    # (ii) stability under pullback along every refinement
+    for i, sieves in enumerate(masks):
         for j in _bit_indices(below[i] & ~(1 << i)):
             below_j, sieves_j = below[j], masks[j]
             for s in sieves:
                 if s & below_j not in sieves_j:
-                    findings.append(
-                        Finding("stability", f"pullback of {witness(s)} along {elements[j]!r} missing from J({elements[j].id})")
-                    )
+                    yield Finding("stability", f"pullback of {witness(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
 
-        # (iii) transitivity: locally covering families must be covering.
-        # r covers locally at j when r's pullback along j is in J(j); it
-        # covers locally over s when that holds at every member of s.
-        candidates = order.downsets_below(i) if exhaustive else _sampled_masks(order, i, rng, SAMPLE_SIZE)
+    # (iii) transitivity: locally covering families must be covering.
+    # r covers locally at j when r's pullback along j is in J(j); it covers
+    # locally over s when that holds at every member of s. The only sieve
+    # in J(i) holding i is the maximal one, and r covers locally there only
+    # when r itself is in J(i), so only the other sieves can yield a finding.
+    for i, sieves in enumerate(masks):
+        others = [s for s in sieves if not s >> i & 1]
+        if not others:
+            if rng is not None:  # the draws _sampled_masks would make, so later roots see the same stream
+                rng.getrandbits(64 * SAMPLE_SIZE * below[i].bit_count())
+            continue
+        candidates = order.downsets_below(i) if rng is None else _sampled_masks(order, i, rng, SAMPLE_SIZE)
         covered = 0
-        for s in sieves:
+        for s in others:
             covered |= s
         members = _bit_indices(covered)
         for r in candidates:
@@ -322,12 +366,11 @@ def is_grothendieck_topology(
             for j in members:
                 if r & below[j] in masks[j]:
                     local |= 1 << j
-            for s in sieves:
+            for s in others:
                 if not s & ~local:
-                    findings.append(
-                        Finding("transitivity", f"{witness(r)} covers locally over {witness(s)} but is missing from J({b.id})")
+                    yield Finding(
+                        "transitivity", f"{witness(i, r)} covers locally over {witness(i, s)} but is missing from J({elements[i].id})"
                     )
-    return report(f"grothendieck-topology level {level}", findings, notes)
 
 
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:

@@ -19,6 +19,7 @@ from hyperstruct.core import (
     assign_property,
     identity_bond,
     new_hyperstructure,
+    sorted_elements,
 )
 
 PROPS = ["p", "q", "r", "s"]
@@ -46,6 +47,20 @@ def random_tower(rng: random.Random, max_order: int = 3, max_per_level: int = 12
         if made and rng.random() < 0.3:
             x = rng.choice(current)
             h, _ = identity_bond(h, level, x)
+    return h
+
+
+def mixed_id_tower(rng):
+    """An order-2 tower whose ids mix ints and strings; small levels make ties likely."""
+    h = new_hyperstructure([0, 1, 2, "a", "b", 10])
+    for level, props in ((0, "p"), (1, "q")):
+        current = sorted_elements(h.elements(level))
+        specs = []
+        for j in range(rng.randint(2, 8)):
+            members = rng.sample(current, rng.randint(1, min(3, len(current))))
+            raw = 100 * level + j if rng.random() < 0.5 else f"s{level}_{j}"
+            specs.append(BondSpec(level, h.support_at(level, [m.id for m in members]), props, raw))
+        h = add_bonds(h, specs, order=level + 1)
     return h
 
 
@@ -151,6 +166,157 @@ def naive_is_topology(h: Hyperstructure, topology, level: int) -> bool:
         if b not in topology:
             return False
     return naive_check(structs, members_of)
+
+
+# -- reference checkers: the eager, witness-for-every-finding forms ------------------
+#
+# These keep the axiom checker and the descent check as they were before both
+# decided on masks and wrote witnesses only when read. Unlike naive_check they
+# return the whole rendered report, so the library's text can be compared byte
+# for byte; findings are (code, message) pairs.
+
+
+def _reference_text(name: str, findings, notes) -> str:
+    fs = sorted(findings)
+    lines = [f"{name}: {'FAIL' if fs else 'pass'}"]
+    lines += [f"note: {n}" for n in notes]
+    lines += [f"{code}: {message}" for code, message in fs]
+    return "\n".join(lines)
+
+
+def reference_sampled_masks(order, i: int, rng: random.Random, count: int) -> list[int]:
+    """Sampled downsets under element i drawn with one rng.random() coin per ideal member."""
+    from hyperstruct.topology import _bit_indices
+
+    ideal = order.below[i]
+    bits = _bit_indices(ideal)
+    seen = {0, ideal}
+    for _ in range(count):
+        closure = 0
+        for j in bits:
+            if rng.random() < 0.5:
+                closure |= order.below[j]
+        seen.add(closure)
+    return sorted(seen)
+
+
+def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, exhaustive=None, seed: int = 0):
+    """Rendered report of the axiom checker, every witness written and every candidate drawn."""
+    from hyperstruct.errors import SweepTooLarge
+    from hyperstruct.topology import EXHAUSTIVE_CAP, SAMPLE_SIZE, _bit_indices, _level_order
+
+    h.check_level(level)
+    order = _level_order(h, level)
+    elements = order.elements
+    findings = []
+    notes = []
+    if exhaustive is None:
+        exhaustive = len(elements) <= EXHAUSTIVE_CAP
+    if exhaustive:
+        for i, b in enumerate(elements):
+            size = order.below[i].bit_count()
+            if size > EXHAUSTIVE_CAP:
+                raise SweepTooLarge(
+                    f"exhaustive sweep at {b!r} would enumerate the subsets of a {size}-element ideal; "
+                    f"the cap is {EXHAUSTIVE_CAP}, use a sampled check"
+                )
+    else:
+        notes.append(f"sampled: seed={seed} size={SAMPLE_SIZE}")
+    rng = random.Random(seed)
+
+    for b in elements:
+        if b not in topology:
+            findings.append(("undefined", f"no sieve collection at {b!r}"))
+    if findings:
+        return _reference_text(f"grothendieck-topology level {level}", findings, notes)
+
+    masks = []
+    for i, b in enumerate(elements):
+        got = set()
+        for s in topology[b]:
+            if s.root != b:
+                findings.append(("misrooted", f"sieve rooted at {s.root!r} listed under {b!r}"))
+                continue
+            m = order.mask_of(s.members)
+            if m & ~order.below[i] or not order.is_downset(m):
+                findings.append(("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
+                continue
+            got.add(m)
+        masks.append(got)
+
+    below = order.below
+    for i, b in enumerate(elements):
+        sieves = masks[i]
+        if below[i] not in sieves:
+            findings.append(("maximality", f"maximal sieve on {b!r} missing from J({b.id})"))
+        for j in _bit_indices(below[i] & ~(1 << i)):
+            for s in sieves:
+                if s & below[j] not in masks[j]:
+                    findings.append(
+                        ("stability", f"pullback of {order.sieve_text(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
+                    )
+        candidates = order.downsets_below(i) if exhaustive else reference_sampled_masks(order, i, rng, SAMPLE_SIZE)
+        covered = 0
+        for s in sieves:
+            covered |= s
+        members = _bit_indices(covered)
+        for r in candidates:
+            if r in sieves:
+                continue
+            local = 0
+            for j in members:
+                if r & below[j] in masks[j]:
+                    local |= 1 << j
+            for s in sieves:
+                if not s & ~local:
+                    findings.append(
+                        (
+                            "transitivity",
+                            f"{order.sieve_text(i, r)} covers locally over {order.sieve_text(i, s)} but is missing from J({b.id})",
+                        )
+                    )
+    return _reference_text(f"grothendieck-topology level {level}", findings, notes)
+
+
+def reference_check_amalgamation(site, lam, connectors):
+    """Rendered descent report, from frozenset boundaries and a sorted_elements walk per family."""
+    from hyperstruct.core import sorted_elements
+    from hyperstruct.states import Marker
+
+    h = site.h
+    findings = []
+    notes = ("scope: levelwise and adjacent-level coherence",)
+    if len(connectors) != h.order:
+        findings.append(("shape", f"need {h.order} connectors, got {len(connectors)}"))
+        return _reference_text("amalgamation", findings, notes)
+    for i in range(1, h.order + 1):
+        delta = connectors[i - 1]
+        for b in h.bonds_at(i):
+            want = lam.get(b.id)
+            if want is None or isinstance(want, Marker):
+                findings.append(("totality", f"no state for {b.id!r}"))
+                continue
+            for sieve in sorted(site.topology.get(b.id, frozenset()), key=lambda s: s.key):
+                family = [m for m in sorted_elements(sieve.members) if h.is_bond(m)]
+                if not family:
+                    continue
+                boundaries = [h.bond(m).support.members for m in family]
+                covered = frozenset().union(*boundaries)
+                if covered != b.support.members:
+                    continue
+                values = [lam.per_level[i - 1][m] for m in sorted_elements(covered)]
+                got = delta.apply(values, at=b.id)
+                if got != want:
+                    findings.append(("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}"))
+                disjoint = sum(len(bd) for bd in boundaries) == len(covered)
+                if disjoint and delta.is_fold:
+                    partials = [delta.apply([lam.per_level[i - 1][m] for m in sorted_elements(bd)], at=b.id) for bd in boundaries]
+                    staged = delta.apply(partials, at=b.id)
+                    if staged != want:
+                        findings.append(
+                            ("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
+                        )
+    return _reference_text("amalgamation", findings, notes)
 
 
 # -- support families as towers -------------------------------------------------------

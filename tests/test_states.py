@@ -1,8 +1,11 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_tower
+from helpers import mixed_id_tower, random_tower, reference_check_amalgamation
 from hyperstruct.core import Support, add_bond, assign_property, new_hyperstructure
 from hyperstruct.errors import (
     CoConnectorUndefined,
@@ -30,7 +33,7 @@ from hyperstruct.states import (
     state_tower,
     validate_lambda,
 )
-from hyperstruct.topology import make_site, maximal_topology
+from hyperstruct.topology import Sieve, Site, all_sieves_on, make_site, maximal_topology
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -176,6 +179,80 @@ class TestAmalgamation:
         site = make_site(h, maximal_topology(h))
         assert check_amalgamation(site, lam, [PRODUCT, PRODUCT]).passed
         assert lam.per_level[2][top] == (2 * 3) * (5 * 7)
+
+
+def _outcome(render):
+    """Rendered text, or the error raised: both checks must raise the same first error."""
+    try:
+        return render()
+    except (ConnectorUndefined, KeyError, TypeError) as e:  # TypeError: a table key sorting a marker
+        return type(e).__name__, str(e)
+
+
+# odd count of "a" gives "a"; covers every sorted multiset of up to 4 tokens, but not "c"
+PARITY = Connector(
+    kind="table",
+    table={ms: "a" if ms.count("a") % 2 else "b" for n in range(1, 5) for ms in combinations_with_replacement("ab", n)},
+)
+
+
+class TestAmalgamationMatchesReference:
+    """Descent on support masks reports what the frozenset walk reports, byte for byte."""
+
+    @staticmethod
+    def assert_matches(h, rng):
+        if h.order == 0:
+            return
+        # J(e): a random set of sieves on e, from none to all of them
+        topo = {}
+        for level in range(h.order + 1):
+            for e in h.elements(level):
+                sieves = all_sieves_on(h, e)
+                topo[e] = frozenset(sieves if rng.random() < 0.5 else rng.sample(sieves, rng.randint(0, min(3, len(sieves)))))
+        site = Site(h=h, topology=topo)
+        for delta, tokens in ((SUM, (1, 2, 3)), (PRODUCT, (1, 2, 3)), (PARITY, ("a", "b"))):
+            connectors = [delta] * h.order
+            lam = globalize(h, {e: rng.choice(tokens) for e in h.elements(0)}, connectors)
+            levels = [dict(level) for level in lam.per_level]
+            for _ in range(rng.randint(0, 3)):  # tamper with a few states, now and then breaking the connector
+                level = levels[rng.randrange(len(levels))]
+                e = rng.choice(sorted(level, key=lambda x: x.key))
+                level[e] = rng.choice([*tokens, "c", UNASSIGNED])
+            tampered = LambdaAssignment(per_level=tuple(levels))
+            want = _outcome(lambda: reference_check_amalgamation(site, tampered, connectors))
+            assert _outcome(lambda: check_amalgamation(site, tampered, connectors).render()) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(random_tower(rng, max_order=3, max_per_level=8), rng)
+
+    def test_members_outside_the_level(self):
+        # a bond of another level keeps its family from covering; a level-0
+        # element is no bond and drops out of the family
+        t = graded_triangle()
+        connectors = [SUM, SUM]
+        lam = globalize(t, {"v0": 1, "v1": 2, "v2": 3}, connectors)
+        top = t.element(2, "{v0,v1,v2}")
+        e01 = t.element(1, "{v0,v1}")
+        j = maximal_topology(t)
+        j[top] = j[top] | {Sieve(top, frozenset({top, e01}))}
+        j[e01] = j[e01] | {Sieve(e01, frozenset({e01, t.element(0, "v0")}))}
+        levels = [dict(level) for level in lam.per_level]
+        levels[1][e01] = 7
+        levels[2][top] = 9
+        site, tampered = Site(h=t, topology=j), LambdaAssignment(per_level=tuple(levels))
+        got = check_amalgamation(site, tampered, connectors).render()
+        assert got == reference_check_amalgamation(site, tampered, connectors)
+        assert "family Sieve(1:{v0,v1}: {v0,{v0,v1}}) recomputes" in got
+        assert "{{v0,v1},{v0,v1,v2}}" not in got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mixed_id_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(mixed_id_tower(rng), rng)
 
 
 class TestTensorPairing:

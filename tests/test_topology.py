@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_posets_up_to_iso,
+    mixed_id_tower,
     naive_is_topology,
     poset_as_supports,
     random_tower,
+    reference_is_grothendieck_topology,
+    reference_sampled_masks,
     tower_from_supports,
 )
-from hyperstruct.core import BondSpec, add_bond, add_bonds, assign_property, identity_bond, new_hyperstructure, sorted_elements
+from hyperstruct.core import BondSpec, ElementId, add_bond, add_bonds, assign_property, identity_bond, new_hyperstructure, sorted_elements
 from hyperstruct.document import Document, parse, serialize
 from hyperstruct.errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge
 from hyperstruct.installers import from_simplicial_complex, make_brunnian_tower
@@ -31,7 +34,7 @@ from hyperstruct.topology import (
     pullback_sieve,
     refines,
 )
-from hyperstruct.topology import _bit_indices, _level_order
+from hyperstruct.topology import _bit_indices, _level_order, _LevelOrder, _sampled_masks
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -265,6 +268,30 @@ class TestCoveringChain:
         assert any("family not in J" in f.message for f in rep.findings)
 
 
+class TestForeignMembers:
+    """A listed family naming something outside the level is a finding, not a KeyError."""
+
+    @staticmethod
+    def check_with_member(member_of):
+        h = tower_from_supports([frozenset({"x", "y"}), frozenset({"x"})])
+        b0 = h.element(1, "b0")
+        j = maximal_topology(h)
+        j[b0] = j[b0] | {Sieve(b0, frozenset({member_of(h)}))}
+        return h, j, is_grothendieck_topology(h, j, 1)
+
+    def test_unknown_element(self):
+        h, j, rep = self.check_with_member(lambda h: ElementId(1, "zzz"))
+        assert not rep.passed
+        assert rep.lines()[1:] == ["not-a-sieve: family under 1:b0 names 1:zzz, not a level-1 element: Sieve(1:b0: {zzz})"]
+        with pytest.raises(NotATopology):
+            make_site(h, j)
+
+    def test_element_of_another_level(self):
+        h, j, rep = self.check_with_member(lambda h: h.element(0, "x"))
+        assert not rep.passed
+        assert rep.lines()[1:] == ["not-a-sieve: family under 1:b0 names 0:x, not a level-1 element: Sieve(1:b0: {x})"]
+
+
 class TestSite:
     def test_maximal_site_on_valid_towers(self):
         rng = random.Random(19)
@@ -307,20 +334,6 @@ class TestSite:
 def test_bit_indices_match_a_full_scan(mask):
     # sampled sieves draw one coin per listed bit, so the order fixes the draws
     assert _bit_indices(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-def mixed_id_tower(rng):
-    """An order-2 tower whose ids mix ints and strings; small levels make ties likely."""
-    h = new_hyperstructure([0, 1, 2, "a", "b", 10])
-    for level, props in ((0, "p"), (1, "q")):
-        current = sorted_elements(h.elements(level))
-        specs = []
-        for j in range(rng.randint(2, 8)):
-            members = rng.sample(current, rng.randint(1, min(3, len(current))))
-            raw = 100 * level + j if rng.random() < 0.5 else f"s{level}_{j}"
-            specs.append(BondSpec(level, h.support_at(level, [m.id for m in members]), props, raw))
-        h = add_bonds(h, specs, order=level + 1)
-    return h
 
 
 class TestLevelOrder:
@@ -430,3 +443,112 @@ def test_golden_report():
     j[e["t"]] = frozenset({sieve("t", 5, "a", "t", 12), sieve("t", 5, 12)})
     assert is_grothendieck_topology(h, j, 1).render() == GOLDEN_EXHAUSTIVE
     assert is_grothendieck_topology(h, j, 1, exhaustive=False, seed=3).render() == GOLDEN_SAMPLED
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.integers(1, 70))
+def test_sampled_draws_match_random_coins(seed, count):
+    # one getrandbits draw per root gives the closures and the stream state
+    # that one rng.random() coin per ideal member gives
+    rng = random.Random(seed)
+    h = random_tower(rng, max_order=2, max_per_level=12) if seed % 2 else mixed_id_tower(rng)
+    level = rng.randint(0, h.order)
+    order = _level_order(h, level)
+    i = rng.randrange(len(order.elements))
+    fast, slow, skip = random.Random(seed), random.Random(seed), random.Random(seed)
+    assert _sampled_masks(order, i, fast, count) == reference_sampled_masks(order, i, slow, count)
+    skip.getrandbits(64 * count * order.below[i].bit_count())  # the draw a vacuous root makes
+    assert fast.random() == slow.random() == skip.random()
+
+
+def random_topology(h, level, rng):
+    """Per root: the maximal sieve alone, with other sieves, other sieves only, or none.
+
+    A few roots also list a misrooted or a non-downward-closed family, and a
+    few are left out, so every finding code turns up.
+    """
+    order = _level_order(h, level)
+    topo = {}
+    for i, b in enumerate(order.elements):
+        sieves = all_sieves_on(h, b)
+        maximal = Sieve(b, order.unmask(order.below[i]))
+        others = [s for s in sieves if s != maximal]
+        pick = rng.random()
+        if pick < 0.03:
+            continue
+        if pick < 0.4 or not others:
+            chosen = {maximal}
+        elif pick < 0.7:
+            chosen = {maximal, *rng.sample(others, min(len(others), rng.randint(1, 2)))}
+        elif pick < 0.9:
+            chosen = set(rng.sample(others, min(len(others), rng.randint(1, 2))))
+        else:
+            chosen = set()
+        if rng.random() < 0.05:
+            chosen.add(Sieve(rng.choice(order.elements), frozenset()))
+        if rng.random() < 0.05:
+            chosen.add(Sieve(b, frozenset({rng.choice(order.elements)})))
+        topo[b] = frozenset(chosen)
+    return topo
+
+
+class TestLazyReportMatchesReference:
+    """The verdict-first checker writes the eager reference checker's text byte for byte."""
+
+    @staticmethod
+    def assert_matches(h, rng):
+        for level in range(h.order + 1):
+            topo = random_topology(h, level, rng)
+            modes = [{}, {"exhaustive": True}] + [{"exhaustive": False, "seed": seed} for seed in (0, 3, rng.randrange(1000))]
+            for kw in modes:
+                want = reference_is_grothendieck_topology(h, topo, level, **kw)
+                assert is_grothendieck_topology(h, topo, level, **kw).render() == want
+                rep = is_grothendieck_topology(h, topo, level, **kw)
+                passed = rep.passed
+                saved = dict(topo)
+                topo.clear()  # the report was taken from a snapshot
+                try:
+                    assert rep.render() == want
+                    assert passed == rep.passed == (not rep.findings)
+                finally:
+                    topo.update(saved)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(random_tower(rng, max_order=2, max_per_level=10), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mixed_id_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(mixed_id_tower(rng), rng)
+
+
+def test_witness_text_written_only_when_read(monkeypatch):
+    calls = []
+    sieve_text = _LevelOrder.sieve_text
+
+    def counted(self, i, mask):
+        calls.append((i, mask))
+        return sieve_text(self, i, mask)
+
+    monkeypatch.setattr(_LevelOrder, "sieve_text", counted)
+    h = new_hyperstructure([0, 1, "x", "y"])
+    h = add_bonds(h, [BondSpec(0, h.support_at(0, s), "p", raw) for raw, s in GOLDEN_TOWER], order=1)
+    e = {raw: h.element(1, raw) for raw, _ in GOLDEN_TOWER}
+    j = maximal_topology(h)
+    j[e["a"]] = frozenset({Sieve(e["a"], frozenset())})  # fails maximality first, then many witnessed axioms
+    j[e["t"]] = j[e["t"]] | {Sieve(e["t"], frozenset({e[5], e[12]}))}
+
+    make_site(h, maximal_topology(h))
+    assert calls == []
+    rep = is_grothendieck_topology(h, j, 1)
+    assert not rep.passed and calls == []
+    text = rep.render()
+    assert {"maximality", "stability", "transitivity"} <= rep.codes
+    read_first = len(calls)
+    calls.clear()
+    assert is_grothendieck_topology(h, j, 1).render() == text
+    assert len(calls) == read_first > 0
