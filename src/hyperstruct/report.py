@@ -62,6 +62,9 @@ class CheckReport:
     def render(self) -> str:
         return "\n".join(self.lines())
 
+    def __repr__(self) -> str:
+        return f"CheckReport(name={self.name!r}, passed={self.passed!r}, findings={self.findings!r}, notes={self.notes!r})"
+
 
 def report(name: str, findings: Iterable[Finding], notes: Iterable[str] = ()) -> CheckReport:
     """Build a report; sorted findings keep output order-independent."""

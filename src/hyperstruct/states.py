@@ -236,7 +236,8 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     flat through the connector; a family that partitions the boundary is
     additionally recomputed stagewise (member folds first, then one fold
     across members) for fold connectors. Families carrying no descent datum
-    (empty, or not covering) are skipped.
+    (empty, or not covering) are skipped. The site is one make_site built;
+    its tower's refinement orders are read here.
     """
     h = site.h
     findings: list[Finding] = []

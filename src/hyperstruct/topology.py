@@ -222,25 +222,14 @@ def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
 
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
-    """count random downsets under element i, with the empty and maximal ones, ascending.
-
-    Each closure takes the ideal of every ideal member whose coin comes up.
-    All coins come from one draw of 64 bits per coin: coin p of closure c is
-    set when bit 31 of 64-bit chunk c*k + p is 0. That chunk is the pair of
-    Mersenne Twister words one `random()` call reads, and the bit is its
-    `random() < 0.5` test, so the closures and the generator's state
-    afterwards match a loop of `rng.random()` calls.
-    """
     ideal = order.below[i]
-    lows = [order.below[j] for j in _bit_indices(ideal)]
-    k = len(lows)
-    coins = rng.getrandbits(64 * k * count).to_bytes(8 * k * count, "little")[3::8]  # byte 3 holds bit 31
+    bits = _bit_indices(ideal)
     seen = {0, ideal}
-    for start in range(0, k * count, k):
+    for _ in range(count):
         closure = 0
-        for low, coin in zip(lows, coins[start : start + k]):
-            if coin < 128:
-                closure |= low
+        for j in bits:
+            if rng.random() < 0.5:
+                closure |= order.below[j]
         seen.add(closure)
     return sorted(seen)
 
@@ -351,7 +340,7 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
     for i, sieves in enumerate(masks):
         others = [s for s in sieves if not s >> i & 1]
         if not others:
-            if rng is not None:  # the draws _sampled_masks would make, so later roots see the same stream
+            if rng is not None:  # _sampled_masks' random() coins read 64 bits each; later roots see the same stream
                 rng.getrandbits(64 * SAMPLE_SIZE * below[i].bit_count())
             continue
         candidates = order.downsets_below(i) if rng is None else _sampled_masks(order, i, rng, SAMPLE_SIZE)
@@ -431,7 +420,12 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
 
 @dataclass(frozen=True)
 class Site:
-    """A tower together with a topology that passed every level's axioms."""
+    """A tower together with a topology that passed every level's axioms.
+
+    Build one with make_site: the descent check reads the refinement orders
+    that make_site builds, and a tower they cannot be built for (an element
+    above level 0 without a bond record) raises NotABond in both.
+    """
 
     h: Hyperstructure
     topology: Mapping[ElementId, frozenset[Sieve]]

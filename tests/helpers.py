@@ -184,26 +184,10 @@ def _reference_text(name: str, findings, notes) -> str:
     return "\n".join(lines)
 
 
-def reference_sampled_masks(order, i: int, rng: random.Random, count: int) -> list[int]:
-    """Sampled downsets under element i drawn with one rng.random() coin per ideal member."""
-    from hyperstruct.topology import _bit_indices
-
-    ideal = order.below[i]
-    bits = _bit_indices(ideal)
-    seen = {0, ideal}
-    for _ in range(count):
-        closure = 0
-        for j in bits:
-            if rng.random() < 0.5:
-                closure |= order.below[j]
-        seen.add(closure)
-    return sorted(seen)
-
-
 def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, exhaustive=None, seed: int = 0):
     """Rendered report of the axiom checker, every witness written and every candidate drawn."""
     from hyperstruct.errors import SweepTooLarge
-    from hyperstruct.topology import EXHAUSTIVE_CAP, SAMPLE_SIZE, _bit_indices, _level_order
+    from hyperstruct.topology import EXHAUSTIVE_CAP, SAMPLE_SIZE, _bit_indices, _level_order, _sampled_masks
 
     h.check_level(level)
     order = _level_order(h, level)
@@ -255,7 +239,7 @@ def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, 
                     findings.append(
                         ("stability", f"pullback of {order.sieve_text(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
                     )
-        candidates = order.downsets_below(i) if exhaustive else reference_sampled_masks(order, i, rng, SAMPLE_SIZE)
+        candidates = order.downsets_below(i) if exhaustive else _sampled_masks(order, i, rng, SAMPLE_SIZE)
         covered = 0
         for s in sieves:
             covered |= s

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_id_tower, random_tower, reference_check_amalgamation
-from hyperstruct.core import Support, add_bond, assign_property, new_hyperstructure
+from hyperstruct.core import ElementId, Support, add_bond, assign_property, new_hyperstructure
 from hyperstruct.errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
     InvalidStateTower,
     MissingState,
+    NotABond,
     OperationMissing,
 )
 from hyperstruct.installers import from_simplicial_complex
@@ -179,6 +181,19 @@ class TestAmalgamation:
         site = make_site(h, maximal_topology(h))
         assert check_amalgamation(site, lam, [PRODUCT, PRODUCT]).passed
         assert lam.per_level[2][top] == (2 * 3) * (5 * 7)
+
+    def test_element_without_bond_record_refused_like_make_site(self):
+        # a level-1 element with no bond record has no place in the refinement
+        # order, so a site cannot be made on it and a hand-built one is refused
+        t = graded_triangle()
+        lam = globalize(t, {"v0": 2, "v1": 2, "v2": 2}, [PRODUCT, PRODUCT])
+        levels = list(t.levels)
+        levels[1] = levels[1] | {ElementId(1, "ghost")}
+        h = replace(t, levels=tuple(levels))
+        with pytest.raises(NotABond):
+            make_site(h, maximal_topology(t))
+        with pytest.raises(NotABond):
+            check_amalgamation(Site(h=h, topology=maximal_topology(t)), lam, [PRODUCT, PRODUCT])
 
 
 def _outcome(render):
