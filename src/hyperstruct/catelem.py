@@ -13,7 +13,6 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from .core import Hyperstructure, sorted_elements
 from .errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
-from .topology import refines
 
 ObjId = Hashable
 MorId = Hashable
@@ -345,6 +344,8 @@ def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
 
 def refinement_category(h: Hyperstructure, level: int) -> FiniteCategory:
     """One level's elements under the refinement preorder, as a poset category."""
+    from .topology import refines
+
     elems = sorted_elements(h.elements(level))
     return poset_category(elems, lambda a, b: refines(h, a, b))
 

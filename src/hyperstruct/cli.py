@@ -3,6 +3,8 @@
 Exit codes: 0 = success or passing check, 1 = a check failed (the report
 says why), 2 = input error. Reports are deterministic — identical inputs
 produce identical bytes — and result documents are written atomically.
+Each command imports the library modules it runs inside its cmd_* function,
+so a process loads only what its own command needs.
 """
 from __future__ import annotations
 
@@ -13,9 +15,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import catelem, composition, installers, states, topology
-from .assignments import BUILTIN_COMBINERS, emergent
 from .core import ElementId, Hyperstructure, validate
 from .document import Document, parse, serialize
 from .errors import (
@@ -23,9 +24,13 @@ from .errors import (
     NotATopology,
     NotComposable,
     NotGluable,
+    ParseError,
     SchemaError,
     UnknownElement,
 )
+
+if TYPE_CHECKING:
+    from . import catelem
 
 #: Errors that mean "the check failed" rather than "the input is broken".
 CHECK_FAILURES = (NotComposable, NotGluable, NotATopology)
@@ -36,20 +41,24 @@ def _read_document(path: str) -> Document:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: not UTF-8 text ({e.reason})") from None
     return parse(text)
 
 
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, str(target))
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.replace(tmp, str(target))
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _need(doc: Document, section: str):
@@ -82,6 +91,8 @@ def _element_ref(h: Hyperstructure, ref: str) -> ElementId:
 def _combiner(name: str | None):
     if name is None:
         return None
+    from .assignments import BUILTIN_COMBINERS
+
     got = BUILTIN_COMBINERS.get(name)
     if got is None:
         raise SchemaError(f"unknown combiner {name!r}; choose from {sorted(BUILTIN_COMBINERS)}")
@@ -100,6 +111,8 @@ def _print(lines) -> None:
 
 
 def _emit(out: str | None, doc: Document) -> None:
+    """Write the result document, if asked for. Commands call this before they
+    print, so a document that cannot be written leaves only the error on stdout."""
     if out:
         _write_atomic(out, serialize(doc))
 
@@ -119,14 +132,20 @@ def _load_install_payload(path: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"install payload: byte {e.start}: not UTF-8 text ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"install payload: line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise SchemaError("install payload: nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("install payload must be a JSON object")
     return data
 
 
 def cmd_install(args) -> int:
+    from . import installers
+
     if args.kind == "brunnian":
         if not args.branching:
             raise SchemaError("install brunnian needs --branching, e.g. --branching 3,3")
@@ -156,13 +175,14 @@ def cmd_install(args) -> int:
             h = installers.from_simplicial_complex(
                 payload.get("vertices", []), payload.get("simplices", []), graded=args.graded
             )
-    lines = [f"installed: {args.kind}"] + _tower_summary(h)
-    _print(lines)
     _emit(args.out, Document(hyperstructure=h))
+    _print([f"installed: {args.kind}"] + _tower_summary(h))
     return 0
 
 
 def cmd_compose(args) -> int:
+    from . import composition
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     a = _element_ref(h, args.a)
@@ -173,6 +193,8 @@ def cmd_compose(args) -> int:
     else:
         h2, eid = composition.compose_cross(h, a, b, args.p, args.mode, comb, args.id)
     bond = h2.bond(eid)
+    doc.hyperstructure = h2
+    _emit(args.out, doc)
     _print(
         [
             f"composed: {eid!r}",
@@ -180,12 +202,12 @@ def cmd_compose(args) -> int:
             f"property: {bond.property}",
         ]
     )
-    doc.hyperstructure = h2
-    _emit(args.out, doc)
     return 0
 
 
 def cmd_fuse(args) -> int:
+    from . import composition
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     a = _element_ref(h, args.a)
@@ -193,6 +215,8 @@ def cmd_fuse(args) -> int:
     h2, eid = composition.fuse(h, a, b, args.k, _combiner(args.combiner), args.id)
     rec = h2.fusion_log[-1]
     bond = h2.bond(eid)
+    doc.hyperstructure = h2
+    _emit(args.out, doc)
     _print(
         [
             f"fused: {eid!r}",
@@ -201,12 +225,12 @@ def cmd_fuse(args) -> int:
             f"property: {bond.property}",
         ]
     )
-    doc.hyperstructure = h2
-    _emit(args.out, doc)
     return 0
 
 
 def cmd_topology_check(args) -> int:
+    from . import topology
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     j = _need(doc, "topology")
@@ -224,6 +248,8 @@ def cmd_topology_check(args) -> int:
 
 
 def cmd_globalize(args) -> int:
+    from . import states
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     sec = _need(doc, "states")
@@ -240,13 +266,15 @@ def cmd_globalize(args) -> int:
         if not rep.passed:
             _print(lines)
             return 1
-    _print(lines)
     sec.assignment = lam
     _emit(args.out, doc)
+    _print(lines)
     return 0
 
 
 def cmd_localize(args) -> int:
+    from . import states
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     sec = _need(doc, "states")
@@ -257,13 +285,15 @@ def cmd_localize(args) -> int:
     for i, level in enumerate(lam.per_level):
         shown = ", ".join(f"{e.id}={level[e]!r}" for e in sorted(level, key=lambda e: e.key))
         lines.append(f"level {i}: {shown}")
-    _print(lines)
     sec.assignment = lam
     _emit(args.out, doc)
+    _print(lines)
     return 0
 
 
 def cmd_emergent(args) -> int:
+    from .assignments import BUILTIN_COMBINERS, emergent
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     comb = _combiner(args.combiner) or BUILTIN_COMBINERS["union"]
@@ -291,6 +321,8 @@ def _split_ids(h: Hyperstructure, level: int, joined: str):
 
 
 def cmd_nerve(args) -> int:
+    from . import catelem
+
     doc = _read_document(args.input)
     cat = _need(doc, "category")
     data = catelem.nerve(cat, args.max_dim)
@@ -300,16 +332,16 @@ def cmd_nerve(args) -> int:
         for s in data.simplices[k]:
             names.append(str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")")
         lines.append(f"dim {k}: " + (" ".join(sorted(names)) if names else "(none)"))
-    _print(lines)
     if args.out:
-        flat = _flatten_nerve(data)
-        doc.simplicial = flat
+        doc.simplicial = _flatten_nerve(data)
         _emit(args.out, doc)
+    _print(lines)
     return 0
 
 
 def _flatten_nerve(data: catelem.SimplicialData) -> catelem.SimplicialData:
     """Rename chain simplices to strings so the nerve can live in a document."""
+    from . import catelem
 
     def name(s) -> str:
         return str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")"
@@ -322,6 +354,8 @@ def _flatten_nerve(data: catelem.SimplicialData) -> catelem.SimplicialData:
 
 
 def cmd_betti(args) -> int:
+    from . import catelem
+
     doc = _read_document(args.input)
     if doc.simplicial is not None:
         data = doc.simplicial
@@ -334,6 +368,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_brunnian(args) -> int:
+    from . import installers
+
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
     lines = _tower_summary(h)

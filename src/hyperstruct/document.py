@@ -9,22 +9,19 @@ bytes and golden-file comparisons are trivial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
-from .catelem import FiniteCategory, Morphism, Presheaf, SimplicialData, finite_category, validate_presheaf
 from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
-from .states import (
-    CoConnector,
-    Connector,
-    LambdaAssignment,
-    MARKERS,
-    Marker,
-    SpaceOp,
-    StateTower,
-    state_tower,
-)
-from .topology import Sieve
+
+# A section's module is imported by the reader that needs it, so a document
+# without that section never loads it.
+if TYPE_CHECKING:
+    from .catelem import FiniteCategory, Presheaf, SimplicialData
+    from .states import CoConnector, Connector, LambdaAssignment, StateTower
+    from .topology import Sieve
 
 FORMAT = "hyperstruct/1"
 
@@ -38,10 +35,12 @@ def _jkey(v):
 def _expect_obj(value, where: str, allowed: set[str], required: set[str] = frozenset()) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object")
+    if required <= value.keys() <= allowed:
+        return value
     for k in value:
         if k not in allowed:
             raise SchemaError(f"{where}: unknown field {k!r}")
-    for k in required:
+    for k in sorted(required):  # a fixed order, so the first missing field named is too
         if k not in value:
             raise SchemaError(f"{where}: missing field {k!r}")
     return value
@@ -98,38 +97,124 @@ class Document:
 
 
 # -- serialization ------------------------------------------------------------------
+#
+# serialize writes json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+# + "\n" of the document's JSON object without building that object for the
+# tower, the largest section: it is written from one template per bond, omega
+# entry and fusion record. Every other section goes through json.dumps, its
+# lines shifted to their depth. Each writer takes the indentation of the line
+# its value starts on.
 
 
-def _h_to_json(h: Hyperstructure) -> dict:
-    levels = [sorted((e.id for e in lvl), key=_jkey) for lvl in h.levels]
+def _dumps(value, pad: str) -> str:
+    """value as json.dumps(indent=2) writes it inside a line indented by pad."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
+
+
+def _scalar(v, pad: str) -> str:
+    """_dumps(v, pad), with strings, booleans and ints written directly."""
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return _dumps(v, pad)
+
+
+def _list(items: list[str], pad: str) -> str:
+    """A JSON list of written items."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _id_list(elements, pad: str) -> tuple[list[RawId], str, set[type]]:
+    """The elements' raw ids in _jkey order, the same written as a JSON list, and their types."""
+    ids = [e.id for e in elements]
+    types = set(map(type, ids))
+    if types == {str}:
+        ids.sort()
+        texts = map(encode_basestring, ids)
+    elif types == {int}:
+        ids.sort()
+        texts = map(int.__repr__, ids)
+    else:
+        ids.sort(key=_jkey)
+        texts = [_scalar(x, pad) for x in ids]
+    return ids, _list(list(texts), pad), types
+
+
+def _h_sorted(h: Hyperstructure) -> tuple[list, list, list]:
+    """The tower section's id lists, written, in canonical order: per level,
+    per omega table (with each entry's tokens) and per bond (with the bond).
+
+    All the section's _jkey checks run here, levels first, then omega
+    tables, then bonds, so the first bad id is refused before anything is
+    written.
+    """
+    levels = [_id_list(lvl, " " * 6)[1] for lvl in h.levels]
     omega = []
-    for i, table in enumerate(h.omegas):
+    for table in h.omegas:
         entries = []
+        types: set[type] = set()
         for s, tokens in table.items():
             kept = sorted(t for t in tokens if t != IDENTITY_PROPERTY)
-            if not kept:
-                continue
-            entries.append({"support": sorted((e.id for e in s.members), key=_jkey), "properties": kept})
-        entries.sort(key=lambda e: [_jkey(x) for x in e["support"]])
+            if kept:
+                ids, text, more = _id_list(s.members, " " * 10)
+                entries.append((ids, text, kept))
+                types |= more
+        if types == {str} or types == {int}:  # one plain type: ids compare as their keys do
+            entries.sort(key=lambda e: e[0])
+        else:
+            entries.sort(key=lambda e: [_jkey(x) for x in e[0]])
         omega.append(entries)
-    bonds = []
-    for b in sorted(h.bonds, key=lambda b: (b.id.level, _jkey(b.id.id))):
-        bonds.append(
-            {
-                "id": b.id.id,
-                "level": b.id.level,
-                "support": sorted((e.id for e in b.support.members), key=_jkey),
-                "property": b.property,
-                "identity": b.identity,
-            }
-        )
-    out = {"order": h.order, "levels": levels, "omega": omega, "bonds": bonds}
+    bonds = sorted(h.bonds, key=lambda b: (b.id.level, _jkey(b.id.id)))
+    return levels, omega, [(b, _id_list(b.support.members, " " * 8)[1]) for b in bonds]
+
+
+def _h_text(h: Hyperstructure, levels: list, omega: list, bonds: list) -> str:
+    """The hyperstructure section, written at depth one from _h_sorted's lists."""
+    p4, p6, p8, p10 = " " * 4, " " * 6, " " * 8, " " * 10
+    bond_items = [
+        f'{{\n{p8}"id": {_scalar(b.id.id, p8)},\n{p8}"identity": {_scalar(b.identity, p8)},'
+        f'\n{p8}"level": {_scalar(b.id.level, p8)},\n{p8}"property": {_scalar(b.property, p8)},'
+        f'\n{p8}"support": {support}\n{p6}}}'
+        for b, support in bonds
+    ]
+    fields = [f'"bonds": {_list(bond_items, p4)}']
     if h.fusion_log:  # written only when present, so unfused towers keep their bytes
-        out["fusion_log"] = [
-            {"k": r.k, "a": [r.a.level, r.a.id], "b": [r.b.level, r.b.id], "result": [r.result.level, r.result.id]}
+
+        def pair(e: ElementId) -> str:
+            return _list([_scalar(e.level, p10), _scalar(e.id, p10)], p8)
+
+        records = [
+            f'{{\n{p8}"a": {pair(r.a)},\n{p8}"b": {pair(r.b)},\n{p8}"k": {_scalar(r.k, p8)},'
+            f'\n{p8}"result": {pair(r.result)}\n{p6}}}'
             for r in h.fusion_log
         ]
-    return out
+        fields.append(f'"fusion_log": {_list(records, p4)}')
+    fields.append(f'"levels": {_list(levels, p4)}')
+    tables = []
+    for entries in omega:
+        items = [
+            f'{{\n{p10}"properties": {_list([_scalar(t, p10 + "  ") for t in kept], p10)},'
+            f'\n{p10}"support": {support}\n{p8}}}'
+            for _, support, kept in entries
+        ]
+        tables.append(_list(items, p6))
+    fields.append(f'"omega": {_list(tables, p4)}')
+    fields.append(f'"order": {_scalar(h.order, p4)}')
+    return "{\n" + ",\n".join(p4 + f for f in fields) + "\n  }"
+
+
+_PLAIN_IDS = frozenset({str, int})
+_OMEGA_FIELDS = frozenset({"support", "properties"})
+_BOND_FIELDS = frozenset({"id", "level", "support", "property", "identity"})
+_BOND_REQUIRED = _BOND_FIELDS - {"identity"}
 
 
 def _h_from_json(value) -> Hyperstructure:
@@ -140,19 +225,39 @@ def _h_from_json(value) -> Hyperstructure:
     raw_levels = _expect_list(obj["levels"], "hyperstructure.levels")
     if len(raw_levels) != order + 1:
         raise SchemaError(f"hyperstructure.levels: expected {order + 1} levels, got {len(raw_levels)}")
-    levels = []
+    levels: list[dict[RawId, ElementId]] = []  # per level: raw id -> element
     for i, lvl in enumerate(raw_levels):
-        ids = [_expect_id(r, f"levels[{i}]") for r in _expect_list(lvl, f"levels[{i}]")]
-        elems = frozenset(ElementId(i, r) for r in ids)
+        ids = _expect_list(lvl, f"levels[{i}]")
+        if not set(map(type, ids)) <= _PLAIN_IDS:
+            ids = [_expect_id(r, f"levels[{i}]") for r in ids]
+        elems = {r: ElementId(i, r) for r in ids}
         if len(elems) != len(ids):
             raise SchemaError(f"levels[{i}]: duplicate identifiers")
         levels.append(elems)
 
     def resolve(i: int, raw, where: str) -> ElementId:
-        e = ElementId(i, _expect_id(raw, where))
-        if i < 0 or i > order or e not in levels[i]:
+        r = _expect_id(raw, where)
+        e = levels[i].get(r) if 0 <= i <= order else None
+        if e is None:
             raise DanglingReference(f"{where}: no element {raw!r} at level {i}")
         return e
+
+    supports: list[dict[frozenset[ElementId], Support]] = [{} for _ in levels]  # one object per support
+
+    def support(i: int, raws, where: str) -> Support:
+        raws = _expect_list(raws, where)
+        members = None
+        if set(map(type, raws)) <= _PLAIN_IDS:
+            try:
+                members = frozenset(map(levels[i].__getitem__, raws))
+            except KeyError:
+                pass
+        if members is None:  # resolve one by one, which raises the first member's error
+            members = frozenset([resolve(i, r, where) for r in raws])
+        s = supports[i].get(members)
+        if s is None:
+            s = supports[i][members] = Support(i, members)
+        return s
 
     raw_omega = _expect_list(obj["omega"], "hyperstructure.omega")
     if len(raw_omega) != order + 1:
@@ -160,28 +265,27 @@ def _h_from_json(value) -> Hyperstructure:
     omegas: list[dict[Support, frozenset[str]]] = []
     for i, entries in enumerate(raw_omega):
         table: dict[Support, frozenset[str]] = {}
-        for entry in _expect_list(entries, f"omega[{i}]"):
-            e = _expect_obj(entry, f"omega[{i}]", {"support", "properties"}, {"support", "properties"})
-            members = frozenset(resolve(i, r, f"omega[{i}].support") for r in _expect_list(e["support"], f"omega[{i}].support"))
-            tokens = []
-            for t in _expect_list(e["properties"], f"omega[{i}].properties"):
+        where = f"omega[{i}]"
+        for entry in _expect_list(entries, where):
+            e = _expect_obj(entry, where, _OMEGA_FIELDS, _OMEGA_FIELDS)
+            s = support(i, e["support"], f"{where}.support")
+            tokens = _expect_list(e["properties"], f"{where}.properties")
+            for t in tokens:
                 if not isinstance(t, str):
-                    raise SchemaError(f"omega[{i}]: property tokens must be strings")
+                    raise SchemaError(f"{where}: property tokens must be strings")
                 if t == IDENTITY_PROPERTY:
-                    raise ReservedProperty(f"omega[{i}]: {IDENTITY_PROPERTY!r} is reserved")
-                tokens.append(t)
-            s = Support(i, members)
+                    raise ReservedProperty(f"{where}: {IDENTITY_PROPERTY!r} is reserved")
             table[s] = table.get(s, frozenset()) | frozenset(tokens)
         omegas.append(table)
 
     bonds = []
     for k, entry in enumerate(_expect_list(obj["bonds"], "hyperstructure.bonds")):
-        e = _expect_obj(entry, f"bonds[{k}]", {"id", "level", "support", "property", "identity"}, {"id", "level", "support", "property"})
+        e = _expect_obj(entry, f"bonds[{k}]", _BOND_FIELDS, _BOND_REQUIRED)
         lvl = e["level"]
         if not isinstance(lvl, int) or isinstance(lvl, bool) or not 1 <= lvl <= order:
             raise SchemaError(f"bonds[{k}]: level must be an integer in 1..{order}")
         eid = resolve(lvl, e["id"], f"bonds[{k}].id")
-        members = frozenset(resolve(lvl - 1, r, f"bonds[{k}].support") for r in _expect_list(e["support"], f"bonds[{k}].support"))
+        s = support(lvl - 1, e["support"], f"bonds[{k}].support")
         prop = e["property"]
         if not isinstance(prop, str):
             raise SchemaError(f"bonds[{k}]: property must be a string")
@@ -190,7 +294,7 @@ def _h_from_json(value) -> Hyperstructure:
             raise SchemaError(f"bonds[{k}]: identity must be a boolean")
         if prop == IDENTITY_PROPERTY and not identity:
             raise ReservedProperty(f"bonds[{k}]: {IDENTITY_PROPERTY!r} is reserved for identity bonds")
-        bonds.append(Bond(id=eid, support=Support(lvl - 1, members), property=prop, identity=identity))
+        bonds.append(Bond(id=eid, support=s, property=prop, identity=identity))
 
     def ref(value, where: str) -> ElementId:
         pair = _expect_list(value, where)
@@ -209,12 +313,10 @@ def _h_from_json(value) -> Hyperstructure:
         fusion_log.append(FusionRecord(k=glue, m=m, n=n, a=a, b=b, result=result))
 
     # identity bonds imply their (stripped) omega entries, added in registry order
-    bonds.sort(key=lambda b: b.key)
-    for b in bonds:
-        if b.identity:
-            table = omegas[b.support.level]
-            table[b.support] = table.get(b.support, frozenset()) | {b.property}
-    return assemble(levels, omegas, bonds, tuple(fusion_log))
+    for b in sorted((b for b in bonds if b.identity), key=lambda b: b.key):
+        table = omegas[b.support.level]
+        table[b.support] = table.get(b.support, frozenset()) | {b.property}
+    return assemble([lvl.values() for lvl in levels], omegas, bonds, tuple(fusion_log))
 
 
 def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:
@@ -231,6 +333,8 @@ def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:
 def _topology_from_json(value, h: Hyperstructure | None) -> dict[ElementId, frozenset[Sieve]]:
     if h is None:
         raise DanglingReference("topology: requires a hyperstructure section")
+    from .topology import Sieve
+
     out: dict[ElementId, frozenset[Sieve]] = {}
     for k, entry in enumerate(_expect_list(value, "topology")):
         pair = _expect_list(entry, f"topology[{k}]")
@@ -262,16 +366,12 @@ def _pairs_to_json(mapping: dict[ElementId, object]) -> list:
     return [[e.id, v] for e, v in sorted(mapping.items(), key=lambda kv: kv[0].key)]
 
 
-def _state_to_json(v):
-    if isinstance(v, Marker):
-        return {"marker": v.name}
-    return v
-
-
 def _state_from_json(value, where: str, allow_marker: bool = False):
     if isinstance(value, dict):
         if not allow_marker:
             raise SchemaError(f"{where}: markers are only valid inside assignments")
+        from .states import MARKERS
+
         obj = _expect_obj(value, where, {"marker"}, {"marker"})
         m = MARKERS.get(obj["marker"])
         if m is None:
@@ -291,6 +391,8 @@ def _connector_to_json(c: Connector) -> dict:
 
 
 def _connector_from_json(value, where: str) -> Connector:
+    from .states import Connector
+
     obj = _expect_obj(value, where, {"kind", "entries"}, {"kind"})
     kind = obj["kind"]
     if kind in ("product", "sum", "union"):
@@ -323,6 +425,8 @@ def _co_connector_to_json(c: CoConnector) -> dict:
 
 
 def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: int) -> CoConnector:
+    from .states import CoConnector
+
     obj = _expect_obj(value, where, {"kind", "entries"}, {"kind"})
     kind = obj["kind"]
     if kind == "identity":
@@ -355,6 +459,8 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
 
 
 def _states_to_json(s: StatesSection) -> dict:
+    from .states import Marker
+
     out: dict = {}
     if s.tower is not None:
         spaces = []
@@ -375,7 +481,7 @@ def _states_to_json(s: StatesSection) -> dict:
     out["co_connectors"] = [_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None
     if s.assignment is not None:
         out["assignment"] = [
-            [[e.id, _state_to_json(v)] for e, v in sorted(level.items(), key=lambda kv: kv[0].key)]
+            [[e.id, {"marker": v.name} if isinstance(v, Marker) else v] for e, v in sorted(level.items(), key=lambda kv: kv[0].key)]
             for level in s.assignment.per_level
         ]
     else:
@@ -386,6 +492,8 @@ def _states_to_json(s: StatesSection) -> dict:
 def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
     if h is None:
         raise DanglingReference("states: requires a hyperstructure section")
+    from .states import LambdaAssignment, SpaceOp, state_tower
+
     obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
     s = StatesSection()
     if obj.get("spaces") is not None:
@@ -472,6 +580,8 @@ def _category_to_json(c: FiniteCategory) -> dict:
 
 
 def _category_from_json(value) -> FiniteCategory:
+    from .catelem import Morphism, finite_category
+
     obj = _expect_obj(value, "category", {"objects", "morphisms", "identities", "composition"}, {"objects", "morphisms", "identities", "composition"})
     objects = [_expect_id(o, "category.objects") for o in _expect_list(obj["objects"], "category.objects")]
     morphisms = []
@@ -516,6 +626,8 @@ def _presheaf_to_json(p: Presheaf) -> dict:
 def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
     if cat is None:
         raise DanglingReference("presheaf: requires a category section")
+    from .catelem import Presheaf, validate_presheaf
+
     obj = _expect_obj(value, "presheaf", {"on_objects", "on_morphisms"}, {"on_objects", "on_morphisms"})
     on_objects = {}
     for e in _expect_list(obj["on_objects"], "presheaf.on_objects"):
@@ -558,6 +670,8 @@ def _simplicial_to_json(s: SimplicialData) -> dict:
 
 
 def _simplicial_from_json(value) -> SimplicialData:
+    from .catelem import SimplicialData
+
     obj = _expect_obj(value, "simplicial", {"max_dim", "dimensions"}, {"max_dim", "dimensions"})
     max_dim = obj["max_dim"]
     if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 0:
@@ -603,25 +717,27 @@ def _simplicial_from_json(value) -> SimplicialData:
 SECTIONS = {"format", "hyperstructure", "topology", "states", "category", "presheaf", "simplicial"}
 
 
-def to_json_obj(doc: Document) -> dict:
-    out: dict = {"format": FORMAT}
-    if doc.hyperstructure is not None:
-        out["hyperstructure"] = _h_to_json(doc.hyperstructure)
-    if doc.topology is not None:
-        out["topology"] = _topology_to_json(doc.topology)
-    if doc.states is not None:
-        out["states"] = _states_to_json(doc.states)
-    if doc.category is not None:
-        out["category"] = _category_to_json(doc.category)
-    if doc.presheaf is not None:
-        out["presheaf"] = _presheaf_to_json(doc.presheaf)
-    if doc.simplicial is not None:
-        out["simplicial"] = _simplicial_to_json(doc.simplicial)
-    return out
-
-
 def serialize(doc: Document) -> str:
-    return json.dumps(to_json_obj(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The document's canonical text (see the serialization notes above)."""
+    h = doc.hyperstructure
+    sections: dict = {"format": FORMAT}
+    if h is not None:
+        sections["hyperstructure"] = _h_sorted(h)
+    if doc.topology is not None:
+        sections["topology"] = _topology_to_json(doc.topology)
+    if doc.states is not None:
+        sections["states"] = _states_to_json(doc.states)
+    if doc.category is not None:
+        sections["category"] = _category_to_json(doc.category)
+    if doc.presheaf is not None:
+        sections["presheaf"] = _presheaf_to_json(doc.presheaf)
+    if doc.simplicial is not None:
+        sections["simplicial"] = _simplicial_to_json(doc.simplicial)
+    body = ",\n".join(
+        f'  "{name}": ' + (_h_text(h, *value) if name == "hyperstructure" else _dumps(value, "  "))
+        for name, value in sorted(sections.items())
+    )
+    return "{\n" + body + "\n}\n"
 
 
 def parse(text: str) -> Document:
@@ -629,6 +745,8 @@ def parse(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     obj = _expect_obj(data, "document", SECTIONS, {"format"})
     if obj["format"] != FORMAT:
         raise SchemaError(f"unsupported format {obj['format']!r}; expected {FORMAT!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .composition import union_token
 from .core import ElementId, Hyperstructure, sorted_elements
@@ -23,7 +23,9 @@ from .errors import (
     UnknownElement,
 )
 from .report import CheckReport, Finding, report
-from .topology import Site, _bit_indices, _level_order
+
+if TYPE_CHECKING:
+    from .topology import Site
 
 StateToken = str | int
 
@@ -239,6 +241,8 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     (empty, or not covering) are skipped. The site is one make_site built;
     its tower's refinement orders are read here.
     """
+    from .topology import _bit_indices, _level_order
+
     h = site.h
     findings: list[Finding] = []
     notes = ("scope: levelwise and adjacent-level coherence",)

@@ -593,3 +593,213 @@ def oracle_pullback_holds(w1, w2, w12, r1, r2, p1, p2, wu) -> bool:
         if ok and len(set(k.values())) == len(wu) == len(pb):
             return True
     return len(pb) == 0 and len(wu) == 0
+
+
+# -- document codec oracle ------------------------------------------------------------
+#
+# The canonical text as the codec first defined it: the whole document as a
+# dict tree, written by json.dumps(sort_keys=True, indent=2), and the tower
+# section read back by resolving each reference through a fresh ElementId.
+# document.serialize and document.parse must agree with these byte for byte
+# and error for error.
+
+
+def _reference_jkey(v):
+    if not isinstance(v, (str, int)) or isinstance(v, bool):
+        from hyperstruct.errors import SchemaError
+
+        raise SchemaError(f"identifiers and states must be strings or integers, got {v!r}")
+    return (isinstance(v, str), v)
+
+
+def reference_h_to_json(h: Hyperstructure) -> dict:
+    from hyperstruct.core import IDENTITY_PROPERTY
+
+    _jkey = _reference_jkey
+    levels = [sorted((e.id for e in lvl), key=_jkey) for lvl in h.levels]
+    omega = []
+    for i, table in enumerate(h.omegas):
+        entries = []
+        for s, tokens in table.items():
+            kept = sorted(t for t in tokens if t != IDENTITY_PROPERTY)
+            if not kept:
+                continue
+            entries.append({"support": sorted((e.id for e in s.members), key=_jkey), "properties": kept})
+        entries.sort(key=lambda e: [_jkey(x) for x in e["support"]])
+        omega.append(entries)
+    bonds = []
+    for b in sorted(h.bonds, key=lambda b: (b.id.level, _jkey(b.id.id))):
+        bonds.append(
+            {
+                "id": b.id.id,
+                "level": b.id.level,
+                "support": sorted((e.id for e in b.support.members), key=_jkey),
+                "property": b.property,
+                "identity": b.identity,
+            }
+        )
+    out = {"order": h.order, "levels": levels, "omega": omega, "bonds": bonds}
+    if h.fusion_log:
+        out["fusion_log"] = [
+            {"k": r.k, "a": [r.a.level, r.a.id], "b": [r.b.level, r.b.id], "result": [r.result.level, r.result.id]}
+            for r in h.fusion_log
+        ]
+    return out
+
+
+def reference_to_json_obj(doc) -> dict:
+    from hyperstruct import document as d
+
+    out: dict = {"format": d.FORMAT}
+    if doc.hyperstructure is not None:
+        out["hyperstructure"] = reference_h_to_json(doc.hyperstructure)
+    if doc.topology is not None:
+        out["topology"] = d._topology_to_json(doc.topology)
+    if doc.states is not None:
+        out["states"] = d._states_to_json(doc.states)
+    if doc.category is not None:
+        out["category"] = d._category_to_json(doc.category)
+    if doc.presheaf is not None:
+        out["presheaf"] = d._presheaf_to_json(doc.presheaf)
+    if doc.simplicial is not None:
+        out["simplicial"] = d._simplicial_to_json(doc.simplicial)
+    return out
+
+
+def reference_serialize(doc) -> str:
+    import json
+
+    return json.dumps(reference_to_json_obj(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _reference_expect_obj(value, where: str, allowed: set[str], required: set[str] = frozenset()) -> dict:
+    from hyperstruct.errors import SchemaError
+
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    for k in value:
+        if k not in allowed:
+            raise SchemaError(f"{where}: unknown field {k!r}")
+    for k in sorted(required):
+        if k not in value:
+            raise SchemaError(f"{where}: missing field {k!r}")
+    return value
+
+
+def reference_h_from_json(value) -> Hyperstructure:
+    from hyperstruct.core import IDENTITY_PROPERTY, Bond, FusionRecord, assemble
+    from hyperstruct.document import _expect_id, _expect_list
+    from hyperstruct.errors import DanglingReference, ReservedProperty, SchemaError
+
+    _expect_obj = _reference_expect_obj
+    obj = _expect_obj(value, "hyperstructure", {"order", "levels", "omega", "bonds", "fusion_log"}, {"order", "levels", "omega", "bonds"})
+    order = obj["order"]
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        raise SchemaError("hyperstructure.order: expected a non-negative integer")
+    raw_levels = _expect_list(obj["levels"], "hyperstructure.levels")
+    if len(raw_levels) != order + 1:
+        raise SchemaError(f"hyperstructure.levels: expected {order + 1} levels, got {len(raw_levels)}")
+    levels = []
+    for i, lvl in enumerate(raw_levels):
+        ids = [_expect_id(r, f"levels[{i}]") for r in _expect_list(lvl, f"levels[{i}]")]
+        elems = frozenset(ElementId(i, r) for r in ids)
+        if len(elems) != len(ids):
+            raise SchemaError(f"levels[{i}]: duplicate identifiers")
+        levels.append(elems)
+
+    def resolve(i: int, raw, where: str) -> ElementId:
+        e = ElementId(i, _expect_id(raw, where))
+        if i < 0 or i > order or e not in levels[i]:
+            raise DanglingReference(f"{where}: no element {raw!r} at level {i}")
+        return e
+
+    raw_omega = _expect_list(obj["omega"], "hyperstructure.omega")
+    if len(raw_omega) != order + 1:
+        raise SchemaError(f"hyperstructure.omega: expected {order + 1} tables")
+    omegas = []
+    for i, entries in enumerate(raw_omega):
+        table = {}
+        for entry in _expect_list(entries, f"omega[{i}]"):
+            e = _expect_obj(entry, f"omega[{i}]", {"support", "properties"}, {"support", "properties"})
+            members = frozenset(resolve(i, r, f"omega[{i}].support") for r in _expect_list(e["support"], f"omega[{i}].support"))
+            tokens = []
+            for t in _expect_list(e["properties"], f"omega[{i}].properties"):
+                if not isinstance(t, str):
+                    raise SchemaError(f"omega[{i}]: property tokens must be strings")
+                if t == IDENTITY_PROPERTY:
+                    raise ReservedProperty(f"omega[{i}]: {IDENTITY_PROPERTY!r} is reserved")
+                tokens.append(t)
+            s = Support(i, members)
+            table[s] = table.get(s, frozenset()) | frozenset(tokens)
+        omegas.append(table)
+
+    bonds = []
+    for k, entry in enumerate(_expect_list(obj["bonds"], "hyperstructure.bonds")):
+        e = _expect_obj(entry, f"bonds[{k}]", {"id", "level", "support", "property", "identity"}, {"id", "level", "support", "property"})
+        lvl = e["level"]
+        if not isinstance(lvl, int) or isinstance(lvl, bool) or not 1 <= lvl <= order:
+            raise SchemaError(f"bonds[{k}]: level must be an integer in 1..{order}")
+        eid = resolve(lvl, e["id"], f"bonds[{k}].id")
+        members = frozenset(resolve(lvl - 1, r, f"bonds[{k}].support") for r in _expect_list(e["support"], f"bonds[{k}].support"))
+        prop = e["property"]
+        if not isinstance(prop, str):
+            raise SchemaError(f"bonds[{k}]: property must be a string")
+        identity = e.get("identity", False)
+        if not isinstance(identity, bool):
+            raise SchemaError(f"bonds[{k}]: identity must be a boolean")
+        if prop == IDENTITY_PROPERTY and not identity:
+            raise ReservedProperty(f"bonds[{k}]: {IDENTITY_PROPERTY!r} is reserved for identity bonds")
+        bonds.append(Bond(id=eid, support=Support(lvl - 1, members), property=prop, identity=identity))
+
+    def ref(value, where: str) -> ElementId:
+        pair = _expect_list(value, where)
+        if len(pair) != 2 or not isinstance(pair[0], int) or isinstance(pair[0], bool):
+            raise SchemaError(f"{where}: expected [level, id]")
+        return resolve(pair[0], pair[1], where)
+
+    fusion_log = []
+    for k, entry in enumerate(_expect_list(obj.get("fusion_log", []), "hyperstructure.fusion_log")):
+        e = _expect_obj(entry, f"fusion_log[{k}]", {"k", "a", "b", "result"}, {"k", "a", "b", "result"})
+        a, b, result = (ref(e[name], f"fusion_log[{k}].{name}") for name in ("a", "b", "result"))
+        m, n = max(a.level, b.level), min(a.level, b.level)
+        glue = e["k"]
+        if not isinstance(glue, int) or isinstance(glue, bool) or not 0 <= glue < n:
+            raise SchemaError(f"fusion_log[{k}]: k must be an integer in 0..{n - 1}")
+        fusion_log.append(FusionRecord(k=glue, m=m, n=n, a=a, b=b, result=result))
+
+    bonds.sort(key=lambda b: b.key)
+    for b in bonds:
+        if b.identity:
+            table = omegas[b.support.level]
+            table[b.support] = table.get(b.support, frozenset()) | {b.property}
+    return assemble(levels, omegas, bonds, tuple(fusion_log))
+
+
+def reference_parse(text: str):
+    """document.parse with the tower section read by reference_h_from_json."""
+    import json
+
+    from hyperstruct import document as d
+    from hyperstruct.errors import ParseError, SchemaError
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    obj = _reference_expect_obj(data, "document", d.SECTIONS, {"format"})
+    if obj["format"] != d.FORMAT:
+        raise SchemaError(f"unsupported format {obj['format']!r}; expected {d.FORMAT!r}")
+    doc = d.Document()
+    if "hyperstructure" in obj:
+        doc.hyperstructure = reference_h_from_json(obj["hyperstructure"])
+    if "topology" in obj:
+        doc.topology = d._topology_from_json(obj["topology"], doc.hyperstructure)
+    if "states" in obj:
+        doc.states = d._states_from_json(obj["states"], doc.hyperstructure)
+    if "category" in obj:
+        doc.category = d._category_from_json(obj["category"])
+    if "presheaf" in obj:
+        doc.presheaf = d._presheaf_from_json(obj["presheaf"], doc.category)
+    if "simplicial" in obj:
+        doc.simplicial = d._simplicial_from_json(obj["simplicial"])
+    return doc

@@ -361,3 +361,31 @@ class TestErrorShape:
         code, out = run(capsys, "globalize", str(p))
         assert code == 2
         assert out.splitlines()[:2] == ["error: MissingState", "no state for 1:{v0,v1} in the boundary of 2:{v0,v1,v2}"]
+
+    @pytest.mark.parametrize("command, kind", [("validate", "ParseError"), ("install", "SchemaError")])
+    def test_input_that_is_not_utf8(self, capsys, tmp_path, command, kind):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + json.dumps({"vertices": ["a"], "edges": []}).encode("utf-16-le"))
+        argv = ["install", "hypergraph", str(p)] if command == "install" else ["validate", str(p)]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[0] == f"error: {kind}"
+
+    @pytest.mark.parametrize("command, kind", [("validate", "ParseError"), ("install", "SchemaError")])
+    def test_input_nested_too_deeply(self, capsys, tmp_path, command, kind):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["install", "hypergraph", str(p)] if command == "install" else ["validate", str(p)]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[0] == f"error: {kind}"
+
+    @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+    def test_out_that_cannot_be_written(self, capsys, tmp_path, target):
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / target
+        code, out = run(capsys, "install", "brunnian", "--branching", "2,2", "--out", str(path))
+        assert code == 2
+        reason = "No such file or directory" if target.startswith("nodir") else "Is a directory"
+        assert out.splitlines() == ["error: SchemaError", f"cannot write {path}: {reason}"]
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -1,18 +1,30 @@
+import dataclasses
+import importlib.util
 import json
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tower
+from helpers import mixed_id_tower, random_tower, reference_parse, reference_serialize
 from hyperstruct.composition import fuse
-from hyperstruct.core import identity_bond, sorted_elements, validate
+from hyperstruct.core import (
+    BondSpec,
+    ElementId,
+    FusionRecord,
+    Support,
+    add_bonds,
+    identity_bond,
+    new_hyperstructure,
+    sorted_elements,
+    validate,
+)
 from hyperstruct.document import Document, StatesSection, parse, serialize
 from hyperstruct.errors import DanglingReference, HyperstructError, ParseError, ReservedProperty, SchemaError
 from hyperstruct.installers import make_brunnian_tower
-from hyperstruct.states import PRODUCT
+from hyperstruct.states import PRODUCT, SUM, globalize
 from hyperstruct.topology import maximal_topology
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -159,3 +171,185 @@ class TestIntegerIds:
         }
         with pytest.raises(SchemaError):
             parse(json.dumps(doc))
+
+
+# -- the codec against its dict-tree oracle -------------------------------------------
+
+NASTY = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "☃", "𝄞", " ", "/", " ", "a", "b"]
+REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 1.5, "", "x", "x0", "id", [], [0], ["x"], [[]], {}, {"x": 1})
+ODD_VALUES = (None, 1.5, True, 7, (1, "a"), ["a", ["b", {}]], {"z": [1, 2], "a": {"b": None}}, "\"q\\", "é\n")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # the comparison covers whatever either side raises
+        return (type(e), str(e))
+
+
+def _texts():
+    return st.text(alphabet=st.sampled_from(NASTY), min_size=1, max_size=4)
+
+
+@st.composite
+def nasty_towers(draw):
+    """Towers whose ids and tokens need JSON escapes or are not ASCII, mixing int
+    and string ids, with empty levels padded on top and maybe an identity bond."""
+    base = draw(st.lists(st.one_of(_texts(), st.integers(-3, 30)), min_size=1, max_size=7, unique=True))
+    h = new_hyperstructure(base)
+    level0 = sorted_elements(h.elements(0))
+    raws = draw(st.lists(st.one_of(_texts(), st.integers(100, 120)), max_size=6, unique=True))
+    specs = []
+    for raw in raws:
+        members = draw(st.lists(st.sampled_from(level0), min_size=1, max_size=3, unique=True))
+        token = draw(_texts().filter(lambda t: t != "id"))
+        specs.append(BondSpec(0, Support(0, frozenset(members)), token, raw))
+    h = add_bonds(h, specs, order=draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        h, _ = identity_bond(h, 0, draw(st.sampled_from(level0)))
+    return h
+
+
+def _fused(h, rng):
+    bonds = sorted_elements(b.id for b in h.bonds)
+    for n in range(rng.randint(0, 4)):
+        if not bonds:
+            break
+        a, b = rng.choice(bonds), rng.choice(bonds)
+        try:
+            h, _ = fuse(h, a, b, rng.randrange(min(a.level, b.level)), None, f"fused{n}")
+        except HyperstructError:
+            continue
+    return h
+
+
+def _with_sections(h, rng) -> Document:
+    """A document around h with whichever payload sections apply to it."""
+    doc = Document(hyperstructure=h)
+    if rng.random() < 0.5:
+        doc.topology = maximal_topology(h)
+    if rng.random() < 0.5:
+        base = {e: rng.choice([0, 1, "s", "é\""]) for e in h.elements(0)}
+        sec = StatesSection(base=base, connectors=(SUM,) * h.order if rng.random() < 0.5 else None)
+        if sec.connectors is not None and all(isinstance(v, int) for v in base.values()):
+            sec.assignment = globalize(h, base, sec.connectors)
+        doc.states = sec
+    if rng.random() < 0.3:
+        other = parse((CORPUS / rng.choice(["square_category.json", "hollow_triangle.json"])).read_text(encoding="utf-8"))
+        doc.category, doc.presheaf, doc.simplicial = other.category, other.presheaf, other.simplicial
+    return doc
+
+
+def _towers(seed: int):
+    rng = random.Random(seed)
+    yield random_tower(rng, max_order=3, max_per_level=6)
+    yield mixed_id_tower(rng)
+    yield _fused(random_tower(rng, max_order=3, max_per_level=6), rng)
+
+
+class TestCodecOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_serialize_equals_the_dict_tree(self, seed):
+        rng = random.Random(seed)
+        for h in _towers(seed):
+            doc = _with_sections(h, rng)
+            assert _outcome(serialize, doc) == _outcome(reference_serialize, doc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(nasty_towers(), st.integers(0, 2**31))
+    def test_escapes_and_mixed_ids_equal_the_dict_tree(self, h, seed):
+        doc = _with_sections(_fused(h, random.Random(seed)), random.Random(seed))
+        text = serialize(doc)
+        assert text == reference_serialize(doc)
+        assert serialize(parse(text)) == text
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(ODD_VALUES), st.integers(0, 7))
+    def test_odd_values_written_or_refused_like_the_dict_tree(self, seed, value, where):
+        """Hand-built towers holding values no document can: a bad id is refused
+        with the same message, anything else json can write is written the same."""
+        rng = random.Random(seed)
+        h = _fused(random_tower(rng, max_order=3, max_per_level=6), rng)
+        doc = _with_sections(h, rng)  # payload sections of the unbroken tower
+        bonds = list(h.bonds)
+        if 2 <= where <= 6:  # these go into sets and dict keys
+            assume(not isinstance(value, (list, dict)))
+        if where < 5:
+            assume(bonds)
+            k = rng.randrange(len(bonds))
+            b = bonds[k]
+            if where == 0:
+                bonds[k] = dataclasses.replace(b, property=value)
+            elif where == 1:
+                bonds[k] = dataclasses.replace(b, identity=value)
+            elif where == 2:
+                bonds[k] = dataclasses.replace(b, id=ElementId(b.id.level, value))
+            elif where == 3:
+                bonds[k] = dataclasses.replace(b, support=Support(b.support.level, b.support.members | {ElementId(0, value)}))
+            else:
+                bonds[k] = dataclasses.replace(b, id=ElementId(value, b.id.id))
+            h = dataclasses.replace(h, bonds=tuple(bonds))
+        elif where == 5:
+            levels = list(h.levels)
+            levels[0] = levels[0] | {ElementId(0, value)}
+            h = dataclasses.replace(h, levels=tuple(levels))
+        elif where == 6:
+            omegas = [dict(t) for t in h.omegas]
+            omegas[0][Support(0, frozenset(h.levels[0]))] = frozenset({"p", value})
+            h = dataclasses.replace(h, omegas=tuple(omegas))
+        elif h.fusion_log:
+            r = h.fusion_log[0]
+            h = dataclasses.replace(h, fusion_log=(FusionRecord(k=value, m=r.m, n=r.n, a=r.a, b=r.b, result=r.result),))
+        else:
+            h = dataclasses.replace(h, order=value)
+        doc.hyperstructure = h
+        assert _outcome(serialize, doc) == _outcome(reference_serialize, doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mutated_documents_parse_like_the_old_reader(self, seed):
+        rng = random.Random(seed)
+        h = list(_towers(seed))[rng.randrange(3)]
+        obj = json.loads(serialize(_with_sections(h, rng)))
+        paths = []
+
+        def walk(node):
+            keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+            for key in keys:
+                paths.append((node, key))
+                walk(node[key])
+
+        walk(obj["hyperstructure"])
+        for _ in range(rng.randint(1, 3)):
+            parent, key = rng.choice(paths)
+            if isinstance(parent, dict) and rng.random() < 0.25:
+                parent.pop(key, None)
+            elif isinstance(parent, dict) or key < len(parent):
+                parent[key] = rng.choice(REPLACEMENTS)
+        text = json.dumps(obj)
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_fusion_reference_outside_the_levels_dangles(self, level):
+        h = make_brunnian_tower([2, 2])
+        h, _ = fuse(h, h.element(2, "g2.0"), h.element(1, "g1.0"), 0, None, "glued")
+        obj = json.loads(serialize(Document(hyperstructure=h)))
+        top = obj["hyperstructure"]["levels"][-1][0]
+        obj["hyperstructure"]["fusion_log"][0]["a"] = [level, top]
+        with pytest.raises(DanglingReference, match=f"no element {top!r} at level {level}"):
+            parse(json.dumps(obj))
+
+    def test_large_states_document_equals_the_dict_tree(self):
+        """The benchmark's 2000-edge states document (seed 5), before and after globalize."""
+        spec = importlib.util.spec_from_file_location("perfbench_gen", CORPUS.parent / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        rng = random.Random(5)
+        vertices, edges = gen.hypergraph(rng, 2000)
+        text = gen.dump(gen.states_document(rng, vertices, edges)[0])
+        doc = parse(text)
+        assert serialize(doc) == reference_serialize(doc) == text
+        doc.states.assignment = globalize(doc.hyperstructure, doc.states.base, doc.states.connectors)
+        assert serialize(doc) == reference_serialize(doc)
