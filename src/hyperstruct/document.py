@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
 
-# A section's module is imported by the reader that needs it, so a document
-# without that section never loads it.
+# A payload section's module is imported by the reader or writer that needs
+# it, so a document without that section never loads it.
 if TYPE_CHECKING:
     from .catelem import FiniteCategory, Presheaf, SimplicialData
     from .states import CoConnector, Connector, LambdaAssignment, StateTower
@@ -40,7 +40,7 @@ def _expect_obj(value, where: str, allowed: set[str], required: set[str] = froze
     for k in value:
         if k not in allowed:
             raise SchemaError(f"{where}: unknown field {k!r}")
-    for k in sorted(required):  # a fixed order, so the first missing field named is too
+    for k in sorted(required):  # sorted, so the field named does not depend on the hash seed
         if k not in value:
             raise SchemaError(f"{where}: missing field {k!r}")
     return value
