@@ -344,10 +344,10 @@ def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
 
 def refinement_category(h: Hyperstructure, level: int) -> FiniteCategory:
     """One level's elements under the refinement preorder, as a poset category."""
-    from .topology import refines
+    from .topology import _level_order
 
-    elems = sorted_elements(h.elements(level))
-    return poset_category(elems, lambda a, b: refines(h, a, b))
+    order = _level_order(h, level)
+    return poset_category(order.elements, lambda a, b: order.below[order.index[b]] >> order.index[a] & 1 == 1)
 
 
 def boundary_category(h: Hyperstructure, upper_level: int) -> FiniteCategory:

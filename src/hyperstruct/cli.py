@@ -17,8 +17,8 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import ElementId, Hyperstructure, validate
-from .document import Document, parse, serialize
+from .core import ElementId, Hyperstructure, RawId, validate
+from .document import Document, _expect_id, _expect_list, parse, refuse_lone_surrogates, serialize
 from .errors import (
     HyperstructError,
     NotATopology,
@@ -34,6 +34,14 @@ if TYPE_CHECKING:
 
 #: Errors that mean "the check failed" rather than "the input is broken".
 CHECK_FAILURES = (NotComposable, NotGluable, NotATopology)
+
+#: Each install payload's fields, in the order its installer takes them; True
+#: marks a list of id lists (components, tuples, edges, simplices).
+INSTALL_FIELDS = {
+    "relation": {"components": True, "tuples": True},
+    "hypergraph": {"vertices": False, "edges": True},
+    "simplicial": {"vertices": False, "simplices": True},
+}
 
 
 def _read_document(path: str) -> Document:
@@ -68,6 +76,15 @@ def _need(doc: Document, section: str):
     return got
 
 
+def _resolve_id(h: Hyperstructure, level: int, raw: str) -> RawId:
+    """A command-line id at level: an integer id wins if that element exists."""
+    try:
+        as_int = int(raw)
+    except ValueError:
+        return raw
+    return as_int if h.has_element(ElementId(level, as_int)) else raw
+
+
 def _element_ref(h: Hyperstructure, ref: str) -> ElementId:
     """Parse a level:id reference; integer ids win over equal-looking strings."""
     if ":" not in ref:
@@ -77,14 +94,9 @@ def _element_ref(h: Hyperstructure, ref: str) -> ElementId:
         lvl = int(lvl_s)
     except ValueError:
         raise SchemaError(f"element reference {ref!r} must start with a level index") from None
-    try:
-        as_int = int(raw)
-    except ValueError:
-        as_int = None
-    if as_int is not None and h.has_element(ElementId(lvl, as_int)):
-        return ElementId(lvl, as_int)
-    if h.has_element(ElementId(lvl, raw)):
-        return ElementId(lvl, raw)
+    e = ElementId(lvl, _resolve_id(h, lvl, raw))
+    if h.has_element(e):
+        return e
     raise UnknownElement(f"no element {raw!r} at level {lvl}")
 
 
@@ -97,6 +109,19 @@ def _combiner(name: str | None):
     if got is None:
         raise SchemaError(f"unknown combiner {name!r}; choose from {sorted(BUILTIN_COMBINERS)}")
     return got
+
+
+def _assignment_lines(title: str, lam) -> list[str]:
+    lines = [title]
+    for i, level in enumerate(lam.per_level):
+        shown = ", ".join(f"{e.id}={level[e]!r}" for e in sorted(level, key=lambda e: e.key))
+        lines.append(f"level {i}: {shown}")
+    return lines
+
+
+def _simplex_name(s) -> str:
+    """A nerve simplex as text: a chain tuple as (a,b,...), anything else by str."""
+    return str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")"
 
 
 def _tower_summary(h: Hyperstructure) -> list[str]:
@@ -127,9 +152,11 @@ def cmd_validate(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _load_install_payload(path: str) -> dict:
+def _load_install_payload(path: str, kind: str) -> list[list]:
+    """The INSTALL_FIELDS[kind] fields of the payload, in order, each checked to list ids or id lists."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(text)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
@@ -138,9 +165,22 @@ def _load_install_payload(path: str) -> dict:
         raise SchemaError(f"install payload: line {e.lineno}: {e.msg}") from None
     except RecursionError:
         raise SchemaError("install payload: nested too deeply") from None
+    refuse_lone_surrogates(text, data, SchemaError, "install payload: ")
     if not isinstance(data, dict):
         raise SchemaError("install payload must be a JSON object")
-    return data
+    fields = INSTALL_FIELDS[kind]
+    for key in data:
+        if key not in fields:
+            raise SchemaError(f"install {kind}: unknown field {key!r}")
+    out = []
+    for key, nested in fields.items():
+        value = _expect_list(data.get(key, []), f"install {kind}: {key}")
+        for k, entry in enumerate(value):
+            where = f"install {kind}: {key}[{k}]"
+            for x in _expect_list(entry, where) if nested else (entry,):
+                _expect_id(x, where)
+        out.append(value)
+    return out
 
 
 def cmd_install(args) -> int:
@@ -157,24 +197,13 @@ def cmd_install(args) -> int:
     else:
         if not args.input:
             raise SchemaError(f"install {args.kind} needs an input payload file")
-        payload = _load_install_payload(args.input)
+        first, second = _load_install_payload(args.input, args.kind)
         if args.kind == "relation":
-            for key in payload:
-                if key not in {"components", "tuples"}:
-                    raise SchemaError(f"install relation: unknown field {key!r}")
-            h = installers.from_relation(payload.get("components", []), [tuple(t) for t in payload.get("tuples", [])])
+            h = installers.from_relation(first, second)
         elif args.kind == "hypergraph":
-            for key in payload:
-                if key not in {"vertices", "edges"}:
-                    raise SchemaError(f"install hypergraph: unknown field {key!r}")
-            h = installers.from_hypergraph(payload.get("vertices", []), payload.get("edges", []))
+            h = installers.from_hypergraph(first, second)
         else:
-            for key in payload:
-                if key not in {"vertices", "simplices"}:
-                    raise SchemaError(f"install simplicial: unknown field {key!r}")
-            h = installers.from_simplicial_complex(
-                payload.get("vertices", []), payload.get("simplices", []), graded=args.graded
-            )
+            h = installers.from_simplicial_complex(first, second, graded=args.graded)
     _emit(args.out, Document(hyperstructure=h))
     _print([f"installed: {args.kind}"] + _tower_summary(h))
     return 0
@@ -256,10 +285,7 @@ def cmd_globalize(args) -> int:
     if sec.base is None or sec.connectors is None:
         raise SchemaError("globalize needs states.base and states.connectors")
     lam = states.globalize(h, sec.base, sec.connectors)
-    lines = ["globalized"]
-    for i, level in enumerate(lam.per_level):
-        shown = ", ".join(f"{e.id}={level[e]!r}" for e in sorted(level, key=lambda e: e.key))
-        lines.append(f"level {i}: {shown}")
+    lines = _assignment_lines("globalized", lam)
     if sec.tower is not None:
         rep = states.validate_lambda(h, sec.tower, lam)
         lines.extend(rep.lines())
@@ -281,10 +307,7 @@ def cmd_localize(args) -> int:
     if sec.top is None or sec.co_connectors is None:
         raise SchemaError("localize needs states.top and states.co_connectors")
     lam = states.localize(h, sec.top, sec.co_connectors)
-    lines = ["localized"]
-    for i, level in enumerate(lam.per_level):
-        shown = ", ".join(f"{e.id}={level[e]!r}" for e in sorted(level, key=lambda e: e.key))
-        lines.append(f"level {i}: {shown}")
+    lines = _assignment_lines("localized", lam)
     sec.assignment = lam
     _emit(args.out, doc)
     _print(lines)
@@ -292,11 +315,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_emergent(args) -> int:
-    from .assignments import BUILTIN_COMBINERS, emergent
+    from .assignments import emergent
 
     doc = _read_document(args.input)
     h = _need(doc, "hyperstructure")
-    comb = _combiner(args.combiner) or BUILTIN_COMBINERS["union"]
+    comb = _combiner(args.combiner)
     s1 = h.support_at(args.level, _split_ids(h, args.level, args.s1))
     s2 = h.support_at(args.level, _split_ids(h, args.level, args.s2))
     got = emergent(h.omegas[args.level], s1, s2, comb)
@@ -304,20 +327,8 @@ def cmd_emergent(args) -> int:
     return 0
 
 
-def _split_ids(h: Hyperstructure, level: int, joined: str):
-    out = []
-    for part in joined.split(","):
-        if part == "":
-            continue
-        try:
-            as_int = int(part)
-        except ValueError:
-            as_int = None
-        if as_int is not None and h.has_element(ElementId(level, as_int)):
-            out.append(as_int)
-        else:
-            out.append(part)
-    return out
+def _split_ids(h: Hyperstructure, level: int, joined: str) -> list[RawId]:
+    return [_resolve_id(h, level, part) for part in joined.split(",") if part != ""]
 
 
 def cmd_nerve(args) -> int:
@@ -328,10 +339,8 @@ def cmd_nerve(args) -> int:
     data = catelem.nerve(cat, args.max_dim)
     lines = []
     for k in range(data.max_dim + 1):
-        names = []
-        for s in data.simplices[k]:
-            names.append(str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")")
-        lines.append(f"dim {k}: " + (" ".join(sorted(names)) if names else "(none)"))
+        names = sorted(map(_simplex_name, data.simplices[k]))
+        lines.append(f"dim {k}: " + (" ".join(names) if names else "(none)"))
     if args.out:
         doc.simplicial = _flatten_nerve(data)
         _emit(args.out, doc)
@@ -343,13 +352,8 @@ def _flatten_nerve(data: catelem.SimplicialData) -> catelem.SimplicialData:
     """Rename chain simplices to strings so the nerve can live in a document."""
     from . import catelem
 
-    def name(s) -> str:
-        return str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")"
-
-    simplices = tuple(tuple(sorted(name(s) for s in dim)) for dim in data.simplices)
-    faces = {}
-    for sid, fs in data.faces.items():
-        faces[name(sid)] = tuple(None if f is None else name(f) for f in fs)
+    simplices = tuple(tuple(sorted(_simplex_name(s) for s in dim)) for dim in data.simplices)
+    faces = {_simplex_name(sid): tuple(None if f is None else _simplex_name(f) for f in fs) for sid, fs in data.faces.items()}
     return catelem.SimplicialData(max_dim=data.max_dim, simplices=simplices, faces=faces)
 
 

@@ -9,12 +9,13 @@ bytes and golden-file comparisons are trivial.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
-from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
+from .errors import DanglingReference, HyperstructError, ParseError, ReservedProperty, SchemaError
 
 # A payload section's module is imported by the reader or writer that needs
 # it, so a document without that section never loads it.
@@ -58,6 +59,25 @@ def _expect_id(value, where: str) -> RawId:
     return value
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def refuse_lone_surrogates(text: str, data, error: type[HyperstructError], where: str) -> None:
+    """Raise error on the first string of data, key or value, holding a lone surrogate.
+
+    UTF-8 cannot encode one, so such a string could be read but never written.
+    JSON text read as UTF-8 holds one only as an escape, so data is walked only when text has one.
+    """
+    stack = [data] if _SURROGATE_ESCAPE.search(text) else []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str) and _SURROGATE.search(v):
+            raise error(f"{where}string {v!r} holds a lone surrogate, which UTF-8 cannot encode")
+        if isinstance(v, (list, dict)):
+            stack.extend(reversed([x for kv in v.items() for x in kv] if isinstance(v, dict) else v))
+
+
 def _expect_state(value, where: str):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(f"{where}: states must be strings or integers, got {value!r}")
@@ -72,18 +92,6 @@ class StatesSection:
     connectors: tuple[Connector, ...] | None = None
     co_connectors: tuple[CoConnector, ...] | None = None
     assignment: LambdaAssignment | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, StatesSection):
-            return NotImplemented
-        return (
-            self.tower == other.tower
-            and self.base == other.base
-            and self.top == other.top
-            and self.connectors == other.connectors
-            and self.co_connectors == other.co_connectors
-            and self.assignment == other.assignment
-        )
 
 
 @dataclass
@@ -747,6 +755,7 @@ def parse(text: str) -> Document:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+    refuse_lone_surrogates(text, data, ParseError, "")
     obj = _expect_obj(data, "document", SECTIONS, {"format"})
     if obj["format"] != FORMAT:
         raise SchemaError(f"unsupported format {obj['format']!r}; expected {FORMAT!r}")

@@ -253,18 +253,14 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
         delta = connectors[i - 1]
         # families and boundaries as masks; ascending bits list them in
         # sorted_elements order, which fixes the order values are read in
-        index = _level_order(h, i).index
-        lower = _level_order(h, i - 1)
-        bonds = h.bonds_at(i)
-        support = [0] * len(index)  # support[k] = boundary mask of the level's k-th element
-        for b in bonds:
-            support[index[b.id]] = lower.mask_of(b.support.members)
+        order, lower = _level_order(h, i), _level_order(h, i - 1)
+        index, support = order.index, order.support
 
         def values(mask: int) -> list[StateToken]:
             states = lam.per_level[i - 1]
             return [states[lower.elements[j]] for j in _bit_indices(mask)]
 
-        for b in bonds:
+        for b in h.bonds_at(i):
             want = lam.get(b.id)
             if want is None or isinstance(want, Marker):
                 findings.append(Finding("totality", f"no state for {b.id!r}"))
@@ -275,8 +271,10 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
             boundary = support[index[b.id]]
             got = None  # every covering family recomputes b's boundary, so once per bond
             for sieve in sieves:
-                family = _family_bits(h, index, sieve.members)
-                if not family:
+                # the family's bonds at this level; other members drop out, but a bond of
+                # another level has its boundary elsewhere, so the family covers nothing
+                family = sorted(index[m] for m in sieve.members if m in index)
+                if not family or any(m not in index and h.is_bond(m) for m in sieve.members):
                     continue
                 covered = size = 0
                 for k in family:
@@ -299,23 +297,6 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                             Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
                         )
     return report("amalgamation", findings, notes)
-
-
-def _family_bits(h: Hyperstructure, index: Mapping[ElementId, int], members) -> list[int]:
-    """Bit positions of a sieve's bonds at the level index covers, ascending.
-
-    Non-bond members carry no boundary and drop out. A bond of another level
-    has its boundary elsewhere, so the family covers nothing: [] is returned.
-    """
-    bits = []
-    for m in members:
-        k = index.get(m)
-        if k is not None:
-            bits.append(k)
-        elif h.is_bond(m):
-            return []
-    bits.sort()
-    return bits
 
 
 def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment, level: int) -> CheckReport:

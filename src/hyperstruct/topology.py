@@ -7,11 +7,15 @@ closed bond families rooted at an element, a topology assigns sieve
 collections satisfying the maximality, stability and transitivity axioms,
 and a site is a tower paired with a topology that passed the checks.
 
-The axiom checker runs on a bitmask view of one level's preorder; that view
-is cached on the tower (towers are immutable), so sweeping many candidate
-topologies over one tower pays the setup cost once. The view is built from
-one member-to-elements mask per level, comparing each support only with the
-supports that share a member with it. An exhaustive transitivity sweep
+Every consumer of the preorder (refines, the sieve functions, the axiom
+checker, descent in states and refinement_category in catelem) reads one
+bitmask view per level, cached on the tower (towers are immutable), so
+sweeping many candidate topologies over one tower pays the setup cost once.
+A level's view holds each element's support as a mask over the level below
+(its own bit at level 0), so views are built bottom-up, and compares each
+support only with the supports that share a bit with it. An element above
+level 0 without a bond record leaves its level and those above it without a
+view: their consumers raise NotABond. An exhaustive transitivity sweep
 enumerates the sieves on a root by branching, at a cost proportional to the
 number of sieves rather than to the 2^|ideal| subsets of the root's ideal.
 
@@ -40,26 +44,6 @@ EXHAUSTIVE_CAP = 16
 SAMPLE_SIZE = 64
 
 
-def refinement_support(h: Hyperstructure, e: ElementId) -> frozenset[ElementId]:
-    """The member set that orders e: its support, or {e} at level 0."""
-    if e.level == 0:
-        if not h.has_element(e):
-            raise UnknownElement(f"no element {e!r}")
-        return frozenset({e})
-    return h.bond(e).support.members
-
-
-def refines(h: Hyperstructure, finer: ElementId, coarser: ElementId) -> bool:
-    """finer <= coarser in the refinement preorder (support inclusion)."""
-    if finer.level != coarser.level:
-        return False
-    return refinement_support(h, finer) <= refinement_support(h, coarser)
-
-
-def level_members(h: Hyperstructure, i: int) -> list[ElementId]:
-    return sorted_elements(h.elements(i))
-
-
 @dataclass(frozen=True)
 class Sieve:
     """A downward-closed family of same-level elements under a root."""
@@ -79,12 +63,27 @@ class Sieve:
 TopologyAssignment = Mapping[ElementId, frozenset[Sieve]]
 
 
+def _position(h: Hyperstructure, e: ElementId) -> tuple[_LevelOrder, int]:
+    """e's level order and e's bit in it."""
+    if not h.has_element(e):
+        raise UnknownElement(f"no element {e!r}")
+    order = _level_order(h, e.level)
+    return order, order.index[e]
+
+
+def refines(h: Hyperstructure, finer: ElementId, coarser: ElementId) -> bool:
+    """finer <= coarser in the refinement preorder (support inclusion)."""
+    _, j = _position(h, finer)
+    order, i = _position(h, coarser)
+    return finer.level == coarser.level and order.below[i] >> j & 1 == 1
+
+
 def maximal_sieve(h: Hyperstructure, b: ElementId) -> Sieve:
     """All same-level elements refining b."""
     if not h.has_element(b):
         raise NotABond(f"no element {b!r}")
-    members = frozenset(e for e in h.elements(b.level) if refines(h, e, b))
-    return Sieve(root=b, members=members)
+    order, i = _position(h, b)
+    return Sieve(root=b, members=order.unmask(order.below[i]))
 
 
 def is_sieve(h: Hyperstructure, candidates: Iterable[ElementId], root: ElementId) -> bool:
@@ -93,21 +92,19 @@ def is_sieve(h: Hyperstructure, candidates: Iterable[ElementId], root: ElementId
     levels = {e.level for e in cs} | {root.level}
     if len(levels) != 1:
         raise MixedLevels(f"candidates span levels {sorted(levels)}")
-    for e in cs:
-        if not refines(h, e, root):
-            return False
-    for e in cs:
-        for finer in h.elements(root.level):
-            if refines(h, finer, e) and finer not in cs:
-                return False
-    return True
+    order, i = _position(h, root)
+    m = order.mask_of(cs)
+    return not m & ~order.below[i] and order.is_downset(m)
 
 
 def pullback_sieve(h: Hyperstructure, sieve: Sieve, finer_root: ElementId) -> Sieve:
     """Restrict a sieve along a refinement of its root."""
-    if not refines(h, finer_root, sieve.root):
+    order, i = _position(h, finer_root)
+    _, k = _position(h, sieve.root)
+    if finer_root.level != sieve.root.level or not order.below[k] >> i & 1:
         raise NotRefinement(f"{finer_root!r} does not refine {sieve.root!r}")
-    return Sieve(root=finer_root, members=frozenset(s for s in sieve.members if refines(h, s, finer_root)))
+    m = order.mask_of([s for s in sieve.members if s.level == finer_root.level])
+    return Sieve(root=finer_root, members=order.unmask(m & order.below[i]))
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -124,42 +121,54 @@ class _LevelOrder:
     """Bitmask view of one level's refinement preorder.
 
     Bit j stands for elements[j]; the level is sorted by key, so ascending
-    bits list a family in sorted_elements order.
+    bits list a family in sorted_elements order. support[j] is the mask that
+    orders elements[j]: its bond's boundary over the level below's bits, or
+    its own bit at level 0. below[i] is the mask of elements refining
+    elements[i], those whose support lies under support[i].
     """
 
-    __slots__ = ("elements", "index", "ids", "below", "downsets")
+    __slots__ = ("elements", "index", "ids", "support", "below", "downsets")
 
-    def __init__(self, h: Hyperstructure, level: int):
-        self.elements = level_members(h, level)
+    def __init__(self, h: Hyperstructure, level: int, lower: _LevelOrder | None):
+        self.elements = sorted_elements(h.elements(level))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.ids = [str(e.id) for e in self.elements]
-        supports = [refinement_support(h, e) for e in self.elements]
-        # containing[m] = mask of elements whose support holds member m; a
-        # support under another is empty or shares one of its members, so
-        # only those candidates are compared
-        containing: dict[ElementId, int] = {}
+        self.downsets: dict[int, list[int]] = {}
+        if lower is None:  # each level-0 element refines only itself
+            self.support = self.below = [1 << j for j in range(len(self.elements))]
+            return
+        self.support = [lower.mask_of(h.bond(e).support.members) for e in self.elements]
+        # containing[m] = mask of elements whose support holds bit m; a
+        # support under another is empty or shares one of its bits, so only
+        # those candidates are compared
+        bits = [_bit_indices(s) for s in self.support]
+        containing = [0] * len(lower.elements)
         empty = 0
-        for j, s in enumerate(supports):
-            for m in s:
-                containing[m] = containing.get(m, 0) | 1 << j
-            if not s:
+        for j, members in enumerate(bits):
+            for m in members:
+                containing[m] |= 1 << j
+            if not members:
                 empty |= 1 << j
-        self.below = []  # below[i] = mask of elements refining element i
-        for s in supports:
+        self.below = []
+        for s, members in zip(self.support, bits):
             sharing = 0
-            for m in s:
+            for m in members:
                 sharing |= containing[m]
             refining = empty
             for j in _bit_indices(sharing):
-                if supports[j] <= s:
+                if not self.support[j] & ~s:
                     refining |= 1 << j
             self.below.append(refining)
-        self.downsets: dict[int, list[int]] = {}
 
     def mask_of(self, members: Iterable[ElementId]) -> int:
+        """The mask of members; UnknownElement names the first (sorted) member the level lacks."""
         m = 0
-        for e in members:
-            m |= 1 << self.index[e]
+        try:
+            for e in members:
+                m |= 1 << self.index[e]
+        except KeyError:
+            stray = next(e for e in sorted_elements(members) if e not in self.index)
+            raise UnknownElement(f"no element {stray!r}") from None
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
@@ -209,16 +218,16 @@ class _LevelOrder:
 
 def _level_order(h: Hyperstructure, level: int) -> _LevelOrder:
     orders = h.refinement_orders
-    got = orders.get(level)
-    if got is None:
-        got = orders[level] = _LevelOrder(h, level)
-    return got
+    if level not in orders:
+        h.check_level(level)
+        for i in range(len(orders), level + 1):  # built bottom-up, so levels 0..len-1 are cached
+            orders[i] = _LevelOrder(h, i, orders.get(i - 1))
+    return orders[level]
 
 
 def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
-    order = _level_order(h, b.level)
-    masks = order.downsets_below(order.index[b])
-    return [Sieve(root=b, members=order.unmask(m)) for m in masks]
+    order, i = _position(h, b)
+    return [Sieve(root=b, members=order.unmask(m)) for m in order.downsets_below(i)]
 
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
@@ -255,7 +264,6 @@ def is_grothendieck_topology(
     violations are found as the report is read: `passed` stops at the
     first, and the witnesses of the rest are written when the findings are.
     """
-    h.check_level(level)
     order = _level_order(h, level)
     elements = order.elements
     name = f"grothendieck-topology level {level}"
@@ -289,7 +297,7 @@ def is_grothendieck_topology(
                 continue
             try:
                 m = order.mask_of(s.members)
-            except KeyError:
+            except UnknownElement:
                 stray = next(e for e in sorted_elements(s.members) if e not in order.index)
                 invalid.append(Finding("not-a-sieve", f"family under {b!r} names {stray!r}, not a level-{level} element: {s!r}"))
                 continue
@@ -364,12 +372,8 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
 
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     """The topology whose only covering of each element is its maximal sieve."""
-    out = {}
-    for i in range(h.order + 1):
-        order = _level_order(h, i)
-        for j, e in enumerate(order.elements):
-            out[e] = frozenset({Sieve(e, order.unmask(order.below[j]))})
-    return out
+    orders = [_level_order(h, i) for i in range(h.order + 1)]
+    return {e: frozenset({Sieve(e, o.unmask(m))}) for o in orders for e, m in zip(o.elements, o.below)}
 
 
 @dataclass(frozen=True)
@@ -423,8 +427,9 @@ class Site:
     """A tower together with a topology that passed every level's axioms.
 
     Build one with make_site: the descent check reads the refinement orders
-    that make_site builds, and a tower they cannot be built for (an element
-    above level 0 without a bond record) raises NotABond in both.
+    that make_site builds. A tower they cannot be built for (an element above
+    level 0 without a bond record) raises NotABond there, as it does in every
+    other consumer of the order.
     """
 
     h: Hyperstructure

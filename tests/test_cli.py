@@ -389,3 +389,54 @@ class TestErrorShape:
         reason = "No such file or directory" if target.startswith("nodir") else "Is a directory"
         assert out.splitlines() == ["error: SchemaError", f"cannot write {path}: {reason}"]
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("hypergraph", '{"vertices": [[1]], "edges": []}'),
+            ("hypergraph", '{"vertices": 5, "edges": []}'),
+            ("hypergraph", '{"vertices": ["a"], "edges": [5]}'),
+            ("relation", '{"components": 3, "tuples": []}'),
+            ("hypergraph", '{"vertices": [1.5, true], "edges": [[1.5, true]]}'),
+            ("simplicial", '{"vertices": [null], "simplices": [[null]]}'),
+        ],
+    )
+    def test_malformed_install_payload(self, capsys, tmp_path, kind, payload):
+        p = tmp_path / "payload.json"
+        p.write_text(payload)
+        out_path = tmp_path / "out.json"
+        code, out = run(capsys, "install", kind, str(p), "--out", str(out_path))
+        assert code == 2
+        assert out.splitlines()[0] == "error: SchemaError"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", "\\udbff"])
+    @pytest.mark.parametrize("command, kind", [("validate", "ParseError"), ("install", "SchemaError")])
+    def test_lone_surrogate_is_refused_when_read(self, capsys, tmp_path, command, kind, escape):
+        # UTF-8 cannot encode it, so it could be read but never written
+        p = tmp_path / "surrogate.json"
+        payload = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+        if command == "install":
+            text = json.dumps(payload).replace('"a"', f'"{escape}"')
+            argv = ["install", "hypergraph", str(p), "--out", str(tmp_path / "out.json")]
+        else:
+            text = (CORPUS / "hypergraph.json").read_text().replace('"d"', f'"{escape}"')
+            argv = ["validate", str(p)]
+        assert escape in text
+        p.write_text(text)
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[0] == f"error: {kind}"
+        assert "lone surrogate" in out
+        assert not (tmp_path / "out.json").exists()
+
+    def test_escaped_surrogate_pair_still_reads(self, capsys, tmp_path):
+        p = tmp_path / "pair.json"
+        p.write_text('{"vertices": ["\\ud83d\\ude00", "b", "\\\\ud800"], "edges": [["\\uD83D\\uDE00", "b"]]}')
+        out_path = tmp_path / "out.json"
+        code, out = run(capsys, "install", "hypergraph", str(p), "--out", str(out_path))
+        assert code == 0
+        h = parse(out_path.read_text(encoding="utf-8")).hyperstructure
+        assert {e.id for e in h.levels[0]} == {"\U0001f600", "b", "\\ud800"}
+        code, out = run(capsys, "validate", str(out_path))
+        assert (code, out) == (0, "validate: pass\n")

@@ -152,6 +152,35 @@ class TestErrors:
         with pytest.raises(SchemaError, match="missing field"):
             parse("{}")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"a"', '"\\ud800"'),  # an id
+            ('"p"', '"\\uDFFF"'),  # a property token
+            ('"order"', '"\\udc00order"'),  # an object key
+        ],
+    )
+    def test_lone_surrogate_refused(self, old, new):
+        doc = {
+            "format": "hyperstruct/1",
+            "hyperstructure": {
+                "order": 1,
+                "levels": [["a"], ["b1"]],
+                "omega": [[{"support": ["a"], "properties": ["p"]}], []],
+                "bonds": [{"id": "b1", "level": 1, "support": ["a"], "property": "p"}],
+            },
+        }
+        text = json.dumps(doc)
+        assert old in text
+        with pytest.raises(ParseError, match="lone surrogate"):
+            parse(text.replace(old, new))
+
+    def test_escaped_surrogate_pair_parses(self):
+        text = '{"format": "hyperstruct/1", "hyperstructure": {"order": 0, "levels": [["\\ud83d\\ude00", "\\\\udc00"]], "omega": [[]], "bonds": []}}'
+        h = parse(text).hyperstructure
+        assert {e.id for e in h.levels[0]} == {"\U0001f600", "\\udc00"}
+        assert parse(serialize(Document(hyperstructure=h))).hyperstructure == h
+
 
 class TestIntegerIds:
     def test_int_and_string_ids_coexist(self):

@@ -10,14 +10,35 @@ from helpers import (
     all_posets_up_to_iso,
     mixed_id_tower,
     naive_is_topology,
+    naive_leq,
     poset_as_supports,
     random_tower,
     reference_is_grothendieck_topology,
     tower_from_supports,
 )
-from hyperstruct.core import BondSpec, ElementId, add_bond, add_bonds, assign_property, identity_bond, new_hyperstructure, sorted_elements
+from hyperstruct.catelem import poset_category, refinement_category
+from hyperstruct.core import (
+    IDENTITY_PROPERTY,
+    BondSpec,
+    ElementId,
+    Support,
+    add_bond,
+    add_bonds,
+    assign_property,
+    identity_bond,
+    new_hyperstructure,
+    sorted_elements,
+)
 from hyperstruct.document import Document, parse, serialize
-from hyperstruct.errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge
+from hyperstruct.errors import (
+    LevelOutOfRange,
+    MixedLevels,
+    NotABond,
+    NotATopology,
+    NotRefinement,
+    SweepTooLarge,
+    UnknownElement,
+)
 from hyperstruct.installers import from_simplicial_complex, make_brunnian_tower
 from hyperstruct.topology import (
     EXHAUSTIVE_CAP,
@@ -147,14 +168,14 @@ class TestPullbackSieve:
 
 
 class TestMaximalTopology:
-    """maximal_topology reads the cached level order; maximal_sieve scans supports."""
+    """maximal_topology against maximal sieves collected by helpers.naive_leq."""
 
     @staticmethod
     def assert_matches_maximal_sieves(h):
         j = maximal_topology(h)
         assert set(j) == {e for level in h.levels for e in level}
         for e, sieves in j.items():
-            assert sieves == frozenset({maximal_sieve(h, e)})
+            assert sieves == frozenset({Sieve(e, frozenset(a for a in h.levels[e.level] if naive_leq(h, a, e)))})
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**31))
@@ -344,8 +365,11 @@ class TestLevelOrder:
             order = _level_order(h, level)
             elements = order.elements
             assert elements == sorted_elements(h.elements(level))
-            below = [sum(1 << j for j, e in enumerate(elements) if refines(h, e, b)) for b in elements]
+            below = [sum(1 << j for j, e in enumerate(elements) if naive_leq(h, e, b)) for b in elements]
             assert order.below == below
+            if level:  # supports as masks over the level below's sorted elements
+                lower = sorted_elements(h.elements(level - 1))
+                assert order.support == [sum(1 << lower.index(m) for m in h.bond(b).support.members) for b in elements]
             for i, b in enumerate(elements):
                 ideal = _bit_indices(below[i])
                 if len(ideal) <= 10:
@@ -393,6 +417,122 @@ class TestLevelOrder:
         h = parse(json.dumps(obj)).hyperstructure
         self.assert_matches_oracles(h, random.Random(0))
         assert _level_order(h, 1).below == [0b01, 0b11]
+
+
+def identity_tower(order: int):
+    """One base element under `order` stacked identity bonds: one element per level."""
+    h = new_hyperstructure(["x"])
+    specs, below = [], ElementId(0, "x")
+    for i in range(order):
+        specs.append(BondSpec(i, Support(i, frozenset({below})), IDENTITY_PROPERTY, f"e{i}", True))
+        below = ElementId(i + 1, f"e{i}")
+    return add_bonds(h, specs)
+
+
+class TestOrderConsumersMatchNaive:
+    """refines, the sieve functions and refinement_category read the level order;
+    their naive forms here compare supports through helpers.naive_leq."""
+
+    @staticmethod
+    def assert_matches(h, rng):
+        for level in range(h.order + 1):
+            elements = sorted_elements(h.elements(level))
+            leq = {(a, b): naive_leq(h, a, b) for a in elements for b in elements}
+            elsewhere = [e for i in range(h.order + 1) if i != level for e in h.levels[i]]
+            assert refinement_category(h, level) == poset_category(elements, lambda a, b: leq[a, b])
+            for b in elements:
+                assert [refines(h, a, b) for a in elements] == [leq[a, b] for a in elements]
+                assert maximal_sieve(h, b) == Sieve(b, frozenset(a for a in elements if leq[a, b]))
+                if elsewhere:
+                    assert not refines(h, rng.choice(elsewhere), b)
+                for _ in range(4):
+                    cs = frozenset(a for a in elements if rng.random() < 0.4)
+                    closed = all(f in cs for e in cs for f in elements if leq[f, e])
+                    assert is_sieve(h, cs, b) == (all(leq[e, b] for e in cs) and closed)
+                    a = rng.choice(elements)
+                    sieve = Sieve(b, cs | frozenset(rng.sample(elsewhere, min(2, len(elsewhere)))))
+                    if leq[a, b]:
+                        assert pullback_sieve(h, sieve, a) == Sieve(a, frozenset(s for s in cs if leq[s, a]))
+                    else:
+                        with pytest.raises(NotRefinement):
+                            pullback_sieve(h, sieve, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_random_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(random_tower(rng, max_order=3, max_per_level=10), rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mixed_id_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches(mixed_id_tower(rng), rng)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    def test_brunnian_towers(self, branching):
+        self.assert_matches(make_brunnian_tower(branching), random.Random(len(branching)))
+
+
+class TestOrderErrors:
+    """Error classes of the order consumers on elements and towers they cannot order."""
+
+    def test_unknown_elements(self):
+        h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"})])
+        b0, b1 = h.element(1, "b0"), h.element(1, "b1")
+        ghost, ghost_root, ghost_high = ElementId(1, "nope"), ElementId(0, "nope"), ElementId(5, "b0")
+        for e in (ghost, ghost_root, ghost_high):
+            with pytest.raises(UnknownElement):
+                refines(h, e, b1)
+            with pytest.raises(UnknownElement):
+                refines(h, b1, e)
+            with pytest.raises(NotABond):
+                maximal_sieve(h, e)
+            with pytest.raises(UnknownElement):
+                is_sieve(h, [], e)
+            with pytest.raises(UnknownElement):
+                all_sieves_on(h, e)
+            with pytest.raises(UnknownElement):
+                pullback_sieve(h, maximal_sieve(h, b1), e)
+            with pytest.raises(UnknownElement):
+                pullback_sieve(h, Sieve(e, frozenset()), b0)
+        with pytest.raises(UnknownElement):
+            is_sieve(h, [b0, ghost], b1)
+        with pytest.raises(UnknownElement):
+            pullback_sieve(h, Sieve(b1, frozenset({b0, ghost})), b0)
+        with pytest.raises(LevelOutOfRange):
+            refinement_category(h, 2)
+
+    def test_element_without_a_bond_record(self):
+        # parse keeps a level-1 element whose bond record is gone (validate
+        # flags it); no order can be built for its level or the ones above
+        h = graded_triangle()
+        obj = json.loads(serialize(Document(hyperstructure=h)))
+        bonds = obj["hyperstructure"]["bonds"]
+        bonds.remove(next(b for b in bonds if b["id"] == "{v0,v1}"))
+        h = parse(json.dumps(obj)).hyperstructure
+        e12, top, v0 = h.element(1, "{v1,v2}"), h.element(2, "{v0,v1,v2}"), h.element(0, "v0")
+        calls = [
+            lambda: refines(h, e12, e12),
+            lambda: maximal_sieve(h, top),
+            lambda: is_sieve(h, [], e12),
+            lambda: pullback_sieve(h, Sieve(top, frozenset()), top),
+            lambda: refinement_category(h, 2),
+            lambda: maximal_topology(h),
+            lambda: is_grothendieck_topology(h, {}, 1),
+        ]
+        for call in calls:
+            with pytest.raises(NotABond):
+                call()
+        assert refines(h, v0, v0) and maximal_sieve(h, v0) == Sieve(v0, frozenset({v0}))
+
+    def test_deep_tower_builds_its_orders_without_recursing(self):
+        h = identity_tower(1500)
+        rep = is_grothendieck_topology(h, {}, h.order)
+        assert not rep.passed
+        assert rep.findings[0].message == "no sieve collection at 1500:e1499"
+        assert maximal_sieve(h, ElementId(1500, "e1499")).members == frozenset({ElementId(1500, "e1499")})
 
 
 GOLDEN_TOWER = [(5, [0]), ("a", [0, 1]), ("t", [0, 1]), (7, [0, 1, "x"]), ("z", ["y"]), (12, [1])]
