@@ -60,7 +60,6 @@ def _expect_id(value, where: str) -> RawId:
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def refuse_lone_surrogates(text: str, data, error: type[HyperstructError], where: str) -> None:
@@ -72,7 +71,7 @@ def refuse_lone_surrogates(text: str, data, error: type[HyperstructError], where
     stack = [data] if _SURROGATE_ESCAPE.search(text) else []
     while stack:
         v = stack.pop()
-        if isinstance(v, str) and _SURROGATE.search(v):
+        if isinstance(v, str) and re.search("[\ud800-\udfff]", v):  # compiled only when text has an escape
             raise error(f"{where}string {v!r} holds a lone surrogate, which UTF-8 cannot encode")
         if isinstance(v, (list, dict)):
             stack.extend(reversed([x for kv in v.items() for x in kv] if isinstance(v, dict) else v))
