@@ -4,6 +4,17 @@ The category of elements turns a presheaf into a new category whose objects
 are (object, section) pairs; iterating it through a property presheaf and a
 binding presheaf stacks categorical levels. Nerves list composable chains of
 non-identity morphisms, and Betti numbers come from GF(2) boundary ranks.
+
+Which constructors verify the category laws: `finite_category` checks every
+one, and is the entry point for outside data such as documents. The
+categories the library derives inherit their laws instead. `poset_category`
+(with `refinement_category` and `boundary_category`) checks only that its
+elements are distinct and `leq` is a preorder, and `discrete_category` only
+that its objects are distinct. `category_of_elements` validates the
+presheaf and, when its input came from one of these constructors, skips the
+law checks on its output. Whenever such a check fails, or the input is a
+`FiniteCategory(...)` built by hand, the spec goes through
+`finite_category`, so every rejection has the same class and message.
 """
 from __future__ import annotations
 
@@ -52,13 +63,6 @@ class FiniteCategory:
             raise InvalidCategory(f"composite of ({g!r}, {f!r}) undefined")
         return got
 
-    def is_identity(self, m: MorId) -> bool:
-        mor = self.morphism(m)
-        return self.identities.get(mor.src) == m
-
-    def non_identity_morphisms(self) -> list[Morphism]:
-        return [m for m in self.morphisms if not self.is_identity(m.id)]
-
     @cached_property
     def out_of(self) -> dict[ObjId, list[Morphism]]:
         """Morphisms grouped by source, each group in morphism order."""
@@ -75,16 +79,40 @@ class FiniteCategory:
         return [m.id for m in self.out_of.get(src, ()) if m.tgt == tgt]
 
 
+def _assemble(objects, morphisms, identities, composition) -> FiniteCategory:
+    """Build the category with morphisms in id-key order; checks no law."""
+    mors = tuple(sorted(morphisms, key=lambda m: _key(m.id)))
+    return FiniteCategory(objects=frozenset(objects), morphisms=mors, identities=dict(identities), composition=dict(composition))
+
+
+def _mark_lawful(cat: FiniteCategory) -> FiniteCategory:
+    # kept out of the dataclass fields, so ==, repr and hash ignore it
+    cat.__dict__["_lawful"] = True
+    return cat
+
+
+def _is_lawful(cat: FiniteCategory) -> bool:
+    return "_lawful" in cat.__dict__
+
+
+def _derived(lawful: bool, *spec) -> FiniteCategory:
+    """A spec whose laws the caller has established, or else the full check."""
+    return _mark_lawful(_assemble(*spec)) if lawful else finite_category(*spec)
+
+
 def finite_category(
     objects: Iterable[ObjId],
     morphisms: Iterable[Morphism],
     identities: Mapping[ObjId, MorId],
     composition: Mapping[tuple[MorId, MorId], MorId],
 ) -> FiniteCategory:
-    """Assemble and exhaustively verify the category laws."""
-    objs = frozenset(objects)
-    mors = tuple(sorted(morphisms, key=lambda m: _key(m.id)))
-    cat = FiniteCategory(objects=objs, morphisms=mors, identities=dict(identities), composition=dict(composition))
+    """Assemble and exhaustively verify the category laws.
+
+    This is the constructor for categories from outside the library, such
+    as documents; objects are walked in id-key order, so the first fault
+    reported does not depend on the hash seed."""
+    cat = _assemble(objects, morphisms, identities, composition)
+    objs, mors = cat.objects, cat.morphisms
     if len(cat.by_id) != len(mors):
         raise InvalidCategory("morphism ids repeat")
     for m in mors:
@@ -93,7 +121,7 @@ def finite_category(
     for c in identities:
         if c not in objs:
             raise InvalidCategory(f"identity listed for unknown object {c!r}")
-    for c in objs:
+    for c in sorted(objs, key=_key):
         i = identities.get(c)
         if i is None or i not in cat.by_id:
             raise InvalidCategory(f"object {c!r} lacks an identity morphism")
@@ -121,7 +149,7 @@ def finite_category(
         for h_ in cat.out_of.get(g.tgt, ()):
             if cat.compose(cat.compose(h_.id, g.id), f.id) != cat.compose(h_.id, gf):
                 raise InvalidCategory(f"associativity fails at ({h_.id!r}, {g.id!r}, {f.id!r})")
-    return cat
+    return _mark_lawful(cat)
 
 
 def discrete_category(objects: Iterable[ObjId]) -> FiniteCategory:
@@ -129,17 +157,23 @@ def discrete_category(objects: Iterable[ObjId]) -> FiniteCategory:
     mors = [Morphism(("id", c), c, c) for c in objs]
     identities = {c: ("id", c) for c in objs}
     composition = {((("id", c)), (("id", c))): ("id", c) for c in objs}
-    return finite_category(objs, mors, identities, composition)
+    return _derived(len(identities) == len(objs), objs, mors, identities, composition)
 
 
 def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
-    """One morphism x -> y per related pair x <= y."""
+    """One morphism x -> y per related pair x <= y.
+
+    Distinct elements under a reflexive, transitive `leq` give a category
+    with at most one arrow per hom-set, so its laws hold unchecked; any
+    other input goes through `finite_category`, which names the fault."""
     objs = list(elements)
     up = {x: [y for y in objs if leq(x, y)] for x in objs}
     mors = [Morphism((x, y), x, y) for x in objs for y in up[x]]
     identities = {x: (x, x) for x in objs}
     composition = {((y, z), (x, y)): (x, z) for x in objs for y in up[x] for z in up[y]}
-    return finite_category(objs, mors, identities, composition)
+    ups = {x: set(ys) for x, ys in up.items()}
+    preorder = len(ups) == len(objs) and all(x in ys and all(ups[y] <= ys for y in up[x]) for x, ys in ups.items())
+    return _derived(preorder, objs, mors, identities, composition)
 
 
 @dataclass(frozen=True)
@@ -164,28 +198,41 @@ class Presheaf:
 
 def validate_presheaf(cat: FiniteCategory, p: Presheaf) -> None:
     """Brute-force the functor laws; raises on the first failure."""
+    _checked_sections(cat, p)
+
+
+def _checked_sections(cat: FiniteCategory, p: Presheaf) -> dict[ObjId, list]:
+    """Each object's sections in key order, once the functor laws hold.
+
+    Objects and sections are walked in key order, so the first failure
+    reported does not depend on the hash seed."""
     for c in p.on_objects:
         if c not in cat.objects:
             raise InvalidPresheaf(f"value listed at unknown object {c!r}")
     for u in p.on_morphisms:
         if u not in cat.by_id:
             raise InvalidPresheaf(f"action listed for unknown morphism {u!r}")
-    for c in cat.objects:
-        p.at(c)
+    objs = sorted(cat.objects, key=_key)
+    sections = {c: sorted(p.at(c), key=_key) for c in objs}
+
+    def at(c):  # p.at raises for an object the category lacks
+        return sections[c] if c in sections else p.at(c)
+
     for m in cat.morphisms:
-        for x in p.at(m.tgt):
+        for x in at(m.tgt):
             y = p.act(m.id, x)
             if y not in p.at(m.src):
                 raise InvalidPresheaf(f"{m.id!r} maps {x!r} outside the value at {m.src!r}")
-    for c in cat.objects:
-        for x in p.at(c):
+    for c in objs:
+        for x in sections[c]:
             if p.act(cat.identities[c], x) != x:
                 raise InvalidPresheaf(f"identity action at {c!r} moves {x!r}")
     for g, f in cat.composable_pairs():
         gf = cat.compose(g.id, f.id)
-        for x in p.at(g.tgt):
+        for x in at(g.tgt):
             if p.act(f.id, p.act(g.id, x)) != p.act(gf, x):
                 raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
+    return sections
 
 
 def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
@@ -200,31 +247,31 @@ def category_of_elements(cat: FiniteCategory, p: Presheaf) -> FiniteCategory:
     """Pairs (object, section) with the morphisms whose action matches.
 
     A morphism u: C' -> C and a section x over C give one morphism
-    (C', u action on x) -> (C, x); composition is inherited.
+    (C', u action on x) -> (C, x); composition is inherited. The presheaf
+    is always validated. The output's laws then follow from the input's,
+    so they are checked only when the input is not a category this module
+    built (one constructed by hand may break them).
     """
-    validate_presheaf(cat, p)
-    objects = [(c, x) for c in cat.objects for x in p.at(c)]
-    morphisms = []
-    identities = {}
-    for m in cat.morphisms:
-        for x in p.at(m.tgt):
-            mid = (m.id, x)
-            morphisms.append(Morphism(mid, (m.src, p.act(m.id, x)), (m.tgt, x)))
-    for c, x in objects:
-        identities[(c, x)] = (cat.identities[c], x)
+    sections = _checked_sections(cat, p)
+    act = p.on_morphisms  # every action read below was validated
+    objects = [(c, x) for c, xs in sections.items() for x in xs]
+    morphisms = [Morphism((m.id, x), (m.src, act[m.id][x]), (m.tgt, x)) for m in cat.morphisms for x in sections[m.tgt]]
+    identities = {(c, x): (cat.identities[c], x) for c, x in objects}
     composition = {}
     for g, f in cat.composable_pairs():
-        gf = cat.compose(g.id, f.id)
-        for x in p.at(g.tgt):
-            composition[((g.id, x), (f.id, p.act(g.id, x)))] = (gf, x)
-    return finite_category(objects, morphisms, identities, composition)
+        gf = cat.composition[g.id, f.id]
+        for x in sections[g.tgt]:
+            composition[((g.id, x), (f.id, act[g.id][x]))] = (gf, x)
+    return _derived(_is_lawful(cat), objects, morphisms, identities, composition)
 
 
 def build_level(cat: FiniteCategory, omega: Presheaf, binding: Presheaf) -> tuple[FiniteCategory, FiniteCategory]:
     """One categorical level step: the pair category, then the next level.
 
     omega lives over cat; binding lives over the category of elements of
-    omega. Returns (pair category, next level), both fully validated.
+    omega. Both presheaves are validated; each output's laws are inherited
+    from a lawful `cat` (see `category_of_elements`) and checked in full
+    otherwise. Returns (pair category, next level).
     """
     gamma_cat = category_of_elements(cat, omega)
     next_cat = category_of_elements(gamma_cat, binding)
@@ -261,20 +308,31 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     if max_dim < 0:
         raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
     dims: list[tuple] = [tuple(sorted(cat.objects, key=_key))]
-    non_id = cat.non_identity_morphisms()
+    identity = {m.id for m in cat.morphisms if cat.identities.get(m.src) == m.id}
+    non_id = [m for m in cat.morphisms if m.id not in identity]
+    tgt = {m.id: m.tgt for m in non_id}
+    out: dict = {}
+    for m in non_id:
+        out.setdefault(m.src, []).append(m.id)
+    composition = cat.composition
     chains: list[tuple] = [(m.id,) for m in non_id]
     faces: dict = {(m.id,): (m.tgt, m.src) for m in non_id}  # drop-source vertex first, then drop-target
     if max_dim >= 1:
         dims.append(tuple(chains))
     for _ in range(2, max_dim + 1):
-        chains = [
-            chain + (m.id,) for chain in chains for m in cat.out_of.get(cat.morphism(chain[-1]).tgt, ()) if not cat.is_identity(m.id)
-        ]
+        chains = [chain + (n,) for chain in chains for n in out.get(tgt[chain[-1]], ())]
         for chain in chains:
             fs: list = [chain[1:]]  # drop first arrow
             for j in range(len(chain) - 1):
-                comp = cat.compose(chain[j + 1], chain[j])
-                fs.append(None if cat.is_identity(comp) else chain[:j] + (comp,) + chain[j + 2 :])
+                comp = composition.get((chain[j + 1], chain[j]))
+                if comp is None:
+                    raise InvalidCategory(f"composite of ({chain[j + 1]!r}, {chain[j]!r}) undefined")
+                if comp in identity:
+                    fs.append(None)  # the chain collapses onto an identity
+                elif comp in tgt:
+                    fs.append(chain[:j] + (comp,) + chain[j + 2 :])
+                else:
+                    raise InvalidCategory(f"unknown morphism {comp!r}")
             fs.append(chain[:-1])  # drop last arrow
             faces[chain] = tuple(fs)
         dims.append(tuple(chains))

@@ -38,8 +38,12 @@ def _base_support(raw_ids: Iterable[RawId]) -> Support:
     return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
 
 
+def _raw_key(r: RawId) -> tuple[bool, RawId]:
+    return isinstance(r, str), r
+
+
 def _canonical_name(raw_ids: Iterable[RawId]) -> str:
-    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=lambda r: (isinstance(r, str), r))) + "}"
+    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=_raw_key)) + "}"
 
 
 def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequence[RawId]]) -> Hyperstructure:
@@ -50,7 +54,7 @@ def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequen
     its tagged coordinates.
     """
     comps = [set(c) for c in components]
-    base = [f"{x}@{k + 1}" for k, comp in enumerate(comps) for x in sorted(comp, key=lambda r: (isinstance(r, str), r))]
+    base = [f"{x}@{k + 1}" for k, comp in enumerate(comps) for x in sorted(comp, key=_raw_key)]
     h = new_hyperstructure(base)
 
     def specs():
@@ -98,16 +102,20 @@ def from_simplicial_complex(
     mode stacks them: a k-simplex becomes a level-k bond over its k+1
     codimension-1 face bonds, so boundaries unfold face by face.
     """
-    vs = sorted(set(vertices), key=lambda r: (isinstance(r, str), r))
+    vs = sorted(set(vertices), key=_raw_key)
     sset = {frozenset(s) for s in simplices}
     sset.discard(frozenset())
     vset = set(vs)
-    for s in sset:
-        for v in s:
+    # simplices and their vertices in a fixed order, so the first fault
+    # reported does not depend on the hash seed
+    ordered = sorted(sset, key=lambda s: (len(s), _canonical_name(s)))
+    for s in ordered:
+        svs = sorted(s, key=_raw_key)
+        for v in svs:
             if v not in vset:
                 raise UnknownVertex(f"simplex vertex {v!r} not declared")
         if len(s) > 1:
-            for face in combinations(sorted(s, key=lambda r: (isinstance(r, str), r)), len(s) - 1):
+            for face in combinations(svs, len(s) - 1):
                 if frozenset(face) not in sset:
                     raise DownwardClosureViolation(
                         f"simplex {_canonical_name(s)} lacks face {_canonical_name(face)}"
@@ -117,7 +125,7 @@ def from_simplicial_complex(
             raise DownwardClosureViolation(f"vertex {v!r} is not listed as a singleton simplex")
 
     h = new_hyperstructure(vs)
-    by_size = sorted((s for s in sset if len(s) >= 2), key=lambda s: (len(s), _canonical_name(s)))
+    by_size = [s for s in ordered if len(s) >= 2]
     if not by_size:
         return h
 
@@ -132,7 +140,7 @@ def from_simplicial_complex(
         if k == 1:
             sup = _base_support(s)
         else:
-            faces = combinations(sorted(s, key=lambda r: (isinstance(r, str), r)), len(s) - 1)
+            faces = combinations(sorted(s, key=_raw_key), len(s) - 1)
             sup = Support(k - 1, frozenset(ElementId(k - 1, _canonical_name(face)) for face in faces))
         specs.append(BondSpec(k - 1, sup, SIMPLEX_PROPERTY, _canonical_name(s)))
     return add_bonds(h, specs)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import ElementId, Hyperstructure, sorted_elements
-from .errors import MixedLevels, NotABond, NotATopology, NotRefinement, SweepTooLarge, UnknownElement
+from .errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding, report
 
 #: Transitivity sweeps are exhaustive by default up to this many bonds per
@@ -80,8 +80,6 @@ def refines(h: Hyperstructure, finer: ElementId, coarser: ElementId) -> bool:
 
 def maximal_sieve(h: Hyperstructure, b: ElementId) -> Sieve:
     """All same-level elements refining b."""
-    if not h.has_element(b):
-        raise NotABond(f"no element {b!r}")
     order, i = _position(h, b)
     return Sieve(root=b, members=order.unmask(order.below[i]))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -17,6 +18,7 @@ from helpers import (
 )
 from hyperstruct.catelem import (
     FiniteCategory,
+    _is_lawful,
     Morphism,
     Presheaf,
     SimplicialData,
@@ -510,6 +512,127 @@ class TestCompositionIndex:
             nerve(ARROW, max_dim)
         with pytest.raises(InconsistentComplex, match="non-negative"):
             betti_gf2(nerve(ARROW, 1), max_dim)
+
+
+def _outcome(build):
+    """The built category, or the class and message of its rejection."""
+    try:
+        return build()
+    except (InvalidCategory, InvalidPresheaf) as e:
+        return type(e), e.message
+
+
+def _poset_spec(elements, leq):
+    """poset_category's spec, spelled out from its definition."""
+    objs = list(elements)
+    rel = [(x, y) for x in objs for y in objs if leq(x, y)]
+    composition = {((y, z), (x, y)): (x, z) for (x, y) in rel for (y2, z) in rel if y2 == y}
+    return objs, [Morphism(r, *r) for r in rel], {x: (x, x) for x in objs}, composition
+
+
+@st.composite
+def relations(draw):
+    """Elements with repeats allowed, and a relation on them that may miss
+    reflexivity or transitivity."""
+    elements = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    pool = sorted(set(elements))
+    rel = set(draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=8)))
+    if draw(st.booleans()):
+        rel |= {(x, x) for x in pool}
+    if draw(st.booleans()):
+        while not (closure := {(a, d) for (a, b) in rel for (c, d) in rel if b == c}) <= rel:
+            rel |= closure
+    return elements, rel
+
+
+def _presheaves(cat, data):
+    """A representable sum, the terminal presheaf, or for a cyclic group a
+    rotation of one of its quotients."""
+    kinds = ["sum", "terminal"] + (["rotation"] if cat.objects == {"*"} else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "sum":
+        return representable_sum_presheaf(cat, random.Random(data.draw(st.integers(0, 99))))
+    if kind == "terminal":
+        return terminal_presheaf(cat)
+    n = len(cat.morphisms)
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return Presheaf(on_objects={"*": frozenset(range(d))}, on_morphisms={k: {r: (r + k) % d for r in range(d)} for k in range(n)})
+
+
+def _by_hand(cat, **changes):
+    """The same fields in a FiniteCategory built directly, without the
+    constructors' lawful mark."""
+    return dataclasses.replace(cat, **changes)
+
+
+class TestDerivedFastPaths:
+    """Constructors that inherit the laws agree with the full check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_poset_category_matches_full_check(self, case):
+        elements, rel = case
+        leq = lambda a, b: (a, b) in rel  # noqa: E731
+        got = _outcome(lambda: poset_category(elements, leq))
+        assert got == _outcome(lambda: finite_category(*_poset_spec(elements, leq)))
+        if isinstance(got, FiniteCategory):
+            assert _is_lawful(got)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", 1, 2]), max_size=5))
+    def test_discrete_category_matches_full_check(self, objs):
+        spec = (objs, [Morphism(("id", c), c, c) for c in objs], {c: ("id", c) for c in objs}, {(("id", c), ("id", c)): ("id", c) for c in objs})
+        assert _outcome(lambda: discrete_category(objs)) == _outcome(lambda: finite_category(*spec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_categories(), st.data())
+    def test_category_of_elements_matches_full_check(self, cat, data):
+        assert _is_lawful(cat)
+        p = _presheaves(cat, data)
+        e = category_of_elements(cat, p)
+        assert _is_lawful(e)
+        assert e == finite_category(e.objects, e.morphisms, e.identities, e.composition)
+        checked = category_of_elements(_by_hand(cat), p)
+        assert checked == e and _is_lawful(checked)
+
+    def test_mark_is_not_a_field(self):
+        by_hand = _by_hand(SQUARE)
+        assert not _is_lawful(by_hand)
+        assert by_hand == SQUARE and repr(by_hand) == repr(SQUARE)
+        assert "_lawful" not in {f.name for f in dataclasses.fields(SQUARE)}
+
+    @pytest.mark.parametrize(
+        "base, comp, message",
+        [
+            (_parallel_arrows, {("f", "ix"): "g"}, "identity law fails at ('f', '*')"),
+            (_parallel_arrows, {("f", "ix"): "iy"}, "composite (('f', '*'), ('ix', '*')) has wrong endpoints"),
+            (_parallel_arrows, {("iy", "g"): None}, "composite of ('iy', 'g') undefined"),
+            (_two_bracketings, {}, "associativity fails at (('c', '*'), ('b', '*'), ('a', '*'))"),
+        ],
+    )
+    def test_hand_built_broken_category_still_rejected(self, base, comp, message):
+        objs, mors, ids, composition = base()
+        composition = {k: v for k, v in {**composition, **comp}.items() if v is not None}
+        cat = FiniteCategory(objects=frozenset(objs), morphisms=tuple(mors), identities=ids, composition=composition)
+        with pytest.raises(InvalidCategory, match=re.escape(message)):
+            category_of_elements(cat, terminal_presheaf(cat))
+
+    def test_broken_copy_of_lawful_category_rejected(self):
+        broken = dict(SQUARE.composition)
+        broken[(("01", "11"), ("00", "01"))] = ("00", "01")
+        with pytest.raises(InvalidCategory, match="has wrong endpoints"):
+            category_of_elements(_by_hand(SQUARE, composition=broken), terminal_presheaf(SQUARE))
+
+    @pytest.mark.parametrize(
+        "composite, message",
+        [(None, "composite of (('01', '11'), ('00', '01')) undefined"), ("ghost", "unknown morphism 'ghost'")],
+    )
+    def test_nerve_reports_bad_composites(self, composite, message):
+        comp = {k: v for k, v in SQUARE.composition.items() if k != (("01", "11"), ("00", "01"))}
+        if composite is not None:
+            comp[(("01", "11"), ("00", "01"))] = composite
+        with pytest.raises(InvalidCategory, match=re.escape(message)):
+            nerve(_by_hand(SQUARE, composition=comp), 2)
 
 
 def _component_count(cat: FiniteCategory) -> int:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from hyperstruct.document import Document, parse, serialize
 from hyperstruct.topology import EXHAUSTIVE_CAP, maximal_topology
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -277,6 +281,25 @@ class TestDeterminism:
         run(capsys, "install", "brunnian", "--branching", "2,2,2", "--out", str(a))
         run(capsys, "install", "brunnian", "--branching", "2,2,2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("case", ["category without identities", "simplicial without faces"])
+    def test_error_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, case):
+        p = tmp_path / "input.json"
+        if case == "category without identities":
+            obj = json.loads((CORPUS / "square_category.json").read_text())
+            obj["category"]["identities"] = obj["category"]["identities"][:2]
+            argv = ["nerve", str(p), "--max-dim", "2"]
+        else:
+            obj = {"vertices": ["v0", "v1", "v2"], "simplices": [["v0"], ["v0", "v1"], ["v1", "v2"], ["v0", "v1", "v2"]]}
+            argv = ["install", "simplicial", str(p)]
+        p.write_text(json.dumps(obj))
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "hyperstruct.cli", *argv], env=env, capture_output=True, timeout=60)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0][0] == 2 and runs[0][1].startswith(b"error: ")
+        assert runs[0] == runs[1]
 
 
 class TestErrorShape:

@@ -487,7 +487,7 @@ class TestOrderErrors:
                 refines(h, e, b1)
             with pytest.raises(UnknownElement):
                 refines(h, b1, e)
-            with pytest.raises(NotABond):
+            with pytest.raises(UnknownElement):
                 maximal_sieve(h, e)
             with pytest.raises(UnknownElement):
                 is_sieve(h, [], e)
