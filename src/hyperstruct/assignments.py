@@ -9,8 +9,7 @@ prediction counts as emergent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .core import PropertyToken, Support
 from .errors import CombinerUndefined, MissingInducedMap, MixedLevels, NotDisjoint
@@ -27,8 +26,7 @@ def pair_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
     return f"{a}{TENSOR_SEPARATOR}{b}"
 
 
-@dataclass(frozen=True)
-class InducedMaps:
+class InducedMaps(NamedTuple):
     """Explicit functorial data for an omega table.
 
     Covariant maps follow inclusions upward (value at the smaller support
@@ -67,8 +65,7 @@ def _check_into(m: TokenMap, dom: TokenSet, cod: TokenSet, sub: Support, sup: Su
             raise MissingInducedMap(f"induced map for {sub!r} ⊆ {sup!r} sends {x!r} outside the target tokens")
 
 
-@dataclass(frozen=True)
-class Combiner:
+class Combiner(NamedTuple):
     """Rule producing the union's token set from the parts and the overlap."""
 
     name: str

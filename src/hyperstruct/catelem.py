@@ -18,11 +18,10 @@ law checks on its output. Whenever such a check fails, or the input is a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .core import Hyperstructure, sorted_elements
+from .core import FrozenRecord, Hyperstructure, sorted_elements
 from .errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
 
 ObjId = Hashable
@@ -33,19 +32,23 @@ def _key(x) -> str:
     return repr(x) if not isinstance(x, (str, int)) else f"{type(x).__name__}:{x}"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     id: MorId
     src: ObjId
     tgt: ObjId
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(FrozenRecord):
+    """A FrozenRecord with an instance __dict__, which holds the cached indexes and the lawful mark."""
+
+    _fields = ("objects", "morphisms", "identities", "composition")
     objects: frozenset
     morphisms: tuple[Morphism, ...]
     identities: Mapping[ObjId, MorId]
     composition: Mapping[tuple[MorId, MorId], MorId]  # (g, f) -> g after f
+
+    def __init__(self, objects, morphisms, identities, composition):
+        self.__dict__.update(objects=objects, morphisms=morphisms, identities=identities, composition=composition)
 
     def morphism(self, m: MorId) -> Morphism:
         got = self.by_id.get(m)
@@ -86,7 +89,7 @@ def _assemble(objects, morphisms, identities, composition) -> FiniteCategory:
 
 
 def _mark_lawful(cat: FiniteCategory) -> FiniteCategory:
-    # kept out of the dataclass fields, so ==, repr and hash ignore it
+    # kept out of _fields, so ==, repr and hash ignore it
     cat.__dict__["_lawful"] = True
     return cat
 
@@ -129,7 +132,8 @@ def finite_category(
         if im.src != c or im.tgt != c:
             raise InvalidCategory(f"identity of {c!r} is not an endomorphism")
     for key in composition:
-        g, f = map(cat.by_id.get, key) if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        # a plain pair: an ElementId or other record is a tuple too, but names no two morphisms
+        g, f = map(cat.by_id.get, key) if type(key) is tuple and len(key) == 2 else (None, None)
         if g is None or f is None:
             raise InvalidCategory(f"composite listed for unknown morphisms {key!r}")
         if f.tgt != g.src:
@@ -176,8 +180,7 @@ def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
     return _derived(preorder, objs, mors, identities, composition)
 
 
-@dataclass(frozen=True)
-class Presheaf:
+class Presheaf(NamedTuple):
     """Contravariant set-valued data: u: C' -> C acts by P(C) -> P(C')."""
 
     on_objects: Mapping[ObjId, frozenset]
@@ -224,8 +227,11 @@ def _checked_sections(cat: FiniteCategory, p: Presheaf) -> dict[ObjId, list]:
             if y not in p.at(m.src):
                 raise InvalidPresheaf(f"{m.id!r} maps {x!r} outside the value at {m.src!r}")
     for c in objs:
+        i = cat.identities.get(c)
+        if i is None or i not in cat.by_id:  # a category built by hand may lack one
+            raise InvalidCategory(f"object {c!r} lacks an identity morphism")
         for x in sections[c]:
-            if p.act(cat.identities[c], x) != x:
+            if p.act(i, x) != x:
                 raise InvalidPresheaf(f"identity action at {c!r} moves {x!r}")
     for g, f in cat.composable_pairs():
         gf = cat.compose(g.id, f.id)
@@ -286,8 +292,7 @@ def projection_functor(elements_cat: FiniteCategory):
 # -- nerves and homology ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialData:
+class SimplicialData(NamedTuple):
     """Nondegenerate simplices per dimension with face pointers.
 
     A face entry of None marks a face that degenerated (its chain collapsed

@@ -120,8 +120,9 @@ def _assignment_lines(title: str, lam) -> list[str]:
 
 
 def _simplex_name(s) -> str:
-    """A nerve simplex as text: a chain tuple as (a,b,...), anything else by str."""
-    return str(s) if not isinstance(s, tuple) else "(" + ",".join(str(x) for x in s) + ")"
+    """A nerve simplex as text: a chain, a plain tuple, as (a,b,...); anything
+    else by str, including an ElementId object, which is a tuple too."""
+    return str(s) if type(s) is not tuple else "(" + ",".join(str(x) for x in s) + ")"
 
 
 def _tower_summary(h: Hyperstructure) -> list[str]:

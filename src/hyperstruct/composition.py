@@ -8,7 +8,6 @@ is the weak-mode gluing recorded in the tower's operation log.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Literal
 
 from .core import (
@@ -163,7 +162,7 @@ def fuse(
     else:
         h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
     rec = FusionRecord(k=k, m=max(a.level, b.level), n=min(a.level, b.level), a=a, b=b, result=eid)
-    return replace(h2, fusion_log=h2.fusion_log + (rec,)), eid
+    return h2._replace(fusion_log=h2.fusion_log + (rec,)), eid
 
 
 def _prefix_element(e: ElementId, tag: str) -> ElementId:
@@ -207,7 +206,7 @@ def disjoint_union(h1: Hyperstructure, h2: Hyperstructure) -> Hyperstructure:
             for b in h.bonds
         )
         log += (
-            replace(r, a=_prefix_element(r.a, tag), b=_prefix_element(r.b, tag), result=_prefix_element(r.result, tag))
+            r._replace(a=_prefix_element(r.a, tag), b=_prefix_element(r.b, tag), result=_prefix_element(r.result, tag))
             for r in h.fusion_log
         )
     return assemble(levels, omegas, bonds, tuple(log))

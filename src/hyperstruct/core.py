@@ -11,7 +11,6 @@ their input, so any value can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -40,8 +39,57 @@ def id_key(raw: RawId):
     return (isinstance(raw, str), raw)
 
 
-@dataclass(frozen=True)
-class ElementId:
+class Record:
+    """Base of the value classes that cannot be NamedTuples.
+
+    Subclasses name their fields in `_fields` and set them in `__init__`;
+    they get a NamedTuple's `==`, repr and `_replace`. A Record is mutable
+    and unhashable; a FrozenRecord is neither.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, built by the constructor."""
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**{f: changes.get(f, getattr(self, f)) for f in self._fields})
+
+
+class FrozenRecord(Record):
+    """A Record whose attributes cannot be set after __init__; it hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ElementId(NamedTuple):
     """An element of the tower, addressed by (level, identifier)."""
 
     level: int
@@ -59,17 +107,31 @@ def sorted_elements(elements: Iterable[ElementId]) -> list[ElementId]:
     return sorted(elements, key=lambda e: e.key)
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(FrozenRecord):
     """A finite set of elements, all at one level.
 
     The empty support exists only as an omega-table key (behaviour of
     assignments under unions needs a value at the empty collection); bonds
-    always bind a nonempty support.
+    always bind a nonempty support. Iterating, `len` and `in` read the
+    members, so this is a FrozenRecord rather than a NamedTuple.
     """
 
+    __slots__ = ("level", "members")
+    _fields = __slots__
     level: int
     members: frozenset[ElementId]
+
+    def __init__(self, level: int, members: frozenset[ElementId]):
+        _set_level(self, level)
+        _set_members(self, members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.members == other.members
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.level, self.members))
 
     @classmethod
     def of(cls, members: Iterable[ElementId]) -> "Support":
@@ -118,8 +180,12 @@ class Support:
         return "{" + ",".join(str(e.id) for e in sorted_elements(self.members)) + "}"
 
 
-@dataclass(frozen=True)
-class Bond:
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_level = Support.level.__set__
+_set_members = Support.members.__set__
+
+
+class Bond(NamedTuple):
     """A registered binder: one support, one property token.
 
     A bond knows what it binds — its id never maps to a second support.
@@ -135,8 +201,7 @@ class Bond:
         return self.id.key
 
 
-@dataclass(frozen=True)
-class FusionRecord:
+class FusionRecord(NamedTuple):
     """One gluing event: operand levels (m, n) glued at level k."""
 
     k: int
@@ -150,13 +215,21 @@ class FusionRecord:
 OmegaTable = Mapping[Support, frozenset[PropertyToken]]
 
 
-@dataclass(frozen=True, eq=True)
-class Hyperstructure:
+class Hyperstructure(FrozenRecord):
+    """A tower: its levels, omega tables, bond registry and fusion log.
+
+    A FrozenRecord with an instance __dict__, which holds the cached indexes.
+    """
+
+    _fields = ("order", "levels", "omegas", "bonds", "fusion_log")
     order: int
     levels: tuple[frozenset[ElementId], ...]
     omegas: tuple[OmegaTable, ...]
     bonds: tuple[Bond, ...]
-    fusion_log: tuple[FusionRecord, ...] = ()
+    fusion_log: tuple[FusionRecord, ...]
+
+    def __init__(self, order, levels, omegas, bonds, fusion_log=()):
+        self.__dict__.update(order=order, levels=levels, omegas=omegas, bonds=bonds, fusion_log=fusion_log)
 
     # -- derived indexes (cached; instances are immutable) --
 
@@ -266,7 +339,7 @@ def _with_omega(h: Hyperstructure, i: int, s: Support, tokens: frozenset[Propert
     table = dict(tables[i])
     table[s] = tokens
     tables[i] = table
-    return replace(h, omegas=tuple(tables))
+    return h._replace(omegas=tuple(tables))
 
 
 def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken) -> Hyperstructure:
@@ -288,8 +361,7 @@ def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken)
 
 
 def _grow(h: Hyperstructure) -> Hyperstructure:
-    return replace(
-        h,
+    return h._replace(
         order=h.order + 1,
         levels=h.levels + (frozenset(),),
         omegas=h.omegas + ({},),
@@ -301,7 +373,7 @@ def _register(h: Hyperstructure, bond: Bond) -> Hyperstructure:
     levels = list(h.levels)
     levels[lvl] = levels[lvl] | {bond.id}
     bonds = tuple(sorted(h.bonds + (bond,), key=lambda b: b.key))  # canonical registry order
-    return replace(h, levels=tuple(levels), bonds=bonds)
+    return h._replace(levels=tuple(levels), bonds=bonds)
 
 
 def add_bond(

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
-from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
+from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Record, Support, assemble
 from .errors import DanglingReference, HyperstructError, ParseError, ReservedProperty, SchemaError
 
 # A payload section's module is imported by the reader or writer that needs
@@ -83,24 +82,32 @@ def _expect_state(value, where: str):
     return value
 
 
-@dataclass
-class StatesSection:
-    tower: StateTower | None = None
-    base: dict[ElementId, object] | None = None
-    top: dict[ElementId, object] | None = None
-    connectors: tuple[Connector, ...] | None = None
-    co_connectors: tuple[CoConnector, ...] | None = None
-    assignment: LambdaAssignment | None = None
+class StatesSection(Record):
+    _fields = ("tower", "base", "top", "connectors", "co_connectors", "assignment")
+    tower: StateTower | None
+    base: dict[ElementId, object] | None
+    top: dict[ElementId, object] | None
+    connectors: tuple[Connector, ...] | None
+    co_connectors: tuple[CoConnector, ...] | None
+    assignment: LambdaAssignment | None
+
+    def __init__(self, tower=None, base=None, top=None, connectors=None, co_connectors=None, assignment=None):
+        self.tower, self.base, self.top = tower, base, top
+        self.connectors, self.co_connectors, self.assignment = connectors, co_connectors, assignment
 
 
-@dataclass
-class Document:
-    hyperstructure: Hyperstructure | None = None
-    topology: dict[ElementId, frozenset[Sieve]] | None = None
-    states: StatesSection | None = None
-    category: FiniteCategory | None = None
-    presheaf: Presheaf | None = None
-    simplicial: SimplicialData | None = None
+class Document(Record):
+    _fields = ("hyperstructure", "topology", "states", "category", "presheaf", "simplicial")
+    hyperstructure: Hyperstructure | None
+    topology: dict[ElementId, frozenset[Sieve]] | None
+    states: StatesSection | None
+    category: FiniteCategory | None
+    presheaf: Presheaf | None
+    simplicial: SimplicialData | None
+
+    def __init__(self, hyperstructure=None, topology=None, states=None, category=None, presheaf=None, simplicial=None):
+        self.hyperstructure, self.topology, self.states = hyperstructure, topology, states
+        self.category, self.presheaf, self.simplicial = category, presheaf, simplicial
 
 
 # -- serialization ------------------------------------------------------------------

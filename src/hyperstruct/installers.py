@@ -6,9 +6,8 @@ whose codimension-1 sub-collections are bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     BondSpec,
@@ -149,8 +148,7 @@ def from_simplicial_complex(
 # -- Brunnian structure ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrunnianComplex:
+class BrunnianComplex(NamedTuple):
     """A vertex set plus a family of bound subsets.
 
     Unlike a simplicial complex the family need not be downward closed;

@@ -8,9 +8,8 @@ that covering families recompute the same states the globalizer produced.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .composition import union_token
 from .core import ElementId, Hyperstructure, sorted_elements
@@ -49,8 +48,7 @@ def token_key(t: StateToken):
     return (isinstance(t, str), t)
 
 
-@dataclass(frozen=True)
-class SpaceOp:
+class SpaceOp(NamedTuple):
     """A total associative unital binary operation given as a finite table."""
 
     unit: StateToken
@@ -69,8 +67,7 @@ class SpaceOp:
         return acc
 
 
-@dataclass(frozen=True)
-class StateTower:
+class StateTower(NamedTuple):
     """State spaces S_0..S_n; index 0 is the global end, index n the local one."""
 
     spaces: tuple[frozenset[StateToken], ...]
@@ -109,8 +106,7 @@ def state_tower(spaces: Sequence[frozenset[StateToken]], ops: Sequence[SpaceOp |
     return StateTower(spaces=sp, ops=tuple(ops))
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(NamedTuple):
     """Reduces the multiset of a bond's boundary states to the bond's state.
 
     Built-in folds (product, sum, union) are associative and commutative by
@@ -154,8 +150,7 @@ SUM = Connector(kind="sum")
 UNION_FOLD = Connector(kind="union")
 
 
-@dataclass(frozen=True)
-class LambdaAssignment:
+class LambdaAssignment(NamedTuple):
     """Per-level state maps; index i holds the states of the level-i elements."""
 
     per_level: tuple[Mapping[ElementId, StateToken | Marker], ...]
@@ -322,8 +317,7 @@ def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssign
     return report("tensor-pairing", findings)
 
 
-@dataclass(frozen=True)
-class CoConnector:
+class CoConnector(NamedTuple):
     """Distributes a bond's state to one boundary member on the way down."""
 
     kind: str  # "identity" | "table" | "per_child"

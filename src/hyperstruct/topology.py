@@ -31,8 +31,7 @@ the bits only when the findings are read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import ElementId, Hyperstructure, sorted_elements
 from .errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge, UnknownElement
@@ -44,8 +43,7 @@ EXHAUSTIVE_CAP = 16
 SAMPLE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class Sieve:
+class Sieve(NamedTuple):
     """A downward-closed family of same-level elements under a root."""
 
     root: ElementId
@@ -374,8 +372,7 @@ def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     return {e: frozenset({Sieve(e, o.unmask(m))}) for o in orders for e, m in zip(o.elements, o.below)}
 
 
-@dataclass(frozen=True)
-class CoveringChain:
+class CoveringChain(NamedTuple):
     """A boundary-linked chain of elements with per-level covering families."""
 
     chain: tuple[ElementId, ...]
@@ -420,8 +417,7 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
     return report("covering-chain", findings)
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     """A tower together with a topology that passed every level's axioms.
 
     Build one with make_site: the descent check reads the refinement orders

@@ -318,10 +318,8 @@ def tower_from_supports(supports: list[frozenset[str]]) -> Hyperstructure:
 
 def chain_add_bonds(h: Hyperstructure, specs, order: int = 0) -> Hyperstructure:
     """add_bonds restated one bond at a time: assign_property, then add_bond."""
-    from dataclasses import replace
-
     while h.order < order:
-        h = replace(h, order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
+        h = h._replace(order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
     for i, s, token, raw_id, identity in specs:
         if not identity:
             h = assign_property(h, i, s, token)

@@ -1,7 +1,6 @@
 """The bulk constructor and the per-level indexes against bond-by-bond references."""
 import random
 import re
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -179,7 +178,7 @@ class TestLevelIndex:
         h = random_tower(random.Random(seed))
         shuffled = list(h.bonds)
         random.Random(seed).shuffle(shuffled)
-        for t in (h, replace(h, bonds=tuple(shuffled))):
+        for t in (h, h._replace(bonds=tuple(shuffled))):
             for i in range(t.order + 1):
                 scan = [b for b in t.bonds if b.id.level == i]
                 assert t.bonds_at(i) == sorted(scan, key=lambda b: b.key)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -562,7 +561,7 @@ def _presheaves(cat, data):
 def _by_hand(cat, **changes):
     """The same fields in a FiniteCategory built directly, without the
     constructors' lawful mark."""
-    return dataclasses.replace(cat, **changes)
+    return cat._replace(**changes)
 
 
 class TestDerivedFastPaths:
@@ -599,7 +598,7 @@ class TestDerivedFastPaths:
         by_hand = _by_hand(SQUARE)
         assert not _is_lawful(by_hand)
         assert by_hand == SQUARE and repr(by_hand) == repr(SQUARE)
-        assert "_lawful" not in {f.name for f in dataclasses.fields(SQUARE)}
+        assert "_lawful" not in SQUARE._fields
 
     @pytest.mark.parametrize(
         "base, comp, message",
@@ -616,6 +615,13 @@ class TestDerivedFastPaths:
         cat = FiniteCategory(objects=frozenset(objs), morphisms=tuple(mors), identities=ids, composition=composition)
         with pytest.raises(InvalidCategory, match=re.escape(message)):
             category_of_elements(cat, terminal_presheaf(cat))
+
+    @pytest.mark.parametrize("check", [category_of_elements, validate_presheaf])
+    def test_hand_built_category_without_identity_rejected(self, check):
+        objs, mors, ids, composition = _with(_parallel_arrows, drop_identity="y")
+        cat = FiniteCategory(objects=frozenset(objs), morphisms=tuple(mors), identities=ids, composition=composition)
+        with pytest.raises(InvalidCategory, match=re.escape("object 'y' lacks an identity morphism")):
+            check(cat, terminal_presheaf(cat))
 
     def test_broken_copy_of_lawful_category_rejected(self):
         broken = dict(SQUARE.composition)

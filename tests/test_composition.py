@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -204,7 +203,7 @@ class TestFuse:
         h, a, b = chain_tower()
         h2, c = fuse(h, a, b, 0, None, "c")
         ghost = ElementId(1, "ghost")
-        broken = replace(h2, fusion_log=h2.fusion_log + (FusionRecord(k=0, m=1, n=1, a=a, b=ghost, result=c),))
+        broken = h2._replace(fusion_log=h2.fusion_log + (FusionRecord(k=0, m=1, n=1, a=a, b=ghost, result=c),))
         rep = validate(broken)
         assert rep.codes == {DANGLING_FUSION}
         assert validate(h2).passed

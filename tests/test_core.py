@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -223,7 +222,7 @@ def ensure_mutable(h):
     if len(h.elements(0)) < 2:
         levels = list(h.levels)
         levels[0] = levels[0] | {ElementId(0, "m0"), ElementId(0, "m1")}
-        h = replace(h, levels=tuple(levels))
+        h = h._replace(levels=tuple(levels))
     base = sorted(h.elements(0), key=lambda e: e.key)
     s = Support.of(base[:2])
     h = assign_property(h, 0, s, "mut")
@@ -241,31 +240,31 @@ def inject(h, kind: str, rng: random.Random):
     if kind == "dangling-support":
         ghost = ElementId(target.support.level, "ghost!")
         bad = Bond(target.id, Support(target.support.level, target.support.members | {ghost}), target.property)
-        return replace(h, bonds=tuple(bad if b is target else b for b in h.bonds))
+        return h._replace(bonds=tuple(bad if b is target else b for b in h.bonds))
     if kind == "duplicate-bond":
         pool = sorted(h.elements(target.support.level), key=lambda e: e.key)
         other = Support(target.support.level, target.support.members | frozenset(pool[-1:]))
         if other.members == target.support.members:
             other = Support(target.support.level, frozenset(pool[:1]))
         extra = Bond(target.id, other, target.property)
-        h2 = replace(h, bonds=h.bonds + (extra,))
+        h2 = h._replace(bonds=h.bonds + (extra,))
         table = dict(h2.omegas[other.level])
         table[other] = table.get(other, frozenset()) | {target.property}
         tables = list(h2.omegas)
         tables[other.level] = table
-        return replace(h2, omegas=tuple(tables))
+        return h2._replace(omegas=tuple(tables))
     if kind == "property-not-assigned":
         bad = Bond(target.id, target.support, "never-assigned")
-        return replace(h, bonds=tuple(bad if b is target else b for b in h.bonds))
+        return h._replace(bonds=tuple(bad if b is target else b for b in h.bonds))
     if kind == "identity-law":
         victim = next(b for b in h.bonds if not b.identity and len(b.support.members) >= 2)
         bad = Bond(victim.id, victim.support, victim.property, identity=True)
-        return replace(h, bonds=tuple(bad if b is victim else b for b in h.bonds))
+        return h._replace(bonds=tuple(bad if b is victim else b for b in h.bonds))
     if kind == "non-bond-element":
         lvl = target.id.level
         levels = list(h.levels)
         levels[lvl] = levels[lvl] | {ElementId(lvl, "orphan!")}
-        return replace(h, levels=tuple(levels))
+        return h._replace(levels=tuple(levels))
     raise AssertionError(kind)
 
 
@@ -279,7 +278,7 @@ class TestValidate:
         h, s = build_linked_pair()
         h, e1 = add_bond(h, 0, s, "linked", "e1")
         sa = Support.of([h.element(0, "a")])
-        h2 = replace(h, bonds=h.bonds + (Bond(e1, sa, "linked"),))
+        h2 = h._replace(bonds=h.bonds + (Bond(e1, sa, "linked"),))
         rep = validate(h2)
         assert not rep.passed
         assert any("binds two collections" in f.message for f in rep.findings)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import random
@@ -310,29 +309,29 @@ class TestCodecOracle:
             k = rng.randrange(len(bonds))
             b = bonds[k]
             if where == 0:
-                bonds[k] = dataclasses.replace(b, property=value)
+                bonds[k] = b._replace(property=value)
             elif where == 1:
-                bonds[k] = dataclasses.replace(b, identity=value)
+                bonds[k] = b._replace(identity=value)
             elif where == 2:
-                bonds[k] = dataclasses.replace(b, id=ElementId(b.id.level, value))
+                bonds[k] = b._replace(id=ElementId(b.id.level, value))
             elif where == 3:
-                bonds[k] = dataclasses.replace(b, support=Support(b.support.level, b.support.members | {ElementId(0, value)}))
+                bonds[k] = b._replace(support=Support(b.support.level, b.support.members | {ElementId(0, value)}))
             else:
-                bonds[k] = dataclasses.replace(b, id=ElementId(value, b.id.id))
-            h = dataclasses.replace(h, bonds=tuple(bonds))
+                bonds[k] = b._replace(id=ElementId(value, b.id.id))
+            h = h._replace(bonds=tuple(bonds))
         elif where == 5:
             levels = list(h.levels)
             levels[0] = levels[0] | {ElementId(0, value)}
-            h = dataclasses.replace(h, levels=tuple(levels))
+            h = h._replace(levels=tuple(levels))
         elif where == 6:
             omegas = [dict(t) for t in h.omegas]
             omegas[0][Support(0, frozenset(h.levels[0]))] = frozenset({"p", value})
-            h = dataclasses.replace(h, omegas=tuple(omegas))
+            h = h._replace(omegas=tuple(omegas))
         elif h.fusion_log:
             r = h.fusion_log[0]
-            h = dataclasses.replace(h, fusion_log=(FusionRecord(k=value, m=r.m, n=r.n, a=r.a, b=r.b, result=r.result),))
+            h = h._replace(fusion_log=(FusionRecord(k=value, m=r.m, n=r.n, a=r.a, b=r.b, result=r.result),))
         else:
-            h = dataclasses.replace(h, order=value)
+            h = h._replace(order=value)
         doc.hyperstructure = h
         assert _outcome(serialize, doc) == _outcome(reference_serialize, doc)
 

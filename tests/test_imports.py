@@ -2,7 +2,9 @@
 
 Importing the package or its CLI loads no numpy and none of the payload
 modules; each command imports those it runs, and a document loads a
-section's module only when the section is present.
+section's module only when the section is present. The value types are
+NamedTuples and plain classes, so no command loads `dataclasses`, nor
+`inspect`, which `dataclasses` imports.
 """
 import json
 import os
@@ -15,12 +17,17 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PAYLOAD_MODULES = ("catelem", "states", "topology", "composition", "installers", "assignments")
+HEAVY_STDLIB = {"dataclasses", "inspect"}
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The hyperstruct submodules a fresh interpreter holds after running code."""
+    """The hyperstruct submodules, and numpy, dataclasses and inspect, that a
+    fresh interpreter holds after running code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    probe = code + "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith(('hyperstruct.', 'numpy'))))"
+    probe = code + (
+        "\nimport sys; print(' '.join(m for m in sys.modules"
+        f" if m.startswith(('hyperstruct.', 'numpy')) or m in {sorted(HEAVY_STDLIB)!r}))"
+    )
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return {m.removeprefix("hyperstruct.") for m in done.stdout.splitlines()[-1].split()}
@@ -46,10 +53,14 @@ def test_validate_loads_no_payload_module():
     assert loaded.isdisjoint(PAYLOAD_MODULES), loaded & set(PAYLOAD_MODULES)
 
 
-def test_install_hypergraph_loads_installers_only(tmp_path):
+def _install_hypergraph(tmp_path) -> str:
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
-    loaded = _loaded_after(_cli("install", "hypergraph", str(payload), "--out", str(tmp_path / "out.json")))
+    return _cli("install", "hypergraph", str(payload), "--out", str(tmp_path / "out.json"))
+
+
+def test_install_hypergraph_loads_installers_only(tmp_path):
+    loaded = _loaded_after(_install_hypergraph(tmp_path))
     assert "installers" in loaded
     assert loaded.isdisjoint({"catelem", "topology"}), loaded
 
@@ -69,3 +80,21 @@ def test_a_document_loads_only_its_sections_modules(name, expected):
         f"serialize(parse(Path({str(CORPUS / name)!r}).read_text()))"
     )
     assert loaded & set(PAYLOAD_MODULES) == expected
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda tmp_path: "import hyperstruct",
+        lambda tmp_path: "import hyperstruct.cli",
+        lambda tmp_path: _cli("validate", str(CORPUS / "brunnian_3_3.json")),
+        _install_hypergraph,
+        lambda tmp_path: _cli("globalize", str(CORPUS / "graded_triangle_site.json"), "--out", str(tmp_path / "out.json")),
+        lambda tmp_path: _cli("topology-check", str(CORPUS / "graded_triangle_site.json")),
+        lambda tmp_path: _cli("nerve", str(CORPUS / "square_category.json")),
+    ],
+    ids=["import", "import-cli", "validate", "install-hypergraph", "globalize", "topology-check", "nerve"],
+)
+def test_no_dataclasses_or_inspect(run, tmp_path):
+    loaded = _loaded_after(run(tmp_path))
+    assert loaded.isdisjoint(HEAVY_STDLIB), loaded & HEAVY_STDLIB

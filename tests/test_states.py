@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -189,7 +188,7 @@ class TestAmalgamation:
         lam = globalize(t, {"v0": 2, "v1": 2, "v2": 2}, [PRODUCT, PRODUCT])
         levels = list(t.levels)
         levels[1] = levels[1] | {ElementId(1, "ghost")}
-        h = replace(t, levels=tuple(levels))
+        h = t._replace(levels=tuple(levels))
         with pytest.raises(NotABond):
             make_site(h, maximal_topology(t))
         with pytest.raises(NotABond):
