@@ -22,7 +22,8 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import FrozenRecord, Hyperstructure, sorted_elements
-from .errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
+from .document import _expect_id, _expect_list, _expect_obj, _jkey
+from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError
 
 ObjId = Hashable
 MorId = Hashable
@@ -427,3 +428,150 @@ def boundary_category(h: Hyperstructure, upper_level: int) -> FiniteCategory:
         return a.level == b.level - 1 and a in h.bond(b).support.members
 
     return poset_category(lowers + uppers, leq)
+
+
+# -- the category, presheaf and simplicial sections of a document ---------------------
+
+
+def _category_to_json(c: FiniteCategory) -> dict:
+    return {
+        "objects": sorted(c.objects, key=_jkey),
+        "morphisms": [
+            {"id": m.id, "src": m.src, "tgt": m.tgt}
+            for m in sorted(c.morphisms, key=lambda m: _jkey(m.id))
+        ],
+        "identities": sorted(([o, m] for o, m in c.identities.items()), key=lambda e: _jkey(e[0])),
+        "composition": sorted(
+            ([g, f, gf] for (g, f), gf in c.composition.items()),
+            key=lambda e: (_jkey(e[0]), _jkey(e[1])),
+        ),
+    }
+
+
+def _category_from_json(value) -> FiniteCategory:
+    obj = _expect_obj(value, "category", {"objects", "morphisms", "identities", "composition"}, {"objects", "morphisms", "identities", "composition"})
+    objects = [_expect_id(o, "category.objects") for o in _expect_list(obj["objects"], "category.objects")]
+    morphisms = []
+    for k, m in enumerate(_expect_list(obj["morphisms"], "category.morphisms")):
+        e = _expect_obj(m, f"category.morphisms[{k}]", {"id", "src", "tgt"}, {"id", "src", "tgt"})
+        morphisms.append(Morphism(_expect_id(e["id"], "morphism"), _expect_id(e["src"], "morphism"), _expect_id(e["tgt"], "morphism")))
+    obj_set = set(objects)
+    mor_set = {m.id for m in morphisms}
+    for m in morphisms:
+        if m.src not in obj_set or m.tgt not in obj_set:
+            raise DanglingReference(f"category: morphism {m.id!r} references unknown objects")
+    identities = {}
+    for e in _expect_list(obj["identities"], "category.identities"):
+        pair = _expect_list(e, "category.identities")
+        if len(pair) != 2:
+            raise SchemaError("category.identities: expected [object, morphism]")
+        if _expect_id(pair[0], "category.identities") not in obj_set or _expect_id(pair[1], "category.identities") not in mor_set:
+            raise DanglingReference(f"category.identities: unresolved pair {pair!r}")
+        identities[pair[0]] = pair[1]
+    composition = {}
+    for e in _expect_list(obj["composition"], "category.composition"):
+        trip = _expect_list(e, "category.composition")
+        if len(trip) != 3:
+            raise SchemaError("category.composition: expected [g, f, gf]")
+        for m in trip:
+            if _expect_id(m, "category.composition") not in mor_set:
+                raise DanglingReference(f"category.composition: unknown morphism {m!r}")
+        composition[(trip[0], trip[1])] = trip[2]
+    return finite_category(objects, morphisms, identities, composition)
+
+
+def _presheaf_to_json(p: Presheaf) -> dict:
+    return {
+        "on_objects": sorted(([o, sorted(v, key=_jkey)] for o, v in p.on_objects.items()), key=lambda e: _jkey(e[0])),
+        "on_morphisms": sorted(
+            ([m, sorted(([x, y] for x, y in t.items()), key=lambda xy: _jkey(xy[0]))] for m, t in p.on_morphisms.items()),
+            key=lambda e: _jkey(e[0]),
+        ),
+    }
+
+
+def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
+    if cat is None:
+        raise DanglingReference("presheaf: requires a category section")
+    obj = _expect_obj(value, "presheaf", {"on_objects", "on_morphisms"}, {"on_objects", "on_morphisms"})
+    on_objects = {}
+    for e in _expect_list(obj["on_objects"], "presheaf.on_objects"):
+        pair = _expect_list(e, "presheaf.on_objects")
+        if len(pair) != 2:
+            raise SchemaError("presheaf.on_objects: expected [object, elements]")
+        if _expect_id(pair[0], "presheaf.on_objects") not in cat.objects:
+            raise DanglingReference(f"presheaf.on_objects: unknown object {pair[0]!r}")
+        on_objects[pair[0]] = frozenset(_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects"))
+    on_morphisms = {}
+    for e in _expect_list(obj["on_morphisms"], "presheaf.on_morphisms"):
+        pair = _expect_list(e, "presheaf.on_morphisms")
+        if len(pair) != 2:
+            raise SchemaError("presheaf.on_morphisms: expected [morphism, table]")
+        if _expect_id(pair[0], "presheaf.on_morphisms") not in cat.by_id:
+            raise DanglingReference(f"presheaf.on_morphisms: unknown morphism {pair[0]!r}")
+        table = {}
+        for xy in _expect_list(pair[1], "presheaf.on_morphisms"):
+            x = _expect_list(xy, "presheaf.on_morphisms")
+            if len(x) != 2:
+                raise SchemaError("presheaf.on_morphisms: expected [from, to]")
+            table[_expect_id(x[0], "presheaf.on_morphisms")] = _expect_id(x[1], "presheaf.on_morphisms")
+        on_morphisms[pair[0]] = table
+    p = Presheaf(on_objects=on_objects, on_morphisms=on_morphisms)
+    validate_presheaf(cat, p)
+    return p
+
+
+def _simplicial_to_json(s: SimplicialData) -> dict:
+    dims = []
+    for k in range(s.max_dim + 1):
+        entries = []
+        for sid in sorted(s.simplices[k], key=_jkey):
+            if k == 0:
+                entries.append({"id": sid, "faces": None})
+            else:
+                entries.append({"id": sid, "faces": list(s.faces[sid])})
+        dims.append(entries)
+    return {"max_dim": s.max_dim, "dimensions": dims}
+
+
+def _simplicial_from_json(value) -> SimplicialData:
+    obj = _expect_obj(value, "simplicial", {"max_dim", "dimensions"}, {"max_dim", "dimensions"})
+    max_dim = obj["max_dim"]
+    if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 0:
+        raise SchemaError("simplicial.max_dim: expected a non-negative integer")
+    raw_dims = _expect_list(obj["dimensions"], "simplicial.dimensions")
+    if len(raw_dims) != max_dim + 1:
+        raise SchemaError(f"simplicial.dimensions: expected {max_dim + 1} dimensions")
+    simplices: list[tuple] = []
+    faces: dict = {}
+    for k, entries in enumerate(raw_dims):
+        ids = []
+        for e in _expect_list(entries, f"simplicial.dimensions[{k}]"):
+            o = _expect_obj(e, f"simplicial.dimensions[{k}]", {"id", "faces"}, {"id"})
+            sid = _expect_id(o["id"], f"simplicial.dimensions[{k}]")
+            ids.append(sid)
+            fs = o.get("faces")
+            if k == 0:
+                if fs is not None:
+                    raise SchemaError(f"simplicial.dimensions[0]: vertices have no faces")
+                continue
+            if fs is None:
+                raise SchemaError(f"simplicial.dimensions[{k}]: simplex {sid!r} lacks faces")
+            fl = _expect_list(fs, f"simplicial.dimensions[{k}].faces")
+            if len(fl) != k + 1:
+                raise SchemaError(f"simplicial.dimensions[{k}]: simplex {sid!r} needs {k + 1} faces")
+            lower = set(simplices[k - 1])
+            checked = []
+            for f in fl:
+                if f is None:
+                    checked.append(None)
+                    continue
+                f = _expect_id(f, f"simplicial.dimensions[{k}].faces")
+                if f not in lower:
+                    raise DanglingReference(f"simplicial: face {f!r} of {sid!r} missing in dimension {k - 1}")
+                checked.append(f)
+            faces[sid] = tuple(checked)
+        if len(set(ids)) != len(ids):
+            raise SchemaError(f"simplicial.dimensions[{k}]: duplicate simplex ids")
+        simplices.append(tuple(ids))
+    return SimplicialData(max_dim=max_dim, simplices=tuple(simplices), faces=faces)

@@ -4,7 +4,10 @@ Exit codes: 0 = success or passing check, 1 = a check failed (the report
 says why), 2 = input error. Reports are deterministic — identical inputs
 produce identical bytes — and result documents are written atomically.
 Each command imports the library modules it runs inside its cmd_* function,
-so a process loads only what its own command needs.
+so a process loads only what its own command needs. Reading and writing a
+document loads a payload section's module (topology, states or catelem,
+which hold that section's codec) only when the document carries the
+section, so a command on a bare tower loads none of them.
 """
 from __future__ import annotations
 
@@ -77,12 +80,13 @@ def _need(doc: Document, section: str):
 
 
 def _resolve_id(h: Hyperstructure, level: int, raw: str) -> RawId:
-    """A command-line id at level: an integer id wins if that element exists."""
+    """A command-line id at level: an integer id written as its own canonical
+    text ("1", "-2"; not "01", "+1" or " 2") wins if that element exists."""
     try:
         as_int = int(raw)
     except ValueError:
         return raw
-    return as_int if h.has_element(ElementId(level, as_int)) else raw
+    return as_int if str(as_int) == raw and h.has_element(ElementId(level, as_int)) else raw
 
 
 def _element_ref(h: Hyperstructure, ref: str) -> ElementId:

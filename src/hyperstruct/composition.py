@@ -52,10 +52,10 @@ def union_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
 
 def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToken:
     """Single-token form of a combiner, used for composite bond properties."""
-    from .assignments import Combiner  # late import; assignments also uses core
-
     if combiner is None:
         return union_token(a, b)
+    from .assignments import Combiner  # late import; assignments also uses core
+
     if not isinstance(combiner, Combiner):
         raise CombinerUndefined(f"not a combiner: {combiner!r}")
     if combiner.kind in ("union", "disjoint-union"):

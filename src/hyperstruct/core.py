@@ -248,6 +248,11 @@ class Hyperstructure(FrozenRecord):
         return out
 
     @cached_property
+    def element_index(self) -> tuple[dict[RawId, ElementId], ...]:
+        """Per level, each element by its raw id (document.parse seeds it with its own tables)."""
+        return tuple({e.id: e for e in lvl} for lvl in self.levels)
+
+    @cached_property
     def bonds_by_level(self) -> dict[int, tuple[Bond, ...]]:
         """Each level's bonds in canonical registry order; levels without bonds are absent."""
         grouped: dict[int, list[Bond]] = {}
@@ -285,6 +290,7 @@ class Hyperstructure(FrozenRecord):
         return e
 
     def support_at(self, i: int, raw_ids: Iterable[RawId]) -> Support:
+        self.check_level(i)
         ids = list(raw_ids)
         if not ids:
             return Support.empty(i)

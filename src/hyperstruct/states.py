@@ -8,17 +8,23 @@ that covering families recompute the same states the globalizer produced.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as iter_product
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .composition import union_token
-from .core import ElementId, Hyperstructure, sorted_elements
+from .core import ElementId, Hyperstructure, RawId, sorted_elements
+from .document import StatesSection, _dumps, _expect_id, _expect_list, _expect_obj, _jkey, _list, _scalar
 from .errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
+    DanglingReference,
     InvalidStateTower,
     MissingState,
     OperationMissing,
+    SchemaError,
     UnknownElement,
 )
 from .report import CheckReport, Finding, report
@@ -379,3 +385,248 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
         for e in h.elements(i):
             states[i].setdefault(e, UNASSIGNED)
     return LambdaAssignment(per_level=tuple(states))
+
+
+# -- the states section of a document -----------------------------------------------
+#
+# The reader resolves each [id, state] pair through the tower's per-level
+# raw-id tables (Hyperstructure.element_index). The writer runs every check
+# of the section first, in the order spaces, base, top, connectors,
+# co-connectors, assignment, and then writes each pair list from one
+# template per pair and the rest through json.dumps, so a refused section
+# raises its first error as the dict-tree codec did.
+
+
+def _expect_state(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise SchemaError(f"{where}: states must be strings or integers, got {value!r}")
+    return value
+
+
+def _state_from_json(value, where: str, allow_marker: bool = False):
+    if isinstance(value, dict):
+        if not allow_marker:
+            raise SchemaError(f"{where}: markers are only valid inside assignments")
+        obj = _expect_obj(value, where, {"marker"}, {"marker"})
+        m = MARKERS.get(obj["marker"])
+        if m is None:
+            raise SchemaError(f"{where}: unknown marker {obj['marker']!r}")
+        return m
+    return _expect_state(value, where)
+
+
+def _connector_to_json(c: Connector) -> dict:
+    if c.kind == "table":
+        entries = sorted(
+            ([list(k), v] for k, v in (c.table or {}).items()),
+            key=lambda e: [_jkey(x) for x in e[0]],
+        )
+        return {"kind": "table", "entries": entries}
+    return {"kind": c.kind}
+
+
+def _connector_from_json(value, where: str) -> Connector:
+    obj = _expect_obj(value, where, {"kind", "entries"}, {"kind"})
+    kind = obj["kind"]
+    if kind in ("product", "sum", "union"):
+        if "entries" in obj:
+            raise SchemaError(f"{where}: built-in connectors take no entries")
+        return Connector(kind=kind)
+    if kind != "table":
+        raise SchemaError(f"{where}: unknown connector kind {kind!r}")
+    table = {}
+    for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
+        pair = _expect_list(e, f"{where}.entries")
+        if len(pair) != 2:
+            raise SchemaError(f"{where}.entries: expected [multiset, state]")
+        key = tuple(sorted((_expect_state(x, where) for x in _expect_list(pair[0], where)), key=_jkey))
+        table[key] = _expect_state(pair[1], where)
+    return Connector(kind="table", table=table)
+
+
+def _co_connector_to_json(c: CoConnector) -> dict:
+    if c.kind == "identity":
+        return {"kind": "identity"}
+    if c.kind == "table":
+        entries = sorted(([k, v] for k, v in (c.table or {}).items()), key=lambda e: _jkey(e[0]))
+        return {"kind": "table", "entries": entries}
+    entries = sorted(
+        ([[p.id, ch.id], v] for (p, ch), v in (c.table or {}).items()),
+        key=lambda e: [_jkey(e[0][0]), _jkey(e[0][1])],
+    )
+    return {"kind": "per_child", "entries": entries}
+
+
+def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: int) -> CoConnector:
+    obj = _expect_obj(value, where, {"kind", "entries"}, {"kind"})
+    kind = obj["kind"]
+    if kind == "identity":
+        if "entries" in obj:
+            raise SchemaError(f"{where}: identity co-connectors take no entries")
+        return CoConnector(kind="identity")
+    if kind == "table":
+        table = {}
+        for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
+            pair = _expect_list(e, f"{where}.entries")
+            if len(pair) != 2:
+                raise SchemaError(f"{where}.entries: expected [state, state]")
+            table[_expect_state(pair[0], where)] = _expect_state(pair[1], where)
+        return CoConnector(kind="table", table=table)
+    if kind != "per_child":
+        raise SchemaError(f"{where}: unknown co-connector kind {kind!r}")
+    upper = h.order - transition
+    table = {}
+    for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
+        pair = _expect_list(e, f"{where}.entries")
+        if len(pair) != 2 or not isinstance(pair[0], list) or len(pair[0]) != 2:
+            raise SchemaError(f"{where}.entries: expected [[parent, child], state]")
+        parent = ElementId(upper, _expect_id(pair[0][0], where))
+        child = ElementId(upper - 1, _expect_id(pair[0][1], where))
+        for e2 in (parent, child):
+            if not h.has_element(e2):
+                raise DanglingReference(f"{where}: no element {e2!r}")
+        table[(parent, child)] = _expect_state(pair[1], where)
+    return CoConnector(kind="per_child", table=table)
+
+
+def _sorted_pairs(mapping: Mapping[ElementId, object]) -> list[tuple[ElementId, object]]:
+    """The mapping's items in ElementId.key order."""
+    keys = list(mapping)
+    if set(map(type, keys)) == {ElementId} and set(map(type, map(itemgetter(1), keys))) in ({str}, {int}):
+        keys.sort()  # one raw-id type: the elements compare as their keys do
+    else:
+        keys.sort(key=lambda e: e.key)
+    return [(e, mapping[e]) for e in keys]
+
+
+def _states_sorted(s: StatesSection) -> dict:
+    """The states section's fields in canonical order, every check run."""
+    out: dict = {}
+    if s.tower is not None:
+        spaces = []
+        for tokens, op in zip(s.tower.spaces, s.tower.ops):
+            entry: dict = {"tokens": sorted(tokens, key=_jkey)}
+            if op is None:
+                entry["op"] = None
+            else:
+                entry["op"] = {
+                    "unit": op.unit,
+                    "table": sorted(([a, b, v] for (a, b), v in op.table.items()), key=lambda t: (_jkey(t[0]), _jkey(t[1]))),
+                }
+            spaces.append(entry)
+        out["spaces"] = spaces
+    out["base"] = _sorted_pairs(s.base) if s.base is not None else None
+    out["top"] = _sorted_pairs(s.top) if s.top is not None else None
+    out["connectors"] = [_connector_to_json(c) for c in s.connectors] if s.connectors is not None else None
+    out["co_connectors"] = [_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None
+    out["assignment"] = [_sorted_pairs(level) for level in s.assignment.per_level] if s.assignment is not None else None
+    return out
+
+
+def _marked_text(v, pad: str) -> str:
+    """_scalar(v, pad), with a marker written as its {"marker": name} object."""
+    if isinstance(v, Marker):
+        return f'{{\n{pad}  "marker": {_scalar(v.name, pad + "  ")}\n{pad}}}'
+    return _scalar(v, pad)
+
+
+def _pairs_text(pairs: list, pad: str, state_text=_scalar) -> str:
+    """A sorted pair list as a JSON list of [id, state] lists, one template per pair.
+
+    str ids and int states, the common case, are written without a call to _scalar.
+    """
+    p2, p4, inner = "\n" + pad + "  ", "\n" + pad + "    ", pad + "    "
+    return _list(
+        [
+            f"[{p4}{encode_basestring(e.id) if type(e.id) is str else _scalar(e.id, inner)},"
+            f"{p4}{int.__repr__(v) if type(v) is int else state_text(v, inner)}{p2}]"
+            for e, v in pairs
+        ],
+        pad,
+    )
+
+
+def _states_text(fields: dict) -> str:
+    """The states section, written at depth one from _states_sorted's fields."""
+    p4 = " " * 4
+    items = []
+    for name, value in sorted(fields.items()):
+        if value is None or name in ("spaces", "connectors", "co_connectors"):
+            text = _dumps(value, p4)
+        elif name == "assignment":
+            text = _list([_pairs_text(level, " " * 6, _marked_text) for level in value], p4)
+        else:
+            text = _pairs_text(value, p4)
+        items.append(f'{p4}"{name}": {text}')
+    return "{\n" + ",\n".join(items) + "\n  }"
+
+
+def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_state=_expect_state) -> dict[ElementId, object]:
+    """[id, state] pairs as a dict, each id resolved in one raw-id table of the tower."""
+    out: dict[ElementId, object] = {}
+    for e in _expect_list(raw, where):
+        pair = _expect_list(e, where)
+        if len(pair) != 2:
+            raise SchemaError(f"{where}: expected [id, state]")
+        r, v = pair
+        el = table.get(r) if type(r) is str or type(r) is int else None  # a bool or float would find an int
+        if el is None:
+            el = table.get(_expect_id(r, where))
+            if el is None:
+                raise DanglingReference(f"{where}: no element {r!r}{at}")
+        out[el] = v if type(v) is str or type(v) is int else read_state(v, where)
+    return out
+
+
+def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
+    if h is None:
+        raise DanglingReference("states: requires a hyperstructure section")
+    obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
+    s = StatesSection()
+    if obj.get("spaces") is not None:
+        spaces = []
+        ops = []
+        for k, entry in enumerate(_expect_list(obj["spaces"], "states.spaces")):
+            e = _expect_obj(entry, f"states.spaces[{k}]", {"tokens", "op"}, {"tokens"})
+            tokens = frozenset(_expect_state(t, f"states.spaces[{k}]") for t in _expect_list(e["tokens"], f"states.spaces[{k}].tokens"))
+            spaces.append(tokens)
+            op = e.get("op")
+            if op is None:
+                ops.append(None)
+            else:
+                o = _expect_obj(op, f"states.spaces[{k}].op", {"unit", "table"}, {"unit", "table"})
+                table = {}
+                for t in _expect_list(o["table"], f"states.spaces[{k}].op.table"):
+                    trip = _expect_list(t, f"states.spaces[{k}].op.table")
+                    if len(trip) != 3:
+                        raise SchemaError(f"states.spaces[{k}].op.table: expected [a, b, result]")
+                    table[(_expect_state(trip[0], "op"), _expect_state(trip[1], "op"))] = _expect_state(trip[2], "op")
+                ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
+        s.tower = state_tower(spaces, ops)
+
+    index = h.element_index
+    if obj.get("base") is not None:
+        s.base = _read_pairs(obj["base"], index[0], "states.base", " at level 0")
+    if obj.get("top") is not None:
+        s.top = _read_pairs(obj["top"], index[h.order], "states.top", f" at level {h.order}")
+    if obj.get("connectors") is not None:
+        s.connectors = tuple(
+            _connector_from_json(c, f"states.connectors[{k}]")
+            for k, c in enumerate(_expect_list(obj["connectors"], "states.connectors"))
+        )
+    if obj.get("co_connectors") is not None:
+        s.co_connectors = tuple(
+            _co_connector_from_json(c, f"states.co_connectors[{k}]", h, k)
+            for k, c in enumerate(_expect_list(obj["co_connectors"], "states.co_connectors"))
+        )
+    if obj.get("assignment") is not None:
+        raw_levels = _expect_list(obj["assignment"], "states.assignment")
+        if len(raw_levels) != h.order + 1:
+            raise SchemaError(f"states.assignment: expected {h.order + 1} levels")
+        s.assignment = LambdaAssignment(
+            per_level=tuple(
+                _read_pairs(entries, index[i], f"states.assignment[{i}]", "", partial(_state_from_json, allow_marker=True))
+                for i, entries in enumerate(raw_levels)
+            )
+        )
+    return s

@@ -34,7 +34,8 @@ import random
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import ElementId, Hyperstructure, sorted_elements
-from .errors import MixedLevels, NotATopology, NotRefinement, SweepTooLarge, UnknownElement
+from .document import _expect_id, _expect_list, _jkey
+from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding, report
 
 #: Transitivity sweeps are exhaustive by default up to this many bonds per
@@ -436,3 +437,47 @@ def make_site(h: Hyperstructure, topology: TopologyAssignment, exhaustive: bool 
         if not rep.passed:
             raise NotATopology(f"axioms fail at level {i}", report=rep)
     return Site(h=h, topology=dict(topology))
+
+
+# -- the topology section of a document ----------------------------------------------
+
+
+def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:
+    out = []
+    for e in sorted(topology, key=lambda e: e.key):
+        sieves = sorted(
+            (sorted((m.id for m in s.members), key=_jkey) for s in topology[e]),
+            key=lambda ms: [_jkey(m) for m in ms],
+        )
+        out.append([[e.level, e.id], sieves])
+    return out
+
+
+def _topology_from_json(value, h: Hyperstructure | None) -> dict[ElementId, frozenset[Sieve]]:
+    if h is None:
+        raise DanglingReference("topology: requires a hyperstructure section")
+    out: dict[ElementId, frozenset[Sieve]] = {}
+    for k, entry in enumerate(_expect_list(value, "topology")):
+        pair = _expect_list(entry, f"topology[{k}]")
+        if len(pair) != 2:
+            raise SchemaError(f"topology[{k}]: expected [[level, id], sieves]")
+        key = _expect_list(pair[0], f"topology[{k}].key")
+        if len(key) != 2 or not isinstance(key[0], int) or isinstance(key[0], bool):
+            raise SchemaError(f"topology[{k}]: key must be [level, id]")
+        lvl, raw = key
+        root = ElementId(lvl, _expect_id(raw, f"topology[{k}].key"))
+        if not h.has_element(root):
+            raise DanglingReference(f"topology[{k}]: no element {raw!r} at level {lvl}")
+        sieves = []
+        for ms in _expect_list(pair[1], f"topology[{k}].sieves"):
+            members = []
+            for m in _expect_list(ms, f"topology[{k}].sieve"):
+                e = ElementId(lvl, _expect_id(m, f"topology[{k}].sieve"))
+                if not h.has_element(e):
+                    raise DanglingReference(f"topology[{k}]: sieve member {m!r} missing at level {lvl}")
+                members.append(e)
+            sieves.append(Sieve(root=root, members=frozenset(members)))
+        if root in out:
+            raise SchemaError(f"topology[{k}]: duplicate entry for {root!r}")
+        out[root] = frozenset(sieves)
+    return out

@@ -646,21 +646,22 @@ def reference_h_to_json(h: Hyperstructure) -> dict:
 
 
 def reference_to_json_obj(doc) -> dict:
+    from hyperstruct import catelem, topology
     from hyperstruct import document as d
 
     out: dict = {"format": d.FORMAT}
     if doc.hyperstructure is not None:
         out["hyperstructure"] = reference_h_to_json(doc.hyperstructure)
     if doc.topology is not None:
-        out["topology"] = d._topology_to_json(doc.topology)
+        out["topology"] = topology._topology_to_json(doc.topology)
     if doc.states is not None:
-        out["states"] = d._states_to_json(doc.states)
+        out["states"] = reference_states_to_json(doc.states)
     if doc.category is not None:
-        out["category"] = d._category_to_json(doc.category)
+        out["category"] = catelem._category_to_json(doc.category)
     if doc.presheaf is not None:
-        out["presheaf"] = d._presheaf_to_json(doc.presheaf)
+        out["presheaf"] = catelem._presheaf_to_json(doc.presheaf)
     if doc.simplicial is not None:
-        out["simplicial"] = d._simplicial_to_json(doc.simplicial)
+        out["simplicial"] = catelem._simplicial_to_json(doc.simplicial)
     return out
 
 
@@ -774,9 +775,11 @@ def reference_h_from_json(value) -> Hyperstructure:
 
 
 def reference_parse(text: str):
-    """document.parse with the tower section read by reference_h_from_json."""
+    """document.parse with the tower section read by reference_h_from_json and
+    the states section by reference_states_from_json."""
     import json
 
+    from hyperstruct import catelem, topology
     from hyperstruct import document as d
     from hyperstruct.errors import ParseError, SchemaError
 
@@ -791,13 +794,138 @@ def reference_parse(text: str):
     if "hyperstructure" in obj:
         doc.hyperstructure = reference_h_from_json(obj["hyperstructure"])
     if "topology" in obj:
-        doc.topology = d._topology_from_json(obj["topology"], doc.hyperstructure)
+        doc.topology = topology._topology_from_json(obj["topology"], doc.hyperstructure)
     if "states" in obj:
-        doc.states = d._states_from_json(obj["states"], doc.hyperstructure)
+        doc.states = reference_states_from_json(obj["states"], doc.hyperstructure)
     if "category" in obj:
-        doc.category = d._category_from_json(obj["category"])
+        doc.category = catelem._category_from_json(obj["category"])
     if "presheaf" in obj:
-        doc.presheaf = d._presheaf_from_json(obj["presheaf"], doc.category)
+        doc.presheaf = catelem._presheaf_from_json(obj["presheaf"], doc.category)
     if "simplicial" in obj:
-        doc.simplicial = d._simplicial_from_json(obj["simplicial"])
+        doc.simplicial = catelem._simplicial_from_json(obj["simplicial"])
     return doc
+
+
+# The states section as the codec first wrote and read it: a dict tree, and
+# each [id, state] pair resolved through a fresh ElementId and has_element.
+
+
+def _pairs_to_json(mapping: dict) -> list:
+    return [[e.id, v] for e, v in sorted(mapping.items(), key=lambda kv: kv[0].key)]
+
+
+def reference_states_to_json(s) -> dict:
+    from hyperstruct.states import Marker, _co_connector_to_json, _connector_to_json
+
+    _jkey = _reference_jkey
+    out: dict = {}
+    if s.tower is not None:
+        spaces = []
+        for tokens, op in zip(s.tower.spaces, s.tower.ops):
+            entry: dict = {"tokens": sorted(tokens, key=_jkey)}
+            if op is None:
+                entry["op"] = None
+            else:
+                entry["op"] = {
+                    "unit": op.unit,
+                    "table": sorted(([a, b, v] for (a, b), v in op.table.items()), key=lambda t: (_jkey(t[0]), _jkey(t[1]))),
+                }
+            spaces.append(entry)
+        out["spaces"] = spaces
+    out["base"] = _pairs_to_json(s.base) if s.base is not None else None
+    out["top"] = _pairs_to_json(s.top) if s.top is not None else None
+    out["connectors"] = [_connector_to_json(c) for c in s.connectors] if s.connectors is not None else None
+    out["co_connectors"] = [_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None
+    if s.assignment is not None:
+        out["assignment"] = [
+            [[e.id, {"marker": v.name} if isinstance(v, Marker) else v] for e, v in sorted(level.items(), key=lambda kv: kv[0].key)]
+            for level in s.assignment.per_level
+        ]
+    else:
+        out["assignment"] = None
+    return out
+
+
+def reference_states_from_json(value, h: Hyperstructure | None):
+    from hyperstruct.document import StatesSection, _expect_id, _expect_list
+    from hyperstruct.errors import DanglingReference, SchemaError
+    from hyperstruct.states import (
+        LambdaAssignment,
+        SpaceOp,
+        _co_connector_from_json,
+        _connector_from_json,
+        _expect_state,
+        _state_from_json,
+        state_tower,
+    )
+
+    _expect_obj = _reference_expect_obj
+
+    obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
+    s = StatesSection()
+    if obj.get("spaces") is not None:
+        spaces = []
+        ops = []
+        for k, entry in enumerate(_expect_list(obj["spaces"], "states.spaces")):
+            e = _expect_obj(entry, f"states.spaces[{k}]", {"tokens", "op"}, {"tokens"})
+            tokens = frozenset(_expect_state(t, f"states.spaces[{k}]") for t in _expect_list(e["tokens"], f"states.spaces[{k}].tokens"))
+            spaces.append(tokens)
+            op = e.get("op")
+            if op is None:
+                ops.append(None)
+            else:
+                o = _expect_obj(op, f"states.spaces[{k}].op", {"unit", "table"}, {"unit", "table"})
+                table = {}
+                for t in _expect_list(o["table"], f"states.spaces[{k}].op.table"):
+                    trip = _expect_list(t, f"states.spaces[{k}].op.table")
+                    if len(trip) != 3:
+                        raise SchemaError(f"states.spaces[{k}].op.table: expected [a, b, result]")
+                    table[(_expect_state(trip[0], "op"), _expect_state(trip[1], "op"))] = _expect_state(trip[2], "op")
+                ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
+        s.tower = state_tower(spaces, ops)
+
+    def read_pairs(name: str, level: int) -> dict[ElementId, object] | None:
+        raw = obj.get(name)
+        if raw is None:
+            return None
+        out: dict[ElementId, object] = {}
+        for e in _expect_list(raw, f"states.{name}"):
+            pair = _expect_list(e, f"states.{name}")
+            if len(pair) != 2:
+                raise SchemaError(f"states.{name}: expected [id, state]")
+            el = ElementId(level, _expect_id(pair[0], f"states.{name}"))
+            if not h.has_element(el):
+                raise DanglingReference(f"states.{name}: no element {pair[0]!r} at level {level}")
+            out[el] = _expect_state(pair[1], f"states.{name}")
+        return out
+
+    s.base = read_pairs("base", 0)
+    s.top = read_pairs("top", h.order)
+    if obj.get("connectors") is not None:
+        s.connectors = tuple(
+            _connector_from_json(c, f"states.connectors[{k}]")
+            for k, c in enumerate(_expect_list(obj["connectors"], "states.connectors"))
+        )
+    if obj.get("co_connectors") is not None:
+        s.co_connectors = tuple(
+            _co_connector_from_json(c, f"states.co_connectors[{k}]", h, k)
+            for k, c in enumerate(_expect_list(obj["co_connectors"], "states.co_connectors"))
+        )
+    if obj.get("assignment") is not None:
+        raw_levels = _expect_list(obj["assignment"], "states.assignment")
+        if len(raw_levels) != h.order + 1:
+            raise SchemaError(f"states.assignment: expected {h.order + 1} levels")
+        per_level = []
+        for i, entries in enumerate(raw_levels):
+            level: dict[ElementId, object] = {}
+            for e in _expect_list(entries, f"states.assignment[{i}]"):
+                pair = _expect_list(e, f"states.assignment[{i}]")
+                if len(pair) != 2:
+                    raise SchemaError(f"states.assignment[{i}]: expected [id, state]")
+                el = ElementId(i, _expect_id(pair[0], f"states.assignment[{i}]"))
+                if not h.has_element(el):
+                    raise DanglingReference(f"states.assignment[{i}]: no element {pair[0]!r}")
+                level[el] = _state_from_json(pair[1], f"states.assignment[{i}]", allow_marker=True)
+            per_level.append(level)
+        s.assignment = LambdaAssignment(per_level=tuple(per_level))
+    return s

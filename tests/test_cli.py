@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import tower_from_supports
-from hyperstruct.cli import main
+from hyperstruct.cli import _resolve_id, main
 from hyperstruct.core import ElementId, FusionRecord
 from hyperstruct.document import Document, parse, serialize
 from hyperstruct.topology import EXHAUSTIVE_CAP, maximal_topology
@@ -229,6 +229,25 @@ class TestChecks:
         code, out = run(capsys, "emergent", str(CORPUS / "flat_triangle.json"), "--level", "0", "--s1", "v0,v1", "--s2", "v1,v2")
         assert code == 0
         assert "emergent: (none)" in out
+
+    @pytest.mark.parametrize("level", ["99", "-1"])
+    def test_emergent_level_outside_the_tower(self, capsys, level):
+        # with empty supports, 99 used to end in an IndexError traceback and -1 to read the top level
+        code, out = run(capsys, "emergent", str(CORPUS / "flat_triangle.json"), "--level", level, "--s1", "", "--s2", "")
+        assert (code, out) == (2, f"error: LevelOutOfRange\nlevel {level} outside 0..1\n")
+
+    def test_only_canonical_integer_text_names_an_integer_id(self, capsys, tmp_path):
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"vertices": [1, "01", 2, "+1", " 2", "١"], "edges": [[1, 2]]}))
+        doc = tmp_path / "tower.json"
+        assert run(capsys, "install", "hypergraph", str(payload), "--out", str(doc))[0] == 0
+        h = parse(doc.read_text()).hyperstructure
+        assert [_resolve_id(h, 0, raw) for raw in ("1", "01", "+1", " 2", "١", "2", "-1")] == [1, "01", "+1", " 2", "١", 2, "-1"]
+        # {"01", 2} carries no token, {1, 2} carries the edge's
+        code, out = run(capsys, "emergent", str(doc), "--level", "0", "--s1", "01", "--s2", "2")
+        assert (code, out) == (0, "emergent: (none)\n")
+        code, out = run(capsys, "emergent", str(doc), "--level", "0", "--s1", "1", "--s2", "2")
+        assert code == 0 and out != "emergent: (none)\n"
 
 
 class TestNerveAndBetti:

@@ -58,6 +58,13 @@ class TestConstruction:
         with pytest.raises(DuplicateId):
             new_hyperstructure(["a", "a"])
 
+    @pytest.mark.parametrize("level", [-1, 1, 99])
+    @pytest.mark.parametrize("ids", [[], ["a"]])
+    def test_support_at_checks_the_level_first(self, level, ids):
+        # an empty support used to come back at any level
+        with pytest.raises(LevelOutOfRange, match=f"level {level} outside 0..0"):
+            new_hyperstructure(["a", "b"]).support_at(level, ids)
+
 
 class TestAssignProperty:
     def test_adds_token(self):

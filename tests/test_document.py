@@ -23,7 +23,20 @@ from hyperstruct.core import (
 from hyperstruct.document import Document, StatesSection, parse, serialize
 from hyperstruct.errors import DanglingReference, HyperstructError, ParseError, ReservedProperty, SchemaError
 from hyperstruct.installers import make_brunnian_tower
-from hyperstruct.states import PRODUCT, SUM, globalize
+from hyperstruct.states import (
+    BROADCAST,
+    CONFLICT,
+    PRODUCT,
+    SUM,
+    UNASSIGNED,
+    UNION_FOLD,
+    CoConnector,
+    Connector,
+    LambdaAssignment,
+    SpaceOp,
+    globalize,
+    state_tower,
+)
 from hyperstruct.topology import maximal_topology
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -41,6 +54,14 @@ class TestRoundTrip:
             h = random_tower(rng, max_order=3, max_per_level=8)
             doc = parse(serialize(Document(hyperstructure=h)))
             assert doc.hyperstructure == h
+
+    def test_parsed_element_index_is_the_built_one(self):
+        rng = random.Random(2)
+        for _ in range(15):
+            h = random_tower(rng, max_order=3, max_per_level=8)
+            parsed = parse(serialize(Document(hyperstructure=h))).hyperstructure
+            assert "element_index" in vars(parsed)  # seeded by the reader, not rebuilt
+            assert parsed.element_index == h.element_index
 
     def test_identity_bond_omega_stripped_and_restored(self):
         h = make_brunnian_tower([2])
@@ -208,6 +229,27 @@ REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 1.5, "", "x", "x0", "id", [], [0
 ODD_VALUES = (None, 1.5, True, 7, (1, "a"), ["a", ["b", {}]], {"z": [1, 2], "a": {"b": None}}, "\"q\\", "é\n")
 
 
+def _mutated(text: str, section: str, rng: random.Random) -> str:
+    """The document with one to three values of one section replaced or deleted."""
+    obj = json.loads(text)
+    paths = []
+
+    def walk(node):
+        keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            paths.append((node, key))
+            walk(node[key])
+
+    walk(obj[section])
+    for _ in range(rng.randint(1, 3)):
+        parent, key = rng.choice(paths)
+        if isinstance(parent, dict) and rng.random() < 0.25:
+            parent.pop(key, None)
+        elif isinstance(parent, dict) or key < len(parent):
+            parent[key] = rng.choice(REPLACEMENTS)
+    return json.dumps(obj)
+
+
 def _outcome(fn, *args):
     """fn(*args), or the class and message of what it raised."""
     try:
@@ -340,23 +382,7 @@ class TestCodecOracle:
     def test_mutated_documents_parse_like_the_old_reader(self, seed):
         rng = random.Random(seed)
         h = list(_towers(seed))[rng.randrange(3)]
-        obj = json.loads(serialize(_with_sections(h, rng)))
-        paths = []
-
-        def walk(node):
-            keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
-            for key in keys:
-                paths.append((node, key))
-                walk(node[key])
-
-        walk(obj["hyperstructure"])
-        for _ in range(rng.randint(1, 3)):
-            parent, key = rng.choice(paths)
-            if isinstance(parent, dict) and rng.random() < 0.25:
-                parent.pop(key, None)
-            elif isinstance(parent, dict) or key < len(parent):
-                parent[key] = rng.choice(REPLACEMENTS)
-        text = json.dumps(obj)
+        text = _mutated(serialize(_with_sections(h, rng)), "hyperstructure", rng)
         assert _outcome(parse, text) == _outcome(reference_parse, text)
 
     @pytest.mark.parametrize("level", [-1, 3])
@@ -381,3 +407,78 @@ class TestCodecOracle:
         assert serialize(doc) == reference_serialize(doc) == text
         doc.states.assignment = globalize(doc.hyperstructure, doc.states.base, doc.states.connectors)
         assert serialize(doc) == reference_serialize(doc)
+
+
+ID_POOL = (1, "1", 2, "2", 10, 0, -3, "a", "é\"")  # 1 next to "1": ids that differ only in type
+STATE_POOL = (0, 1, "1", -2, 10, "s", "é\"\\")
+ODD_STATES = (True, 1.5, None)  # states no document can hold
+OR = SpaceOp(unit=0, table={(a, b): a | b for a in (0, 1) for b in (0, 1)})
+
+
+@st.composite
+def states_documents(draw):
+    """A tower over mixed int and str ids and a hand-built states section on it,
+    with markers in assignments, table connectors, per-child co-connectors and
+    now and then an id the tower lacks, an assignment level too many or a
+    state no document can hold."""
+    h = new_hyperstructure(draw(st.lists(st.sampled_from(ID_POOL), min_size=1, max_size=6, unique=True)))
+    for level in range(draw(st.integers(0, 2))):
+        below = sorted_elements(h.levels[level])
+        specs = [
+            BondSpec(level, Support(level, frozenset(draw(st.lists(st.sampled_from(below), min_size=1, max_size=3, unique=True)))), "p", raw)
+            for raw in draw(st.lists(st.sampled_from(ID_POOL), min_size=1, max_size=4, unique=True))
+        ]
+        h = add_bonds(h, specs, order=level + 1)
+    n, states = h.order, st.sampled_from(STATE_POOL + (ODD_STATES if draw(st.integers(0, 3)) == 0 else ()))
+
+    def some(level: int) -> list[ElementId]:
+        present = sorted_elements(h.levels[level]) if level <= n else []
+        chosen = draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+        if draw(st.integers(0, 5)) == 0:
+            chosen.append(ElementId(level, draw(st.sampled_from(("ghost", 7, "7")))))
+        return chosen
+
+    def keyed(level: int, values) -> dict:
+        return {e: draw(values) for e in some(level)}
+
+    def co_connector(k: int) -> CoConnector:
+        kind = draw(st.sampled_from(("identity", "table", "per_child")))
+        if kind == "identity":
+            return BROADCAST
+        if kind == "table":
+            return CoConnector("table", {0: 1, "s": "t", 1: "1"} if draw(st.booleans()) else {})
+        pairs = [(p, c) for p in some(n - k) for c in some(n - k - 1)]
+        return CoConnector("per_child", {pair: draw(states) for pair in pairs})
+
+    sec = StatesSection()
+    if draw(st.booleans()):
+        spaces = draw(st.lists(st.sampled_from([(frozenset({0, 1}), OR), (frozenset({"x", 2, "1"}), None)]), max_size=3))
+        sec.tower = state_tower([space for space, _ in spaces], [op for _, op in spaces])
+    if draw(st.booleans()):
+        sec.base = keyed(0, states)
+    if draw(st.booleans()):
+        sec.top = keyed(n, states)
+    if draw(st.booleans()):
+        table = Connector("table", {(0, "s"): 1, (1,): "x", (-2, 1, 1): 0})
+        sec.connectors = tuple(draw(st.sampled_from((SUM, PRODUCT, UNION_FOLD, table))) for _ in range(n))
+    if draw(st.booleans()):
+        sec.co_connectors = tuple(co_connector(k) for k in range(n))
+    if draw(st.booleans()):
+        marked = st.one_of(states, st.sampled_from((UNASSIGNED, CONFLICT)))
+        levels = n + 1 + (draw(st.integers(0, 5)) == 0)
+        sec.assignment = LambdaAssignment(per_level=tuple(keyed(i, marked) for i in range(levels)))
+    return Document(hyperstructure=h, states=sec)
+
+
+class TestStatesCodecOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(states_documents(), st.integers(0, 2**31))
+    def test_states_section_equals_the_old_codec(self, doc, seed):
+        """Same bytes or the same error when written; when read, the same
+        section or the same first error, also after the text is mutated."""
+        text = _outcome(serialize, doc)
+        assert text == _outcome(reference_serialize, doc)
+        if isinstance(text, str):
+            assert _outcome(parse, text) == _outcome(reference_parse, text)
+            mutated = _mutated(text, "states", random.Random(seed))
+            assert _outcome(parse, mutated) == _outcome(reference_parse, mutated)

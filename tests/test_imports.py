@@ -2,9 +2,10 @@
 
 Importing the package or its CLI loads no numpy and none of the payload
 modules; each command imports those it runs, and a document loads a
-section's module only when the section is present. The value types are
-NamedTuples and plain classes, so no command loads `dataclasses`, nor
-`inspect`, which `dataclasses` imports.
+section's module (topology, states or catelem, which hold the section
+codecs) only when the section is present. The value types are NamedTuples
+and plain classes, so no command loads `dataclasses`, nor `inspect`, which
+`dataclasses` imports.
 """
 import json
 import os
@@ -48,21 +49,14 @@ def test_cli_import_loads_no_payload_module():
     assert loaded.isdisjoint(PAYLOAD_MODULES), loaded & set(PAYLOAD_MODULES)
 
 
-def test_validate_loads_no_payload_module():
-    loaded = _loaded_after(_cli("validate", str(CORPUS / "brunnian_3_3.json")))
-    assert loaded.isdisjoint(PAYLOAD_MODULES), loaded & set(PAYLOAD_MODULES)
+def _install_hypergraph_argv(tmp_path) -> list[str]:
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
+    return ["install", "hypergraph", str(payload), "--out", str(tmp_path / "out.json")]
 
 
 def _install_hypergraph(tmp_path) -> str:
-    payload = tmp_path / "payload.json"
-    payload.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
-    return _cli("install", "hypergraph", str(payload), "--out", str(tmp_path / "out.json"))
-
-
-def test_install_hypergraph_loads_installers_only(tmp_path):
-    loaded = _loaded_after(_install_hypergraph(tmp_path))
-    assert "installers" in loaded
-    assert loaded.isdisjoint({"catelem", "topology"}), loaded
+    return _cli(*_install_hypergraph_argv(tmp_path))
 
 
 @pytest.mark.parametrize(
@@ -79,6 +73,53 @@ def test_a_document_loads_only_its_sections_modules(name, expected):
         "from pathlib import Path; from hyperstruct.document import parse, serialize\n"
         f"serialize(parse(Path({str(CORPUS / name)!r}).read_text()))"
     )
+    assert loaded & set(PAYLOAD_MODULES) == expected
+
+
+def _loaded_by_command(*argv: str) -> set[str]:
+    """The hyperstruct submodules that `python -m hyperstruct.cli argv` imports,
+    read from its -X importtime report."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-X", "importtime", "-m", "hyperstruct.cli", *argv]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:"))
+    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.")}
+
+
+def _without(name: str, section: str, tmp_path) -> str:
+    """A copy of a corpus document without one of its sections."""
+    doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+    del doc[section]
+    path = tmp_path / f"no-{section}-{name}"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (lambda tmp: ["validate", str(CORPUS / "brunnian_3_3.json")], set()),
+        (_install_hypergraph_argv, {"installers"}),
+        (lambda tmp: ["brunnian", str(CORPUS / "brunnian_3_3.json")], {"installers"}),
+        (lambda tmp: ["emergent", str(CORPUS / "flat_triangle.json"), "--level", "0", "--s1", "v0,v1", "--s2", "v1,v2"], {"assignments"}),
+        (
+            lambda tmp: ["compose", str(CORPUS / "flat_triangle.json"), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--p", "0", "--mode", "weak", "--id", "c", "--out", str(tmp / "c.json")],
+            {"composition"},
+        ),
+        (lambda tmp: ["globalize", _without("graded_triangle_site.json", "topology", tmp), "--out", str(tmp / "g.json")], {"states", "composition"}),
+        (lambda tmp: ["localize", str(CORPUS / "localize_regions.json"), "--out", str(tmp / "l.json")], {"states", "composition"}),
+        (
+            lambda tmp: ["fuse", _without("graded_triangle_site.json", "topology", tmp), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "0", "--id", "f", "--out", str(tmp / "f.json")],
+            {"states", "composition"},
+        ),
+        (lambda tmp: ["nerve", str(CORPUS / "square_category.json"), "--out", str(tmp / "n.json")], {"catelem"}),
+        (lambda tmp: ["topology-check", _without("graded_triangle_site.json", "states", tmp)], {"topology"}),
+    ],
+    ids=["validate", "install-hypergraph", "brunnian", "emergent", "compose", "globalize", "localize", "fuse", "nerve", "topology-check"],
+)
+def test_each_command_loads_only_its_modules(argv, expected, tmp_path):
+    loaded = _loaded_by_command(*argv(tmp_path))
     assert loaded & set(PAYLOAD_MODULES) == expected
 
 
