@@ -23,10 +23,14 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import FrozenRecord, Hyperstructure, sorted_elements
 from .document import _expect_id, _expect_list, _expect_obj, _jkey
-from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError
+from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError, SweepTooLarge
 
 ObjId = Hashable
 MorId = Hashable
+
+#: nerve refuses to list more than this many simplices, counting one more
+#: for each dimension asked for (a dimension may be empty).
+NERVE_CAP = 20000
 
 
 def _key(x) -> str:
@@ -310,9 +314,23 @@ class SimplicialData(NamedTuple):
 
 def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     """Chains of composable non-identity morphisms, up to the given length.
-    Morphisms are held in id-key order, so chains come out lexicographically."""
+    Morphisms are held in id-key order, so chains come out lexicographically.
+
+    Each dimension is counted before it is built, and SweepTooLarge is
+    raised when max_dim plus the simplices listed would exceed NERVE_CAP."""
     if max_dim < 0:
         raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    listed = 0
+
+    def admit(k: int, count: int) -> None:
+        nonlocal listed
+        listed += count
+        if max_dim + listed > NERVE_CAP:
+            raise SweepTooLarge(
+                f"nerve up to dimension {max_dim}: {listed} simplices by dimension {k}, plus {max_dim} dimensions, exceed the cap of {NERVE_CAP}"
+            )
+
+    admit(0, len(cat.objects))
     dims: list[tuple] = [tuple(sorted(cat.objects, key=_key))]
     identity = {m.id for m in cat.morphisms if cat.identities.get(m.src) == m.id}
     non_id = [m for m in cat.morphisms if m.id not in identity]
@@ -320,12 +338,15 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     out: dict = {}
     for m in non_id:
         out.setdefault(m.src, []).append(m.id)
+    degree = {m.id: len(out.get(m.tgt, ())) for m in non_id}  # how many chains a chain ending in m extends to
     composition = cat.composition
     chains: list[tuple] = [(m.id,) for m in non_id]
     faces: dict = {(m.id,): (m.tgt, m.src) for m in non_id}  # drop-source vertex first, then drop-target
     if max_dim >= 1:
+        admit(1, len(chains))
         dims.append(tuple(chains))
-    for _ in range(2, max_dim + 1):
+    for k in range(2, max_dim + 1):
+        admit(k, sum(degree[chain[-1]] for chain in chains))
         chains = [chain + (n,) for chain in chains for n in out.get(tgt[chain[-1]], ())]
         for chain in chains:
             fs: list = [chain[1:]]  # drop first arrow
@@ -451,11 +472,13 @@ def _category_to_json(c: FiniteCategory) -> dict:
 def _category_from_json(value) -> FiniteCategory:
     obj = _expect_obj(value, "category", {"objects", "morphisms", "identities", "composition"}, {"objects", "morphisms", "identities", "composition"})
     objects = [_expect_id(o, "category.objects") for o in _expect_list(obj["objects"], "category.objects")]
+    obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        raise SchemaError("category.objects: duplicate objects")
     morphisms = []
     for k, m in enumerate(_expect_list(obj["morphisms"], "category.morphisms")):
         e = _expect_obj(m, f"category.morphisms[{k}]", {"id", "src", "tgt"}, {"id", "src", "tgt"})
         morphisms.append(Morphism(_expect_id(e["id"], "morphism"), _expect_id(e["src"], "morphism"), _expect_id(e["tgt"], "morphism")))
-    obj_set = set(objects)
     mor_set = {m.id for m in morphisms}
     for m in morphisms:
         if m.src not in obj_set or m.tgt not in obj_set:
@@ -467,6 +490,8 @@ def _category_from_json(value) -> FiniteCategory:
             raise SchemaError("category.identities: expected [object, morphism]")
         if _expect_id(pair[0], "category.identities") not in obj_set or _expect_id(pair[1], "category.identities") not in mor_set:
             raise DanglingReference(f"category.identities: unresolved pair {pair!r}")
+        if pair[0] in identities:
+            raise SchemaError(f"category.identities: duplicate entry for object {pair[0]!r}")
         identities[pair[0]] = pair[1]
     composition = {}
     for e in _expect_list(obj["composition"], "category.composition"):
@@ -476,6 +501,8 @@ def _category_from_json(value) -> FiniteCategory:
         for m in trip:
             if _expect_id(m, "category.composition") not in mor_set:
                 raise DanglingReference(f"category.composition: unknown morphism {m!r}")
+        if (trip[0], trip[1]) in composition:
+            raise SchemaError(f"category.composition: duplicate entry for ({trip[0]!r}, {trip[1]!r})")
         composition[(trip[0], trip[1])] = trip[2]
     return finite_category(objects, morphisms, identities, composition)
 
@@ -501,6 +528,8 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
             raise SchemaError("presheaf.on_objects: expected [object, elements]")
         if _expect_id(pair[0], "presheaf.on_objects") not in cat.objects:
             raise DanglingReference(f"presheaf.on_objects: unknown object {pair[0]!r}")
+        if pair[0] in on_objects:
+            raise SchemaError(f"presheaf.on_objects: duplicate entry for object {pair[0]!r}")
         on_objects[pair[0]] = frozenset(_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects"))
     on_morphisms = {}
     for e in _expect_list(obj["on_morphisms"], "presheaf.on_morphisms"):
@@ -509,12 +538,17 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
             raise SchemaError("presheaf.on_morphisms: expected [morphism, table]")
         if _expect_id(pair[0], "presheaf.on_morphisms") not in cat.by_id:
             raise DanglingReference(f"presheaf.on_morphisms: unknown morphism {pair[0]!r}")
+        if pair[0] in on_morphisms:
+            raise SchemaError(f"presheaf.on_morphisms: duplicate entry for morphism {pair[0]!r}")
         table = {}
         for xy in _expect_list(pair[1], "presheaf.on_morphisms"):
             x = _expect_list(xy, "presheaf.on_morphisms")
             if len(x) != 2:
                 raise SchemaError("presheaf.on_morphisms: expected [from, to]")
-            table[_expect_id(x[0], "presheaf.on_morphisms")] = _expect_id(x[1], "presheaf.on_morphisms")
+            key = _expect_id(x[0], "presheaf.on_morphisms")
+            if key in table:
+                raise SchemaError(f"presheaf.on_morphisms: duplicate entry for {key!r} in the table of {pair[0]!r}")
+            table[key] = _expect_id(x[1], "presheaf.on_morphisms")
         on_morphisms[pair[0]] = table
     p = Presheaf(on_objects=on_objects, on_morphisms=on_morphisms)
     validate_presheaf(cat, p)
@@ -546,6 +580,7 @@ def _simplicial_from_json(value) -> SimplicialData:
     faces: dict = {}
     for k, entries in enumerate(raw_dims):
         ids = []
+        lower = set(simplices[-1]) if simplices else set()
         for e in _expect_list(entries, f"simplicial.dimensions[{k}]"):
             o = _expect_obj(e, f"simplicial.dimensions[{k}]", {"id", "faces"}, {"id"})
             sid = _expect_id(o["id"], f"simplicial.dimensions[{k}]")
@@ -560,7 +595,6 @@ def _simplicial_from_json(value) -> SimplicialData:
             fl = _expect_list(fs, f"simplicial.dimensions[{k}].faces")
             if len(fl) != k + 1:
                 raise SchemaError(f"simplicial.dimensions[{k}]: simplex {sid!r} needs {k + 1} faces")
-            lower = set(simplices[k - 1])
             checked = []
             for f in fl:
                 if f is None:

@@ -44,7 +44,7 @@ class CheckReport:
     def findings(self) -> tuple[Finding, ...]:
         if self._sorted is None:
             self._drawn.extend(self._pending)
-            self._sorted = tuple(sorted(self._drawn, key=lambda f: (f.code, f.message)))
+            self._sorted = tuple(sorted(self._drawn))  # a Finding sorts as its (code, message) tuple
         return self._sorted
 
     @property

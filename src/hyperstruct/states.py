@@ -112,6 +112,11 @@ def state_tower(spaces: Sequence[frozenset[StateToken]], ops: Sequence[SpaceOp |
     return StateTower(spaces=sp, ops=tuple(ops))
 
 
+def _at_bond(at: ElementId | None) -> str:
+    """Where a connector failed, for its error message."""
+    return f" at bond {at!r}" if at is not None else ""
+
+
 class Connector(NamedTuple):
     """Reduces the multiset of a bond's boundary states to the bond's state.
 
@@ -123,14 +128,13 @@ class Connector(NamedTuple):
     table: Mapping[tuple[StateToken, ...], StateToken] | None = None
 
     def apply(self, values: Sequence[StateToken], at: ElementId | None = None) -> StateToken:
-        where = f" at bond {at!r}" if at is not None else ""
         if not values:
-            raise ConnectorUndefined(f"empty state multiset{where}")
+            raise ConnectorUndefined(f"empty state multiset{_at_bond(at)}")
         if self.kind in ("product", "sum"):
             total = 1 if self.kind == "product" else 0
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConnectorUndefined(f"{self.kind} connector needs integer states, got {v!r}{where}")
+                    raise ConnectorUndefined(f"{self.kind} connector needs integer states, got {v!r}{_at_bond(at)}")
                 total = total * v if self.kind == "product" else total + v
             return total
         if self.kind == "union":
@@ -142,7 +146,7 @@ class Connector(NamedTuple):
         if self.kind == "table":
             key = tuple(sorted(values, key=token_key))
             if self.table is None or key not in self.table:
-                raise ConnectorUndefined(f"table connector undefined at {key!r}{where}")
+                raise ConnectorUndefined(f"table connector undefined at {key!r}{_at_bond(at)}")
             return self.table[key]
         raise ConnectorUndefined(f"unknown connector kind {self.kind!r}")
 

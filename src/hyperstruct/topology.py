@@ -26,7 +26,8 @@ its other sieves, and a root whose collection holds no other sieve is not
 swept at all (a sampled check still makes that root's draws, so later roots
 see the same stream). The checker's report is lazy: reading its verdict
 stops at the first violation, and the axioms' witness text is written from
-the bits only when the findings are read.
+the bits only when the findings are read. The level's view keeps each
+sieve's text once written, so later checks on the same tower reuse it.
 """
 from __future__ import annotations
 
@@ -122,15 +123,21 @@ class _LevelOrder:
     orders elements[j]: its bond's boundary over the level below's bits, or
     its own bit at level 0. below[i] is the mask of elements refining
     elements[i], those whose support lies under support[i].
+
+    texts holds the witness text of each sieve written so far, keyed by
+    (root bit, mask), so every check on this level writes a sieve once; the
+    element texts that witnesses and findings repeat are tabled when the
+    first of them is written.
     """
 
-    __slots__ = ("elements", "index", "ids", "support", "below", "downsets")
+    __slots__ = ("elements", "index", "support", "below", "downsets", "texts", "_names")
 
     def __init__(self, h: Hyperstructure, level: int, lower: _LevelOrder | None):
         self.elements = sorted_elements(h.elements(level))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.ids = [str(e.id) for e in self.elements]
         self.downsets: dict[int, list[int]] = {}
+        self.texts: dict[tuple[int, int], str] = {}
+        self._names: tuple[list[str], list[str]] | None = None
         if lower is None:  # each level-0 element refines only itself
             self.support = self.below = [1 << j for j in range(len(self.elements))]
             return
@@ -171,15 +178,29 @@ class _LevelOrder:
     def unmask(self, mask: int) -> frozenset[ElementId]:
         return frozenset(self.elements[j] for j in _bit_indices(mask))
 
+    def names(self) -> tuple[list[str], list[str]]:
+        """Each element's repr and its raw id as text, tabled on first use."""
+        if self._names is None:
+            self._names = ([repr(e) for e in self.elements], [str(e.id) for e in self.elements])
+        return self._names
+
     def sieve_text(self, i: int, mask: int) -> str:
-        """repr(Sieve(elements[i], unmask(mask))), written from the bits."""
-        return f"Sieve({self.elements[i]!r}: {{{','.join(self.ids[j] for j in _bit_indices(mask))}}})"
+        """repr(Sieve(elements[i], unmask(mask))), written from the bits on first use."""
+        got = self.texts.get((i, mask))
+        if got is None:
+            reprs, ids = self.names()
+            got = self.texts[i, mask] = f"Sieve({reprs[i]}: {{{','.join([ids[j] for j in _bit_indices(mask)])}}})"
+        return got
 
     def is_downset(self, mask: int) -> bool:
-        closure = 0
-        for j in _bit_indices(mask):
-            closure |= self.below[j]
-        return closure == mask
+        """Every member's ideal lies in mask (each ideal holds its own member)."""
+        below, rest = self.below, mask
+        while rest:
+            low = rest & -rest
+            if below[low.bit_length() - 1] & ~mask:
+                return False
+            rest ^= low
+        return True
 
     def downsets_below(self, i: int) -> list[int]:
         """All downward-closed subsets of {j : j <= i}, ascending, memoized per root.
@@ -311,23 +332,17 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
     """Yield the invalid families, then every axiom violation, cheapest axioms first.
 
     Candidate sieves are enumerated when rng is None and sampled from it
-    otherwise, root by root in level order either way.
+    otherwise, root by root in level order either way. Witnesses come from
+    the order's text memo, and nothing is written until a violation is found.
     """
     yield from invalid
-    elements, below = order.elements, order.below
-    text: dict[tuple[int, int], str] = {}  # witness text per (root, sieve mask), written on first use
-
-    def witness(i: int, mask: int) -> str:
-        got = text.get((i, mask))
-        if got is None:
-            got = text[i, mask] = order.sieve_text(i, mask)
-        return got
+    below, text = order.below, order.sieve_text
 
     # (i) maximality
     for i, sieves in enumerate(masks):
         if below[i] not in sieves:
-            b = elements[i]
-            yield Finding("maximality", f"maximal sieve on {b!r} missing from J({b.id})")
+            reprs, ids = order.names()
+            yield Finding("maximality", f"maximal sieve on {reprs[i]} missing from J({ids[i]})")
 
     # (ii) stability under pullback along every refinement
     for i, sieves in enumerate(masks):
@@ -335,7 +350,8 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
             below_j, sieves_j = below[j], masks[j]
             for s in sieves:
                 if s & below_j not in sieves_j:
-                    yield Finding("stability", f"pullback of {witness(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
+                    reprs, ids = order.names()
+                    yield Finding("stability", f"pullback of {text(i, s)} along {reprs[j]} missing from J({ids[j]})")
 
     # (iii) transitivity: locally covering families must be covering.
     # r covers locally at j when r's pullback along j is in J(j); it covers
@@ -360,11 +376,13 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
             for j in members:
                 if r & below[j] in masks[j]:
                     local |= 1 << j
+            head = None  # r's part of the message, written at r's first finding
             for s in others:
                 if not s & ~local:
-                    yield Finding(
-                        "transitivity", f"{witness(i, r)} covers locally over {witness(i, s)} but is missing from J({elements[i].id})"
-                    )
+                    if head is None:
+                        head = f"{text(i, r)} covers locally over "
+                        ids = order.names()[1]
+                    yield Finding("transitivity", f"{head}{text(i, s)} but is missing from J({ids[i]})")
 
 
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:

@@ -185,9 +185,12 @@ def _reference_text(name: str, findings, notes) -> str:
 
 
 def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, exhaustive=None, seed: int = 0):
-    """Rendered report of the axiom checker, every witness written and every candidate drawn."""
+    """Rendered report of the axiom checker, every witness written and every candidate drawn.
+
+    Witnesses are written as repr(Sieve(...)) and downsets tested by their
+    closure here, not by the level order's own text memo and downset test."""
     from hyperstruct.errors import SweepTooLarge
-    from hyperstruct.topology import EXHAUSTIVE_CAP, SAMPLE_SIZE, _bit_indices, _level_order, _sampled_masks
+    from hyperstruct.topology import EXHAUSTIVE_CAP, SAMPLE_SIZE, Sieve, _bit_indices, _level_order, _sampled_masks
 
     h.check_level(level)
     order = _level_order(h, level)
@@ -222,13 +225,20 @@ def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, 
                 findings.append(("misrooted", f"sieve rooted at {s.root!r} listed under {b!r}"))
                 continue
             m = order.mask_of(s.members)
-            if m & ~order.below[i] or not order.is_downset(m):
+            closure = 0
+            for j in _bit_indices(m):
+                closure |= order.below[j]
+            if m & ~order.below[i] or closure != m:
                 findings.append(("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
                 continue
             got.add(m)
         masks.append(got)
 
     below = order.below
+
+    def text(i: int, mask: int) -> str:
+        return repr(Sieve(elements[i], order.unmask(mask)))
+
     for i, b in enumerate(elements):
         sieves = masks[i]
         if below[i] not in sieves:
@@ -237,7 +247,7 @@ def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, 
             for s in sieves:
                 if s & below[j] not in masks[j]:
                     findings.append(
-                        ("stability", f"pullback of {order.sieve_text(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
+                        ("stability", f"pullback of {text(i, s)} along {elements[j]!r} missing from J({elements[j].id})")
                     )
         candidates = order.downsets_below(i) if exhaustive else _sampled_masks(order, i, rng, SAMPLE_SIZE)
         covered = 0
@@ -256,7 +266,7 @@ def reference_is_grothendieck_topology(h: Hyperstructure, topology, level: int, 
                     findings.append(
                         (
                             "transitivity",
-                            f"{order.sieve_text(i, r)} covers locally over {order.sieve_text(i, s)} but is missing from J({b.id})",
+                            f"{text(i, r)} covers locally over {text(i, s)} but is missing from J({b.id})",
                         )
                     )
     return _reference_text(f"grothendieck-topology level {level}", findings, notes)

@@ -36,7 +36,8 @@ from hyperstruct.catelem import (
     terminal_presheaf,
     validate_presheaf,
 )
-from hyperstruct.errors import InconsistentComplex, InvalidCategory, InvalidPresheaf
+from hyperstruct import catelem
+from hyperstruct.errors import InconsistentComplex, InvalidCategory, InvalidPresheaf, SweepTooLarge
 from hyperstruct.installers import from_simplicial_complex
 
 ARROW = poset_category([0, 1], lambda a, b: a <= b)
@@ -504,6 +505,24 @@ class TestCompositionIndex:
             for b in cat.objects:
                 assert cat.hom(a, b) == naive_hom(cat, a, b)
         assert list(nerve(cat, 3).simplices) == naive_nerve_dims(cat, 3)
+
+    def test_nerve_cap_counts_simplices_and_dimensions(self, monkeypatch):
+        # one object and xy = x on {e, f}: dimension k holds 2^k chains, so
+        # the nerve up to dimension 5 lists 63 simplices over 5 dimensions
+        ids = ["1", "e", "f"]
+        monoid = finite_category(
+            ["*"],
+            [Morphism(m, "*", "*") for m in ids],
+            {"*": "1"},
+            {(x, y): x if x != "1" else y for x in ids for y in ids},
+        )
+        monkeypatch.setattr(catelem, "NERVE_CAP", 63 + 5)
+        assert [len(d) for d in nerve(monoid, 5).simplices] == [1, 2, 4, 8, 16, 32]
+        monkeypatch.setattr(catelem, "NERVE_CAP", 63 + 5 - 1)
+        with pytest.raises(SweepTooLarge, match=r"63 simplices by dimension 5, plus 5 dimensions, exceed the cap of 67"):
+            nerve(monoid, 5)
+        with pytest.raises(SweepTooLarge, match=r"by dimension 0"):
+            nerve(ARROW, 67)
 
     @pytest.mark.parametrize("max_dim", [-1, -2])
     def test_negative_dimension_rejected(self, max_dim):

@@ -275,6 +275,28 @@ class TestNerveAndBetti:
         assert code == 0
         assert "betti: 1 0" in out
 
+    def test_nerve_past_the_cap_is_refused(self, capsys, tmp_path):
+        # one object, 1 its identity, and xy = x for x, y in {e, f}: 2^k chains in dimension k
+        ids = ["1", "e", "f"]
+        composition = [[x, y, x if x != "1" else y] for x in ids for y in ids]
+        obj = {
+            "format": "hyperstruct/1",
+            "category": {
+                "objects": ["*"],
+                "morphisms": [{"id": m, "src": "*", "tgt": "*"} for m in ids],
+                "identities": [["*", "1"]],
+                "composition": composition,
+            },
+        }
+        monoid = tmp_path / "monoid.json"
+        monoid.write_text(json.dumps(obj))
+        code, out = run(capsys, "betti", str(monoid), "--max-dim", "4")
+        assert (code, out) == (0, "betti: 1 0 0 0 0\n")
+        for argv in (["betti", str(monoid), "--max-dim", "14"], ["nerve", str(CORPUS / "square_category.json"), "--max-dim", "1000000"]):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            assert out.startswith("error: SweepTooLarge\nnerve up to dimension ")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -202,6 +202,42 @@ class TestErrors:
         assert parse(serialize(Document(hyperstructure=h))).hyperstructure == h
 
 
+    @pytest.mark.parametrize(
+        "section, field, repeat, message",
+        [
+            ("category", "objects", lambda o: o[0], "category.objects: duplicate objects"),
+            ("category", "identities", lambda o: o[0], "category.identities: duplicate entry for object '00'"),
+            ("category", "composition", lambda o: o[0], "category.composition: duplicate entry for ('00->00', '00->00')"),
+            ("presheaf", "on_objects", lambda o: ["00", [1]], "presheaf.on_objects: duplicate entry for object '00'"),
+            ("presheaf", "on_morphisms", lambda o: o[0], "presheaf.on_morphisms: duplicate entry for morphism '00->00'"),
+            ("presheaf", "on_morphisms", None, "presheaf.on_morphisms: duplicate entry for 0 in the table of '00->00'"),
+        ],
+        ids=["objects", "identities", "composition", "on_objects", "on_morphisms", "table-from"],
+    )
+    def test_repeated_category_and_presheaf_entries(self, section, field, repeat, message):
+        obj = json.loads((CORPUS / "square_category.json").read_text(encoding="utf-8"))
+        entries = obj[section][field]
+        if repeat is None:  # a "from" key twice in one action table
+            entries[0][1].append([0, 1])
+        else:
+            entries.append(repeat(entries))
+        with pytest.raises(SchemaError) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == message
+
+
+    def test_missing_face_in_the_last_simplex_dangles(self):
+        n = 2000
+        vertices = [{"id": f"v{i}", "faces": None} for i in range(n)]
+        edges = [{"id": f"e{i}", "faces": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)]
+        obj = {"format": "hyperstruct/1", "simplicial": {"max_dim": 1, "dimensions": [vertices, edges]}}
+        assert len(parse(json.dumps(obj)).simplicial.simplices[1]) == n
+        edges[-1]["faces"][1] = "v-missing"
+        with pytest.raises(DanglingReference) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == f"simplicial: face 'v-missing' of 'e{n - 1}' missing in dimension 0"
+
+
 class TestIntegerIds:
     def test_int_and_string_ids_coexist(self):
         from hyperstruct.core import add_bond, assign_property, new_hyperstructure

@@ -122,6 +122,15 @@ class TestGlobalize:
             globalize(t, {"v0": 2, "v1": 2, "v2": 3}, [delta, delta])
         assert "bond" in str(exc.value)
 
+    def test_connector_error_names_the_bond(self):
+        t = graded_triangle()
+        with pytest.raises(ConnectorUndefined) as exc:
+            globalize(t, {"v0": 2, "v1": "x", "v2": 3}, [SUM, SUM])
+        assert str(exc.value) == "sum connector needs integer states, got 'x' at bond 1:{v0,v1}"
+        with pytest.raises(ConnectorUndefined) as exc:
+            SUM.apply([2, "x"])
+        assert str(exc.value) == "sum connector needs integer states, got 'x'"
+
     def test_permutation_invariance(self):
         rng = random.Random(6)
         for _ in range(10):

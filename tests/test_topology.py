@@ -376,10 +376,11 @@ class TestLevelOrder:
                     subsets = (sum(1 << j for pos, j in enumerate(ideal) if k >> pos & 1) for k in range(1 << len(ideal)))
                     brute = [m for m in subsets if all(below[j] & ~m == 0 for j in _bit_indices(m))]
                     assert order.downsets_below(i) == sorted(brute)
-                # witness text for sieves and for arbitrary families of the level
+                # witness text and the downset test for sieves and for arbitrary families of the level
                 families = [below[i], 0, rng.getrandbits(len(elements))]
                 for m in families:
                     assert order.sieve_text(i, m) == repr(Sieve(b, order.unmask(m)))
+                    assert order.is_downset(m) == all(below[j] & ~m == 0 for j in _bit_indices(m))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31))
@@ -664,6 +665,24 @@ class TestLazyReportMatchesReference:
         rng = random.Random(seed)
         self.assert_matches(mixed_id_tower(rng), rng)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_checks_sharing_a_tower(self, seed):
+        """Candidates checked on one tower share its witness memo; however their reports are read, each matches."""
+        rng = random.Random(seed)
+        h = random_tower(rng, max_order=2, max_per_level=10) if seed % 2 else mixed_id_tower(rng)
+        level = rng.randint(0, h.order)
+        modes = [{"exhaustive": True}, {}] + [{"exhaustive": False, "seed": s} for s in (0, rng.randrange(1000))]
+        checks = []
+        for _ in range(4):
+            topo = random_topology(h, level, rng)
+            checks += [(topo, kw, is_grothendieck_topology(h, topo, level, **kw)) for kw in modes]
+        checks.reverse()
+        verdicts = [rep.passed for _, _, rep in checks]
+        for (topo, kw, rep), passed in zip(checks, verdicts):
+            assert rep.render() == reference_is_grothendieck_topology(h, topo, level, **kw)
+            assert passed == rep.passed == (not rep.findings)
+
 
 def test_witness_text_written_only_when_read(monkeypatch):
     calls = []
@@ -682,13 +701,17 @@ def test_witness_text_written_only_when_read(monkeypatch):
     j[e["t"]] = j[e["t"]] | {Sieve(e["t"], frozenset({e[5], e[12]}))}
 
     make_site(h, maximal_topology(h))
-    assert calls == []
+    order = _level_order(h, 1)
+    assert calls == [] and order.texts == {} and order._names is None  # checks that pass write nothing
     rep = is_grothendieck_topology(h, j, 1)
     assert not rep.passed and calls == []
     assert repr(rep).startswith("CheckReport(name='grothendieck-topology level 1', passed=False, findings=(Finding(")
     text = rep.render()
     assert {"maximality", "stability", "transitivity"} <= rep.codes
     read_first = len(calls)
+    written = dict(order.texts)
+    assert len(written) == len(set(calls)) > 0
     calls.clear()
     assert is_grothendieck_topology(h, j, 1).render() == text
     assert len(calls) == read_first > 0
+    assert order.texts == written  # a later check on the tower reuses every witness
