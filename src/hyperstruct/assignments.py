@@ -13,7 +13,7 @@ from typing import Literal, Mapping, NamedTuple
 
 from .core import PropertyToken, Support
 from .errors import CombinerUndefined, MissingInducedMap, MixedLevels, NotDisjoint
-from .report import CheckReport, Finding, report
+from .report import CheckReport, Finding
 
 TENSOR_SEPARATOR = "⊗"
 
@@ -198,7 +198,7 @@ def check_pushout(
         if t not in wu:
             findings.append(Finding("outside-union", f"comparison map hits {t!r} outside the union's tokens"))
     notes = (f"pushout size {len(classes)}, union size {len(wu)}",)
-    return report("pushout", findings, notes)
+    return CheckReport("pushout", findings, notes)
 
 
 def check_pullback(
@@ -243,7 +243,7 @@ def check_pullback(
         if pair not in image:
             findings.append(Finding("no-preimage", f"pullback pair {pair!r} is hit by no union token"))
     notes = (f"pullback size {len(pullback)}, union size {len(wu)}",)
-    return report("pullback", findings, notes)
+    return CheckReport("pullback", findings, notes)
 
 
 def check_tensor(omega: Mapping[Support, TokenSet], s1: Support, s2: Support) -> CheckReport:
@@ -264,4 +264,4 @@ def check_tensor(omega: Mapping[Support, TokenSet], s1: Support, s2: Support) ->
     for t in sorted(wu - expected):
         findings.append(Finding("not-a-pair", f"union token {t!r} is not a canonical pair"))
     notes = (f"|w1|={len(w1)} |w2|={len(w2)} |union|={len(wu)}",)
-    return report("tensor", findings, notes)
+    return CheckReport("tensor", findings, notes)

@@ -480,6 +480,8 @@ def _category_from_json(value) -> FiniteCategory:
         e = _expect_obj(m, f"category.morphisms[{k}]", {"id", "src", "tgt"}, {"id", "src", "tgt"})
         morphisms.append(Morphism(_expect_id(e["id"], "morphism"), _expect_id(e["src"], "morphism"), _expect_id(e["tgt"], "morphism")))
     mor_set = {m.id for m in morphisms}
+    if len(mor_set) != len(morphisms):
+        raise SchemaError("category.morphisms: duplicate morphism ids")
     for m in morphisms:
         if m.src not in obj_set or m.tgt not in obj_set:
             raise DanglingReference(f"category: morphism {m.id!r} references unknown objects")
@@ -530,7 +532,11 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
             raise DanglingReference(f"presheaf.on_objects: unknown object {pair[0]!r}")
         if pair[0] in on_objects:
             raise SchemaError(f"presheaf.on_objects: duplicate entry for object {pair[0]!r}")
-        on_objects[pair[0]] = frozenset(_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects"))
+        elements = [_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects")]
+        values = frozenset(elements)
+        if len(values) != len(elements):
+            raise SchemaError(f"presheaf.on_objects: duplicate elements for object {pair[0]!r}")
+        on_objects[pair[0]] = values
     on_morphisms = {}
     for e in _expect_list(obj["on_morphisms"], "presheaf.on_morphisms"):
         pair = _expect_list(e, "presheaf.on_morphisms")

@@ -20,16 +20,16 @@ from .core import (
     PropertyToken,
     RawId,
     Support,
-    add_bond,
     add_bonds,
     assemble,
-    assign_property,
     identity_bond,
+    identity_spec,
     iterated_boundary,
     sorted_elements,
 )
 from .errors import (
     CombinerUndefined,
+    EmptySupport,
     LevelOutOfRange,
     NotComposable,
     NotGluable,
@@ -109,8 +109,9 @@ def compose(
         return h, a
     if raw_id is None:
         raw_id = f"({a.id}□{b.id})"
-    h = assign_property(h, sup.level, sup, token)
-    return add_bond(h, sup.level, sup, token, raw_id)
+    if not sup.members:  # two bonds of a broken document that bind nothing
+        raise EmptySupport("cannot assign a property to the empty support")
+    return add_bonds(h, [BondSpec(sup.level, sup, token, raw_id)]), ElementId(sup.level + 1, raw_id)
 
 
 def compose_cross(
@@ -178,8 +179,9 @@ def _pad_to_order(h: Hyperstructure, order: int) -> Hyperstructure:
     specs = []
     top = sorted_elements(h.levels[h.order])
     for i in range(h.order, order):
-        specs += [BondSpec(i, Support(i, frozenset({e})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{e.id}", True) for e in top]
-        top = [ElementId(i + 1, f"{IDENTITY_PROPERTY}:{e.id}") for e in top]
+        wraps = [identity_spec(e) for e in top]
+        specs += wraps
+        top = [ElementId(i + 1, spec.raw_id) for spec in wraps]
     return add_bonds(h, specs, order)
 
 

@@ -12,7 +12,7 @@ their input, so any value can be shared freely across threads.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -25,7 +25,7 @@ from .errors import (
     ReservedProperty,
     UnknownElement,
 )
-from .report import CheckReport, Finding, report
+from .report import CheckReport, Finding
 
 RawId = str | int
 PropertyToken = str
@@ -340,14 +340,6 @@ def new_hyperstructure(base: Iterable[RawId]) -> Hyperstructure:
     return Hyperstructure(order=0, levels=(level0,), omegas=({},), bonds=())
 
 
-def _with_omega(h: Hyperstructure, i: int, s: Support, tokens: frozenset[PropertyToken]) -> Hyperstructure:
-    tables = list(h.omegas)
-    table = dict(tables[i])
-    table[s] = tokens
-    tables[i] = table
-    return h._replace(omegas=tuple(tables))
-
-
 def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken) -> Hyperstructure:
     """Add one property token to the omega table at level i. Idempotent."""
     h.check_level(i)
@@ -363,58 +355,9 @@ def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken)
     have = h.omegas[i].get(s, frozenset())
     if token in have:
         return h
-    return _with_omega(h, i, s, have | {token})
-
-
-def _grow(h: Hyperstructure) -> Hyperstructure:
-    return h._replace(
-        order=h.order + 1,
-        levels=h.levels + (frozenset(),),
-        omegas=h.omegas + ({},),
-    )
-
-
-def _register(h: Hyperstructure, bond: Bond) -> Hyperstructure:
-    lvl = bond.id.level
-    levels = list(h.levels)
-    levels[lvl] = levels[lvl] | {bond.id}
-    bonds = tuple(sorted(h.bonds + (bond,), key=lambda b: b.key))  # canonical registry order
-    return h._replace(levels=tuple(levels), bonds=bonds)
-
-
-def add_bond(
-    h: Hyperstructure,
-    i: int,
-    s: Support,
-    token: PropertyToken,
-    raw_id: RawId,
-    _identity: bool = False,
-) -> tuple[Hyperstructure, ElementId]:
-    """Register a bond over the level-i support s; it becomes an element of X_{i+1}.
-
-    Binding at the current top level grows the tower by one level.
-    """
-    h.check_level(i)
-    if s.level != i:
-        raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
-    if not s.members:
-        raise EmptySupport("a bond must bind a nonempty support")
-    for m in s.members:
-        if not h.has_element(m):
-            raise UnknownElement(f"support member {m!r} not in the tower")
-    if token == IDENTITY_PROPERTY and not _identity:
-        raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
-    if token not in h.omega(i, s) and not _identity:
-        raise PropertyNotAssigned(f"{token!r} not assigned to {s!r} at level {i}")
-    if i == h.order:
-        h = _grow(h)
-    eid = ElementId(i + 1, raw_id)
-    if h.has_element(eid):
-        raise DuplicateId(f"element {raw_id!r} already present at level {i + 1}")
-    if _identity and token not in h.omega(i, s):
-        h = _with_omega(h, i, s, h.omega(i, s) | {token})
-    h = _register(h, Bond(id=eid, support=s, property=token, identity=_identity))
-    return h, eid
+    tables = list(h.omegas)
+    tables[i] = {**tables[i], s: have | {token}}
+    return h._replace(omegas=tuple(tables))
 
 
 class BondSpec(NamedTuple):
@@ -448,13 +391,35 @@ def assemble(
     )
 
 
-def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> Hyperstructure:
-    """Register many bonds at once, assigning each token to its support first.
+def _check_spec(levels: Sequence[AbstractSet[ElementId]], i: int, s: Support, token: PropertyToken, identity: bool) -> None:
+    """Refuse a bond over the level-i support s that the given levels cannot take.
 
-    Empty levels are added until the tower has at least the given order;
-    then each spec acts as assign_property followed by add_bond would (an
-    identity spec as identity_bond's add_bond), with the same errors, in
-    time linear in the specs rather than quadratic.
+    The checks run in a fixed order, so a spec that breaks several rules
+    always reports the same one.
+    """
+    top = len(levels) - 1
+    if not 0 <= i <= top:
+        raise LevelOutOfRange(f"level {i} outside 0..{top}")
+    if s.level != i:
+        raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
+    if not s.members:
+        raise EmptySupport("a bond must bind a nonempty support")
+    for m in s.members:
+        if not (0 <= m.level <= top and m in levels[m.level]):
+            raise UnknownElement(f"support member {m!r} not in the tower")
+    if token == IDENTITY_PROPERTY and not identity:
+        raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
+
+
+def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> Hyperstructure:
+    """Register bonds in the order given, assigning each token to its support first.
+
+    Every bond of the library is added here. Empty levels are added until
+    the tower has at least the given order. Each spec is then checked
+    against the tower built so far; binding at the top level grows the
+    tower by one level, and a raw id already present at the bond's level
+    raises DuplicateId. An identity spec may carry the reserved token. The
+    work is linear in the tower and the specs.
     """
     levels = [set(lvl) for lvl in h.levels]
     omegas = [dict(table) for table in h.omegas]
@@ -467,19 +432,8 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     while len(levels) <= order:
         grow()
     for i, s, token, raw_id, identity in specs:
-        top = len(levels) - 1
-        if not 0 <= i <= top:
-            raise LevelOutOfRange(f"level {i} outside 0..{top}")
-        if s.level != i:
-            raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
-        if not s.members:
-            raise EmptySupport("a bond must bind a nonempty support")
-        for m in s.members:
-            if not (0 <= m.level <= top and m in levels[m.level]):
-                raise UnknownElement(f"support member {m!r} not in the tower")
-        if token == IDENTITY_PROPERTY and not identity:
-            raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
-        if i == top:
+        _check_spec(levels, i, s, token, identity)
+        if i == len(levels) - 1:
             grow()
         eid = ElementId(i + 1, raw_id)
         if eid in levels[i + 1]:
@@ -492,6 +446,24 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     return assemble(levels, omegas, bonds, h.fusion_log)
 
 
+def add_bond(h: Hyperstructure, i: int, s: Support, token: PropertyToken, raw_id: RawId) -> tuple[Hyperstructure, ElementId]:
+    """Register a bond over the level-i support s; it becomes an element of X_{i+1}.
+
+    This is add_bonds of the one spec, once the token is known to be
+    assigned to s already. Binding at the top level grows the tower by one
+    level.
+    """
+    _check_spec(h.levels, i, s, token, False)
+    if token not in h.omega(i, s):
+        raise PropertyNotAssigned(f"{token!r} not assigned to {s!r} at level {i}")
+    return add_bonds(h, [BondSpec(i, s, token, raw_id)]), ElementId(i + 1, raw_id)
+
+
+def identity_spec(x: ElementId) -> BondSpec:
+    """The spec of x's identity bond: {x} under the reserved token, named id:<x's raw id>."""
+    return BondSpec(x.level, Support(x.level, frozenset({x})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{x.id}", True)
+
+
 def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructure, ElementId]:
     """The bond binding only {x}; created once and reused per element."""
     h.check_level(i)
@@ -500,9 +472,8 @@ def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructu
     existing = h.identity_index.get(x)
     if existing is not None:
         return h, existing
-    raw = f"{IDENTITY_PROPERTY}:{x.id}"
-    s = Support(i, frozenset({x}))
-    return add_bond(h, i, s, IDENTITY_PROPERTY, raw, _identity=True)
+    spec = identity_spec(x)
+    return add_bonds(h, [spec]), ElementId(i + 1, spec.raw_id)
 
 
 def boundary(h: Hyperstructure, b: ElementId) -> Support:
@@ -567,7 +538,7 @@ def validate(h: Hyperstructure) -> CheckReport:
 
     if len(h.levels) != h.order + 1 or len(h.omegas) != h.order + 1:
         flag(MALFORMED_TOWER, f"declared order {h.order} vs {len(h.levels)} levels / {len(h.omegas)} omega tables")
-        return report("validate", findings)
+        return CheckReport("validate", findings)
 
     for i, lvl in enumerate(h.levels):
         for e in lvl:
@@ -634,4 +605,4 @@ def validate(h: Hyperstructure) -> CheckReport:
             if not h.has_element(e):
                 flag(DANGLING_FUSION, f"fusion record {k} references missing {e!r}")
 
-    return report("validate", findings)
+    return CheckReport("validate", findings)

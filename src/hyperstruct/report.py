@@ -63,7 +63,3 @@ class CheckReport:
     def __repr__(self) -> str:
         return f"CheckReport(name={self.name!r}, passed={self.passed!r}, findings={self.findings!r}, notes={self.notes!r})"
 
-
-def report(name: str, findings: Iterable[Finding], notes: Iterable[str] = ()) -> CheckReport:
-    """Build a report; sorted findings keep output order-independent."""
-    return CheckReport(name, findings, notes)

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     UnknownElement,
 )
-from .report import CheckReport, Finding, report
+from .report import CheckReport, Finding
 
 if TYPE_CHECKING:
     from .topology import Site
@@ -219,10 +219,10 @@ def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment)
     findings: list[Finding] = []
     if len(tower.spaces) != h.order + 1:
         findings.append(Finding("shape", f"{len(tower.spaces)} state spaces for an order-{h.order} tower"))
-        return report("lambda-codomains", findings)
+        return CheckReport("lambda-codomains", findings)
     if len(lam.per_level) != h.order + 1:
         findings.append(Finding("shape", f"{len(lam.per_level)} assignment levels for an order-{h.order} tower"))
-        return report("lambda-codomains", findings)
+        return CheckReport("lambda-codomains", findings)
     for i in range(h.order + 1):
         space = tower.space_for_level(h.order, i)
         for e in sorted_elements(h.elements(i)):
@@ -233,7 +233,7 @@ def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment)
                 continue
             elif v not in space:
                 findings.append(Finding("codomain", f"state {v!r} of {e!r} outside space {h.order - i}"))
-    return report("lambda-codomains", findings)
+    return CheckReport("lambda-codomains", findings)
 
 
 def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[Connector]) -> CheckReport:
@@ -253,7 +253,7 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     notes = ("scope: levelwise and adjacent-level coherence",)
     if len(connectors) != h.order:
         findings.append(Finding("shape", f"need {h.order} connectors, got {len(connectors)}"))
-        return report("amalgamation", findings, notes)
+        return CheckReport("amalgamation", findings, notes)
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
         # families and boundaries as masks; ascending bits list them in
@@ -301,7 +301,7 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                         findings.append(
                             Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
                         )
-    return report("amalgamation", findings, notes)
+    return CheckReport("amalgamation", findings, notes)
 
 
 def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment, level: int) -> CheckReport:
@@ -312,7 +312,7 @@ def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssign
     """
     h.check_level(level)
     if level == 0:
-        return report("tensor-pairing", [], (f"level 0 has no boundaries",))
+        return CheckReport("tensor-pairing", notes=("level 0 has no boundaries",))
     space_index = h.order - level + 1
     op = tower.op_for_space(space_index)
     if op is None:
@@ -324,7 +324,7 @@ def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssign
         want = lam.get(b.id)
         if folded != want:
             findings.append(Finding("pairing", f"bond {b.id!r}: fold {folded!r} != state {want!r}"))
-    return report("tensor-pairing", findings)
+    return CheckReport("tensor-pairing", findings)
 
 
 class CoConnector(NamedTuple):

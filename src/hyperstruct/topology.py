@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .core import ElementId, Hyperstructure, sorted_elements
 from .document import _expect_id, _expect_list, _jkey
 from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
-from .report import CheckReport, Finding, report
+from .report import CheckReport, Finding
 
 #: Transitivity sweeps are exhaustive by default up to this many bonds per
 #: level, and refused for a root whose ideal has more members than this.
@@ -302,7 +302,7 @@ def is_grothendieck_topology(
 
     undefined = [Finding("undefined", f"no sieve collection at {b!r}") for b in elements if b not in topology]
     if undefined:
-        return report(name, undefined, notes)
+        return CheckReport(name, undefined, notes)
 
     # convert each collection to a set of masks, validating as we go
     invalid: list[Finding] = []
@@ -325,7 +325,7 @@ def is_grothendieck_topology(
             got.add(m)
         masks.append(got)
     rng = None if exhaustive else random.Random(seed)
-    return report(name, _axiom_violations(order, masks, invalid, rng), notes)
+    return CheckReport(name, _axiom_violations(order, masks, invalid, rng), notes)
 
 
 def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[Finding], rng: random.Random | None):
@@ -404,12 +404,12 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
     n = h.order
     if len(chain.chain) != n + 1 or len(chain.families) != n + 1:
         findings.append(Finding("shape", f"chain must span levels 0..{n}"))
-        return report("covering-chain", findings)
+        return CheckReport("covering-chain", findings)
     for i, e in enumerate(chain.chain):
         if e.level != i or not h.has_element(e):
             findings.append(Finding("shape", f"chain entry {e!r} is not a level-{i} element"))
     if findings:
-        return report("covering-chain", findings)
+        return CheckReport("covering-chain", findings)
 
     for i in range(n):
         upper = chain.chain[i + 1]
@@ -433,7 +433,7 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
         for f in sorted_elements(chain.families[i]):
             if not any(f in h.bond(g).support.members for g in uppers if h.is_bond(g)):
                 findings.append(Finding("linkage", f"level {i}: {f!r} lies in no boundary of the level-{i + 1} family"))
-    return report("covering-chain", findings)
+    return CheckReport("covering-chain", findings)
 
 
 class Site(NamedTuple):

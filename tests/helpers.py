@@ -9,7 +9,10 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from hyperstruct.composition import combine_tokens, composable
 from hyperstruct.core import (
+    IDENTITY_PROPERTY,
+    Bond,
     BondSpec,
     ElementId,
     Hyperstructure,
@@ -20,6 +23,15 @@ from hyperstruct.core import (
     identity_bond,
     new_hyperstructure,
     sorted_elements,
+)
+from hyperstruct.errors import (
+    DuplicateId,
+    EmptySupport,
+    LevelOutOfRange,
+    NotComposable,
+    PropertyNotAssigned,
+    ReservedProperty,
+    UnknownElement,
 )
 
 PROPS = ["p", "q", "r", "s"]
@@ -326,14 +338,78 @@ def tower_from_supports(supports: list[frozenset[str]]) -> Hyperstructure:
 # -- bond-by-bond reference builders ---------------------------------------------------
 
 
+def reference_add_bond(h: Hyperstructure, i: int, s: Support, token, raw_id, identity: bool = False):
+    """One bond added the slow way: every check in order, grow, omega update, re-sorted registry.
+
+    With identity set it adds an identity bond, whose reserved token needs no
+    assignment and is stripped into the omega table here.
+    """
+    if not 0 <= i <= h.order:
+        raise LevelOutOfRange(f"level {i} outside 0..{h.order}")
+    if s.level != i:
+        raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
+    if not s.members:
+        raise EmptySupport("a bond must bind a nonempty support")
+    for m in s.members:
+        if not (0 <= m.level <= h.order and m in h.levels[m.level]):
+            raise UnknownElement(f"support member {m!r} not in the tower")
+    if token == IDENTITY_PROPERTY and not identity:
+        raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
+    have = h.omegas[i].get(s, frozenset())
+    if token not in have and not identity:
+        raise PropertyNotAssigned(f"{token!r} not assigned to {s!r} at level {i}")
+    if i == h.order:
+        h = h._replace(order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
+    eid = ElementId(i + 1, raw_id)
+    if eid in h.levels[i + 1]:
+        raise DuplicateId(f"element {raw_id!r} already present at level {i + 1}")
+    if token not in have:
+        omegas = list(h.omegas)
+        omegas[i] = {**omegas[i], s: have | {token}}
+        h = h._replace(omegas=tuple(omegas))
+    levels = list(h.levels)
+    levels[i + 1] = levels[i + 1] | {eid}
+    bonds = sorted(h.bonds + (Bond(id=eid, support=s, property=token, identity=identity),), key=lambda b: b.key)
+    return h._replace(levels=tuple(levels), bonds=tuple(bonds)), eid
+
+
+def reference_identity_bond(h: Hyperstructure, i: int, x: ElementId):
+    """identity_bond restated: reuse the element's identity bond, else add one named id:<x>."""
+    if not 0 <= i <= h.order:
+        raise LevelOutOfRange(f"level {i} outside 0..{h.order}")
+    if x.level != i or x not in h.levels[i]:
+        raise UnknownElement(f"no element {x!r} at level {i}")
+    for b in h.bonds:
+        if b.identity and b.support.members == {x}:
+            return h, b.id
+    return reference_add_bond(h, i, Support(i, frozenset({x})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{x.id}", True)
+
+
+def reference_compose(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mode="strict", combiner=None, raw_id=None):
+    """compose restated with assign_property and the one-bond reference."""
+    if a.level != b.level:
+        raise NotComposable(f"levels differ ({a.level} vs {b.level}); use compose_cross")
+    if not composable(h, a, b, p, mode):
+        raise NotComposable(f"{a!r} and {b!r} are not {mode}-compatible at level {p}")
+    ba, bb = h.bond(a), h.bond(b)
+    sup = ba.support.union(bb.support)
+    token = combine_tokens(combiner, ba.property, bb.property)
+    if token == IDENTITY_PROPERTY:
+        return h, a
+    if raw_id is None:
+        raw_id = f"({a.id}□{b.id})"
+    h = assign_property(h, sup.level, sup, token)
+    return reference_add_bond(h, sup.level, sup, token, raw_id)
+
+
 def chain_add_bonds(h: Hyperstructure, specs, order: int = 0) -> Hyperstructure:
-    """add_bonds restated one bond at a time: assign_property, then add_bond."""
+    """add_bonds restated one bond at a time: assign_property, then the one-bond reference."""
     while h.order < order:
         h = h._replace(order=h.order + 1, levels=h.levels + (frozenset(),), omegas=h.omegas + ({},))
     for i, s, token, raw_id, identity in specs:
         if not identity:
             h = assign_property(h, i, s, token)
-        h, _ = add_bond(h, i, s, token, raw_id, _identity=identity)
+        h, _ = reference_add_bond(h, i, s, token, raw_id, identity)
     return h
 
 
@@ -346,7 +422,7 @@ def chain_from_hypergraph(vertices, edges) -> Hyperstructure:
     for members in sorted({frozenset(e) for e in edges}, key=_name):
         s = h.support_at(0, members)
         h = assign_property(h, 0, s, "edge")
-        h, _ = add_bond(h, 0, s, "edge", _name(members))
+        h, _ = reference_add_bond(h, 0, s, "edge", _name(members))
     return h
 
 
@@ -356,7 +432,7 @@ def chain_from_relation(components, tuples) -> Hyperstructure:
     for t in sorted(tuples, key=lambda t: tuple(str(x) for x in t)):
         s = h.support_at(0, [f"{x}@{k + 1}" for k, x in enumerate(t)])
         h = assign_property(h, 0, s, "rel")
-        h, _ = add_bond(h, 0, s, "rel", "(" + ",".join(str(x) for x in t) + ")")
+        h, _ = reference_add_bond(h, 0, s, "rel", "(" + ",".join(str(x) for x in t) + ")")
     return h
 
 
@@ -371,7 +447,7 @@ def chain_from_simplicial_complex(vertices, simplices, graded: bool) -> Hyperstr
         else:
             sup = Support.of(name_of[s - {v}] for v in s)
         h = assign_property(h, k - 1, sup, "simplex")
-        h, name_of[s] = add_bond(h, k - 1, sup, "simplex", _name(s))
+        h, name_of[s] = reference_add_bond(h, k - 1, sup, "simplex", _name(s))
     return h
 
 
@@ -386,7 +462,7 @@ def chain_brunnian_tower(branching) -> Hyperstructure:
         for j in range(len(current) // n):
             sup = Support.of(current[j * n : (j + 1) * n])
             h = assign_property(h, level, sup, "brunnian")
-            h, eid = add_bond(h, level, sup, "brunnian", f"g{level + 1}.{j}")
+            h, eid = reference_add_bond(h, level, sup, "brunnian", f"g{level + 1}.{j}")
             nxt.append(eid)
         current = nxt
     return h

@@ -1,4 +1,5 @@
-"""The bulk constructor and the per-level indexes against bond-by-bond references."""
+"""The bulk constructor, the one-bond operations built on it and the per-level
+indexes, against bond-by-bond references."""
 import random
 import re
 from itertools import combinations
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PROPS,
     chain_add_bonds,
     chain_brunnian_tower,
     chain_from_hypergraph,
@@ -15,20 +17,25 @@ from helpers import (
     chain_from_simplicial_complex,
     naive_brunnian_order,
     random_tower,
+    reference_add_bond,
+    reference_compose,
+    reference_identity_bond,
 )
-from hyperstruct.composition import _pad_to_order
+from hyperstruct.assignments import TENSOR_PAIRS
+from hyperstruct.composition import _pad_to_order, compose
 from hyperstruct.core import (
     BondSpec,
     ElementId,
     IDENTITY_PROPERTY,
     Support,
+    add_bond,
     add_bonds,
     identity_bond,
     new_hyperstructure,
     sorted_elements,
 )
 from hyperstruct.document import Document, serialize
-from hyperstruct.errors import DuplicateId, HyperstructError
+from hyperstruct.errors import DuplicateId, HyperstructError, PropertyNotAssigned, UnknownElement
 from hyperstruct.installers import (
     brunnian_bond_ids,
     brunnian_order,
@@ -136,6 +143,103 @@ class TestAddBondsMatchesChain:
             from_hypergraph([1, "1"], [[1], ["1"]])
 
 
+def result(build, *args):
+    """The tower's document and the element returned, or the error's class and message."""
+    try:
+        h, eid = build(*args)
+    except HyperstructError as e:
+        return type(e), str(e)
+    return serialize(Document(hyperstructure=h)), eid
+
+
+def _raw_ids(h, level):
+    return [e.id for e in sorted_elements(h.levels[level])] if 0 <= level <= h.order else []
+
+
+@st.composite
+def add_bond_cases(draw):
+    """A random tower and one add_bond call on it, breaking up to two rules."""
+    h = random_tower(random.Random(draw(st.integers(0, 2**31))))
+    everything = sorted_elements(e for lvl in h.levels for e in lvl)
+    if h.bonds and draw(st.integers(0, 3)):  # mostly a support that already carries tokens
+        b = draw(st.sampled_from(h.bonds))
+        i, members = b.support.level, set(b.support.members)
+    else:
+        i = draw(st.integers(0, h.order))
+        members = set(draw(st.lists(st.sampled_from(sorted_elements(h.levels[i])), min_size=1, max_size=3)))
+    s_level = i
+    assigned = sorted(h.omegas[i].get(Support(i, frozenset(members)), ()))
+    token = draw(st.sampled_from(assigned or PROPS))
+    raw = draw(st.sampled_from(["new", 7, "b0_0", "b1_0"]))  # random_tower names its bonds b<level>_<j>
+    for fault in draw(st.lists(st.sampled_from(["level", "support-level", "empty", "foreign", "ghost", "reserved", "unassigned", "repeat"]), max_size=2)):
+        if fault == "level":
+            i = draw(st.sampled_from([-1, h.order + 1]))
+        elif fault == "support-level":
+            s_level = i + draw(st.sampled_from([-1, 1]))
+        elif fault == "empty":
+            members = set()
+        elif fault == "foreign":  # a member of the tower, but at another level
+            members.add(draw(st.sampled_from(everything)))
+        elif fault == "ghost":
+            members.add(ElementId(i, "ghost"))
+        elif fault == "reserved":
+            token = IDENTITY_PROPERTY
+        elif fault == "unassigned":
+            token = "never-assigned"
+        elif fault == "repeat" and _raw_ids(h, i + 1):
+            raw = draw(st.sampled_from(_raw_ids(h, i + 1)))
+    return h, i, Support(s_level, frozenset(members)), token, raw
+
+
+class TestOneBondOperationsMatchReference:
+    """add_bond, identity_bond and compose build through add_bonds; the
+    references in helpers add one bond the slow way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(add_bond_cases())
+    def test_add_bond(self, case):
+        assert result(add_bond, *case) == result(reference_add_bond, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31), st.data())
+    def test_identity_bond(self, seed, data):
+        h = random_tower(random.Random(seed))
+        everything = sorted_elements(e for lvl in h.levels for e in lvl)
+        x = data.draw(st.sampled_from(everything + [ElementId(0, "ghost")]))
+        i = data.draw(st.sampled_from([x.level] * 4 + [x.level + 1, -1]))
+        name = f"{IDENTITY_PROPERTY}:{x.id}"
+        if h.has_element(x) and not h.has_element(ElementId(x.level + 1, name)) and data.draw(st.booleans()):
+            # a plain bond takes the name x's identity bond would get
+            h = add_bonds(h, [BondSpec(x.level, Support(x.level, frozenset({x})), "p", name)])
+        assert result(identity_bond, h, i, x) == result(reference_identity_bond, h, i, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.data())
+    def test_compose(self, seed, data):
+        h = random_tower(random.Random(seed), max_order=4)
+        assume(h.bonds)
+        a, b = (data.draw(st.sampled_from(h.bonds)).id for _ in range(2))
+        p = data.draw(st.integers(-1, max(a.level, b.level)))
+        mode = data.draw(st.sampled_from(["strict", "weak"]))
+        combiner = data.draw(st.sampled_from([None, TENSOR_PAIRS]))
+        raw = data.draw(st.sampled_from([None, "c"] + _raw_ids(h, a.level)))
+        args = (h, a, b, p, mode, combiner, raw)
+        assert result(compose, *args) == result(reference_compose, *args)
+
+    @pytest.mark.parametrize(
+        "fault, kind, message",
+        [
+            ("repeated id", PropertyNotAssigned, "'never-assigned' not assigned to {a,b} at level 0"),
+            ("foreign member", UnknownElement, "support member 0:ghost not in the tower"),
+        ],
+    )
+    def test_unassigned_token_with_a_second_fault(self, fault, kind, message):
+        h = add_bonds(new_hyperstructure(["a", "b"]), [BondSpec(0, Support(0, frozenset({ElementId(0, "a")})), "p", "e")])
+        members = {ElementId(0, "a"), ElementId(0, "b")} | ({ElementId(0, "ghost")} if fault == "foreign member" else set())
+        args = (h, 0, Support(0, frozenset(members)), "never-assigned", "e")
+        assert result(add_bond, *args) == result(reference_add_bond, *args) == (kind, message)
+
+
 class TestInstallersMatchChain:
     @settings(max_examples=150, deadline=None)
     @given(hypergraphs())
@@ -165,7 +269,7 @@ class TestInstallersMatchChain:
         while ref.order < h.order + extra:
             top = ref.order
             for e in sorted_elements(ref.levels[top]):
-                ref, _ = identity_bond(ref, top, e)
+                ref, _ = reference_identity_bond(ref, top, e)
             if ref.order == top:
                 ref = chain_add_bonds(ref, [], top + 1)
         assert _pad_to_order(h, h.order + extra) == ref

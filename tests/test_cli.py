@@ -121,6 +121,13 @@ class TestComposeAndFuse:
         assert code == 1
         assert out.startswith("error: NotComposable")
 
+    def test_compose_of_bonds_that_bind_nothing(self, capsys, tmp_path):
+        bonds = [{"id": r, "level": 1, "support": [], "property": t} for r, t in (("b1", "p"), ("b2", "q"))]
+        p = tmp_path / "empty_supports.json"
+        p.write_text(json.dumps({"format": "hyperstruct/1", "hyperstructure": {"order": 1, "levels": [["a"], ["b1", "b2"]], "omega": [[], []], "bonds": bonds}}))
+        code, out = run(capsys, "compose", str(p), "--a", "1:b1", "--b", "1:b2", "--p", "0", "--id", "c")
+        assert (code, out.splitlines()) == (2, ["error: EmptySupport", "cannot assign a property to the empty support"])
+
     def test_fuse_logs_signature(self, capsys):
         code, out = run(
             capsys,
@@ -372,6 +379,14 @@ class TestErrorShape:
         code, out = run(capsys, "nerve", str(p))
         assert code == 2
         assert out.startswith("error: SchemaError")
+
+    def test_repeated_morphism_id(self, capsys, tmp_path):
+        obj = json.loads((CORPUS / "square_category.json").read_text())
+        obj["category"]["morphisms"].append(obj["category"]["morphisms"][0])
+        p = tmp_path / "repeated_morphism.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "nerve", str(p))
+        assert (code, out.splitlines()) == (2, ["error: SchemaError", "category.morphisms: duplicate morphism ids"])
 
     @pytest.mark.parametrize(
         "argv",

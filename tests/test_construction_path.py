@@ -1,0 +1,53 @@
+"""One construction path: only the constructors build a Hyperstructure.
+
+Every bond reaches a tower through `core.add_bonds`, which freezes the parts
+it grew with `core.assemble`. A second path that grows levels or re-sorts the
+bond registry by hand would call `Hyperstructure(...)` or pass `levels=`,
+`bonds=` or `order=` to `_replace`. These tests parse `src/` with `ast` and
+refuse both.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hyperstruct"
+CONSTRUCTORS = {"core.assemble", "core.new_hyperstructure", "core.Hyperstructure.empty"}
+SHAPE_FIELDS = {"levels", "bonds", "order"}
+
+
+def _walk(node, scope: list[str]):
+    """Each call below node, with the dotted name of the scope it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _walk(child, scope + [child.name])
+            continue
+        if isinstance(child, ast.Call):
+            yield ".".join(scope), child
+        yield from _walk(child, scope)
+
+
+def _calls():
+    for path in sorted(SRC.glob("*.py")):
+        yield from _walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), [path.stem])
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_only_the_constructors_call_hyperstructure():
+    builders = {
+        scope
+        for scope, call in _calls()
+        if _callee(call) == "Hyperstructure" or (_callee(call) == "cls" and ".Hyperstructure." in f".{scope}.")
+    }
+    assert builders == CONSTRUCTORS
+
+
+def test_no_replace_changes_a_towers_shape():
+    reshaped = sorted(
+        f"{scope}: _replace({', '.join(sorted(kw.arg for kw in call.keywords if kw.arg in SHAPE_FIELDS))})"
+        for scope, call in _calls()
+        if _callee(call) == "_replace" and any(kw.arg in SHAPE_FIELDS for kw in call.keywords)
+    )
+    assert reshaped == []

@@ -205,22 +205,20 @@ class TestErrors:
     @pytest.mark.parametrize(
         "section, field, repeat, message",
         [
-            ("category", "objects", lambda o: o[0], "category.objects: duplicate objects"),
-            ("category", "identities", lambda o: o[0], "category.identities: duplicate entry for object '00'"),
-            ("category", "composition", lambda o: o[0], "category.composition: duplicate entry for ('00->00', '00->00')"),
-            ("presheaf", "on_objects", lambda o: ["00", [1]], "presheaf.on_objects: duplicate entry for object '00'"),
-            ("presheaf", "on_morphisms", lambda o: o[0], "presheaf.on_morphisms: duplicate entry for morphism '00->00'"),
-            ("presheaf", "on_morphisms", None, "presheaf.on_morphisms: duplicate entry for 0 in the table of '00->00'"),
+            ("category", "objects", lambda o: o.append(o[0]), "category.objects: duplicate objects"),
+            ("category", "morphisms", lambda o: o.append(o[0]), "category.morphisms: duplicate morphism ids"),
+            ("category", "identities", lambda o: o.append(o[0]), "category.identities: duplicate entry for object '00'"),
+            ("category", "composition", lambda o: o.append(o[0]), "category.composition: duplicate entry for ('00->00', '00->00')"),
+            ("presheaf", "on_objects", lambda o: o.append(["00", [1]]), "presheaf.on_objects: duplicate entry for object '00'"),
+            ("presheaf", "on_objects", lambda o: o[0][1].append(0), "presheaf.on_objects: duplicate elements for object '00'"),
+            ("presheaf", "on_morphisms", lambda o: o.append(o[0]), "presheaf.on_morphisms: duplicate entry for morphism '00->00'"),
+            ("presheaf", "on_morphisms", lambda o: o[0][1].append([0, 1]), "presheaf.on_morphisms: duplicate entry for 0 in the table of '00->00'"),
         ],
-        ids=["objects", "identities", "composition", "on_objects", "on_morphisms", "table-from"],
+        ids=["objects", "morphisms", "identities", "composition", "on_objects", "on_objects-element", "on_morphisms", "table-from"],
     )
     def test_repeated_category_and_presheaf_entries(self, section, field, repeat, message):
         obj = json.loads((CORPUS / "square_category.json").read_text(encoding="utf-8"))
-        entries = obj[section][field]
-        if repeat is None:  # a "from" key twice in one action table
-            entries[0][1].append([0, 1])
-        else:
-            entries.append(repeat(entries))
+        repeat(obj[section][field])
         with pytest.raises(SchemaError) as got:
             parse(json.dumps(obj))
         assert str(got.value) == message
