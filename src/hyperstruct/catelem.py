@@ -15,6 +15,16 @@ presheaf and, when its input came from one of these constructors, skips the
 law checks on its output. Whenever such a check fails, or the input is a
 `FiniteCategory(...)` built by hand, the spec goes through
 `finite_category`, so every rejection has the same class and message.
+
+What the measuring path costs: the presheaf check reads each action table
+once and compares entries. On a partial order (`poset_category` under an
+antisymmetric `leq`, or a category of elements of one) contravariance is
+checked only on pairs whose upper step is a cover, which implies it on
+every pair; a preorder with a cycle gets the full walk. `nerve` builds
+chains over morphism positions and hands each face's row to the result's
+`face_rows`, which `boundary_matrix` and `betti_gf2` read instead of
+hashing every face again; simplicial data from elsewhere derives its rows
+from `faces` once per dimension.
 """
 from __future__ import annotations
 
@@ -93,9 +103,11 @@ def _assemble(objects, morphisms, identities, composition) -> FiniteCategory:
     return FiniteCategory(objects=frozenset(objects), morphisms=mors, identities=dict(identities), composition=dict(composition))
 
 
-def _mark_lawful(cat: FiniteCategory) -> FiniteCategory:
-    # kept out of _fields, so ==, repr and hash ignore it
+def _mark_lawful(cat: FiniteCategory, order: bool = False) -> FiniteCategory:
+    # kept out of _fields, so ==, repr and hash ignore them
     cat.__dict__["_lawful"] = True
+    if order:
+        cat.__dict__["_order"] = True
     return cat
 
 
@@ -103,9 +115,15 @@ def _is_lawful(cat: FiniteCategory) -> bool:
     return "_lawful" in cat.__dict__
 
 
-def _derived(lawful: bool, *spec) -> FiniteCategory:
-    """A spec whose laws the caller has established, or else the full check."""
-    return _mark_lawful(_assemble(*spec)) if lawful else finite_category(*spec)
+def _is_order(cat: FiniteCategory) -> bool:
+    """Whether the category is a partial order: lawful, thin and antisymmetric."""
+    return "_order" in cat.__dict__
+
+
+def _derived(lawful: bool, *spec, order: bool = False) -> FiniteCategory:
+    """A spec whose laws the caller has established, or else the full check;
+    `order` says the established category is also a partial order."""
+    return _mark_lawful(_assemble(*spec), order) if lawful else finite_category(*spec)
 
 
 def finite_category(
@@ -174,7 +192,9 @@ def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
 
     Distinct elements under a reflexive, transitive `leq` give a category
     with at most one arrow per hom-set, so its laws hold unchecked; any
-    other input goes through `finite_category`, which names the fault."""
+    other input goes through `finite_category`, which names the fault. When
+    `leq` is also antisymmetric the category is marked as a partial order,
+    so presheaves on it are checked for contravariance on covers only."""
     objs = list(elements)
     up = {x: [y for y in objs if leq(x, y)] for x in objs}
     mors = [Morphism((x, y), x, y) for x in objs for y in up[x]]
@@ -182,7 +202,8 @@ def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
     composition = {((y, z), (x, y)): (x, z) for x in objs for y in up[x] for z in up[y]}
     ups = {x: set(ys) for x, ys in up.items()}
     preorder = len(ups) == len(objs) and all(x in ys and all(ups[y] <= ys for y in up[x]) for x, ys in ups.items())
-    return _derived(preorder, objs, mors, identities, composition)
+    antisymmetric = preorder and all(x not in ups[y] for x, ys in up.items() for y in ys if y != x)
+    return _derived(preorder, objs, mors, identities, composition, order=antisymmetric)
 
 
 class Presheaf(NamedTuple):
@@ -213,7 +234,11 @@ def _checked_sections(cat: FiniteCategory, p: Presheaf) -> dict[ObjId, list]:
     """Each object's sections in key order, once the functor laws hold.
 
     Objects and sections are walked in key order, so the first failure
-    reported does not depend on the hash seed."""
+    reported does not depend on the hash seed. Actions are read from their
+    tables, with the messages `Presheaf.act` and `Presheaf.at` would give.
+    On a partial order only pairs whose upper step is a cover are checked
+    for contravariance (see `_cover_pairs`); a failure there reruns the
+    walk over every composable pair, so the first failing pair is named."""
     for c in p.on_objects:
         if c not in cat.objects:
             raise InvalidPresheaf(f"value listed at unknown object {c!r}")
@@ -222,28 +247,67 @@ def _checked_sections(cat: FiniteCategory, p: Presheaf) -> dict[ObjId, list]:
             raise InvalidPresheaf(f"action listed for unknown morphism {u!r}")
     objs = sorted(cat.objects, key=_key)
     sections = {c: sorted(p.at(c), key=_key) for c in objs}
+    act = p.on_morphisms
 
     def at(c):  # p.at raises for an object the category lacks
         return sections[c] if c in sections else p.at(c)
 
     for m in cat.morphisms:
+        table, value = act.get(m.id), None
         for x in at(m.tgt):
-            y = p.act(m.id, x)
-            if y not in p.at(m.src):
+            if table is None or x not in table:
+                raise InvalidPresheaf(f"action of {m.id!r} undefined at {x!r}")
+            if value is None:
+                value = p.at(m.src)
+            if table[x] not in value:
                 raise InvalidPresheaf(f"{m.id!r} maps {x!r} outside the value at {m.src!r}")
     for c in objs:
         i = cat.identities.get(c)
         if i is None or i not in cat.by_id:  # a category built by hand may lack one
             raise InvalidCategory(f"object {c!r} lacks an identity morphism")
+        table = act.get(i)
         for x in sections[c]:
-            if p.act(i, x) != x:
+            if table is None or x not in table:
+                raise InvalidPresheaf(f"action of {i!r} undefined at {x!r}")
+            if table[x] != x:
                 raise InvalidPresheaf(f"identity action at {c!r} moves {x!r}")
-    for g, f in cat.composable_pairs():
-        gf = cat.compose(g.id, f.id)
-        for x in at(g.tgt):
-            if p.act(f.id, p.act(g.id, x)) != p.act(gf, x):
-                raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
+    if not _is_order(cat) or _contravariance_fault(cat, act, at, _cover_pairs(cat)):
+        fault = _contravariance_fault(cat, act, at, cat.composable_pairs())
+        if fault:
+            g, f, x = fault
+            raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
     return sections
+
+
+def _contravariance_fault(cat: FiniteCategory, act, at, pairs) -> tuple | None:
+    """The first (g, f, x) in pairs with P(f)(P(g)(x)) != P(g f)(x), once
+    every action has been checked to land in its value."""
+    for g, f in pairs:
+        gf = cat.compose(g.id, f.id)
+        tg, tf, tgf = act.get(g.id), act.get(f.id), act.get(gf)
+        for x in at(g.tgt):
+            if tgf is None or x not in tgf:
+                raise InvalidPresheaf(f"action of {gf!r} undefined at {x!r}")
+            if tf[tg[x]] != tgf[x]:
+                return g, f, x
+    return None
+
+
+def _cover_pairs(cat: FiniteCategory) -> Iterator[tuple[Morphism, Morphism]]:
+    """The composable pairs (g, f) of a partial order whose upper step g: b -> c
+    is a cover: b != c and no object lies strictly between them.
+
+    They suffice for contravariance. For a <= b < c, induct on the length
+    of the longest chain from b to c and choose b <= c' < c with c' covered
+    by c: P(a<=c) = P(a<=c')P(c'<=c) = P(a<=b)P(b<=c')P(c'<=c) =
+    P(a<=b)P(b<=c). The identity law covers b = c. A preorder with a cycle
+    may have no covers at all, so it needs the full walk."""
+    above = {b: {m.tgt for m in ms if m.tgt != b} for b, ms in cat.out_of.items()}
+    covers = {}
+    for b, ms in cat.out_of.items():
+        beyond = set().union(*(above[z] for z in above[b]))
+        covers[b] = [g for g in ms if g.tgt != b and g.tgt not in beyond]
+    return ((g, f) for f in cat.morphisms for g in covers.get(f.tgt, ()))
 
 
 def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
@@ -273,7 +337,7 @@ def category_of_elements(cat: FiniteCategory, p: Presheaf) -> FiniteCategory:
         gf = cat.composition[g.id, f.id]
         for x in sections[g.tgt]:
             composition[((g.id, x), (f.id, act[g.id][x]))] = (gf, x)
-    return _derived(_is_lawful(cat), objects, morphisms, identities, composition)
+    return _derived(_is_lawful(cat), objects, morphisms, identities, composition, order=_is_order(cat))
 
 
 def build_level(cat: FiniteCategory, omega: Presheaf, binding: Presheaf) -> tuple[FiniteCategory, FiniteCategory]:
@@ -297,19 +361,49 @@ def projection_functor(elements_cat: FiniteCategory):
 # -- nerves and homology ----------------------------------------------------------
 
 
-class SimplicialData(NamedTuple):
+class SimplicialData(FrozenRecord):
     """Nondegenerate simplices per dimension with face pointers.
 
     A face entry of None marks a face that degenerated (its chain collapsed
     onto an identity) and therefore contributes nothing to boundaries.
+    A FrozenRecord with an instance __dict__, which holds the face rows.
     """
 
+    _fields = ("max_dim", "simplices", "faces")
     max_dim: int
     simplices: tuple[tuple[Hashable, ...], ...]
     faces: Mapping[Hashable, tuple[Hashable | None, ...]]
 
+    def __init__(self, max_dim, simplices, faces):
+        self.__dict__.update(max_dim=max_dim, simplices=simplices, faces=faces)
+
     def dim_count(self, k: int) -> int:
         return len(self.simplices[k]) if 0 <= k <= self.max_dim else 0
+
+    def face_rows(self, k: int) -> list[list[int]]:
+        """Per k-simplex, the positions in dimension k-1 of its faces, with
+        degenerate faces left out; cached per k (nerve seeds them)."""
+        cache = self.__dict__.setdefault("_rows", {})  # not a field, so ==, repr and pickling ignore it
+        rows = cache.get(k)
+        if rows is not None:
+            return rows
+        index = {x: i for i, x in enumerate(self.simplices[k - 1])}
+        rows = []
+        for simplex in self.simplices[k]:
+            fs = self.faces.get(simplex)
+            if fs is None or len(fs) != k + 1:
+                raise InconsistentComplex(f"simplex {simplex!r} lacks {k + 1} faces")
+            row = []
+            for f in fs:
+                if f is None:
+                    continue
+                i = index.get(f)
+                if i is None:
+                    raise InconsistentComplex(f"face {f!r} of {simplex!r} is not listed in dimension {k - 1}")
+                row.append(i)
+            rows.append(row)
+        cache[k] = rows
+        return rows
 
 
 def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
@@ -317,7 +411,9 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     Morphisms are held in id-key order, so chains come out lexicographically.
 
     Each dimension is counted before it is built, and SweepTooLarge is
-    raised when max_dim plus the simplices listed would exceed NERVE_CAP."""
+    raised when max_dim plus the simplices listed would exceed NERVE_CAP.
+    Chains are built over morphism positions, and each face's row is looked
+    up once here and handed to the result's `face_rows`."""
     if max_dim < 0:
         raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
     listed = 0
@@ -331,59 +427,106 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
             )
 
     admit(0, len(cat.objects))
-    dims: list[tuple] = [tuple(sorted(cat.objects, key=_key))]
+    vertices = tuple(sorted(cat.objects, key=_key))
+    dims: list[tuple] = [vertices]
     identity = {m.id for m in cat.morphisms if cat.identities.get(m.src) == m.id}
     non_id = [m for m in cat.morphisms if m.id not in identity]
-    tgt = {m.id: m.tgt for m in non_id}
+    index = {m.id: i for i, m in enumerate(non_id)}  # a repeated id means its last morphism, as any table by id does
+    ids = [m.id for m in non_id]
     out: dict = {}
     for m in non_id:
-        out.setdefault(m.src, []).append(m.id)
-    degree = {m.id: len(out.get(m.tgt, ())) for m in non_id}  # how many chains a chain ending in m extends to
-    composition = cat.composition
-    chains: list[tuple] = [(m.id,) for m in non_id]
-    faces: dict = {(m.id,): (m.tgt, m.src) for m in non_id}  # drop-source vertex first, then drop-target
+        out.setdefault(m.src, []).append(index[m.id])
+    after = [out.get(m.tgt, ()) for m in non_id]  # the positions a chain ending at position i extends by
+    slot = [{n: s for s, n in enumerate(ns)} for ns in after]  # where n sits in after[i]
+    names = tuple((m.id,) for m in non_id)
+    faces: dict = {name: (m.tgt, m.src) for name, m in zip(names, non_id)}  # drop-source vertex first, then drop-target
+    # Face rows are found by position, not by lookup: the chains extending row
+    # q of dimension k-2 start at row starts[q] of dimension k-1, in the order
+    # of after[]. A face is its row, None where it degenerates, or its name
+    # where it is no chain at all (a composite with the wrong endpoints). Rows
+    # are handed to face_rows only when every face is listed and no id
+    # repeats (a repeated id repeats chains, and face_rows finds the last copy).
+    rows: dict = {}
+    seed = len(index) == len(non_id)
     if max_dim >= 1:
-        admit(1, len(chains))
-        dims.append(tuple(chains))
+        admit(1, len(names))
+        vertex = {c: r for r, c in enumerate(vertices)}
+        if seed and all(m.tgt in vertex and m.src in vertex for m in non_id):
+            rows[1] = [(vertex[m.tgt], vertex[m.src]) for m in non_id]
+        dims.append(names)
+    last = [index[m.id] for m in non_id]  # the last two positions of each chain of the current dimension
+    prev: list = [None] * len(non_id)
+    composite: list[dict] = [{} for _ in non_id]  # composite[i][n]: the position of n after i, or None for an identity
+    composition = cat.composition
+    starts: list[int] = []
+    below: list[list] = []  # the faces of each chain of the current dimension
     for k in range(2, max_dim + 1):
-        admit(k, sum(degree[chain[-1]] for chain in chains))
-        chains = [chain + (n,) for chain in chains for n in out.get(tgt[chain[-1]], ())]
-        for chain in chains:
-            fs: list = [chain[1:]]  # drop first arrow
-            for j in range(len(chain) - 1):
-                comp = composition.get((chain[j + 1], chain[j]))
-                if comp is None:
-                    raise InvalidCategory(f"composite of ({chain[j + 1]!r}, {chain[j]!r}) undefined")
-                if comp in identity:
-                    fs.append(None)  # the chain collapses onto an identity
-                elif comp in tgt:
-                    fs.append(chain[:j] + (comp,) + chain[j + 2 :])
+        admit(k, sum(len(after[i]) for i in last))
+        lower = dims[k - 2]
+        next_last, next_prev, next_names, next_below, next_starts = [], [], [], [], []
+        for r, (i, h, name) in enumerate(zip(last, prev, names)):
+            next_starts.append(len(next_names))
+            if k > 2:
+                pf = below[r]
+                m_par = composite[h][i]
+            for s, n in enumerate(after[i]):
+                if k == 2:
+                    got = composition.get((ids[n], ids[i]))
+                    if got is None:
+                        raise InvalidCategory(f"composite of ({ids[n]!r}, {ids[i]!r}) undefined")
+                    if got in identity:
+                        m = None  # the chain collapses onto an identity
+                    elif got in index:
+                        m = index[got]
+                    else:
+                        raise InvalidCategory(f"unknown morphism {got!r}")
+                    composite[i][n] = m
+                    fs = [n, m, r]
                 else:
-                    raise InvalidCategory(f"unknown morphism {comp!r}")
-            fs.append(chain[:-1])  # drop last arrow
-            faces[chain] = tuple(fs)
-        dims.append(tuple(chains))
-    return SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
+                    fs = []
+                    for p in range(k - 2):  # drop the first arrow, or compose an inner pair as the parent did
+                        q = pf[p]
+                        fs.append(q if q is None else q + (ids[n],) if type(q) is tuple else starts[q] + s)
+                    q = pf[k - 2]  # compose the parent's last pair
+                    at = None if q is None or type(q) is tuple else slot[m_par].get(n)
+                    if at is not None:
+                        fs.append(starts[q] + at)
+                    else:
+                        fs.append(q if q is None else (q if type(q) is tuple else lower[q]) + (ids[n],))
+                        seed = seed and q is None
+                    m = composite[i][n]  # compose the last pair
+                    at = None if m is None else slot[h].get(m)
+                    if at is not None:
+                        fs.append(starts[pf[k - 1]] + at)
+                    else:
+                        fs.append(None if m is None else lower[pf[k - 1]] + (ids[m],))
+                        seed = seed and m is None
+                    fs.append(r)  # drop the last arrow
+                name_c = name + (ids[n],)
+                faces[name_c] = tuple([names[f] if type(f) is int else f for f in fs])
+                next_last.append(n)
+                next_prev.append(i)
+                next_names.append(name_c)
+                next_below.append(fs)
+        if seed:
+            rows[k] = [fs if None not in fs else [f for f in fs if f is not None] for fs in next_below]
+        last, prev, below, starts = next_last, next_prev, next_below, next_starts
+        names = tuple(next_names)
+        dims.append(names)
+    s = SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
+    s.__dict__["_rows"] = rows
+    return s
 
 
 def boundary_matrix(s: SimplicialData, k: int) -> list[int]:
     """GF(2) boundary from dimension k to k-1 as one bitset column per
     k-simplex: bit i is set when the i-th (k-1)-simplex is a face an odd
     number of times."""
-    rows = {x: 1 << i for i, x in enumerate(s.simplices[k - 1])}
     cols = []
-    for simplex in s.simplices[k]:
-        fs = s.faces.get(simplex)
-        if fs is None or len(fs) != k + 1:
-            raise InconsistentComplex(f"simplex {simplex!r} lacks {k + 1} faces")
+    for rows in s.face_rows(k):
         col = 0
-        for f in fs:
-            if f is None:
-                continue
-            bit = rows.get(f)
-            if bit is None:
-                raise InconsistentComplex(f"face {f!r} of {simplex!r} is not listed in dimension {k - 1}")
-            col ^= bit
+        for i in rows:
+            col ^= 1 << i
         cols.append(col)
     return cols
 
@@ -410,14 +553,12 @@ def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
     top = min(max_dim, s.max_dim)
     mats = {k: boundary_matrix(s, k) for k in range(1, s.max_dim + 1) if s.dim_count(k)}
     for k in range(1, s.max_dim):
-        a, b = mats.get(k), mats.get(k + 1)
-        if a and b:
-            for col in b:
+        a = mats.get(k)
+        if a and mats.get(k + 1):
+            for rows in s.face_rows(k + 1):
                 acc = 0
-                while col:
-                    low = col & -col
-                    acc ^= a[low.bit_length() - 1]
-                    col ^= low
+                for i in rows:
+                    acc ^= a[i]
                 if acc:
                     raise InconsistentComplex(f"boundary of boundary nonzero between dimensions {k + 1} and {k - 1}")
     ranks = {k: gf2_rank(m) for k, m in mats.items() if k <= top + 1}
@@ -584,6 +725,7 @@ def _simplicial_from_json(value) -> SimplicialData:
         raise SchemaError(f"simplicial.dimensions: expected {max_dim + 1} dimensions")
     simplices: list[tuple] = []
     faces: dict = {}
+    dim_of: dict = {}  # simplex id -> its dimension; faces are keyed per simplex
     for k, entries in enumerate(raw_dims):
         ids = []
         lower = set(simplices[-1]) if simplices else set()
@@ -613,5 +755,9 @@ def _simplicial_from_json(value) -> SimplicialData:
             faces[sid] = tuple(checked)
         if len(set(ids)) != len(ids):
             raise SchemaError(f"simplicial.dimensions[{k}]: duplicate simplex ids")
+        for sid in ids:
+            if sid in dim_of:
+                raise SchemaError(f"simplicial.dimensions[{k}]: simplex {sid!r} is also listed in dimension {dim_of[sid]}")
+            dim_of[sid] = k
         simplices.append(tuple(ids))
     return SimplicialData(max_dim=max_dim, simplices=tuple(simplices), faces=faces)

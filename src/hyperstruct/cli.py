@@ -354,10 +354,19 @@ def cmd_nerve(args) -> int:
 
 
 def _flatten_nerve(data: catelem.SimplicialData) -> catelem.SimplicialData:
-    """Rename chain simplices to strings so the nerve can live in a document."""
+    """Rename chain simplices to strings so the nerve can live in a document.
+
+    Two simplices with one name (morphisms 1 and "1", or a morphism named
+    "a,b" beside the chain (a,b)) are refused: no document can hold both."""
     from . import catelem
 
-    simplices = tuple(tuple(sorted(_simplex_name(s) for s in dim)) for dim in data.simplices)
+    names = [[_simplex_name(s) for s in dim] for dim in data.simplices]
+    seen: set = set()
+    for name in (name for dim in names for name in dim):
+        if name in seen:
+            raise SchemaError(f"nerve: more than one simplex is named {name!r}")
+        seen.add(name)
+    simplices = tuple(tuple(sorted(dim)) for dim in names)
     faces = {_simplex_name(sid): tuple(None if f is None else _simplex_name(f) for f in fs) for sid, fs in data.faces.items()}
     return catelem.SimplicialData(max_dim=data.max_dim, simplices=simplices, faces=faces)
 

@@ -578,6 +578,45 @@ def naive_nerve_dims(cat, max_dim: int) -> list[tuple]:
     return dims
 
 
+def reference_checked_sections(cat, p) -> dict:
+    """The presheaf laws by brute force: every action through `Presheaf.act`,
+    and contravariance on every composable pair from an all-pairs scan.
+    Objects, sections and pairs are walked in the library's order, so the
+    first failure it raises is the one the library must raise."""
+    from hyperstruct.errors import InvalidCategory, InvalidPresheaf
+
+    for c in p.on_objects:
+        if c not in cat.objects:
+            raise InvalidPresheaf(f"value listed at unknown object {c!r}")
+    for u in p.on_morphisms:
+        if u not in cat.by_id:
+            raise InvalidPresheaf(f"action listed for unknown morphism {u!r}")
+    objs = sorted(cat.objects, key=_id_key)
+    sections = {c: sorted(p.at(c), key=_id_key) for c in objs}
+
+    def at(c):
+        return sections[c] if c in sections else p.at(c)
+
+    for m in cat.morphisms:
+        for x in at(m.tgt):
+            y = p.act(m.id, x)
+            if y not in p.at(m.src):
+                raise InvalidPresheaf(f"{m.id!r} maps {x!r} outside the value at {m.src!r}")
+    for c in objs:
+        i = cat.identities.get(c)
+        if i is None or i not in cat.by_id:
+            raise InvalidCategory(f"object {c!r} lacks an identity morphism")
+        for x in sections[c]:
+            if p.act(i, x) != x:
+                raise InvalidPresheaf(f"identity action at {c!r} moves {x!r}")
+    for g, f in naive_composable_pairs(cat):
+        gf = cat.compose(g.id, f.id)
+        for x in at(g.tgt):
+            if p.act(f.id, p.act(g.id, x)) != p.act(gf, x):
+                raise InvalidPresheaf(f"contravariance fails at ({g.id!r}, {f.id!r}) on {x!r}")
+    return sections
+
+
 # -- labeled posets up to isomorphism ---------------------------------------------------
 
 

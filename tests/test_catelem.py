@@ -1,5 +1,7 @@
+import pickle
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,12 @@ from helpers import (
     naive_gf2_rank,
     naive_hom,
     naive_nerve_dims,
+    reference_checked_sections,
 )
 from hyperstruct.catelem import (
     FiniteCategory,
     _is_lawful,
+    _is_order,
     Morphism,
     Presheaf,
     SimplicialData,
@@ -37,7 +41,7 @@ from hyperstruct.catelem import (
     validate_presheaf,
 )
 from hyperstruct import catelem
-from hyperstruct.errors import InconsistentComplex, InvalidCategory, InvalidPresheaf, SweepTooLarge
+from hyperstruct.errors import HyperstructError, InconsistentComplex, InvalidCategory, InvalidPresheaf, SweepTooLarge
 from hyperstruct.installers import from_simplicial_complex
 
 ARROW = poset_category([0, 1], lambda a, b: a <= b)
@@ -658,6 +662,171 @@ class TestDerivedFastPaths:
             comp[(("01", "11"), ("00", "01"))] = composite
         with pytest.raises(InvalidCategory, match=re.escape(message)):
             nerve(_by_hand(SQUARE, composition=comp), 2)
+
+
+@st.composite
+def partial_order_categories(draw, max_objects=6):
+    """Poset categories of random partial orders on shuffled labels."""
+    n = draw(st.integers(1, max_objects))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)]
+    rel = {(i, i) for i in range(n)} | set(draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else [])
+    while not (closure := {(a, d) for (a, b) in rel for (c, d) in rel if b == c}) <= rel:
+        rel |= closure
+    return poset_category(list(range(n)), lambda a, b: (a, b) in rel)
+
+
+@st.composite
+def presheaf_bases(draw):
+    """Partial orders, preorders that may have cycles, categories of elements
+    of either, and categories built by hand, some of them broken."""
+    kind = draw(st.sampled_from(["order", "order", "preorder", "elements", "by hand", "broken by hand"]))
+    if kind == "order":
+        return draw(partial_order_categories())
+    if kind == "preorder":
+        return draw(preorder_categories(max_objects=4))
+    if kind == "elements":
+        base = draw(st.one_of(partial_order_categories(max_objects=4), preorder_categories(max_objects=3)))
+        return category_of_elements(base, representable_sum_presheaf(base, random.Random(draw(st.integers(0, 99)))))
+    if kind == "by hand":
+        return _by_hand(draw(small_categories()))
+    objs, mors, ids, comp = _inject_fault(SimpleNamespace(draw=draw), draw(small_categories()))
+    return FiniteCategory(objects=frozenset(objs), morphisms=tuple(mors), identities=ids, composition=comp)
+
+
+def _mutated(cat, p, data):
+    """p with zero to three action entries changed (mostly to another element
+    of the source's value), dropped or added."""
+    tables = {u: dict(t) for u, t in p.on_morphisms.items()}
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not tables:
+            break
+        u = data.draw(st.sampled_from(sorted(tables, key=repr)))
+        m, table = cat.by_id.get(u), tables[u]
+        targets = sorted(p.on_objects.get(m.src, ()) if m else (), key=repr) + ["stray", "astray"]
+        kind = data.draw(st.sampled_from(["set", "set", "set", "drop", "add"]))
+        if kind == "add" or not table:
+            table[data.draw(st.sampled_from(targets))] = data.draw(st.sampled_from(targets))
+            continue
+        x = data.draw(st.sampled_from(sorted(table, key=repr)))
+        if kind == "drop":
+            del table[x]
+        else:
+            table[x] = data.draw(st.sampled_from([y for y in targets if y != table[x]]))
+    return Presheaf(on_objects=p.on_objects, on_morphisms=tables)
+
+
+def _checked(check, cat, p):
+    """The sections, or the class and message of the first failure."""
+    try:
+        return check(cat, p)
+    except HyperstructError as e:
+        return type(e), e.message
+
+
+def _naive_cover_pairs(cat):
+    """Composable pairs whose upper step g: b -> c has b != c and nothing strictly between."""
+    def between(b, c):
+        return any(z not in (b, c) and naive_hom(cat, b, z) and naive_hom(cat, z, c) for z in cat.objects)
+
+    return [(g, f) for g, f in naive_composable_pairs(cat) if g.src != g.tgt and not between(g.src, g.tgt)]
+
+
+class TestPresheafLawsFromTables:
+    """The table-reading presheaf check, with its cover walk on partial
+    orders, against the brute-force walk over every composable pair."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(presheaf_bases(), st.data())
+    def test_fast_check_matches_brute_force(self, cat, data):
+        if data.draw(st.booleans()):
+            p = _presheaves(cat, data)
+        else:  # two sections everywhere: a changed entry breaks contravariance, not the values
+            p = Presheaf({c: frozenset({0, 1}) for c in cat.objects}, {m.id: {0: 0, 1: 1} for m in cat.morphisms})
+        p = _mutated(cat, p, data)
+        assert _checked(catelem._checked_sections, cat, p) == _checked(reference_checked_sections, cat, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(partial_order_categories(), presheaf_bases()), st.data())
+    def test_flipped_actions_fail_where_brute_force_fails(self, cat, data):
+        """Two sections everywhere and up to three entries of non-identity
+        actions flipped: only contravariance can fail, so on partial orders
+        the cover walk decides, and its fallback must name the first pair."""
+        p = Presheaf({c: frozenset({0, 1}) for c in cat.objects}, {m.id: {0: 0, 1: 1} for m in cat.morphisms})
+        movable = sorted((m.id for m in cat.morphisms if m.src != m.tgt), key=repr)
+        for u in data.draw(st.lists(st.sampled_from(movable), max_size=3)) if movable else ():
+            x = data.draw(st.sampled_from([0, 1]))
+            p.on_morphisms[u][x] = 1 - p.on_morphisms[u][x]
+        assert _checked(catelem._checked_sections, cat, p) == _checked(reference_checked_sections, cat, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_order_categories())
+    def test_cover_pairs_match_scan(self, cat):
+        assert _is_order(cat)
+        assert sorted(catelem._cover_pairs(cat)) == sorted(_naive_cover_pairs(cat))
+
+    def test_partial_orders_are_marked(self):
+        cycle = poset_category([0, 1, 2], lambda a, b: a == b or {a, b} == {0, 1} or b == 2)
+        assert _is_lawful(cycle) and not _is_order(cycle)
+        assert _is_order(CHAIN) and _is_order(SQUARE) and not _is_order(discrete_category(["a"]))
+        rng = random.Random(3)
+        assert _is_order(category_of_elements(SQUARE, representable_sum_presheaf(SQUARE, rng)))
+        assert not _is_order(category_of_elements(cycle, terminal_presheaf(cycle)))
+        assert not _is_order(category_of_elements(_by_hand(SQUARE), terminal_presheaf(SQUARE)))
+
+    def test_cover_fault_names_the_first_pair(self):
+        # on 0 < 1 < 2 < 3, break the non-cover (0, 3): the cover walk finds
+        # ((2, 3), (0, 2)) first, but the full walk names ((1, 3), (0, 1))
+        chain = poset_category(range(4), lambda a, b: a <= b)
+        p = Presheaf({c: frozenset({0, 1}) for c in range(4)}, {m.id: {0: 0, 1: 1} for m in chain.morphisms})
+        p.on_morphisms[(0, 3)] = {0: 1, 1: 0}
+        with pytest.raises(InvalidPresheaf, match=re.escape("contravariance fails at ((1, 3), (0, 1)) on 0")):
+            validate_presheaf(chain, p)
+        assert _checked(reference_checked_sections, chain, p) == _checked(validate_presheaf, chain, p)
+
+    def test_marks_are_not_fields(self):
+        by_hand = _by_hand(SQUARE)
+        copied = pickle.loads(pickle.dumps(SQUARE))
+        assert _is_order(SQUARE) and not _is_order(by_hand) and not _is_order(copied)
+        assert by_hand == SQUARE == copied and repr(by_hand) == repr(SQUARE)
+        assert "_order" not in SQUARE._fields
+        n = nerve(SQUARE, 2)
+        rebuilt = SimplicialData(n.max_dim, n.simplices, n.faces)
+        assert "_rows" in n.__dict__ and "_rows" not in rebuilt.__dict__
+        assert n == rebuilt and repr(n) == repr(rebuilt) and "_rows" not in SimplicialData._fields
+        copied = pickle.loads(pickle.dumps(n))
+        assert copied == n and "_rows" not in copied.__dict__
+
+
+class TestFaceRows:
+    """The face rows nerve seeds against those derived from the faces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_categories(), presheaf_bases()), st.integers(1, 3))
+    def test_seeded_rows_match_rebuilt(self, cat, max_dim):
+        try:
+            n = nerve(cat, max_dim)
+        except InvalidCategory:
+            return
+        rebuilt = SimplicialData(n.max_dim, n.simplices, n.faces)
+        for k in range(1, max_dim + 1):
+            assert _checked(boundary_matrix, n, k) == _checked(boundary_matrix, rebuilt, k)
+        for top in range(max_dim + 1):
+            assert _checked(betti_gf2, n, top) == _checked(betti_gf2, rebuilt, top)
+
+    def test_lawful_nerves_seed_every_dimension(self):
+        n = nerve(category_of_elements(SQUARE, representable_sum_presheaf(SQUARE, random.Random(4))), 3)
+        assert sorted(n.__dict__["_rows"]) == [1, 2, 3]
+
+    def test_face_rows_keep_boundary_checks(self):
+        s = SimplicialData(max_dim=1, simplices=(("v",), ("e",)), faces={"e": ("v", "ghost")})
+        with pytest.raises(InconsistentComplex, match=re.escape("face 'ghost' of 'e' is not listed in dimension 0")):
+            s.face_rows(1)
+        s = SimplicialData(max_dim=1, simplices=(("v",), ("e",)), faces={"e": ("v",)})
+        with pytest.raises(InconsistentComplex, match=re.escape("simplex 'e' lacks 2 faces")):
+            boundary_matrix(s, 1)
+        s = SimplicialData(max_dim=1, simplices=(("v", "w"), ("e",)), faces={"e": ("w", None)})
+        assert s.face_rows(1) == [[1]] and boundary_matrix(s, 1) == [0b10]
 
 
 def _component_count(cat: FiniteCategory) -> int:

@@ -305,6 +305,61 @@ class TestNerveAndBetti:
             assert out.startswith("error: SweepTooLarge\nnerve up to dimension ")
 
 
+def _category_document(objects, arrows, composites) -> dict:
+    """A category document: one identity per object, the given arrows
+    (id -> (src, tgt)) and composites ((g, f) -> gf) besides the unit laws."""
+    identities = {o: f"id_{o}" for o in objects}
+    morphisms = {**{i: (o, o) for o, i in identities.items()}, **arrows}
+    composition = [[identities[o], identities[o], identities[o]] for o in objects]
+    for m, (src, tgt) in arrows.items():
+        composition += [[m, identities[src], m], [identities[tgt], m, m]]
+    composition += [[g, f, gf] for (g, f), gf in composites.items()]
+    return {
+        "format": "hyperstruct/1",
+        "category": {
+            "objects": list(objects),
+            "morphisms": [{"id": m, "src": src, "tgt": tgt} for m, (src, tgt) in morphisms.items()],
+            "identities": [[o, i] for o, i in identities.items()],
+            "composition": composition,
+        },
+    }
+
+
+NAME_CLASHES = {
+    # morphisms 1 and "1" both print as (1)
+    "int and str ids": (_category_document(["x", "y"], {1: ("x", "y"), "1": ("x", "y")}, {}), "(1)"),
+    # the morphism "a,b" prints as the chain (a,b) one dimension up
+    "comma in an id": (_category_document(["x", "y", "z"], {"a": ("x", "y"), "b": ("y", "z"), "a,b": ("x", "z")}, {("b", "a"): "a,b"}), "(a,b)"),
+}
+
+
+class TestNerveDocuments:
+    """`nerve --out` writes only documents its own reader accepts."""
+
+    @pytest.mark.parametrize("case", sorted(NAME_CLASHES))
+    def test_name_clash_is_refused_before_writing(self, capsys, tmp_path, case):
+        obj, name = NAME_CLASHES[case]
+        p, out_path = tmp_path / "category.json", tmp_path / "nerve.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "nerve", str(p), "--max-dim", "2", "--out", str(out_path))
+        assert (code, out) == (2, f"error: SchemaError\nnerve: more than one simplex is named {name!r}\n")
+        assert not out_path.exists()
+        code, out = run(capsys, "nerve", str(p), "--max-dim", "2")
+        assert code == 0 and out.startswith("dim 0: ")
+
+    @pytest.mark.parametrize("command", ["betti", "nerve"])
+    def test_simplex_id_in_two_dimensions_is_refused(self, capsys, tmp_path, command):
+        obj = json.loads((CORPUS / "square_category.json").read_text())
+        vertices = [{"id": v, "faces": None} for v in ("a", "b")]
+        obj["simplicial"] = {"max_dim": 2, "dimensions": [vertices, [{"id": "e", "faces": ["a", "b"]}], [{"id": "e", "faces": ["e", "e", "e"]}]]}
+        p, out_path = tmp_path / "simplicial.json", tmp_path / "out.json"
+        p.write_text(json.dumps(obj))
+        extra = ["--out", str(out_path)] if command == "nerve" else []
+        code, out = run(capsys, command, str(p), *extra)
+        assert (code, out) == (2, "error: SchemaError\nsimplicial.dimensions[2]: simplex 'e' is also listed in dimension 1\n")
+        assert not out_path.exists()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -115,8 +115,10 @@ def _without(name: str, section: str, tmp_path) -> str:
         ),
         (lambda tmp: ["nerve", str(CORPUS / "square_category.json"), "--out", str(tmp / "n.json")], {"catelem"}),
         (lambda tmp: ["topology-check", _without("graded_triangle_site.json", "states", tmp)], {"topology"}),
+        (lambda tmp: ["betti", str(CORPUS / "square_category.json")], {"catelem"}),
+        (lambda tmp: ["betti", str(CORPUS / "hollow_triangle.json")], {"catelem"}),
     ],
-    ids=["validate", "install-hypergraph", "brunnian", "emergent", "compose", "globalize", "localize", "fuse", "nerve", "topology-check"],
+    ids=["validate", "install-hypergraph", "brunnian", "emergent", "compose", "globalize", "localize", "fuse", "nerve", "topology-check", "betti-category", "betti-simplicial"],
 )
 def test_each_command_loads_only_its_modules(argv, expected, tmp_path):
     loaded = _loaded_by_command(*argv(tmp_path))
