@@ -23,8 +23,9 @@ checked only on pairs whose upper step is a cover, which implies it on
 every pair; a preorder with a cycle gets the full walk. `nerve` builds
 chains over morphism positions and hands each face's row to the result's
 `face_rows`, which `boundary_matrix` and `betti_gf2` read instead of
-hashing every face again; simplicial data from elsewhere derives its rows
-from `faces` once per dimension.
+hashing every face again. It names the chains only when `simplices` or
+`faces` is first read, so Betti numbers never build a name. Simplicial
+data from elsewhere derives its rows from `faces` once per dimension.
 """
 from __future__ import annotations
 
@@ -139,11 +140,7 @@ def finite_category(
     reported does not depend on the hash seed."""
     cat = _assemble(objects, morphisms, identities, composition)
     objs, mors = cat.objects, cat.morphisms
-    if len(cat.by_id) != len(mors):
-        raise InvalidCategory("morphism ids repeat")
-    for m in mors:
-        if m.src not in objs or m.tgt not in objs:
-            raise InvalidCategory(f"morphism {m.id!r} touches unknown objects")
+    _check_morphisms(cat)
     for c in identities:
         if c not in objs:
             raise InvalidCategory(f"identity listed for unknown object {c!r}")
@@ -177,6 +174,15 @@ def finite_category(
             if cat.compose(cat.compose(h_.id, g.id), f.id) != cat.compose(h_.id, gf):
                 raise InvalidCategory(f"associativity fails at ({h_.id!r}, {g.id!r}, {f.id!r})")
     return _mark_lawful(cat)
+
+
+def _check_morphisms(cat: FiniteCategory) -> None:
+    """Distinct morphism ids, each arrow between listed objects."""
+    if len(cat.by_id) != len(cat.morphisms):
+        raise InvalidCategory("morphism ids repeat")
+    for m in cat.morphisms:
+        if m.src not in cat.objects or m.tgt not in cat.objects:
+            raise InvalidCategory(f"morphism {m.id!r} touches unknown objects")
 
 
 def discrete_category(objects: Iterable[ObjId]) -> FiniteCategory:
@@ -366,19 +372,48 @@ class SimplicialData(FrozenRecord):
 
     A face entry of None marks a face that degenerated (its chain collapsed
     onto an identity) and therefore contributes nothing to boundaries.
-    A FrozenRecord with an instance __dict__, which holds the face rows.
+    A FrozenRecord with an instance __dict__, which holds the face rows and
+    the counts per dimension. A nerve holds chain positions there instead of
+    names: `simplices` and `faces` are built from them on first read, and an
+    instance built with its own values shadows both.
     """
 
     _fields = ("max_dim", "simplices", "faces")
     max_dim: int
-    simplices: tuple[tuple[Hashable, ...], ...]
-    faces: Mapping[Hashable, tuple[Hashable | None, ...]]
 
     def __init__(self, max_dim, simplices, faces):
         self.__dict__.update(max_dim=max_dim, simplices=simplices, faces=faces)
 
+    @cached_property
+    def simplices(self) -> tuple[tuple[Hashable, ...], ...]:
+        """Vertices, then chains as tuples of morphism ids: each chain is its
+        parent (its last face) extended by its last arrow."""
+        vertices, ids, chains = self._chains
+        names = tuple([(m,) for m in ids])
+        dims = [vertices, names][: self.max_dim + 1]
+        for last, below in chains:
+            names = tuple([names[fs[-1]] + (ids[n],) for n, fs in zip(last, below)])
+            dims.append(names)
+        return tuple(dims)
+
+    @cached_property
+    def faces(self) -> Mapping[Hashable, tuple[Hashable | None, ...]]:
+        vertices, _, chains = self._chains
+        dims = self.simplices
+        faces: dict = {}
+        if self.max_dim >= 1:  # drop-source vertex first, then drop-target
+            faces.update(zip(dims[1], [(vertices[t], vertices[s]) for t, s in self.face_rows(1)]))
+        for k, (_, below) in enumerate(chains, 2):
+            lower = dims[k - 1]
+            faces.update(zip(dims[k], [tuple([None if f is None else lower[f] for f in fs]) for fs in below]))
+        return faces
+
+    @cached_property
+    def _counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.simplices))
+
     def dim_count(self, k: int) -> int:
-        return len(self.simplices[k]) if 0 <= k <= self.max_dim else 0
+        return self._counts[k] if 0 <= k <= self.max_dim else 0
 
     def face_rows(self, k: int) -> list[list[int]]:
         """Per k-simplex, the positions in dimension k-1 of its faces, with
@@ -412,10 +447,17 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
 
     Each dimension is counted before it is built, and SweepTooLarge is
     raised when max_dim plus the simplices listed would exceed NERVE_CAP.
-    Chains are built over morphism positions, and each face's row is looked
-    up once here and handed to the result's `face_rows`."""
+    A category built by hand must name its chains: its morphism ids must be
+    distinct, its morphisms must touch only its objects, and each composite
+    must run from the first arrow's source to the second's target, with
+    finite_category's messages. The walk keeps positions only (each chain's
+    last arrow and the rows of its faces); the result names the chains when
+    they are first read, so a nerve that only feeds betti_gf2 names none."""
     if max_dim < 0:
         raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    strict = not _is_lawful(cat)
+    if strict:
+        _check_morphisms(cat)
     listed = 0
 
     def admit(k: int, count: int) -> None:
@@ -428,93 +470,77 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
 
     admit(0, len(cat.objects))
     vertices = tuple(sorted(cat.objects, key=_key))
-    dims: list[tuple] = [vertices]
+    counts = [len(vertices)]
     identity = {m.id for m in cat.morphisms if cat.identities.get(m.src) == m.id}
     non_id = [m for m in cat.morphisms if m.id not in identity]
-    index = {m.id: i for i, m in enumerate(non_id)}  # a repeated id means its last morphism, as any table by id does
+    index = {m.id: i for i, m in enumerate(non_id)}
     ids = [m.id for m in non_id]
     out: dict = {}
-    for m in non_id:
-        out.setdefault(m.src, []).append(index[m.id])
+    for i, m in enumerate(non_id):
+        out.setdefault(m.src, []).append(i)
     after = [out.get(m.tgt, ()) for m in non_id]  # the positions a chain ending at position i extends by
     slot = [{n: s for s, n in enumerate(ns)} for ns in after]  # where n sits in after[i]
-    names = tuple((m.id,) for m in non_id)
-    faces: dict = {name: (m.tgt, m.src) for name, m in zip(names, non_id)}  # drop-source vertex first, then drop-target
-    # Face rows are found by position, not by lookup: the chains extending row
-    # q of dimension k-2 start at row starts[q] of dimension k-1, in the order
-    # of after[]. A face is its row, None where it degenerates, or its name
-    # where it is no chain at all (a composite with the wrong endpoints). Rows
-    # are handed to face_rows only when every face is listed and no id
-    # repeats (a repeated id repeats chains, and face_rows finds the last copy).
     rows: dict = {}
-    seed = len(index) == len(non_id)
     if max_dim >= 1:
-        admit(1, len(names))
+        admit(1, len(ids))
         vertex = {c: r for r, c in enumerate(vertices)}
-        if seed and all(m.tgt in vertex and m.src in vertex for m in non_id):
-            rows[1] = [(vertex[m.tgt], vertex[m.src]) for m in non_id]
-        dims.append(names)
-    last = [index[m.id] for m in non_id]  # the last two positions of each chain of the current dimension
-    prev: list = [None] * len(non_id)
+        rows[1] = [(vertex[m.tgt], vertex[m.src]) for m in non_id]  # drop-source vertex first, then drop-target
+        counts.append(len(ids))
+    # Every face is a listed chain or degenerate, and its row is found by
+    # position: the chains extending row q of dimension k-2 start at row
+    # starts[q] of dimension k-1, in the order of after[]. A chain's faces
+    # are rows, None where it collapses onto an identity; its last face is
+    # its parent, so a chain is named by its parent and its last arrow.
+    chains: list[tuple[list, list]] = []  # per dimension from 2: each chain's last arrow and its faces
+    last: Iterable[int] = range(len(non_id))  # the last arrow of each chain of the current dimension
+    prev: list = []  # the arrow before it
+    below: list[list] = []  # the faces of each chain of the current dimension
+    starts: list[int] = []
     composite: list[dict] = [{} for _ in non_id]  # composite[i][n]: the position of n after i, or None for an identity
     composition = cat.composition
-    starts: list[int] = []
-    below: list[list] = []  # the faces of each chain of the current dimension
     for k in range(2, max_dim + 1):
         admit(k, sum(len(after[i]) for i in last))
-        lower = dims[k - 2]
-        next_last, next_prev, next_names, next_below, next_starts = [], [], [], [], []
-        for r, (i, h, name) in enumerate(zip(last, prev, names)):
-            next_starts.append(len(next_names))
-            if k > 2:
-                pf = below[r]
-                m_par = composite[h][i]
-            for s, n in enumerate(after[i]):
-                if k == 2:
+        next_last, next_prev, next_below, next_starts = [], [], [], []
+        for r, i in enumerate(last):
+            next_starts.append(len(next_last))
+            ns = after[i]
+            ci = composite[i]
+            if k == 2:
+                for n in ns:
                     got = composition.get((ids[n], ids[i]))
                     if got is None:
                         raise InvalidCategory(f"composite of ({ids[n]!r}, {ids[i]!r}) undefined")
-                    if got in identity:
-                        m = None  # the chain collapses onto an identity
-                    elif got in index:
-                        m = index[got]
-                    else:
+                    m = index.get(got)  # None for an identity: the chain collapses onto it
+                    if m is None and got not in identity:
                         raise InvalidCategory(f"unknown morphism {got!r}")
-                    composite[i][n] = m
-                    fs = [n, m, r]
-                else:
-                    fs = []
-                    for p in range(k - 2):  # drop the first arrow, or compose an inner pair as the parent did
-                        q = pf[p]
-                        fs.append(q if q is None else q + (ids[n],) if type(q) is tuple else starts[q] + s)
-                    q = pf[k - 2]  # compose the parent's last pair
-                    at = None if q is None or type(q) is tuple else slot[m_par].get(n)
-                    if at is not None:
-                        fs.append(starts[q] + at)
-                    else:
-                        fs.append(q if q is None else (q if type(q) is tuple else lower[q]) + (ids[n],))
-                        seed = seed and q is None
-                    m = composite[i][n]  # compose the last pair
-                    at = None if m is None else slot[h].get(m)
-                    if at is not None:
-                        fs.append(starts[pf[k - 1]] + at)
-                    else:
-                        fs.append(None if m is None else lower[pf[k - 1]] + (ids[m],))
-                        seed = seed and m is None
+                    if strict:
+                        gm = cat.by_id[got]
+                        if gm.src != non_id[i].src or gm.tgt != non_id[n].tgt:
+                            raise InvalidCategory(f"composite ({ids[n]!r}, {ids[i]!r}) has wrong endpoints")
+                    ci[n] = m
+                    next_below.append([n, m, r])
+            else:
+                pf, h = below[r], prev[r]
+                inner = [None if q is None else starts[q] for q in pf[:-2]]  # drop the first arrow, or compose an inner pair as the parent did
+                whole = None not in inner
+                q = pf[-2]  # compose the parent's last pair
+                upper = None if q is None else (starts[q], slot[composite[h][i]])
+                base, sh = starts[pf[-1]], slot[h]  # compose the last pair: the grandparent extended by the composite
+                for s, n in enumerate(ns):
+                    fs = [b + s for b in inner] if whole else [None if b is None else b + s for b in inner]
+                    fs.append(None if upper is None else upper[0] + upper[1][n])
+                    m = ci[n]
+                    fs.append(None if m is None else base + sh[m])
                     fs.append(r)  # drop the last arrow
-                name_c = name + (ids[n],)
-                faces[name_c] = tuple([names[f] if type(f) is int else f for f in fs])
-                next_last.append(n)
-                next_prev.append(i)
-                next_names.append(name_c)
-                next_below.append(fs)
-        if seed:
-            rows[k] = [fs if None not in fs else [f for f in fs if f is not None] for fs in next_below]
+                    next_below.append(fs)
+            next_last.extend(ns)
+            next_prev.extend([i] * len(ns))
+        rows[k] = [fs if None not in fs else [f for f in fs if f is not None] for fs in next_below]
+        chains.append((next_last, next_below))
+        counts.append(len(next_last))
         last, prev, below, starts = next_last, next_prev, next_below, next_starts
-        names = tuple(next_names)
-        dims.append(names)
-    s = SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
-    s.__dict__["_rows"] = rows
+    s = SimplicialData.__new__(SimplicialData)
+    s.__dict__.update(max_dim=max_dim, _counts=tuple(counts), _rows=rows, _chains=(vertices, ids, chains))
     return s
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from hyperstruct.catelem import NERVE_CAP, FiniteCategory, SimplicialData, _key
 from hyperstruct.composition import combine_tokens, composable
 from hyperstruct.core import (
     IDENTITY_PROPERTY,
@@ -27,10 +28,13 @@ from hyperstruct.core import (
 from hyperstruct.errors import (
     DuplicateId,
     EmptySupport,
+    InconsistentComplex,
+    InvalidCategory,
     LevelOutOfRange,
     NotComposable,
     PropertyNotAssigned,
     ReservedProperty,
+    SweepTooLarge,
     UnknownElement,
 )
 
@@ -576,6 +580,64 @@ def naive_nerve_dims(cat, max_dim: int) -> list[tuple]:
         chains = [c for c in product(non_id, repeat=k) if all(a.tgt == b.src for a, b in zip(c, c[1:]))]
         dims.append(tuple(sorted((tuple(m.id for m in c) for c in chains), key=lambda c: tuple(map(_id_key, c)))))
     return dims
+
+
+# The name-and-lookup nerve the library used before it walked positions, kept
+# as written: it names every chain and looks up every face by name, refuses
+# nothing that a composite lookup does not trip over, and lists the faces of
+# every 1-chain whatever max_dim is.
+def reference_nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
+    """Chains of composable non-identity morphisms, up to the given length.
+    Morphisms are held in id-key order, so chains come out lexicographically.
+
+    Each dimension is counted before it is built, and SweepTooLarge is
+    raised when max_dim plus the simplices listed would exceed NERVE_CAP."""
+    if max_dim < 0:
+        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    listed = 0
+
+    def admit(k: int, count: int) -> None:
+        nonlocal listed
+        listed += count
+        if max_dim + listed > NERVE_CAP:
+            raise SweepTooLarge(
+                f"nerve up to dimension {max_dim}: {listed} simplices by dimension {k}, plus {max_dim} dimensions, exceed the cap of {NERVE_CAP}"
+            )
+
+    admit(0, len(cat.objects))
+    dims: list[tuple] = [tuple(sorted(cat.objects, key=_key))]
+    identity = {m.id for m in cat.morphisms if cat.identities.get(m.src) == m.id}
+    non_id = [m for m in cat.morphisms if m.id not in identity]
+    tgt = {m.id: m.tgt for m in non_id}
+    out: dict = {}
+    for m in non_id:
+        out.setdefault(m.src, []).append(m.id)
+    degree = {m.id: len(out.get(m.tgt, ())) for m in non_id}  # how many chains a chain ending in m extends to
+    composition = cat.composition
+    chains: list[tuple] = [(m.id,) for m in non_id]
+    faces: dict = {(m.id,): (m.tgt, m.src) for m in non_id}  # drop-source vertex first, then drop-target
+    if max_dim >= 1:
+        admit(1, len(chains))
+        dims.append(tuple(chains))
+    for k in range(2, max_dim + 1):
+        admit(k, sum(degree[chain[-1]] for chain in chains))
+        chains = [chain + (n,) for chain in chains for n in out.get(tgt[chain[-1]], ())]
+        for chain in chains:
+            fs: list = [chain[1:]]  # drop first arrow
+            for j in range(len(chain) - 1):
+                comp = composition.get((chain[j + 1], chain[j]))
+                if comp is None:
+                    raise InvalidCategory(f"composite of ({chain[j + 1]!r}, {chain[j]!r}) undefined")
+                if comp in identity:
+                    fs.append(None)  # the chain collapses onto an identity
+                elif comp in tgt:
+                    fs.append(chain[:j] + (comp,) + chain[j + 2 :])
+                else:
+                    raise InvalidCategory(f"unknown morphism {comp!r}")
+            fs.append(chain[:-1])  # drop last arrow
+            faces[chain] = tuple(fs)
+        dims.append(tuple(chains))
+    return SimplicialData(max_dim=max_dim, simplices=tuple(dims), faces=faces)
 
 
 def reference_checked_sections(cat, p) -> dict:

@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     naive_hom,
     naive_nerve_dims,
     reference_checked_sections,
+    reference_nerve,
 )
 from hyperstruct.catelem import (
     FiniteCategory,
@@ -317,6 +319,12 @@ class TestNerve:
         assert n.faces[("f", "g")][1] is None
         # boundary of boundary stays zero over GF(2)
         betti_gf2(n, 1)
+
+    def test_faces_only_of_listed_simplices(self):
+        assert nerve(SQUARE, 0).faces == {}
+        for max_dim in range(1, 4):
+            n = nerve(SQUARE, max_dim)
+            assert list(n.faces) == [x for dim in n.simplices[1:] for x in dim]
 
 
 class TestBetti:
@@ -654,14 +662,33 @@ class TestDerivedFastPaths:
 
     @pytest.mark.parametrize(
         "composite, message",
-        [(None, "composite of (('01', '11'), ('00', '01')) undefined"), ("ghost", "unknown morphism 'ghost'")],
+        [
+            (None, "composite of (('01', '11'), ('00', '01')) undefined"),
+            ("ghost", "unknown morphism 'ghost'"),
+            (("00", "01"), "composite (('01', '11'), ('00', '01')) has wrong endpoints"),
+            (Morphism("stray", "00", "nowhere"), "morphism 'stray' touches unknown objects"),
+        ],
     )
     def test_nerve_reports_bad_composites(self, composite, message):
-        comp = {k: v for k, v in SQUARE.composition.items() if k != (("01", "11"), ("00", "01"))}
+        """The composite of 00 -> 01 -> 11 missing, unknown, running 00 -> 01,
+        or a new arrow out of the square."""
+        step = (("01", "11"), ("00", "01"))
+        changes = {"composition": {k: v for k, v in SQUARE.composition.items() if k != step}}
+        if isinstance(composite, Morphism):
+            changes["morphisms"] = SQUARE.morphisms + (composite,)
+            composite = composite.id
         if composite is not None:
-            comp[(("01", "11"), ("00", "01"))] = composite
+            changes["composition"][step] = composite
         with pytest.raises(InvalidCategory, match=re.escape(message)):
-            nerve(_by_hand(SQUARE, composition=comp), 2)
+            nerve(_by_hand(SQUARE, **changes), 2)
+
+    def test_nerve_refuses_repeated_ids_before_counting(self, monkeypatch):
+        # a second arrow 00 -> 01 under the same id would list its chain twice
+        twice = _by_hand(SQUARE, morphisms=SQUARE.morphisms + (Morphism(("00", "01"), "00", "01"),))
+        monkeypatch.setattr(catelem, "NERVE_CAP", 0)
+        for max_dim in range(3):
+            with pytest.raises(InvalidCategory, match="morphism ids repeat"):
+                nerve(twice, max_dim)
 
 
 @st.composite
@@ -814,9 +841,21 @@ class TestFaceRows:
         for top in range(max_dim + 1):
             assert _checked(betti_gf2, n, top) == _checked(betti_gf2, rebuilt, top)
 
-    def test_lawful_nerves_seed_every_dimension(self):
-        n = nerve(category_of_elements(SQUARE, representable_sum_presheaf(SQUARE, random.Random(4))), 3)
-        assert sorted(n.__dict__["_rows"]) == [1, 2, 3]
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_categories(), presheaf_bases()), st.integers(0, 3))
+    def test_lawful_nerves_seed_every_dimension(self, cat, max_dim):
+        """Every nerve that returns, lawful or built by hand, seeds its rows."""
+        try:
+            n = nerve(cat, max_dim)
+        except InvalidCategory:
+            return
+        assert sorted(n.__dict__["_rows"]) == list(range(1, max_dim + 1))
+
+    def test_betti_builds_no_names(self):
+        cat = category_of_elements(SQUARE, representable_sum_presheaf(SQUARE, random.Random(4)))
+        n = nerve(cat, 3)
+        assert betti_gf2(n, 2) == betti_gf2(reference_nerve(cat, 3), 2)
+        assert "simplices" not in n.__dict__ and "faces" not in n.__dict__
 
     def test_face_rows_keep_boundary_checks(self):
         s = SimplicialData(max_dim=1, simplices=(("v",), ("e",)), faces={"e": ("v", "ghost")})
@@ -827,6 +866,88 @@ class TestFaceRows:
             boundary_matrix(s, 1)
         s = SimplicialData(max_dim=1, simplices=(("v", "w"), ("e",)), faces={"e": ("w", None)})
         assert s.face_rows(1) == [[1]] and boundary_matrix(s, 1) == [0b10]
+
+
+def _nerve_fault(cat, max_dim):
+    """The message nerve must refuse the category with, or None: repeated
+    ids, an arrow touching an unknown object, then (from dimension 2) the
+    first composable pair of non-identity arrows, first arrow major, whose
+    composite is undefined, unknown, or has the wrong endpoints."""
+    by_id = {m.id: m for m in cat.morphisms}
+    if len(by_id) != len(cat.morphisms):
+        return "morphism ids repeat"
+    for m in cat.morphisms:
+        if m.src not in cat.objects or m.tgt not in cat.objects:
+            return f"morphism {m.id!r} touches unknown objects"
+    non_id = [m for m in cat.morphisms if cat.identities.get(m.src) != m.id]
+    for f, g in product(non_id, non_id) if max_dim >= 2 else ():
+        if g.src == f.tgt:
+            gf = cat.composition.get((g.id, f.id))
+            if gf is None:
+                return f"composite of ({g.id!r}, {f.id!r}) undefined"
+            if gf not in by_id:
+                return f"unknown morphism {gf!r}"
+            if (by_id[gf].src, by_id[gf].tgt) != (f.src, g.tgt):
+                return f"composite ({g.id!r}, {f.id!r}) has wrong endpoints"
+    return None
+
+
+@st.composite
+def broken_nerve_bases(draw):
+    """Small categories rebuilt by hand with one change: a repeated id, an
+    arrow to an unknown object, or the composite of a pair of non-identity
+    arrows dropped, unknown, or set to another arrow (which is wrong in a
+    thin category, and lawless but nameable in a group)."""
+    cat = draw(small_categories())
+    ids = cat.identities
+    pairs = [(g.id, f.id) for g, f in cat.composable_pairs() if ids[g.src] != g.id and ids[f.src] != f.id]
+    kind = draw(st.sampled_from(["repeat", "stray"] + ["drop", "ghost", "set", "set", "set", "set"] * bool(pairs)))
+    objs = sorted(cat.objects, key=repr)
+    if kind == "repeat":
+        m = draw(st.sampled_from(cat.morphisms))
+        return _by_hand(cat, morphisms=cat.morphisms + (Morphism(m.id, draw(st.sampled_from(objs)), draw(st.sampled_from(objs))),))
+    if kind == "stray":
+        return _by_hand(cat, morphisms=cat.morphisms + (Morphism("stray", draw(st.sampled_from(objs + ["nowhere"])), "nowhere"),))
+    comp = dict(cat.composition)
+    pair = draw(st.sampled_from(pairs))
+    if kind == "drop":
+        del comp[pair]
+    else:
+        comp[pair] = "ghost" if kind == "ghost" else draw(st.sampled_from([m.id for m in cat.morphisms if m.id != comp[pair]]))
+    return _by_hand(cat, composition=comp)
+
+
+class TestNerveAgainstReference:
+    """The position walk, named on first read, against the name-and-lookup
+    nerve it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(small_categories(), presheaf_bases(), broken_nerve_bases()), st.integers(0, 3))
+    def test_nerve_matches_reference(self, cat, max_dim):
+        fault = _nerve_fault(cat, max_dim)
+        got = _checked(nerve, cat, max_dim)
+        ref = _checked(reference_nerve, cat, max_dim)
+        if fault is not None:
+            assert got == (InvalidCategory, fault)
+            if fault.startswith(("composite of", "unknown morphism")):
+                assert ref == got
+            return
+        assert isinstance(ref, SimplicialData)
+        listed = {x for dim in ref.simplices[1:] for x in dim}
+        want = SimplicialData(ref.max_dim, ref.simplices, {x: fs for x, fs in ref.faces.items() if x in listed})
+        names_first = nerve(cat, max_dim)
+        assert repr(names_first) == repr(want) and names_first == want
+        betti = [_checked(betti_gf2, ref, top) for top in range(max_dim + 2)]
+        counts = [ref.dim_count(k) for k in range(-1, max_dim + 2)]
+        for n in (got, names_first):
+            assert [_checked(betti_gf2, n, top) for top in range(max_dim + 2)] == betti
+            assert [n.dim_count(k) for k in range(-1, max_dim + 2)] == counts
+        assert "simplices" not in got.__dict__ and "faces" not in got.__dict__
+        assert got.simplices == ref.simplices and got.faces == want.faces and repr(got) == repr(want)
+        for n in (got, names_first):
+            copied = pickle.loads(pickle.dumps(n))
+            assert copied == want and repr(copied) == repr(want)
+            assert n._replace(max_dim=max_dim) == want
 
 
 def _component_count(cat: FiniteCategory) -> int:
