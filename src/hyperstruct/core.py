@@ -8,6 +8,12 @@ an element one level up with a singleton boundary.
 
 All operations are functional: they return a new tower and never mutate
 their input, so any value can be shared freely across threads.
+
+This module holds the value types and the bulk construction path that
+reading, writing and installing a tower use. It also exports validate and
+its finding codes (from `validation`) and the one-step operations
+assign_property, add_bond, boundary and gamma (from `operations`); each of
+those modules loads when one of its names is first read.
 """
 from __future__ import annotations
 
@@ -21,11 +27,9 @@ from .errors import (
     LevelOutOfRange,
     MixedLevels,
     NotABond,
-    PropertyNotAssigned,
     ReservedProperty,
     UnknownElement,
 )
-from .report import CheckReport, Finding
 
 RawId = str | int
 PropertyToken = str
@@ -340,26 +344,6 @@ def new_hyperstructure(base: Iterable[RawId]) -> Hyperstructure:
     return Hyperstructure(order=0, levels=(level0,), omegas=({},), bonds=())
 
 
-def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken) -> Hyperstructure:
-    """Add one property token to the omega table at level i. Idempotent."""
-    h.check_level(i)
-    if s.level != i:
-        raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
-    if not s.members:
-        raise EmptySupport("cannot assign a property to the empty support")
-    for m in s.members:
-        if not h.has_element(m):
-            raise UnknownElement(f"support member {m!r} not in the tower")
-    if token == IDENTITY_PROPERTY:
-        raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
-    have = h.omegas[i].get(s, frozenset())
-    if token in have:
-        return h
-    tables = list(h.omegas)
-    tables[i] = {**tables[i], s: have | {token}}
-    return h._replace(omegas=tuple(tables))
-
-
 class BondSpec(NamedTuple):
     """One bond for add_bonds: bind the level-`level` support under `token` as `raw_id`."""
 
@@ -446,19 +430,6 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     return assemble(levels, omegas, bonds, h.fusion_log)
 
 
-def add_bond(h: Hyperstructure, i: int, s: Support, token: PropertyToken, raw_id: RawId) -> tuple[Hyperstructure, ElementId]:
-    """Register a bond over the level-i support s; it becomes an element of X_{i+1}.
-
-    This is add_bonds of the one spec, once the token is known to be
-    assigned to s already. Binding at the top level grows the tower by one
-    level.
-    """
-    _check_spec(h.levels, i, s, token, False)
-    if token not in h.omega(i, s):
-        raise PropertyNotAssigned(f"{token!r} not assigned to {s!r} at level {i}")
-    return add_bonds(h, [BondSpec(i, s, token, raw_id)]), ElementId(i + 1, raw_id)
-
-
 def identity_spec(x: ElementId) -> BondSpec:
     """The spec of x's identity bond: {x} under the reserved token, named id:<x's raw id>."""
     return BondSpec(x.level, Support(x.level, frozenset({x})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{x.id}", True)
@@ -474,11 +445,6 @@ def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructu
         return h, existing
     spec = identity_spec(x)
     return add_bonds(h, [spec]), ElementId(i + 1, spec.raw_id)
-
-
-def boundary(h: Hyperstructure, b: ElementId) -> Support:
-    """Dissolve a bond into the support it binds."""
-    return h.bond(b).support
 
 
 def iterated_boundary(h: Hyperstructure, b: ElementId, p: int) -> Support:
@@ -502,107 +468,34 @@ def iterated_boundary(h: Hyperstructure, b: ElementId, p: int) -> Support:
     return Support(p, frozenset(frontier))
 
 
-def gamma(h: Hyperstructure, i: int) -> tuple[tuple[Support, PropertyToken], ...]:
-    """All admissible binding targets (support, token) at level i, canonically ordered."""
-    h.check_level(i)
-    pairs = [
-        (s, t)
-        for s, tokens in h.omegas[i].items()
-        for t in sorted(tokens)
-    ]
-    pairs.sort(key=lambda p: (p[0].key, p[1]))
-    return tuple(pairs)
+#: The names core exports from other modules, each loaded on first use: the
+#: tower laws, and the one-step operations that no other library module calls.
+_ELSEWHERE = {
+    **dict.fromkeys(
+        (
+            "validate",
+            "DANGLING_SUPPORT",
+            "PROPERTY_NOT_ASSIGNED",
+            "DUPLICATE_BOND",
+            "IDENTITY_LAW",
+            "NON_BOND_ELEMENT",
+            "EMPTY_SUPPORT",
+            "LEVEL_MISMATCH",
+            "MALFORMED_TOWER",
+            "EMPTY_OMEGA",
+            "DANGLING_FUSION",
+        ),
+        "validation",
+    ),
+    **dict.fromkeys(
+        ("assign_property", "add_bond", "boundary", "gamma"),
+        "operations",
+    ),
+}
 
 
-# -- validation --------------------------------------------------------------------
-
-#: Violation classes emitted by validate().
-DANGLING_SUPPORT = "dangling-support"
-PROPERTY_NOT_ASSIGNED = "property-not-assigned"
-DUPLICATE_BOND = "duplicate-bond"
-IDENTITY_LAW = "identity-law"
-NON_BOND_ELEMENT = "non-bond-element"
-EMPTY_SUPPORT = "empty-support"
-LEVEL_MISMATCH = "level-mismatch"
-MALFORMED_TOWER = "malformed-tower"
-EMPTY_OMEGA = "empty-omega-entry"
-DANGLING_FUSION = "dangling-fusion-record"
-
-
-def validate(h: Hyperstructure) -> CheckReport:
-    """Report every violated tower invariant; an empty report means valid."""
-    findings: list[Finding] = []
-
-    def flag(code: str, message: str):
-        findings.append(Finding(code, message))
-
-    if len(h.levels) != h.order + 1 or len(h.omegas) != h.order + 1:
-        flag(MALFORMED_TOWER, f"declared order {h.order} vs {len(h.levels)} levels / {len(h.omegas)} omega tables")
-        return CheckReport("validate", findings)
-
-    for i, lvl in enumerate(h.levels):
-        for e in lvl:
-            if e.level != i:
-                flag(LEVEL_MISMATCH, f"element {e!r} stored at level {i}")
-
-    # registry totality and single-valuedness
-    by_id: dict[ElementId, list[Bond]] = {}
-    for b in h.bonds:
-        by_id.setdefault(b.id, []).append(b)
-    for eid, records in sorted(by_id.items(), key=lambda kv: kv[0].key):
-        if len(records) > 1:
-            supports = {r.support.members for r in records}
-            if len(supports) > 1:
-                flag(DUPLICATE_BOND, f"bond {eid!r} binds two collections")
-            else:
-                flag(DUPLICATE_BOND, f"bond {eid!r} registered {len(records)} times")
-        if not (0 < eid.level <= h.order) or eid not in h.levels[eid.level]:
-            flag(LEVEL_MISMATCH, f"bond record {eid!r} is not a listed element")
-
-    for i in range(1, h.order + 1):
-        for e in sorted_elements(h.levels[i]):
-            if e not in by_id:
-                flag(NON_BOND_ELEMENT, f"element {e!r} above level 0 has no bond record")
-
-    for b in h.bonds:
-        s = b.support
-        if not s.members:
-            flag(EMPTY_SUPPORT, f"bond {b.id!r} binds nothing")
-            continue
-        if s.level != b.id.level - 1:
-            flag(LEVEL_MISMATCH, f"bond {b.id!r} at level {b.id.level} binds level {s.level}")
-            continue
-        dangling = [m for m in sorted_elements(s.members) if not h.has_element(m)]
-        for m in dangling:
-            flag(DANGLING_SUPPORT, f"bond {b.id!r} binds missing element {m!r}")
-        if not dangling and b.property not in h.omegas[s.level].get(s, frozenset()):
-            flag(PROPERTY_NOT_ASSIGNED, f"bond {b.id!r} carries {b.property!r} not assigned to {s!r}")
-        if b.identity and len(s.members) != 1:
-            flag(IDENTITY_LAW, f"identity bond {b.id!r} binds {len(s.members)} elements")
-
-    # one identity bond per element
-    marked: dict[ElementId, list[ElementId]] = {}
-    for b in h.bonds:
-        if b.identity and len(b.support.members) == 1:
-            (x,) = b.support.members
-            marked.setdefault(x, []).append(b.id)
-    for x, ids in sorted(marked.items(), key=lambda kv: kv[0].key):
-        if len(ids) > 1:
-            flag(IDENTITY_LAW, f"element {x!r} has {len(ids)} identity bonds")
-
-    for i, table in enumerate(h.omegas):
-        for s, tokens in table.items():
-            if s.level != i:
-                flag(LEVEL_MISMATCH, f"omega entry at level {i} keyed by level-{s.level} support {s!r}")
-            if not tokens:
-                flag(EMPTY_OMEGA, f"omega entry for {s!r} at level {i} is empty")
-            for m in s.members:
-                if not h.has_element(m):
-                    flag(DANGLING_SUPPORT, f"omega support {s!r} references missing {m!r}")
-
-    for k, rec in enumerate(h.fusion_log):
-        for e in (rec.a, rec.b, rec.result):
-            if not h.has_element(e):
-                flag(DANGLING_FUSION, f"fusion record {k} references missing {e!r}")
-
-    return CheckReport("validate", findings)
+def __getattr__(name: str):
+    home = _ELSEWHERE.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}.{home}", fromlist=[name]), name)

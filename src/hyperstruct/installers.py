@@ -32,6 +32,10 @@ EDGE_PROPERTY = "edge"
 SIMPLEX_PROPERTY = "simplex"
 BRUNNIAN_PROPERTY = "brunnian"
 
+#: make_brunnian_tower refuses a branching list whose product, the number of
+#: base elements, exceeds this (the tower holds about twice as many elements).
+BRUNNIAN_CAP = 1 << 16
+
 
 def _base_support(raw_ids: Iterable[RawId]) -> Support:
     return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
@@ -214,7 +218,9 @@ def make_brunnian_tower(branching: Sequence[int]) -> Hyperstructure:
 
     For branching [3, 3] this is the nine-vertex pattern: three triples of
     base elements, each triple bound, and the three triple-bonds bound once
-    more at the top — with no sub-blocks bound anywhere.
+    more at the top — with no sub-blocks bound anywhere. A product of the
+    factors over BRUNNIAN_CAP raises InvalidBranching before anything is
+    built.
     """
     if not branching:
         raise InvalidBranching("branching list is empty")
@@ -224,6 +230,8 @@ def make_brunnian_tower(branching: Sequence[int]) -> Hyperstructure:
     total = 1
     for n in branching:
         total *= n
+        if total > BRUNNIAN_CAP:  # checked factor by factor, so a long list stops early
+            raise InvalidBranching(f"the branching factors ask for more than BRUNNIAN_CAP = {BRUNNIAN_CAP} base elements")
     h = new_hyperstructure([f"v{j}" for j in range(total)])
     current = [ElementId(0, f"v{j}") for j in range(total)]
     specs = []

@@ -1,0 +1,129 @@
+"""Checks on a state assignment: codomains, descent over a site, tensor pairing.
+
+`states` exports these and loads this module on first use, so globalizing,
+localizing and reading a states section never compile them.
+"""
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+from .core import Hyperstructure, sorted_elements
+from .errors import OperationMissing
+from .report import CheckReport, Finding
+from .states import Connector, LambdaAssignment, Marker, StateToken, StateTower
+
+if TYPE_CHECKING:
+    from .topology import Site
+
+
+def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment) -> CheckReport:
+    """Codomain discipline: level-i states must lie in the space S_{n-i}."""
+    findings: list[Finding] = []
+    if len(tower.spaces) != h.order + 1:
+        findings.append(Finding("shape", f"{len(tower.spaces)} state spaces for an order-{h.order} tower"))
+        return CheckReport("lambda-codomains", findings)
+    if len(lam.per_level) != h.order + 1:
+        findings.append(Finding("shape", f"{len(lam.per_level)} assignment levels for an order-{h.order} tower"))
+        return CheckReport("lambda-codomains", findings)
+    for i in range(h.order + 1):
+        space = tower.space_for_level(h.order, i)
+        for e in sorted_elements(h.elements(i)):
+            v = lam.per_level[i].get(e)
+            if v is None:
+                findings.append(Finding("totality", f"no state for {e!r}"))
+            elif isinstance(v, Marker):
+                continue
+            elif v not in space:
+                findings.append(Finding("codomain", f"state {v!r} of {e!r} outside space {h.order - i}"))
+    return CheckReport("lambda-codomains", findings)
+
+
+def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[Connector]) -> CheckReport:
+    """Descent over the site: covering families must recompute the same states.
+
+    A family whose member boundaries cover a bond's boundary is recomputed
+    flat through the connector; a family that partitions the boundary is
+    additionally recomputed stagewise (member folds first, then one fold
+    across members) for fold connectors. Families carrying no descent datum
+    (empty, or not covering) are skipped. The site is one make_site built;
+    its tower's refinement orders are read here.
+    """
+    from .topology import _bit_indices, _level_order
+
+    h = site.h
+    findings: list[Finding] = []
+    notes = ("scope: levelwise and adjacent-level coherence",)
+    if len(connectors) != h.order:
+        findings.append(Finding("shape", f"need {h.order} connectors, got {len(connectors)}"))
+        return CheckReport("amalgamation", findings, notes)
+    for i in range(1, h.order + 1):
+        delta = connectors[i - 1]
+        # families and boundaries as masks; ascending bits list them in
+        # sorted_elements order, which fixes the order values are read in
+        order, lower = _level_order(h, i), _level_order(h, i - 1)
+        index, support = order.index, order.support
+
+        def values(mask: int) -> list[StateToken]:
+            states = lam.per_level[i - 1]
+            return [states[lower.elements[j]] for j in _bit_indices(mask)]
+
+        for b in h.bonds_at(i):
+            want = lam.get(b.id)
+            if want is None or isinstance(want, Marker):
+                findings.append(Finding("totality", f"no state for {b.id!r}"))
+                continue
+            sieves = site.topology.get(b.id, ())
+            if len(sieves) > 1:
+                sieves = sorted(sieves, key=lambda s: s.key)
+            boundary = support[index[b.id]]
+            got = None  # every covering family recomputes b's boundary, so once per bond
+            for sieve in sieves:
+                # the family's bonds at this level; other members drop out, but a bond of
+                # another level has its boundary elsewhere, so the family covers nothing
+                family = sorted(index[m] for m in sieve.members if m in index)
+                if not family or any(m not in index and h.is_bond(m) for m in sieve.members):
+                    continue
+                covered = size = 0
+                for k in family:
+                    covered |= support[k]
+                    size += support[k].bit_count()
+                if covered != boundary:
+                    continue
+                if got is None:
+                    got = delta.apply(values(boundary), at=b.id)
+                if got != want:
+                    findings.append(
+                        Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
+                    )
+                if size == boundary.bit_count() and delta.is_fold:
+                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got
+                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family]
+                    staged = delta.apply(partials, at=b.id)
+                    if staged != want:
+                        findings.append(
+                            Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
+                        )
+    return CheckReport("amalgamation", findings, notes)
+
+
+def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment, level: int) -> CheckReport:
+    """Does the declared operation pair boundary states into each bond's state?
+
+    For every level-i bond the fold of its boundary states under the space
+    operation of S_{n-i+1} must equal the bond's own state.
+    """
+    h.check_level(level)
+    if level == 0:
+        return CheckReport("tensor-pairing", notes=("level 0 has no boundaries",))
+    space_index = h.order - level + 1
+    op = tower.op_for_space(space_index)
+    if op is None:
+        raise OperationMissing(f"no operation declared on space {space_index}")
+    findings: list[Finding] = []
+    for b in h.bonds_at(level):
+        values = [lam.per_level[level - 1][m] for m in sorted_elements(b.support.members)]
+        folded = op.fold(values)
+        want = lam.get(b.id)
+        if folded != want:
+            findings.append(Finding("pairing", f"bond {b.id!r}: fold {folded!r} != state {want!r}"))
+    return CheckReport("tensor-pairing", findings)

@@ -4,7 +4,9 @@ States run level-reversed: level-0 elements carry tokens from the last state
 space, top bonds from the first. A globalizer walks the tower bottom-up,
 folding each bond's boundary states through a per-transition connector; a
 localizer distributes top states back down. Descent (amalgamation) checks
-that covering families recompute the same states the globalizer produced.
+that covering families recompute the same states the globalizer produced;
+it and the other checks on an assignment live in `state_checks`, which
+loads when one of them is first read from here.
 """
 from __future__ import annotations
 
@@ -12,11 +14,11 @@ from functools import partial
 from itertools import product as iter_product
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .composition import union_token
 from .core import ElementId, Hyperstructure, RawId, sorted_elements
-from .document import StatesSection, _dumps, _expect_id, _expect_list, _expect_obj, _jkey, _list, _scalar
+from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _jkey
 from .errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
@@ -27,10 +29,6 @@ from .errors import (
     SchemaError,
     UnknownElement,
 )
-from .report import CheckReport, Finding
-
-if TYPE_CHECKING:
-    from .topology import Site
 
 StateToken = str | int
 
@@ -212,119 +210,6 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
             current[b.id] = delta.apply(values, at=b.id)
         per_level.append(current)
     return LambdaAssignment(per_level=tuple(per_level))
-
-
-def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment) -> CheckReport:
-    """Codomain discipline: level-i states must lie in the space S_{n-i}."""
-    findings: list[Finding] = []
-    if len(tower.spaces) != h.order + 1:
-        findings.append(Finding("shape", f"{len(tower.spaces)} state spaces for an order-{h.order} tower"))
-        return CheckReport("lambda-codomains", findings)
-    if len(lam.per_level) != h.order + 1:
-        findings.append(Finding("shape", f"{len(lam.per_level)} assignment levels for an order-{h.order} tower"))
-        return CheckReport("lambda-codomains", findings)
-    for i in range(h.order + 1):
-        space = tower.space_for_level(h.order, i)
-        for e in sorted_elements(h.elements(i)):
-            v = lam.per_level[i].get(e)
-            if v is None:
-                findings.append(Finding("totality", f"no state for {e!r}"))
-            elif isinstance(v, Marker):
-                continue
-            elif v not in space:
-                findings.append(Finding("codomain", f"state {v!r} of {e!r} outside space {h.order - i}"))
-    return CheckReport("lambda-codomains", findings)
-
-
-def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[Connector]) -> CheckReport:
-    """Descent over the site: covering families must recompute the same states.
-
-    A family whose member boundaries cover a bond's boundary is recomputed
-    flat through the connector; a family that partitions the boundary is
-    additionally recomputed stagewise (member folds first, then one fold
-    across members) for fold connectors. Families carrying no descent datum
-    (empty, or not covering) are skipped. The site is one make_site built;
-    its tower's refinement orders are read here.
-    """
-    from .topology import _bit_indices, _level_order
-
-    h = site.h
-    findings: list[Finding] = []
-    notes = ("scope: levelwise and adjacent-level coherence",)
-    if len(connectors) != h.order:
-        findings.append(Finding("shape", f"need {h.order} connectors, got {len(connectors)}"))
-        return CheckReport("amalgamation", findings, notes)
-    for i in range(1, h.order + 1):
-        delta = connectors[i - 1]
-        # families and boundaries as masks; ascending bits list them in
-        # sorted_elements order, which fixes the order values are read in
-        order, lower = _level_order(h, i), _level_order(h, i - 1)
-        index, support = order.index, order.support
-
-        def values(mask: int) -> list[StateToken]:
-            states = lam.per_level[i - 1]
-            return [states[lower.elements[j]] for j in _bit_indices(mask)]
-
-        for b in h.bonds_at(i):
-            want = lam.get(b.id)
-            if want is None or isinstance(want, Marker):
-                findings.append(Finding("totality", f"no state for {b.id!r}"))
-                continue
-            sieves = site.topology.get(b.id, ())
-            if len(sieves) > 1:
-                sieves = sorted(sieves, key=lambda s: s.key)
-            boundary = support[index[b.id]]
-            got = None  # every covering family recomputes b's boundary, so once per bond
-            for sieve in sieves:
-                # the family's bonds at this level; other members drop out, but a bond of
-                # another level has its boundary elsewhere, so the family covers nothing
-                family = sorted(index[m] for m in sieve.members if m in index)
-                if not family or any(m not in index and h.is_bond(m) for m in sieve.members):
-                    continue
-                covered = size = 0
-                for k in family:
-                    covered |= support[k]
-                    size += support[k].bit_count()
-                if covered != boundary:
-                    continue
-                if got is None:
-                    got = delta.apply(values(boundary), at=b.id)
-                if got != want:
-                    findings.append(
-                        Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
-                    )
-                if size == boundary.bit_count() and delta.is_fold:
-                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got
-                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family]
-                    staged = delta.apply(partials, at=b.id)
-                    if staged != want:
-                        findings.append(
-                            Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
-                        )
-    return CheckReport("amalgamation", findings, notes)
-
-
-def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment, level: int) -> CheckReport:
-    """Does the declared operation pair boundary states into each bond's state?
-
-    For every level-i bond the fold of its boundary states under the space
-    operation of S_{n-i+1} must equal the bond's own state.
-    """
-    h.check_level(level)
-    if level == 0:
-        return CheckReport("tensor-pairing", notes=("level 0 has no boundaries",))
-    space_index = h.order - level + 1
-    op = tower.op_for_space(space_index)
-    if op is None:
-        raise OperationMissing(f"no operation declared on space {space_index}")
-    findings: list[Finding] = []
-    for b in h.bonds_at(level):
-        values = [lam.per_level[level - 1][m] for m in sorted_elements(b.support.members)]
-        folded = op.fold(values)
-        want = lam.get(b.id)
-        if folded != want:
-            findings.append(Finding("pairing", f"bond {b.id!r}: fold {folded!r} != state {want!r}"))
-    return CheckReport("tensor-pairing", findings)
 
 
 class CoConnector(NamedTuple):
@@ -527,18 +412,14 @@ def _states_sorted(s: StatesSection) -> dict:
     return out
 
 
-def _marked_text(v, pad: str) -> str:
-    """_scalar(v, pad), with a marker written as its {"marker": name} object."""
-    if isinstance(v, Marker):
-        return f'{{\n{pad}  "marker": {_scalar(v.name, pad + "  ")}\n{pad}}}'
-    return _scalar(v, pad)
-
-
-def _pairs_text(pairs: list, pad: str, state_text=_scalar) -> str:
+def _pairs_text(pairs: list, pad: str, state_text) -> str:
     """A sorted pair list as a JSON list of [id, state] lists, one template per pair.
 
-    str ids and int states, the common case, are written without a call to _scalar.
+    str ids and int states, the common case, are written without a call to
+    _scalar or state_text.
     """
+    from .document_writer import _list, _scalar
+
     p2, p4, inner = "\n" + pad + "  ", "\n" + pad + "    ", pad + "    "
     return _list(
         [
@@ -551,16 +432,28 @@ def _pairs_text(pairs: list, pad: str, state_text=_scalar) -> str:
 
 
 def _states_text(fields: dict) -> str:
-    """The states section, written at depth one from _states_sorted's fields."""
+    """The states section, written at depth one from _states_sorted's fields.
+
+    The writer's helpers are imported when a states section is written, so a
+    command that only reads one never compiles document_writer.
+    """
+    from .document_writer import _dumps, _list, _scalar
+
+    def marked_text(v, pad: str) -> str:
+        """_scalar(v, pad), with a marker written as its {"marker": name} object."""
+        if isinstance(v, Marker):
+            return f'{{\n{pad}  "marker": {_scalar(v.name, pad + "  ")}\n{pad}}}'
+        return _scalar(v, pad)
+
     p4 = " " * 4
     items = []
     for name, value in sorted(fields.items()):
         if value is None or name in ("spaces", "connectors", "co_connectors"):
             text = _dumps(value, p4)
         elif name == "assignment":
-            text = _list([_pairs_text(level, " " * 6, _marked_text) for level in value], p4)
+            text = _list([_pairs_text(level, " " * 6, marked_text) for level in value], p4)
         else:
-            text = _pairs_text(value, p4)
+            text = _pairs_text(value, p4, _scalar)
         items.append(f'{p4}"{name}": {text}')
     return "{\n" + ",\n".join(items) + "\n  }"
 
@@ -634,3 +527,10 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
             )
         )
     return s
+
+
+def __getattr__(name: str):
+    """The checks on an assignment, from `state_checks`, loaded on first use."""
+    if name not in ("validate_lambda", "check_amalgamation", "check_tensor_pairing"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}.state_checks", fromlist=[name]), name)

@@ -40,7 +40,8 @@ from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement,
 from .report import CheckReport, Finding
 
 #: Transitivity sweeps are exhaustive by default up to this many bonds per
-#: level, and refused for a root whose ideal has more members than this.
+#: level. An exhaustive sweep, and all_sieves_on, refuse a root whose ideal
+#: has more members than this.
 EXHAUSTIVE_CAP = 16
 SAMPLE_SIZE = 64
 
@@ -244,7 +245,16 @@ def _level_order(h: Hyperstructure, level: int) -> _LevelOrder:
 
 
 def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
+    """Every sieve on b: one per downward-closed family of b's ideal.
+
+    A root over n unrelated bonds has 2^n + 1 of them, so a root whose ideal
+    has more than EXHAUSTIVE_CAP members raises SweepTooLarge before any is
+    listed.
+    """
     order, i = _position(h, b)
+    size = order.below[i].bit_count()
+    if size > EXHAUSTIVE_CAP:
+        raise SweepTooLarge(f"listing the sieves on {b!r} would enumerate the subsets of a {size}-element ideal; the cap is {EXHAUSTIVE_CAP}")
     return [Sieve(root=b, members=order.unmask(m)) for m in order.downsets_below(i)]
 
 

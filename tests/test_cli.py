@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from helpers import tower_from_supports
-from hyperstruct.cli import _resolve_id, main
+from hyperstruct import cli, installers
+from hyperstruct.cli import COMMANDS, build_parser, main
+from hyperstruct.commands.refs import _resolve_id
 from hyperstruct.core import ElementId, FusionRecord
 from hyperstruct.document import Document, parse, serialize
 from hyperstruct.topology import EXHAUSTIVE_CAP, maximal_topology
@@ -87,6 +90,17 @@ class TestInstallAndBrunnian:
         code, out = run(capsys, "install", "brunnian", "--branching", "1")
         assert code == 2
         assert out.startswith("error: InvalidBranching")
+
+    def test_branching_past_the_cap_is_refused(self, capsys, monkeypatch, tmp_path):
+        def no_base(n):  # should the check ever go, fail instead of allocating 10^10 elements
+            raise AssertionError(f"a base of {n} elements was requested")
+
+        monkeypatch.setattr(installers, "range", no_base, raising=False)
+        out_path = tmp_path / "b.json"
+        code, out = run(capsys, "install", "brunnian", "--branching", "100000,100000", "--out", str(out_path))
+        assert (code, out.splitlines()[0]) == (2, "error: InvalidBranching")
+        assert "BRUNNIAN_CAP = 65536" in out
+        assert not out_path.exists()
 
 
 class TestComposeAndFuse:
@@ -574,3 +588,68 @@ class TestErrorShape:
         assert {e.id for e in h.levels[0]} == {"\U0001f600", "b", "\\ud800"}
         code, out = run(capsys, "validate", str(out_path))
         assert (code, out) == (0, "validate: pass\n")
+
+
+#: argv whose stdout, stderr and exit code are pinned in cli_text.json: the
+#: top-level help, usage and unknown command, each command's help, and one
+#: argparse error per command.
+CLI_TEXT_CASES = [
+    ["--help"],
+    [],
+    ["frobnicate"],
+    *([name, "--help"] for name in ("validate", "install", "compose", "fuse", "topology-check", "globalize", "localize", "emergent", "nerve", "betti", "brunnian")),
+    ["validate"],
+    ["validate", "a.json", "b.json"],
+    ["install", "graph", "p.json"],
+    ["compose", "d.json", "--a", "1:x", "--b", "1:y", "--p", "one", "--id", "c"],
+    ["compose", "d.json", "--a", "1:x", "--b", "1:y", "--p", "0", "--mode", "loose", "--id", "c"],
+    ["fuse", "d.json", "--a", "1:x", "--b", "1:y", "--k", "zero", "--id", "f"],
+    ["topology-check", "d.json", "--exhaustive", "--sampled", "3"],
+    ["topology-check", "d.json", "--level", "top"],
+    ["globalize"],
+    ["localize", "d.json", "--bogus"],
+    ["emergent", "d.json", "--level", "x", "--s1", "a", "--s2", "b"],
+    ["nerve", "d.json", "--max-dim", "two"],
+    ["betti", "d.json", "--max-dim", "2.5"],
+    ["brunnian"],
+]
+CLI_TEXT = Path(__file__).resolve().parent / "cli_text.json"
+
+
+def cli_text(argv: list[str]) -> dict:
+    """main(argv)'s exit code, stdout and stderr, argparse's exits included."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+class TestParserText:
+    """Help, usage lines and argparse errors stay byte for byte as recorded."""
+
+    @pytest.mark.parametrize("argv", CLI_TEXT_CASES, ids=[" ".join(a) or "(none)" for a in CLI_TEXT_CASES])
+    def test_text_matches_the_golden(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        golden = json.loads(CLI_TEXT.read_text(encoding="utf-8"))
+        assert cli_text(argv) == golden[" ".join(argv)]
+
+    def test_every_command_and_case_is_pinned(self):
+        golden = json.loads(CLI_TEXT.read_text(encoding="utf-8"))
+        assert sorted(golden) == sorted(" ".join(a) for a in CLI_TEXT_CASES)
+
+    def test_a_named_command_builds_only_its_subparser(self, monkeypatch, capsys):
+        def commands(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return list(sub.choices)
+
+        assert commands(build_parser()) == list(COMMANDS)
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+        assert main(["validate", str(CORPUS / "brunnian_3_3.json")]) == 0
+        assert built == ["validate"] and commands(build_parser("validate")) == ["validate"]

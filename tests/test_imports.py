@@ -1,11 +1,15 @@
 """Start-up stays light: a process loads only the modules its command runs.
 
-Importing the package or its CLI loads no numpy and none of the payload
-modules; each command imports those it runs, and a document loads a
-section's module (topology, states or catelem, which hold the section
-codecs) only when the section is present. The value types are NamedTuples
-and plain classes, so no command loads `dataclasses`, nor `inspect`, which
-`dataclasses` imports.
+Importing the package loads none of its modules, and importing the CLI
+loads only `errors`. Each command loads the shared modules, its own module
+under `commands` and the library modules it runs, and nothing else: a
+document loads a section's module (topology, states or catelem, which hold
+the section codecs) only when the section is present, reading loads the
+document reader and `--out` the writer, and only `validate` loads the tower
+laws. `tempfile` and `pathlib` load only for `--out`, which is pinned with
+`python -S`, since a site hook may import them first. The value types are
+NamedTuples and plain classes, so no command loads `dataclasses`, nor
+`inspect`, which `dataclasses` imports.
 """
 import json
 import os
@@ -49,6 +53,11 @@ def test_cli_import_loads_no_payload_module():
     assert loaded.isdisjoint(PAYLOAD_MODULES), loaded & set(PAYLOAD_MODULES)
 
 
+@pytest.mark.parametrize("module, expected", [("hyperstruct", set()), ("hyperstruct.cli", {"cli", "errors"})])
+def test_import_loads_nothing_else(module, expected):
+    assert _loaded_after(f"import {module}") == expected
+
+
 def _install_hypergraph_argv(tmp_path) -> list[str]:
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
@@ -76,15 +85,20 @@ def test_a_document_loads_only_its_sections_modules(name, expected):
     assert loaded & set(PAYLOAD_MODULES) == expected
 
 
-def _loaded_by_command(*argv: str) -> set[str]:
-    """The hyperstruct submodules that `python -m hyperstruct.cli argv` imports,
-    read from its -X importtime report."""
+#: Modules outside hyperstruct that a command may load only for --out.
+OUT_STDLIB = {"tempfile", "pathlib"}
+
+
+def _loaded_by_command(*argv: str, site: bool = True) -> set[str]:
+    """The hyperstruct submodules, and tempfile and pathlib, that
+    `python -m hyperstruct.cli argv` imports, read from its -X importtime
+    report; with site=False, under `python -S`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-X", "importtime", "-m", "hyperstruct.cli", *argv]
+    command = [sys.executable, *([] if site else ["-S"]), "-X", "importtime", "-m", "hyperstruct.cli", *argv]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
     names = (line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:"))
-    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.")}
+    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.") or m in OUT_STDLIB}
 
 
 def _without(name: str, section: str, tmp_path) -> str:
@@ -96,33 +110,61 @@ def _without(name: str, section: str, tmp_path) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (lambda tmp: ["validate", str(CORPUS / "brunnian_3_3.json")], set()),
-        (_install_hypergraph_argv, {"installers"}),
-        (lambda tmp: ["brunnian", str(CORPUS / "brunnian_3_3.json")], {"installers"}),
-        (lambda tmp: ["emergent", str(CORPUS / "flat_triangle.json"), "--level", "0", "--s1", "v0,v1", "--s2", "v1,v2"], {"assignments"}),
-        (
-            lambda tmp: ["compose", str(CORPUS / "flat_triangle.json"), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--p", "0", "--mode", "weak", "--id", "c", "--out", str(tmp / "c.json")],
-            {"composition"},
-        ),
-        (lambda tmp: ["globalize", _without("graded_triangle_site.json", "topology", tmp), "--out", str(tmp / "g.json")], {"states", "composition"}),
-        (lambda tmp: ["localize", str(CORPUS / "localize_regions.json"), "--out", str(tmp / "l.json")], {"states", "composition"}),
-        (
-            lambda tmp: ["fuse", _without("graded_triangle_site.json", "topology", tmp), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "0", "--id", "f", "--out", str(tmp / "f.json")],
-            {"states", "composition"},
-        ),
-        (lambda tmp: ["nerve", str(CORPUS / "square_category.json"), "--out", str(tmp / "n.json")], {"catelem"}),
-        (lambda tmp: ["topology-check", _without("graded_triangle_site.json", "states", tmp)], {"topology"}),
-        (lambda tmp: ["betti", str(CORPUS / "square_category.json")], {"catelem"}),
-        (lambda tmp: ["betti", str(CORPUS / "hollow_triangle.json")], {"catelem"}),
-    ],
-    ids=["validate", "install-hypergraph", "brunnian", "emergent", "compose", "globalize", "localize", "fuse", "nerve", "topology-check", "betti-category", "betti-simplicial"],
-)
+#: What every command loads, besides its own module under commands.
+SHARED = {"errors", "core", "document", "commands"}
+READ, WRITE = {"document_reader"}, {"document_writer"} | OUT_STDLIB
+
+COMMAND_MODULES = [
+    (lambda tmp: ["validate", str(CORPUS / "brunnian_3_3.json")], {"commands.validate", "validation", "report"} | READ),
+    (_install_hypergraph_argv, {"commands.install", "installers"} | WRITE),
+    (lambda tmp: ["brunnian", str(CORPUS / "brunnian_3_3.json")], {"commands.brunnian", "installers"} | READ),
+    (
+        lambda tmp: ["emergent", str(CORPUS / "flat_triangle.json"), "--level", "0", "--s1", "v0,v1", "--s2", "v1,v2"],
+        {"commands.emergent", "commands.refs", "assignments", "report"} | READ,
+    ),
+    (
+        lambda tmp: ["compose", str(CORPUS / "flat_triangle.json"), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--p", "0", "--mode", "weak", "--id", "c", "--out", str(tmp / "c.json")],
+        {"commands.compose", "commands.refs", "composition"} | READ | WRITE,
+    ),
+    (
+        lambda tmp: ["globalize", _without("graded_triangle_site.json", "topology", tmp), "--out", str(tmp / "g.json")],
+        {"commands.globalize", "states", "state_checks", "composition", "report"} | READ | WRITE,
+    ),
+    (lambda tmp: ["globalize", _without("graded_triangle_site.json", "topology", tmp)], {"commands.globalize", "states", "state_checks", "composition", "report"} | READ),
+    (
+        lambda tmp: ["localize", str(CORPUS / "localize_regions.json"), "--out", str(tmp / "l.json")],
+        {"commands.localize", "states", "composition"} | READ | WRITE,
+    ),
+    (
+        lambda tmp: ["fuse", _without("graded_triangle_site.json", "topology", tmp), "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "0", "--id", "f", "--out", str(tmp / "f.json")],
+        {"commands.fuse", "commands.refs", "states", "composition"} | READ | WRITE,
+    ),
+    (lambda tmp: ["nerve", str(CORPUS / "square_category.json"), "--out", str(tmp / "n.json")], {"commands.nerve", "catelem"} | READ | WRITE),
+    (lambda tmp: ["nerve", str(CORPUS / "square_category.json")], {"commands.nerve", "catelem"} | READ),
+    (lambda tmp: ["topology-check", _without("graded_triangle_site.json", "states", tmp)], {"commands.topology_check", "topology", "report"} | READ),
+    (lambda tmp: ["betti", str(CORPUS / "square_category.json")], {"commands.betti", "catelem"} | READ),
+    (lambda tmp: ["betti", str(CORPUS / "hollow_triangle.json")], {"commands.betti", "catelem"} | READ),
+]
+COMMAND_IDS = [
+    "validate", "install-hypergraph", "brunnian", "emergent", "compose", "globalize", "globalize-no-out", "localize", "fuse",
+    "nerve", "nerve-no-out", "topology-check", "betti-category", "betti-simplicial",
+]
+
+
+@pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_each_command_loads_only_its_modules(argv, expected, tmp_path):
     loaded = _loaded_by_command(*argv(tmp_path))
-    assert loaded & set(PAYLOAD_MODULES) == expected
+    assert loaded - OUT_STDLIB == SHARED | expected - OUT_STDLIB
+
+
+@pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
+def test_without_site_each_command_loads_only_its_modules(argv, expected, tmp_path):
+    """Under python -S nothing is preloaded, so tempfile and pathlib show up exactly when --out writes."""
+    assert _loaded_by_command(*argv(tmp_path), site=False) == SHARED | expected
+
+
+def test_help_loads_no_command():
+    assert _loaded_by_command("--help", site=False) == {"errors"}
 
 
 @pytest.mark.parametrize(

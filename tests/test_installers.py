@@ -13,7 +13,9 @@ from hyperstruct.errors import (
     UnknownCoordinate,
     UnknownVertex,
 )
+from hyperstruct import installers
 from hyperstruct.installers import (
+    BRUNNIAN_CAP,
     BrunnianComplex,
     brunnian_bonds,
     brunnian_order,
@@ -208,6 +210,24 @@ class TestBrunnianOrder:
             make_brunnian_tower([])
         with pytest.raises(InvalidBranching):
             make_brunnian_tower([1])
+
+    def test_branching_past_the_cap_is_refused_before_anything_is_built(self, monkeypatch):
+        def no_base(n):  # the check runs before range(total); should it ever go, fail instead of allocating
+            raise AssertionError(f"a base of {n} elements was requested")
+
+        monkeypatch.setattr(installers, "range", no_base, raising=False)
+        for branching in ([100000, 100000], [2] * 17, [2, 3] * 1000):
+            with pytest.raises(InvalidBranching, match=f"BRUNNIAN_CAP = {BRUNNIAN_CAP} base elements"):
+                make_brunnian_tower(branching)
+
+    def test_the_cap_bounds_the_product(self, monkeypatch):
+        monkeypatch.setattr(installers, "BRUNNIAN_CAP", 8)
+        assert len(make_brunnian_tower([2, 2, 2]).levels[0]) == 8
+        with pytest.raises(InvalidBranching):
+            make_brunnian_tower([3, 3])
+
+    def test_the_cap_sits_well_above_the_benchmark_tower(self):
+        assert BRUNNIAN_CAP >= 64 * 2**10
 
 
 def test_every_installer_output_validates():

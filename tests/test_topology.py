@@ -476,6 +476,32 @@ class TestOrderConsumersMatchNaive:
         self.assert_matches(make_brunnian_tower(branching), random.Random(len(branching)))
 
 
+class TestAllSievesOnCap:
+    """A root over n unrelated bonds has 2^n + 1 sieves, so all_sieves_on is bounded like the exhaustive sweep."""
+
+    @staticmethod
+    def star(n):
+        """Bonds b0..b(n-1) over one vertex each, and b<n> over all n vertices."""
+        return tower_from_supports([frozenset({f"v{i}"}) for i in range(n)] + [frozenset(f"v{i}" for i in range(n))])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_count_below_the_cap(self, n):
+        h = self.star(n)
+        assert len(all_sieves_on(h, h.element(1, f"b{n}"))) == 2**n + 1
+
+    def test_a_root_at_the_cap_is_listed(self):
+        n = EXHAUSTIVE_CAP - 1  # the root's ideal holds n + 1 = EXHAUSTIVE_CAP bonds
+        h = self.star(n)
+        assert len(all_sieves_on(h, h.element(1, f"b{n}"))) == 2**n + 1
+
+    def test_a_root_over_17_bonds_is_refused_at_once(self):
+        h = self.star(17)
+        with pytest.raises(SweepTooLarge, match=rf"1:b17\b.*18-element ideal; the cap is {EXHAUSTIVE_CAP}"):
+            all_sieves_on(h, h.element(1, "b17"))
+        assert _level_order(h, 1).downsets == {}  # nothing was listed or memoized
+        assert len(all_sieves_on(h, h.element(1, "b0"))) == 2  # roots with small ideals still list
+
+
 class TestOrderErrors:
     """Error classes of the order consumers on elements and towers they cannot order."""
 
