@@ -18,6 +18,7 @@ those modules loads when one of its names is first read.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -108,7 +109,21 @@ class ElementId(NamedTuple):
 
 
 def sorted_elements(elements: Iterable[ElementId]) -> list[ElementId]:
-    return sorted(elements, key=lambda e: e.key)
+    """Elements in key order, which is their order as plain tuples unless a level mixes str with other ids."""
+    return _key_sorted(list(elements))
+
+
+def _key_sorted(items: list, element=None) -> list:
+    """items (ElementIds, or what element maps to one) in ElementId.key order.
+
+    Two ids at one level compare as plain values exactly as their id_keys
+    do, unless one is a str and the other not; that comparison raises
+    TypeError, and only then are the keys built.
+    """
+    try:
+        return sorted(items, key=element)
+    except TypeError:
+        return sorted(items, key=lambda x: x.key)
 
 
 class Support(FrozenRecord):
@@ -262,7 +277,7 @@ class Hyperstructure(FrozenRecord):
         grouped: dict[int, list[Bond]] = {}
         for b in self.bonds:
             grouped.setdefault(b.id.level, []).append(b)
-        return {i: tuple(sorted(bs, key=lambda b: b.key)) for i, bs in grouped.items()}
+        return {i: tuple(_key_sorted(bs, itemgetter(0))) for i, bs in grouped.items()}
 
     @cached_property
     def supports_by_level(self) -> dict[int, frozenset[frozenset[ElementId]]]:
@@ -370,7 +385,7 @@ def assemble(
         order=len(frozen) - 1,
         levels=frozen,
         omegas=tuple(omegas),
-        bonds=tuple(sorted(bonds, key=lambda b: b.key)),  # canonical registry order
+        bonds=tuple(_key_sorted(list(bonds), itemgetter(0))),  # canonical registry order
         fusion_log=fusion_log,
     )
 

@@ -7,6 +7,7 @@ whose codimension-1 sub-collections are bound.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -75,21 +76,22 @@ def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequen
 
 def from_hypergraph(vertices: Iterable[RawId], edges: Iterable[Iterable[RawId]]) -> Hyperstructure:
     """Install a hypergraph: vertices at level 0, one bond per edge."""
-    vs = list(vertices)
-    h = new_hyperstructure(vs)
-    vset = set(vs)
-    canon = []
+    h = new_hyperstructure(vertices)
+    base = h.element_index[0]
+    names: dict[frozenset, str] = {}  # each distinct edge and its bond's raw id
     for e in edges:
         members = frozenset(e)
         if not members:
             raise EmptyEdge("hypergraph edge is empty")
+        if members in names:
+            continue
         for v in members:
-            if v not in vset:
+            if v not in base:
                 raise UnknownVertex(f"edge vertex {v!r} not declared")
-        canon.append(members)
+        names[members] = _canonical_name(members)
     specs = [
-        BondSpec(0, _base_support(members), EDGE_PROPERTY, _canonical_name(members))
-        for members in sorted(set(canon), key=_canonical_name)
+        BondSpec(0, Support(0, frozenset([base[v] for v in members])), EDGE_PROPERTY, name)
+        for members, name in sorted(names.items(), key=itemgetter(1))
     ]
     return add_bonds(h, specs, order=1)
 

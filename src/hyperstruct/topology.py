@@ -23,9 +23,10 @@ Every axiom is decided on masks. The only sieve on a root that holds the
 root is its maximal sieve, and a candidate covers locally over it only when
 the candidate is already listed; so transitivity sweeps a root only over
 its other sieves, and a root whose collection holds no other sieve is not
-swept at all (a sampled check still makes that root's draws, so later roots
-see the same stream). The checker's report is lazy: reading its verdict
-stops at the first violation, and the axioms' witness text is written from
+swept at all (a sampled check draws that root's share of the stream just
+before the next root that samples, so later roots see the same stream, and
+a check in which no root samples draws nothing). The checker's report is
+lazy: reading its verdict stops at the first violation, and the axioms' witness text is written from
 the bits only when the findings are read. The level's view keeps each
 sieve's text once written, so later checks on the same tower reuse it.
 """
@@ -142,18 +143,30 @@ class _LevelOrder:
         if lower is None:  # each level-0 element refines only itself
             self.support = self.below = [1 << j for j in range(len(self.elements))]
             return
-        self.support = [lower.mask_of(h.bond(e).support.members) for e in self.elements]
-        # containing[m] = mask of elements whose support holds bit m; a
-        # support under another is empty or shares one of its bits, so only
-        # those candidates are compared
-        bits = [_bit_indices(s) for s in self.support]
+        # support[j] and its member bits, read once from the level below's
+        # index (a miss asks h.bond or mask_of, which raise); containing[m] =
+        # mask of elements whose support holds bit m. A support under another
+        # is empty or shares one of its bits, so only those candidates are
+        # compared.
+        bonds, index = h.bond_index, lower.index
+        self.support, bits = [], []
         containing = [0] * len(lower.elements)
         empty = 0
-        for j, members in enumerate(bits):
+        for j, e in enumerate(self.elements):
+            b = bonds.get(e) or h.bond(e)
+            try:
+                members = [index[m] for m in b.support.members]
+            except KeyError:
+                lower.mask_of(b.support.members)
+                raise
+            mask = 0
             for m in members:
+                mask |= 1 << m
                 containing[m] |= 1 << j
             if not members:
                 empty |= 1 << j
+            self.support.append(mask)
+            bits.append(members)
         self.below = []
         for s, members in zip(self.support, bits):
             sharing = 0
@@ -368,13 +381,23 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
     # locally over s when that holds at every member of s. The only sieve
     # in J(i) holding i is the maximal one, and r covers locally there only
     # when r itself is in J(i), so only the other sieves can yield a finding.
+    # A root with no other sieve is not swept, but a sampled check owes the
+    # stream the 64 bits of each coin _sampled_masks would have tossed there.
+    # The debt is drawn in one call before the next root that samples (whole
+    # 32-bit words, so the stream moves as under separate draws), and never
+    # if no such root follows.
+    owed = 0
     for i, sieves in enumerate(masks):
         others = [s for s in sieves if not s >> i & 1]
         if not others:
-            if rng is not None:  # _sampled_masks' random() coins read 64 bits each; later roots see the same stream
-                rng.getrandbits(64 * SAMPLE_SIZE * below[i].bit_count())
+            owed += 64 * SAMPLE_SIZE * below[i].bit_count()
             continue
-        candidates = order.downsets_below(i) if rng is None else _sampled_masks(order, i, rng, SAMPLE_SIZE)
+        if rng is None:
+            candidates = order.downsets_below(i)
+        else:
+            rng.getrandbits(owed)
+            owed = 0
+            candidates = _sampled_masks(order, i, rng, SAMPLE_SIZE)
         covered = 0
         for s in others:
             covered |= s

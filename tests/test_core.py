@@ -16,6 +16,7 @@ from hyperstruct.core import (
     identity_bond,
     iterated_boundary,
     new_hyperstructure,
+    sorted_elements,
     validate,
 )
 from hyperstruct.errors import (
@@ -309,3 +310,31 @@ class TestImmutability:
         h3 = assign_property(h2, 0, s, "second")
         assert "second" not in h2.omega(0, s)
         assert "second" in h3.omega(0, s)
+
+
+@st.composite
+def element_lists(draw):
+    """ElementIds over up to four levels, each level's ids all str, all int, or mixed; repeats allowed."""
+    ids = {
+        "str": st.text(alphabet="ab1", max_size=2),
+        "int": st.integers(-3, 12),
+        "mixed": st.one_of(st.text(alphabet="ab1", max_size=2), st.integers(-3, 12)),
+    }
+    out = []
+    for level in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(ids)))
+        out += [ElementId(level, r) for r in draw(st.lists(ids[kind], max_size=8))]
+    return draw(st.permutations(out))
+
+
+class TestSortedElements:
+    @settings(max_examples=200, deadline=None)
+    @given(element_lists())
+    def test_tuple_order_is_key_order(self, xs):
+        want = sorted(xs, key=lambda e: e.key)
+        assert sorted_elements(xs) == want
+        assert sorted_elements(iter(xs)) == want  # the fallback sorts what the first sort read
+
+    def test_a_level_mixing_str_and_int_ids_puts_ints_first(self):
+        xs = [ElementId(1, "b"), ElementId(0, "a"), ElementId(1, 10), ElementId(0, 2), ElementId(1, "a"), ElementId(1, 9)]
+        assert [repr(e) for e in sorted_elements(xs)] == ["0:2", "0:a", "1:9", "1:10", "1:a", "1:b"]

@@ -15,6 +15,7 @@ from hyperstruct.core import (
     FusionRecord,
     Support,
     add_bonds,
+    assemble,
     identity_bond,
     new_hyperstructure,
     sorted_elements,
@@ -313,6 +314,31 @@ def nasty_towers(draw):
     if draw(st.booleans()):
         h, _ = identity_bond(h, 0, draw(st.sampled_from(level0)))
     return h
+
+
+class TestRegistryOrder:
+    """assemble and bonds_by_level sort the registry by the bond ids' keys, however it arrives."""
+
+    @staticmethod
+    def assert_key_order(h, rng):
+        want = sorted(h.bonds, key=lambda b: b.key)
+        shuffled = rng.sample(list(h.bonds), len(h.bonds))
+        assert list(assemble(h.levels, h.omegas, shuffled, h.fusion_log).bonds) == want
+        by_level = h._replace(bonds=tuple(shuffled)).bonds_by_level
+        assert sorted(by_level) == sorted({b.id.level for b in want})
+        for i, bs in by_level.items():
+            assert list(bs) == [b for b in want if b.id.level == i]
+
+    @settings(max_examples=80, deadline=None)
+    @given(nasty_towers(), st.integers(0, 2**31))
+    def test_nasty_towers(self, h, seed):
+        self.assert_key_order(_fused(h, random.Random(seed)), random.Random(seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31))
+    def test_mixed_id_towers(self, seed):
+        rng = random.Random(seed)
+        self.assert_key_order(mixed_id_tower(rng), rng)
 
 
 def _fused(h, rng):

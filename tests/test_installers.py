@@ -76,12 +76,24 @@ class TestFromHypergraph:
         assert b.support.raw_ids() == ["a", "b", "c"]
 
     def test_empty_edge(self):
-        with pytest.raises(EmptyEdge):
-            from_hypergraph(["a"], [[]])
+        with pytest.raises(EmptyEdge, match="^hypergraph edge is empty$"):
+            from_hypergraph(["a"], [["a"], ["a"], []])
 
     def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            from_hypergraph(["a"], [["a", "z"]])
+        with pytest.raises(UnknownVertex, match="^edge vertex 'z' not declared$"):
+            from_hypergraph(["a"], [["a"], ["a"], ["a", "z"]])
+
+    def test_first_faulty_edge_is_reported(self):
+        with pytest.raises(UnknownVertex, match="^edge vertex 5 not declared$"):
+            from_hypergraph(["a"], [["a"], [5], []])
+        with pytest.raises(EmptyEdge):
+            from_hypergraph(["a"], [["a"], [], [5]])
+
+    def test_supports_bind_the_towers_own_elements(self):
+        h = from_hypergraph(["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "a"]])
+        base = h.element_index[0]
+        assert [b.support.raw_ids() for b in h.bonds_at(1)] == [["a", "b"], ["b", "c"]]
+        assert all(m is base[m.id] for b in h.bonds for m in b.support.members)
 
     def test_randomized_outputs_validate(self):
         rng = random.Random(9)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -42,6 +44,7 @@ from hyperstruct.errors import (
 from hyperstruct.installers import from_simplicial_complex, make_brunnian_tower
 from hyperstruct.topology import (
     EXHAUSTIVE_CAP,
+    SAMPLE_SIZE,
     CoveringChain,
     Sieve,
     all_sieves_on,
@@ -224,6 +227,40 @@ class TestGrothendieckAxioms:
         j[b2] = j[b2] | {Sieve(b2, frozenset({b0}))}
         rep = is_grothendieck_topology(h, j, 1)
         assert not rep.passed and "stability" in rep.codes
+
+
+def brute_force_posets_up_to_iso(n):
+    """Filter all 2^(n(n-1)) relations on range(n) for strict orders, keeping the first of each class."""
+    from itertools import permutations
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    perms = list(permutations(range(n)))
+    seen, out = set(), []
+    for mask in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+        if any((b, a) in rel for (a, b) in rel):
+            continue
+        if any(b == c and (a, d) not in rel for (a, b) in rel for (c, d) in rel):
+            continue
+        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(frozenset(rel))
+    return out
+
+
+class TestPosetRepresentatives:
+    @pytest.mark.parametrize("n", range(5))
+    def test_match_the_brute_force(self, n):
+        assert all_posets_up_to_iso(n) == brute_force_posets_up_to_iso(n)
+
+    def test_five_points_match_the_recorded_brute_force(self):
+        # sha256 of the brute force's 63 representatives on five points,
+        # recorded from it (it takes seconds at n = 5)
+        reps = all_posets_up_to_iso(5)
+        assert len(reps) == 63
+        digest = hashlib.sha256(repr([sorted(r) for r in reps]).encode()).hexdigest()
+        assert digest == "00816566f4c5be3c917ef788bf244bdf2b5aab79a20f027199b038f07ecd9dfd"
 
 
 class TestOracleSweep:
@@ -550,9 +587,28 @@ class TestOrderErrors:
             lambda: is_grothendieck_topology(h, {}, 1),
         ]
         for call in calls:
-            with pytest.raises(NotABond):
+            with pytest.raises(NotABond, match=re.escape("1:{v0,v1} has no bond record")):
                 call()
         assert refines(h, v0, v0) and maximal_sieve(h, v0) == Sieve(v0, frozenset({v0}))
+
+    @pytest.mark.parametrize("strays, first", [(["zz", 7, "aa"], "0:7"), (["zz", "aa"], "0:aa"), ([12, 7], "0:7")])
+    def test_support_member_missing_below(self, strays, first):
+        # a hand-built registry whose bond binds elements the level below
+        # lacks; the order names the first of them in key order
+        h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"})])
+        b0, b1 = h.element(1, "b0"), h.element(1, "b1")
+        ghosts = frozenset(ElementId(0, r) for r in strays)
+        h = h._replace(bonds=tuple(b._replace(support=Support(0, b.support.members | ghosts)) if b.id == b1 else b for b in h.bonds))
+        calls = [
+            lambda: refines(h, b0, b1),
+            lambda: maximal_sieve(h, b0),
+            lambda: maximal_topology(h),
+            lambda: is_grothendieck_topology(h, {}, 1),
+            lambda: refinement_category(h, 1),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownElement, match=f"^no element {re.escape(first)}$"):
+                call()
 
     def test_deep_tower_builds_its_orders_without_recursing(self):
         h = identity_tower(1500)
@@ -625,6 +681,36 @@ def test_vacuous_root_draw_leaves_the_sampled_stream(seed, count):
     _sampled_masks(order, i, sampled, count)
     skip.getrandbits(64 * count * order.below[i].bit_count())
     assert sampled.random() == skip.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.integers(1, 6))
+def test_merged_vacuous_draws_leave_the_sampled_stream(seed, skips):
+    # several vacuous roots' draws taken in one call leave the stream as
+    # drawing each root's share does, so the next sampled root sees the same
+    rng = random.Random(seed)
+    h = random_tower(rng, max_order=2, max_per_level=12) if seed % 2 else mixed_id_tower(rng)
+    order = _level_order(h, rng.randint(0, h.order))
+    shares = [64 * SAMPLE_SIZE * order.below[rng.randrange(len(order.elements))].bit_count() for _ in range(skips)]
+    separate, merged = random.Random(seed), random.Random(seed)
+    for bits in shares:
+        separate.getrandbits(bits)
+    merged.getrandbits(sum(shares))
+    i = rng.randrange(len(order.elements))
+    assert _sampled_masks(order, i, separate, SAMPLE_SIZE) == _sampled_masks(order, i, merged, SAMPLE_SIZE)
+
+
+def test_a_check_where_no_root_samples_draws_nothing(monkeypatch):
+    class Undrawable(random.Random):
+        def random(self):
+            raise AssertionError("drew a coin")
+
+        def getrandbits(self, k):
+            raise AssertionError(f"drew {k} bits")
+
+    h = make_brunnian_tower([3, 3, 3])
+    monkeypatch.setattr(random, "Random", Undrawable)
+    make_site(h, maximal_topology(h), exhaustive=False)  # no root of a maximal topology samples
 
 
 def random_topology(h, level, rng):
