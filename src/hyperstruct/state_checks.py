@@ -15,6 +15,8 @@ from .states import Connector, LambdaAssignment, Marker, StateToken, StateTower
 if TYPE_CHECKING:
     from .topology import Site
 
+_ABSENT = object()  # marks a lower element without a state in check_amalgamation's table
+
 
 def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment) -> CheckReport:
     """Codomain discipline: level-i states must lie in the space S_{n-i}."""
@@ -47,6 +49,12 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     across members) for fold connectors. Families carrying no descent datum
     (empty, or not covering) are skipped. The site is one make_site built;
     its tower's refinement orders are read here.
+
+    Each family is read into a mask over its level in one pass over its
+    members, and boundaries are the order's support masks, so a family
+    covers when the OR of its members' supports equals the bond's. The
+    lower level's states are tabled by bit once per level; a state missing
+    from the assignment raises KeyError only when a covering family reads it.
     """
     from .topology import _bit_indices, _level_order
 
@@ -58,14 +66,22 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
         return CheckReport("amalgamation", findings, notes)
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
+        fold = delta.is_fold
         # families and boundaries as masks; ascending bits list them in
         # sorted_elements order, which fixes the order values are read in
         order, lower = _level_order(h, i), _level_order(h, i - 1)
         index, support = order.index, order.support
+        # the level-(i-1) states by bit; a level the assignment lacks has no
+        # state above it either, so no family reads it
+        states = lam.per_level[i - 1] if i <= len(lam.per_level) else {}
+        table = [states.get(e, _ABSENT) for e in lower.elements]
+        gaps = _ABSENT in table
 
         def values(mask: int) -> list[StateToken]:
-            states = lam.per_level[i - 1]
-            return [states[lower.elements[j]] for j in _bit_indices(mask)]
+            got = [table[j] for j in _bit_indices(mask)]
+            if gaps and _ABSENT in got:  # the mapping raises KeyError at the first member without a state
+                return [states[lower.elements[j]] for j in _bit_indices(mask)]
+            return got
 
         for b in h.bonds_at(i):
             want = lam.get(b.id)
@@ -80,11 +96,19 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
             for sieve in sieves:
                 # the family's bonds at this level; other members drop out, but a bond of
                 # another level has its boundary elsewhere, so the family covers nothing
-                family = sorted(index[m] for m in sieve.members if m in index)
-                if not family or any(m not in index and h.is_bond(m) for m in sieve.members):
+                family = 0
+                for m in sieve.members:
+                    k = index.get(m)
+                    if k is not None:
+                        family |= 1 << k
+                    elif h.is_bond(m):
+                        family = 0
+                        break
+                if not family:
                     continue
+                family_bits = _bit_indices(family)
                 covered = size = 0
-                for k in family:
+                for k in family_bits:
                     covered |= support[k]
                     size += support[k].bit_count()
                 if covered != boundary:
@@ -95,9 +119,9 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                     findings.append(
                         Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
                     )
-                if size == boundary.bit_count() and delta.is_fold:
+                if fold and size == boundary.bit_count():
                     # a member on b's whole boundary (b itself, in its maximal sieve) folds to got
-                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family]
+                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family_bits]
                     staged = delta.apply(partials, at=b.id)
                     if staged != want:
                         findings.append(

@@ -13,11 +13,11 @@ from __future__ import annotations
 from functools import partial
 from itertools import product as iter_product
 from json.encoder import encode_basestring
-from operator import itemgetter
+from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .composition import union_token
-from .core import ElementId, Hyperstructure, RawId, sorted_elements
+from .core import ElementId, Hyperstructure, RawId, _key_sorted, sorted_elements
 from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _jkey
 from .errors import (
     CoConnectorUndefined,
@@ -129,12 +129,10 @@ class Connector(NamedTuple):
         if not values:
             raise ConnectorUndefined(f"empty state multiset{_at_bond(at)}")
         if self.kind in ("product", "sum"):
-            total = 1 if self.kind == "product" else 0
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ConnectorUndefined(f"{self.kind} connector needs integer states, got {v!r}{_at_bond(at)}")
-                total = total * v if self.kind == "product" else total + v
-            return total
+            return prod(values) if self.kind == "product" else sum(values)
         if self.kind == "union":
             acc = None
             for v in sorted(values, key=token_key):
@@ -381,10 +379,10 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
 def _sorted_pairs(mapping: Mapping[ElementId, object]) -> list[tuple[ElementId, object]]:
     """The mapping's items in ElementId.key order."""
     keys = list(mapping)
-    if set(map(type, keys)) == {ElementId} and set(map(type, map(itemgetter(1), keys))) in ({str}, {int}):
-        keys.sort()  # one raw-id type: the elements compare as their keys do
+    if all(type(e) is ElementId for e in keys):
+        keys = _key_sorted(keys)
     else:
-        keys.sort(key=lambda e: e.key)
+        keys.sort(key=lambda e: e.key)  # a key that is not an ElementId has no .key: AttributeError
     return [(e, mapping[e]) for e in keys]
 
 

@@ -12,12 +12,16 @@ checker, descent in states and refinement_category in catelem) reads one
 bitmask view per level, cached on the tower (towers are immutable), so
 sweeping many candidate topologies over one tower pays the setup cost once.
 A level's view holds each element's support as a mask over the level below
-(its own bit at level 0), so views are built bottom-up, and compares each
-support only with the supports that share a bit with it. An element above
-level 0 without a bond record leaves its level and those above it without a
-view: their consumers raise NotABond. An exhaustive transitivity sweep
-enumerates the sieves on a root by branching, at a cost proportional to the
-number of sieves rather than to the 2^|ideal| subsets of the root's ideal.
+(its own bit at level 0), so views are built bottom-up. An element lies
+under exactly the elements whose supports hold every member of its own, so
+its upper set is the AND of one mask per support member, and the view's
+ideals are the transpose of those upper sets: a view costs the total support
+size plus one step per refining pair, and never compares two supports. An
+element above level 0 without a bond record leaves its level and those above
+it without a view: their consumers raise NotABond. An exhaustive
+transitivity sweep enumerates the sieves on a root by branching, at a cost
+proportional to the number of sieves rather than to the 2^|ideal| subsets
+of the root's ideal.
 
 Every axiom is decided on masks. The only sieve on a root that holds the
 root is its maximal sieve, and a candidate covers locally over it only when
@@ -124,7 +128,10 @@ class _LevelOrder:
     bits list a family in sorted_elements order. support[j] is the mask that
     orders elements[j]: its bond's boundary over the level below's bits, or
     its own bit at level 0. below[i] is the mask of elements refining
-    elements[i], those whose support lies under support[i].
+    elements[i], those whose support lies under support[i]: element j is
+    under the AND of containing[m] over the members m of its support, and
+    below is that relation transposed. An empty support is under every
+    element of the level.
 
     texts holds the witness text of each sieve written so far, keyed by
     (root bit, mask), so every check on this level writes a sieve once; the
@@ -143,11 +150,9 @@ class _LevelOrder:
         if lower is None:  # each level-0 element refines only itself
             self.support = self.below = [1 << j for j in range(len(self.elements))]
             return
-        # support[j] and its member bits, read once from the level below's
-        # index (a miss asks h.bond or mask_of, which raise); containing[m] =
-        # mask of elements whose support holds bit m. A support under another
-        # is empty or shares one of its bits, so only those candidates are
-        # compared.
+        # support[j], read once from the level below's index (a miss asks
+        # h.bond or mask_of, which raise); containing[m] = mask of elements
+        # whose support holds bit m
         bonds, index = h.bond_index, lower.index
         self.support, bits = [], []
         containing = [0] * len(lower.elements)
@@ -167,16 +172,16 @@ class _LevelOrder:
                 empty |= 1 << j
             self.support.append(mask)
             bits.append(members)
-        self.below = []
-        for s, members in zip(self.support, bits):
-            sharing = 0
-            for m in members:
-                sharing |= containing[m]
-            refining = empty
-            for j in _bit_indices(sharing):
-                if not self.support[j] & ~s:
-                    refining |= 1 << j
-            self.below.append(refining)
+        self.below = below = [empty] * len(self.elements)
+        for j, members in enumerate(bits):
+            if not members:
+                continue
+            above = containing[members[0]]
+            for m in members[1:]:
+                above &= containing[m]
+            bit = 1 << j
+            for i in _bit_indices(above):
+                below[i] |= bit
 
     def mask_of(self, members: Iterable[ElementId]) -> int:
         """The mask of members; UnknownElement names the first (sorted) member the level lacks."""
@@ -190,7 +195,7 @@ class _LevelOrder:
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
-        return frozenset(self.elements[j] for j in _bit_indices(mask))
+        return frozenset(map(self.elements.__getitem__, _bit_indices(mask)))
 
     def names(self) -> tuple[list[str], list[str]]:
         """Each element's repr and its raw id as text, tabled on first use."""
@@ -342,7 +347,7 @@ def is_grothendieck_topology(
                 stray = next(e for e in sorted_elements(s.members) if e not in order.index)
                 invalid.append(Finding("not-a-sieve", f"family under {b!r} names {stray!r}, not a level-{level} element: {s!r}"))
                 continue
-            if m & ~order.below[i] or not order.is_downset(m):
+            if m != order.below[i] and (m & ~order.below[i] or not order.is_downset(m)):
                 invalid.append(Finding("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
                 continue
             got.add(m)

@@ -1,4 +1,6 @@
+import json
 import random
+from enum import IntEnum
 from itertools import combinations_with_replacement
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import mixed_id_tower, random_tower, reference_check_amalgamation
 from hyperstruct.core import ElementId, Support, add_bond, assign_property, new_hyperstructure
+from hyperstruct.document import Document, StatesSection, serialize
 from hyperstruct.errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
@@ -130,6 +133,21 @@ class TestGlobalize:
         with pytest.raises(ConnectorUndefined) as exc:
             SUM.apply([2, "x"])
         assert str(exc.value) == "sum connector needs integer states, got 'x'"
+        # every value is checked before any is folded: the first bad one in input order is named, a bool included
+        for connector, values, bad in ((SUM, [1, "b", "a", 2.5, False], "'b'"), (PRODUCT, [1, True, 2], "True")):
+            with pytest.raises(ConnectorUndefined) as exc:
+                connector.apply(values, at=ElementId(1, "e"))
+            assert str(exc.value) == f"{connector.kind} connector needs integer states, got {bad} at bond 1:e"
+
+    def test_int_enum_states_fold_as_ints(self):
+        class Weight(IntEnum):
+            LOW = 2
+            HIGH = 5
+
+        assert SUM.apply([Weight.LOW, Weight.HIGH, 3]) == 10
+        assert PRODUCT.apply([Weight.LOW, Weight.HIGH, 3]) == 30
+        assert type(SUM.apply([Weight.HIGH])) is int
+        assert type(PRODUCT.apply([Weight.HIGH])) is int
 
     def test_permutation_invariance(self):
         rng = random.Random(6)
@@ -241,6 +259,10 @@ class TestAmalgamationMatchesReference:
                 level = levels[rng.randrange(len(levels))]
                 e = rng.choice(sorted(level, key=lambda x: x.key))
                 level[e] = rng.choice([*tokens, "c", UNASSIGNED])
+            if rng.random() < 0.3:  # drop a lower state: KeyError, once a covering family reads it
+                level = levels[rng.randrange(len(levels) - 1)]
+                if level:
+                    del level[rng.choice(sorted(level, key=lambda x: x.key))]
             tampered = LambdaAssignment(per_level=tuple(levels))
             want = _outcome(lambda: reference_check_amalgamation(site, tampered, connectors))
             assert _outcome(lambda: check_amalgamation(site, tampered, connectors).render()) == want
@@ -276,6 +298,45 @@ class TestAmalgamationMatchesReference:
     def test_mixed_id_towers(self, seed):
         rng = random.Random(seed)
         self.assert_matches(mixed_id_tower(rng), rng)
+
+    def test_missing_lower_state_raises_only_where_read(self):
+        t = graded_triangle()
+        connectors = [SUM, SUM]
+        lam = globalize(t, {"v0": 1, "v1": 2, "v2": 3}, connectors)
+        top, e01 = t.element(2, "{v0,v1,v2}"), t.element(1, "{v0,v1}")
+        levels = [dict(level) for level in lam.per_level]
+        del levels[1][e01]
+        tampered = LambdaAssignment(per_level=tuple(levels))
+        # no family covers the top bond, so e01's missing state is only a totality finding
+        j = maximal_topology(t)
+        j[top] = frozenset()
+        site = Site(h=t, topology=j)
+        got = check_amalgamation(site, tampered, connectors).render()
+        assert got == reference_check_amalgamation(site, tampered, connectors)
+        assert f"no state for {e01!r}" in got
+        # the top bond's maximal sieve covers it and reads e01's state
+        site = Site(h=t, topology=maximal_topology(t))
+        with pytest.raises(KeyError) as err:
+            reference_check_amalgamation(site, tampered, connectors)
+        with pytest.raises(KeyError) as got_err:
+            check_amalgamation(site, tampered, connectors)
+        assert got_err.value.args == err.value.args == (e01,)
+
+
+class TestStatesSectionOrder:
+    """The states-section writer lists pairs in ElementId.key order and refuses other keys."""
+
+    def test_mixed_str_int_level_lists_ints_first(self):
+        h = new_hyperstructure([2, "a", 10, "b"])
+        base = {ElementId(0, "b"): 1, ElementId(0, 2): 2, ElementId(0, "a"): 3, ElementId(0, 10): 4}
+        text = serialize(Document(hyperstructure=h, states=StatesSection(base=base)))
+        assert json.loads(text)["states"]["base"] == [[2, 2], [10, 4], ["a", 3], ["b", 1]]
+
+    @pytest.mark.parametrize("base, kind", [({"a": 1}, "str"), ({ElementId(0, "a"): 1, (0, "b"): 2}, "tuple")])
+    def test_a_key_that_is_not_an_element_id_is_refused(self, base, kind):
+        h = new_hyperstructure([2, "a", 10, "b"])
+        with pytest.raises(AttributeError, match=f"^'{kind}' object has no attribute 'key'$"):
+            serialize(Document(hyperstructure=h, states=StatesSection(base=base)))
 
 
 class TestTensorPairing:

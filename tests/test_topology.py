@@ -393,6 +393,33 @@ def test_bit_indices_match_a_full_scan(mask):
     assert _bit_indices(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def dense_hypergraph_tower(rng: random.Random):
+    """An order-2 tower with at least 40 bonds per upper level over at most 12 vertices.
+
+    Supports are drawn fresh, repeated under a new id, or nested inside an
+    earlier one, and each upper level also holds identity bonds, so ties,
+    chains and incomparable pairs all occur.
+    """
+    h = new_hyperstructure([f"v{k}" for k in range(rng.randint(4, 12))])
+    for level in (0, 1):
+        current = sorted_elements(h.elements(level))
+        supports: list[list[ElementId]] = []
+        for _ in range(rng.randint(40, 56)):
+            pick = rng.random()
+            if supports and pick < 0.2:
+                members = rng.choice(supports)
+            elif supports and pick < 0.5:
+                outer = rng.choice(supports)
+                members = rng.sample(outer, rng.randint(1, len(outer)))
+            else:
+                members = rng.sample(current, rng.randint(1, min(5, len(current))))
+            supports.append(members)
+        specs = [BondSpec(level, Support.of(ms), "p", f"e{level}_{j}") for j, ms in enumerate(supports)]
+        specs += [BondSpec(level, Support.of([x]), IDENTITY_PROPERTY, f"id{level}_{x.id}", True) for x in rng.sample(current, 3)]
+        h = add_bonds(h, specs, order=level + 1)
+    return h
+
+
 class TestLevelOrder:
     """The cached mask view against oracles that compare supports directly."""
 
@@ -424,6 +451,7 @@ class TestLevelOrder:
     def test_random_towers(self, seed):
         rng = random.Random(seed)
         self.assert_matches_oracles(random_tower(rng, max_order=3, max_per_level=10), rng)
+        self.assert_matches_oracles(dense_hypergraph_tower(rng), rng)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31))
