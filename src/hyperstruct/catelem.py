@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import FrozenRecord, Hyperstructure, sorted_elements
-from .document import _expect_id, _expect_list, _expect_obj, _jkey
+from .document import _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError, SweepTooLarge
 
 ObjId = Hashable
@@ -654,25 +654,19 @@ def _category_from_json(value) -> FiniteCategory:
             raise DanglingReference(f"category: morphism {m.id!r} references unknown objects")
     identities = {}
     for e in _expect_list(obj["identities"], "category.identities"):
-        pair = _expect_list(e, "category.identities")
-        if len(pair) != 2:
-            raise SchemaError("category.identities: expected [object, morphism]")
-        if _expect_id(pair[0], "category.identities") not in obj_set or _expect_id(pair[1], "category.identities") not in mor_set:
-            raise DanglingReference(f"category.identities: unresolved pair {pair!r}")
-        if pair[0] in identities:
-            raise SchemaError(f"category.identities: duplicate entry for object {pair[0]!r}")
-        identities[pair[0]] = pair[1]
+        o, m = _expect_row(e, "category.identities", 2, "[object, morphism]")
+        if _expect_id(o, "category.identities") not in obj_set or _expect_id(m, "category.identities") not in mor_set:
+            raise DanglingReference(f"category.identities: unresolved pair {e!r}")
+        _refuse_repeat(identities, o, "category.identities", "object ")
+        identities[o] = m
     composition = {}
     for e in _expect_list(obj["composition"], "category.composition"):
-        trip = _expect_list(e, "category.composition")
-        if len(trip) != 3:
-            raise SchemaError("category.composition: expected [g, f, gf]")
-        for m in trip:
+        g, f, gf = _expect_row(e, "category.composition", 3, "[g, f, gf]")
+        for m in e:
             if _expect_id(m, "category.composition") not in mor_set:
                 raise DanglingReference(f"category.composition: unknown morphism {m!r}")
-        if (trip[0], trip[1]) in composition:
-            raise SchemaError(f"category.composition: duplicate entry for ({trip[0]!r}, {trip[1]!r})")
-        composition[(trip[0], trip[1])] = trip[2]
+        _refuse_repeat(composition, (g, f), "category.composition")
+        composition[(g, f)] = gf
     return finite_category(objects, morphisms, identities, composition)
 
 
@@ -692,37 +686,27 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
     obj = _expect_obj(value, "presheaf", {"on_objects", "on_morphisms"}, {"on_objects", "on_morphisms"})
     on_objects = {}
     for e in _expect_list(obj["on_objects"], "presheaf.on_objects"):
-        pair = _expect_list(e, "presheaf.on_objects")
-        if len(pair) != 2:
-            raise SchemaError("presheaf.on_objects: expected [object, elements]")
-        if _expect_id(pair[0], "presheaf.on_objects") not in cat.objects:
-            raise DanglingReference(f"presheaf.on_objects: unknown object {pair[0]!r}")
-        if pair[0] in on_objects:
-            raise SchemaError(f"presheaf.on_objects: duplicate entry for object {pair[0]!r}")
-        elements = [_expect_id(x, "presheaf") for x in _expect_list(pair[1], "presheaf.on_objects")]
+        o, raw = _expect_row(e, "presheaf.on_objects", 2, "[object, elements]")
+        if _expect_id(o, "presheaf.on_objects") not in cat.objects:
+            raise DanglingReference(f"presheaf.on_objects: unknown object {o!r}")
+        _refuse_repeat(on_objects, o, "presheaf.on_objects", "object ")
+        elements = [_expect_id(x, "presheaf") for x in _expect_list(raw, "presheaf.on_objects")]
         values = frozenset(elements)
         if len(values) != len(elements):
-            raise SchemaError(f"presheaf.on_objects: duplicate elements for object {pair[0]!r}")
-        on_objects[pair[0]] = values
+            raise SchemaError(f"presheaf.on_objects: duplicate elements for object {o!r}")
+        on_objects[o] = values
     on_morphisms = {}
     for e in _expect_list(obj["on_morphisms"], "presheaf.on_morphisms"):
-        pair = _expect_list(e, "presheaf.on_morphisms")
-        if len(pair) != 2:
-            raise SchemaError("presheaf.on_morphisms: expected [morphism, table]")
-        if _expect_id(pair[0], "presheaf.on_morphisms") not in cat.by_id:
-            raise DanglingReference(f"presheaf.on_morphisms: unknown morphism {pair[0]!r}")
-        if pair[0] in on_morphisms:
-            raise SchemaError(f"presheaf.on_morphisms: duplicate entry for morphism {pair[0]!r}")
-        table = {}
-        for xy in _expect_list(pair[1], "presheaf.on_morphisms"):
-            x = _expect_list(xy, "presheaf.on_morphisms")
-            if len(x) != 2:
-                raise SchemaError("presheaf.on_morphisms: expected [from, to]")
-            key = _expect_id(x[0], "presheaf.on_morphisms")
-            if key in table:
-                raise SchemaError(f"presheaf.on_morphisms: duplicate entry for {key!r} in the table of {pair[0]!r}")
-            table[key] = _expect_id(x[1], "presheaf.on_morphisms")
-        on_morphisms[pair[0]] = table
+        m, raw = _expect_row(e, "presheaf.on_morphisms", 2, "[morphism, table]")
+        if _expect_id(m, "presheaf.on_morphisms") not in cat.by_id:
+            raise DanglingReference(f"presheaf.on_morphisms: unknown morphism {m!r}")
+        _refuse_repeat(on_morphisms, m, "presheaf.on_morphisms", "morphism ")
+        table, in_table = {}, f" in the table of {m!r}"
+        for xy in _expect_list(raw, "presheaf.on_morphisms"):
+            x, y = _expect_row(xy, "presheaf.on_morphisms", 2, "[from, to]")
+            _refuse_repeat(table, _expect_id(x, "presheaf.on_morphisms"), "presheaf.on_morphisms", after=in_table)
+            table[x] = _expect_id(y, "presheaf.on_morphisms")
+        on_morphisms[m] = table
     p = Presheaf(on_objects=on_objects, on_morphisms=on_morphisms)
     validate_presheaf(cat, p)
     return p

@@ -134,15 +134,5 @@ def main(argv=None) -> int:
         return 1 if isinstance(e, CHECK_FAILURES) else 2
 
 
-def __getattr__(name: str):
-    """cmd_<command>, each command's run, and INSTALL_FIELDS, read from the command's module."""
-    command = name.removeprefix("cmd_").replace("_", "-")
-    if name.startswith("cmd_") and command in COMMANDS:
-        return _command(command).run
-    if name == "INSTALL_FIELDS":
-        return _command("install").INSTALL_FIELDS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 if __name__ == "__main__":
     sys.exit(main())

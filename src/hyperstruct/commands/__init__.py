@@ -12,24 +12,29 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from ..errors import ParseError, SchemaError
+from ..errors import HyperstructError, ParseError, SchemaError
 
 if TYPE_CHECKING:
     from ..core import Hyperstructure
     from ..document import Document
 
 
-def _read_document(path: str) -> Document:
-    from .. import document
-
+def _read_text(path: str, error: type[HyperstructError], prefix: str) -> str:
+    """The text of the file at path: SchemaError when it cannot be read, and
+    error, its message starting with prefix, when it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise ParseError(f"byte {e.start}: not UTF-8 text ({e.reason})") from None
-    return document.parse(text)
+        raise error(f"{prefix}byte {e.start}: not UTF-8 text ({e.reason})") from None
+
+
+def _read_document(path: str) -> Document:
+    from .. import document
+
+    return document.parse(_read_text(path, ParseError, ""))
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -1,8 +1,6 @@
 """install: build a tower from a relation, hypergraph, complex or branching list."""
-import json
-
-from . import _emit, _print, _tower_summary
-from ..document import Document, _expect_id, _expect_list, refuse_lone_surrogates
+from . import _emit, _print, _read_text, _tower_summary
+from ..document import Document, _expect_id, _expect_list, load_json
 from ..errors import SchemaError
 
 #: Each install payload's fields, in the order its installer takes them; True
@@ -16,19 +14,7 @@ INSTALL_FIELDS = {
 
 def _load_install_payload(path: str, kind: str) -> list[list]:
     """The INSTALL_FIELDS[kind] fields of the payload, in order, each checked to list ids or id lists."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        data = json.loads(text)
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"install payload: byte {e.start}: not UTF-8 text ({e.reason})") from None
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"install payload: line {e.lineno}: {e.msg}") from None
-    except RecursionError:
-        raise SchemaError("install payload: nested too deeply") from None
-    refuse_lone_surrogates(text, data, SchemaError, "install payload: ")
+    data = load_json(_read_text(path, SchemaError, "install payload: "), SchemaError, "install payload: ")
     if not isinstance(data, dict):
         raise SchemaError("install payload must be a JSON object")
     fields = INSTALL_FIELDS[kind]

@@ -54,14 +54,14 @@ def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToke
     """Single-token form of a combiner, used for composite bond properties."""
     if combiner is None:
         return union_token(a, b)
-    from .assignments import Combiner  # late import; assignments also uses core
+    from .assignments import Combiner, pair_token  # late import; assignments also uses core
 
     if not isinstance(combiner, Combiner):
         raise CombinerUndefined(f"not a combiner: {combiner!r}")
     if combiner.kind in ("union", "disjoint-union"):
         return union_token(a, b)
     if combiner.kind == "tensor-pairs":
-        return f"{a}⊗{b}"
+        return pair_token(a, b)
     if combiner.kind == "table":
         got = combiner.lookup(frozenset({a}), frozenset({b}), frozenset())
         if len(got) != 1:

@@ -6,8 +6,13 @@ simplicial data. Serialization is canonical — every set is sorted, every
 id-keyed mapping is a sorted pair list — so equal inputs produce identical
 bytes and golden-file comparisons are trivial.
 
-This module holds the envelope and the validators every section shares.
-`parse` lives in `document_reader` with the tower section's reader, and
+This module holds the envelope and the checks every reader of outside input
+shares, so each rule is spelled once: `load_json` decodes text and refuses
+nesting too deep for the decoder and lone surrogates; `_expect_obj`,
+`_expect_list`, `_expect_id` and `_expect_row` check shapes, the last one
+each fixed-length `[...]` row; `_refuse_repeat` refuses a key a keyed list
+already holds. Every section's reader and the `install` payload read through
+them. `parse` lives in `document_reader` with the tower section's reader, and
 `serialize` in `document_writer` with the tower section's writer; each
 loads on first use, so a command that only writes a document never compiles
 the reader, and one that only reads never compiles the writer. Each payload
@@ -19,6 +24,7 @@ sections loads none of them.
 """
 from __future__ import annotations
 
+import json
 import re
 from typing import TYPE_CHECKING
 
@@ -65,22 +71,47 @@ def _expect_id(value, where: str) -> RawId:
     return value
 
 
+def _expect_row(value, where: str, n: int, shape: str) -> list:
+    """value as a list of n items; shape shows the row as it should read."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    if len(value) != n:
+        raise SchemaError(f"{where}: expected {shape}")
+    return value
+
+
+def _refuse_repeat(table: dict, key, where: str, before: str = "", after: str = "") -> None:
+    """Raise SchemaError when table already holds key; before and after frame the key's repr in the message."""
+    if key in table:
+        raise SchemaError(f"{where}: duplicate entry for {before}{key!r}{after}")
+
+
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def refuse_lone_surrogates(text: str, data, error: type[HyperstructError], where: str) -> None:
-    """Raise error on the first string of data, key or value, holding a lone surrogate.
+def load_json(text: str, error: type[HyperstructError], prefix: str):
+    """The value the JSON text holds, or error with a message that starts with prefix.
 
-    UTF-8 cannot encode one, so such a string could be read but never written.
-    JSON text read as UTF-8 holds one only as an escape, so data is walked only when text has one.
+    Besides malformed JSON, this refuses nesting too deep for the decoder, and
+    any string, key or value, holding a lone surrogate: UTF-8 cannot encode
+    one, so such a string could be read but never written. JSON text read as
+    UTF-8 holds one only as an escape, so the value is walked only when the
+    text has one.
     """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{prefix}line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise error(f"{prefix or 'document '}nested too deeply") from None  # a document's message names it
     stack = [data] if _SURROGATE_ESCAPE.search(text) else []
     while stack:
         v = stack.pop()
         if isinstance(v, str) and re.search("[\ud800-\udfff]", v):  # compiled only when text has an escape
-            raise error(f"{where}string {v!r} holds a lone surrogate, which UTF-8 cannot encode")
+            raise error(f"{prefix}string {v!r} holds a lone surrogate, which UTF-8 cannot encode")
         if isinstance(v, (list, dict)):
             stack.extend(reversed([x for kv in v.items() for x in kv] if isinstance(v, dict) else v))
+    return data
 
 
 class StatesSection(Record):

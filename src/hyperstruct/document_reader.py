@@ -4,10 +4,8 @@
 """
 from __future__ import annotations
 
-import json
-
 from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
-from .document import FORMAT, SECTIONS, Document, _expect_id, _expect_list, _expect_obj, refuse_lone_surrogates
+from .document import FORMAT, SECTIONS, Document, _expect_id, _expect_list, _expect_obj, _expect_row, load_json
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
 
 
@@ -97,8 +95,8 @@ def _h_from_json(value) -> Hyperstructure:
         bonds.append(Bond(id=eid, support=s, property=prop, identity=identity))
 
     def ref(value, where: str) -> ElementId:
-        pair = _expect_list(value, where)
-        if len(pair) != 2 or not isinstance(pair[0], int) or isinstance(pair[0], bool):
+        pair = _expect_row(value, where, 2, "[level, id]")
+        if not isinstance(pair[0], int) or isinstance(pair[0], bool):
             raise SchemaError(f"{where}: expected [level, id]")
         return resolve(pair[0], pair[1], where)
 
@@ -122,14 +120,7 @@ def _h_from_json(value) -> Hyperstructure:
 
 
 def parse(text: str) -> Document:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise ParseError("document nested too deeply") from None
-    refuse_lone_surrogates(text, data, ParseError, "")
-    obj = _expect_obj(data, "document", SECTIONS, {"format"})
+    obj = _expect_obj(load_json(text, ParseError, ""), "document", SECTIONS, {"format"})
     if obj["format"] != FORMAT:
         raise SchemaError(f"unsupported format {obj['format']!r}; expected {FORMAT!r}")
     doc = Document()

@@ -17,6 +17,7 @@ from .core import (
     RawId,
     Support,
     add_bonds,
+    id_key,
     new_hyperstructure,
 )
 from .errors import (
@@ -42,12 +43,8 @@ def _base_support(raw_ids: Iterable[RawId]) -> Support:
     return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
 
 
-def _raw_key(r: RawId) -> tuple[bool, RawId]:
-    return isinstance(r, str), r
-
-
 def _canonical_name(raw_ids: Iterable[RawId]) -> str:
-    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=_raw_key)) + "}"
+    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=id_key)) + "}"
 
 
 def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequence[RawId]]) -> Hyperstructure:
@@ -58,7 +55,7 @@ def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequen
     its tagged coordinates.
     """
     comps = [set(c) for c in components]
-    base = [f"{x}@{k + 1}" for k, comp in enumerate(comps) for x in sorted(comp, key=_raw_key)]
+    base = [f"{x}@{k + 1}" for k, comp in enumerate(comps) for x in sorted(comp, key=id_key)]
     h = new_hyperstructure(base)
 
     def specs():
@@ -107,7 +104,7 @@ def from_simplicial_complex(
     mode stacks them: a k-simplex becomes a level-k bond over its k+1
     codimension-1 face bonds, so boundaries unfold face by face.
     """
-    vs = sorted(set(vertices), key=_raw_key)
+    vs = sorted(set(vertices), key=id_key)
     sset = {frozenset(s) for s in simplices}
     sset.discard(frozenset())
     vset = set(vs)
@@ -115,7 +112,7 @@ def from_simplicial_complex(
     # reported does not depend on the hash seed
     ordered = sorted(sset, key=lambda s: (len(s), _canonical_name(s)))
     for s in ordered:
-        svs = sorted(s, key=_raw_key)
+        svs = sorted(s, key=id_key)
         for v in svs:
             if v not in vset:
                 raise UnknownVertex(f"simplex vertex {v!r} not declared")
@@ -145,7 +142,7 @@ def from_simplicial_complex(
         if k == 1:
             sup = _base_support(s)
         else:
-            faces = combinations(sorted(s, key=_raw_key), len(s) - 1)
+            faces = combinations(sorted(s, key=id_key), len(s) - 1)
             sup = Support(k - 1, frozenset(ElementId(k - 1, _canonical_name(face)) for face in faces))
         specs.append(BondSpec(k - 1, sup, SIMPLEX_PROPERTY, _canonical_name(s)))
     return add_bonds(h, specs)
@@ -178,14 +175,7 @@ class BrunnianComplex(NamedTuple):
 
 def brunnian_bonds(k: BrunnianComplex) -> set[frozenset]:
     """Family members of size >= 2 none of whose codim-1 subsets are bound."""
-    out = set()
-    for f in k.family:
-        m = len(f)
-        if m < 2:
-            continue
-        if all(frozenset(sub) not in k.family for sub in combinations(sorted(f, key=str), m - 1)):
-            out.add(f)
-    return out
+    return {f for f in k.family if len(f) >= 2 and all(f - {v} not in k.family for v in f)}
 
 
 def is_brunnian_bond(h: Hyperstructure, bond_id: ElementId) -> bool:

@@ -17,8 +17,8 @@ from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .composition import union_token
-from .core import ElementId, Hyperstructure, RawId, _key_sorted, sorted_elements
-from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _jkey
+from .core import ElementId, Hyperstructure, RawId, _key_sorted, id_key, sorted_elements
+from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
 from .errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
@@ -48,10 +48,6 @@ CONFLICT = Marker("conflict")
 MARKERS = {m.name: m for m in (UNASSIGNED, CONFLICT)}
 
 
-def token_key(t: StateToken):
-    return (isinstance(t, str), t)
-
-
 class SpaceOp(NamedTuple):
     """A total associative unital binary operation given as a finite table."""
 
@@ -66,7 +62,7 @@ class SpaceOp(NamedTuple):
 
     def fold(self, values: Sequence[StateToken]) -> StateToken:
         acc = self.unit
-        for v in sorted(values, key=token_key):
+        for v in sorted(values, key=id_key):
             acc = self.apply(acc, v)
         return acc
 
@@ -135,12 +131,12 @@ class Connector(NamedTuple):
             return prod(values) if self.kind == "product" else sum(values)
         if self.kind == "union":
             acc = None
-            for v in sorted(values, key=token_key):
+            for v in sorted(values, key=id_key):
                 s = str(v)
                 acc = s if acc is None else union_token(acc, s)
             return acc
         if self.kind == "table":
-            key = tuple(sorted(values, key=token_key))
+            key = tuple(sorted(values, key=id_key))
             if self.table is None or key not in self.table:
                 raise ConnectorUndefined(f"table connector undefined at {key!r}{_at_bond(at)}")
             return self.table[key]
@@ -268,9 +264,6 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
                 states[i - 1][child] = got[0]
             else:
                 states[i - 1][child] = CONFLICT
-    for i in range(n + 1):
-        for e in h.elements(i):
-            states[i].setdefault(e, UNASSIGNED)
     return LambdaAssignment(per_level=tuple(states))
 
 
@@ -321,13 +314,13 @@ def _connector_from_json(value, where: str) -> Connector:
         return Connector(kind=kind)
     if kind != "table":
         raise SchemaError(f"{where}: unknown connector kind {kind!r}")
-    table = {}
-    for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
-        pair = _expect_list(e, f"{where}.entries")
-        if len(pair) != 2:
-            raise SchemaError(f"{where}.entries: expected [multiset, state]")
-        key = tuple(sorted((_expect_state(x, where) for x in _expect_list(pair[0], where)), key=_jkey))
-        table[key] = _expect_state(pair[1], where)
+    table, entries = {}, f"{where}.entries"
+    for e in _expect_list(obj.get("entries", []), entries):
+        multiset, state = _expect_row(e, entries, 2, "[multiset, state]")
+        key = tuple(sorted((_expect_state(x, where) for x in _expect_list(multiset, where)), key=_jkey))
+        state = _expect_state(state, where)
+        _refuse_repeat(table, key, entries)
+        table[key] = state
     return Connector(kind="table", table=table)
 
 
@@ -351,28 +344,32 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
         if "entries" in obj:
             raise SchemaError(f"{where}: identity co-connectors take no entries")
         return CoConnector(kind="identity")
+    table, entries = {}, f"{where}.entries"
     if kind == "table":
-        table = {}
-        for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
-            pair = _expect_list(e, f"{where}.entries")
-            if len(pair) != 2:
-                raise SchemaError(f"{where}.entries: expected [state, state]")
-            table[_expect_state(pair[0], where)] = _expect_state(pair[1], where)
+        for e in _expect_list(obj.get("entries", []), entries):
+            state, image = _expect_row(e, entries, 2, "[state, state]")
+            image = _expect_state(image, where)  # first, so a row with two bad states names the image
+            state = _expect_state(state, where)
+            _refuse_repeat(table, state, entries)
+            table[state] = image
         return CoConnector(kind="table", table=table)
     if kind != "per_child":
         raise SchemaError(f"{where}: unknown co-connector kind {kind!r}")
     upper = h.order - transition
-    table = {}
-    for e in _expect_list(obj.get("entries", []), f"{where}.entries"):
-        pair = _expect_list(e, f"{where}.entries")
-        if len(pair) != 2 or not isinstance(pair[0], list) or len(pair[0]) != 2:
-            raise SchemaError(f"{where}.entries: expected [[parent, child], state]")
-        parent = ElementId(upper, _expect_id(pair[0][0], where))
-        child = ElementId(upper - 1, _expect_id(pair[0][1], where))
-        for e2 in (parent, child):
-            if not h.has_element(e2):
-                raise DanglingReference(f"{where}: no element {e2!r}")
-        table[(parent, child)] = _expect_state(pair[1], where)
+    parents, children = (h.element_index[i] if 0 <= i <= h.order else {} for i in (upper, upper - 1))
+    shape = "[[parent, child], state]"
+    for e in _expect_list(obj.get("entries", []), entries):
+        pair, state = _expect_row(e, entries, 2, shape)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{entries}: expected {shape}")
+        p, c = _expect_id(pair[0], where), _expect_id(pair[1], where)
+        parent, child = parents.get(p), children.get(c)
+        if parent is None or child is None:
+            missing = ElementId(upper, p) if parent is None else ElementId(upper - 1, c)
+            raise DanglingReference(f"{where}: no element {missing!r}")
+        state = _expect_state(state, where)
+        _refuse_repeat(table, (parent, child), entries)
+        table[(parent, child)] = state
     return CoConnector(kind="per_child", table=table)
 
 
@@ -460,16 +457,16 @@ def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_st
     """[id, state] pairs as a dict, each id resolved in one raw-id table of the tower."""
     out: dict[ElementId, object] = {}
     for e in _expect_list(raw, where):
-        pair = _expect_list(e, where)
-        if len(pair) != 2:
-            raise SchemaError(f"{where}: expected [id, state]")
-        r, v = pair
+        r, v = _expect_row(e, where, 2, "[id, state]")
         el = table.get(r) if type(r) is str or type(r) is int else None  # a bool or float would find an int
         if el is None:
             el = table.get(_expect_id(r, where))
             if el is None:
                 raise DanglingReference(f"{where}: no element {r!r}{at}")
-        out[el] = v if type(v) is str or type(v) is int else read_state(v, where)
+        if type(v) is not str and type(v) is not int:
+            v = read_state(v, where)
+        _refuse_repeat(out, el, where)
+        out[el] = v
     return out
 
 
@@ -490,12 +487,13 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
                 ops.append(None)
             else:
                 o = _expect_obj(op, f"states.spaces[{k}].op", {"unit", "table"}, {"unit", "table"})
-                table = {}
-                for t in _expect_list(o["table"], f"states.spaces[{k}].op.table"):
-                    trip = _expect_list(t, f"states.spaces[{k}].op.table")
-                    if len(trip) != 3:
-                        raise SchemaError(f"states.spaces[{k}].op.table: expected [a, b, result]")
-                    table[(_expect_state(trip[0], "op"), _expect_state(trip[1], "op"))] = _expect_state(trip[2], "op")
+                table, where = {}, f"states.spaces[{k}].op.table"
+                for t in _expect_list(o["table"], where):
+                    a, b, result = _expect_row(t, where, 3, "[a, b, result]")
+                    result = _expect_state(result, "op")  # first, so a row with bad states names the result
+                    key = (_expect_state(a, "op"), _expect_state(b, "op"))
+                    _refuse_repeat(table, key, where)
+                    table[key] = result
                 ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
         s.tower = state_tower(spaces, ops)
 

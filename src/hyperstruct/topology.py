@@ -40,7 +40,7 @@ import random
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import ElementId, Hyperstructure, sorted_elements
-from .document import _expect_id, _expect_list, _jkey
+from .document import _expect_id, _expect_list, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding
 
@@ -514,26 +514,25 @@ def _topology_from_json(value, h: Hyperstructure | None) -> dict[ElementId, froz
         raise DanglingReference("topology: requires a hyperstructure section")
     out: dict[ElementId, frozenset[Sieve]] = {}
     for k, entry in enumerate(_expect_list(value, "topology")):
-        pair = _expect_list(entry, f"topology[{k}]")
-        if len(pair) != 2:
-            raise SchemaError(f"topology[{k}]: expected [[level, id], sieves]")
-        key = _expect_list(pair[0], f"topology[{k}].key")
+        where = f"topology[{k}]"
+        pair = _expect_row(entry, where, 2, "[[level, id], sieves]")
+        key = _expect_list(pair[0], f"{where}.key")
         if len(key) != 2 or not isinstance(key[0], int) or isinstance(key[0], bool):
-            raise SchemaError(f"topology[{k}]: key must be [level, id]")
+            raise SchemaError(f"{where}: key must be [level, id]")
         lvl, raw = key
-        root = ElementId(lvl, _expect_id(raw, f"topology[{k}].key"))
-        if not h.has_element(root):
-            raise DanglingReference(f"topology[{k}]: no element {raw!r} at level {lvl}")
+        elements = h.element_index[lvl] if 0 <= lvl <= h.order else {}
+        root = elements.get(_expect_id(raw, f"{where}.key"))
+        if root is None:
+            raise DanglingReference(f"{where}: no element {raw!r} at level {lvl}")
         sieves = []
-        for ms in _expect_list(pair[1], f"topology[{k}].sieves"):
+        for ms in _expect_list(pair[1], f"{where}.sieves"):
             members = []
-            for m in _expect_list(ms, f"topology[{k}].sieve"):
-                e = ElementId(lvl, _expect_id(m, f"topology[{k}].sieve"))
-                if not h.has_element(e):
-                    raise DanglingReference(f"topology[{k}]: sieve member {m!r} missing at level {lvl}")
+            for m in _expect_list(ms, f"{where}.sieve"):
+                e = elements.get(_expect_id(m, f"{where}.sieve"))
+                if e is None:
+                    raise DanglingReference(f"{where}: sieve member {m!r} missing at level {lvl}")
                 members.append(e)
             sieves.append(Sieve(root=root, members=frozenset(members)))
-        if root in out:
-            raise SchemaError(f"topology[{k}]: duplicate entry for {root!r}")
+        _refuse_repeat(out, root, where)
         out[root] = frozenset(sieves)
     return out

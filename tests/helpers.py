@@ -6,8 +6,10 @@ agreement is evidence, not circularity.
 """
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 from hyperstruct.catelem import NERVE_CAP, FiniteCategory, SimplicialData, _key
 from hyperstruct.composition import combine_tokens, composable
@@ -997,7 +999,8 @@ def reference_parse(text: str):
 
 
 # The states section as the codec first wrote and read it: a dict tree, and
-# each [id, state] pair resolved through a fresh ElementId and has_element.
+# each [id, state] pair resolved through a fresh ElementId and has_element. A
+# key repeated in a pair list or an op table is refused once its row is read.
 
 
 def _pairs_to_json(mapping: dict) -> list:
@@ -1070,7 +1073,11 @@ def reference_states_from_json(value, h: Hyperstructure | None):
                     trip = _expect_list(t, f"states.spaces[{k}].op.table")
                     if len(trip) != 3:
                         raise SchemaError(f"states.spaces[{k}].op.table: expected [a, b, result]")
-                    table[(_expect_state(trip[0], "op"), _expect_state(trip[1], "op"))] = _expect_state(trip[2], "op")
+                    result = _expect_state(trip[2], "op")
+                    key = (_expect_state(trip[0], "op"), _expect_state(trip[1], "op"))
+                    if key in table:
+                        raise SchemaError(f"states.spaces[{k}].op.table: duplicate entry for {key!r}")
+                    table[key] = result
                 ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
         s.tower = state_tower(spaces, ops)
 
@@ -1086,7 +1093,10 @@ def reference_states_from_json(value, h: Hyperstructure | None):
             el = ElementId(level, _expect_id(pair[0], f"states.{name}"))
             if not h.has_element(el):
                 raise DanglingReference(f"states.{name}: no element {pair[0]!r} at level {level}")
-            out[el] = _expect_state(pair[1], f"states.{name}")
+            state = _expect_state(pair[1], f"states.{name}")
+            if el in out:
+                raise SchemaError(f"states.{name}: duplicate entry for {el!r}")
+            out[el] = state
         return out
 
     s.base = read_pairs("base", 0)
@@ -1115,7 +1125,61 @@ def reference_states_from_json(value, h: Hyperstructure | None):
                 el = ElementId(i, _expect_id(pair[0], f"states.assignment[{i}]"))
                 if not h.has_element(el):
                     raise DanglingReference(f"states.assignment[{i}]: no element {pair[0]!r}")
-                level[el] = _state_from_json(pair[1], f"states.assignment[{i}]", allow_marker=True)
+                state = _state_from_json(pair[1], f"states.assignment[{i}]", allow_marker=True)
+                if el in level:
+                    raise SchemaError(f"states.assignment[{i}]: duplicate entry for {el!r}")
+                level[el] = state
             per_level.append(level)
         s.assignment = LambdaAssignment(per_level=tuple(per_level))
     return s
+
+
+# A document that uses every keyed list of every section, and its rows.
+
+_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def every_section_document() -> dict:
+    """A document whose keyed lists all hold a row: the graded triangle with its
+    topology, a fusion record and a states section using every table, and the
+    square category with its presheaf."""
+    obj = json.loads((_CORPUS / "graded_triangle_site.json").read_text(encoding="utf-8"))
+    obj.update(json.loads((_CORPUS / "square_category.json").read_text(encoding="utf-8")))
+    obj["hyperstructure"]["fusion_log"] = [{"k": 0, "a": [1, "{v0,v1}"], "b": [1, "{v0,v2}"], "result": [2, "{v0,v1,v2}"]}]
+    obj["states"].update(
+        base=[["v0", 2], ["v1", 3]],
+        top=[["{v0,v1,v2}", 1]],
+        connectors=[{"kind": "table", "entries": [[[2, 4], 8]]}, {"kind": "product"}],
+        co_connectors=[{"kind": "table", "entries": [[1, 2]]}, {"kind": "per_child", "entries": [[["{v0,v1}", "v0"], 1]]}],
+        assignment=[[["v0", 1]], [["{v0,v1}", 2]], [["{v0,v1,v2}", {"marker": "unassigned"}]]],
+    )
+    return obj
+
+
+def at_path(obj, path: tuple):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+#: Each fixed-length row of a document: its name, the path to what holds it
+#: and its key there, where the reader says a row that is not a list sits,
+#: the message for a row that is too short and, for a keyed list, the message
+#: for a repeat of its first row.
+KEYED_ROWS = [
+    ("topology", ("topology",), 0, "topology[0]", "topology[0]: expected [[level, id], sieves]", "topology[7]: duplicate entry for 0:v0"),
+    ("topology-key", ("topology", 0), 0, "topology[0].key", "topology[0]: key must be [level, id]", None),
+    ("fusion-ref", ("hyperstructure", "fusion_log", 0), "a", "fusion_log[0].a", "fusion_log[0].a: expected [level, id]", None),
+    ("identities", ("category", "identities"), 0, "category.identities", "category.identities: expected [object, morphism]", "category.identities: duplicate entry for object '00'"),
+    ("composition", ("category", "composition"), 0, "category.composition", "category.composition: expected [g, f, gf]", "category.composition: duplicate entry for ('00->00', '00->00')"),
+    ("on_objects", ("presheaf", "on_objects"), 0, "presheaf.on_objects", "presheaf.on_objects: expected [object, elements]", "presheaf.on_objects: duplicate entry for object '00'"),
+    ("on_morphisms", ("presheaf", "on_morphisms"), 0, "presheaf.on_morphisms", "presheaf.on_morphisms: expected [morphism, table]", "presheaf.on_morphisms: duplicate entry for morphism '00->00'"),
+    ("table-from", ("presheaf", "on_morphisms", 0, 1), 0, "presheaf.on_morphisms", "presheaf.on_morphisms: expected [from, to]", "presheaf.on_morphisms: duplicate entry for 0 in the table of '00->00'"),
+    ("op-table", ("states", "spaces", 0, "op", "table"), 0, "states.spaces[0].op.table", "states.spaces[0].op.table: expected [a, b, result]", "states.spaces[0].op.table: duplicate entry for (0, 0)"),
+    ("base", ("states", "base"), 0, "states.base", "states.base: expected [id, state]", "states.base: duplicate entry for 0:v0"),
+    ("top", ("states", "top"), 0, "states.top", "states.top: expected [id, state]", "states.top: duplicate entry for 2:{v0,v1,v2}"),
+    ("connector", ("states", "connectors", 0, "entries"), 0, "states.connectors[0].entries", "states.connectors[0].entries: expected [multiset, state]", "states.connectors[0].entries: duplicate entry for (2, 4)"),
+    ("co-table", ("states", "co_connectors", 0, "entries"), 0, "states.co_connectors[0].entries", "states.co_connectors[0].entries: expected [state, state]", "states.co_connectors[0].entries: duplicate entry for 1"),
+    ("per-child", ("states", "co_connectors", 1, "entries"), 0, "states.co_connectors[1].entries", "states.co_connectors[1].entries: expected [[parent, child], state]", "states.co_connectors[1].entries: duplicate entry for (1:{v0,v1}, 0:v0)"),
+    ("assignment", ("states", "assignment", 2), 0, "states.assignment[2]", "states.assignment[2]: expected [id, state]", "states.assignment[2]: duplicate entry for 2:{v0,v1,v2}"),
+]

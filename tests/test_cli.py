@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import tower_from_supports
+from helpers import KEYED_ROWS, at_path, every_section_document, tower_from_supports
 from hyperstruct import cli, installers
 from hyperstruct.cli import COMMANDS, build_parser, main
 from hyperstruct.commands.refs import _resolve_id
@@ -509,6 +509,25 @@ class TestErrorShape:
         code, out = run(capsys, "globalize", str(p))
         assert code == 2
         assert out.splitlines()[:2] == ["error: MissingState", "no state for 1:{v0,v1} in the boundary of 2:{v0,v1,v2}"]
+
+    @pytest.mark.parametrize("case", [c for c in KEYED_ROWS if c[1][0] == "states"], ids=[c[0] for c in KEYED_ROWS if c[1][0] == "states"])
+    def test_repeated_state_entry(self, capsys, tmp_path, case):
+        _, path, key, _, _, message = case
+        obj = every_section_document()
+        rows = at_path(obj, path)
+        rows.append(rows[key])
+        p = tmp_path / "repeat.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "globalize", str(p))
+        assert (code, out.splitlines()) == (2, ["error: SchemaError", message])
+
+    def test_repeated_base_state_is_not_folded(self, capsys, tmp_path):
+        obj = json.loads((CORPUS / "graded_triangle_site.json").read_text())
+        obj["states"]["base"].append(["v0", 999])
+        p = tmp_path / "repeat.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "globalize", str(p))
+        assert (code, out.splitlines()) == (2, ["error: SchemaError", "states.base: duplicate entry for 0:v0"])
 
     @pytest.mark.parametrize("command, kind", [("validate", "ParseError"), ("install", "SchemaError")])
     def test_input_that_is_not_utf8(self, capsys, tmp_path, command, kind):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_id_tower, random_tower, reference_parse, reference_serialize
+from helpers import KEYED_ROWS, at_path, every_section_document, mixed_id_tower, random_tower, reference_parse, reference_serialize
 from hyperstruct.composition import fuse
 from hyperstruct.core import (
     BondSpec,
@@ -224,6 +224,68 @@ class TestErrors:
             parse(json.dumps(obj))
         assert str(got.value) == message
 
+
+    @pytest.mark.parametrize("case", KEYED_ROWS, ids=[c[0] for c in KEYED_ROWS])
+    def test_row_that_is_not_a_list(self, case):
+        _, path, key, where, _, _ = case
+        obj = every_section_document()
+        at_path(obj, path)[key] = 5
+        with pytest.raises(SchemaError) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == f"{where}: expected a list"
+
+    @pytest.mark.parametrize("case", KEYED_ROWS, ids=[c[0] for c in KEYED_ROWS])
+    def test_row_that_is_too_short(self, case):
+        _, path, key, _, message, _ = case
+        obj = every_section_document()
+        container = at_path(obj, path)
+        container[key] = container[key][:-1]
+        with pytest.raises(SchemaError) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("case", [c for c in KEYED_ROWS if c[5]], ids=[c[0] for c in KEYED_ROWS if c[5]])
+    def test_repeated_key(self, case):
+        _, path, key, _, _, message = case
+        obj = every_section_document()
+        rows = at_path(obj, path)
+        rows.append(rows[key])
+        with pytest.raises(SchemaError) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == message
+
+    def test_a_connector_key_is_its_multiset(self):
+        obj = every_section_document()
+        obj["states"]["connectors"][0]["entries"] = [[[4, 2], 8], [[2, 4], 8]]
+        with pytest.raises(SchemaError) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == "states.connectors[0].entries: duplicate entry for (2, 4)"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # -1 would index the top level, which holds {v0,v1,v2}
+            (lambda o: o["topology"][0].__setitem__(0, [-1, "{v0,v1,v2}"]), "topology[0]: no element '{v0,v1,v2}' at level -1"),
+            (lambda o: o["topology"][0].__setitem__(0, [3, "v0"]), "topology[0]: no element 'v0' at level 3"),
+            (
+                lambda o: o["states"]["co_connectors"].append({"kind": "per_child", "entries": [[["v0", "{v0,v1,v2}"], 1]]}),
+                "states.co_connectors[2]: no element -1:{v0,v1,v2}",
+            ),
+        ],
+        ids=["topology-negative", "topology-past-the-top", "per-child-negative"],
+    )
+    def test_level_outside_the_tower_dangles(self, change, message):
+        obj = every_section_document()
+        change(obj)
+        with pytest.raises(DanglingReference) as got:
+            parse(json.dumps(obj))
+        assert str(got.value) == message
+
+    def test_every_section_document_parses(self):
+        doc = parse(json.dumps(every_section_document()))
+        assert doc.states.base == {doc.hyperstructure.element(0, "v0"): 2, doc.hyperstructure.element(0, "v1"): 3}
+        assert doc.states.co_connectors[1].table == {(doc.hyperstructure.element(1, "{v0,v1}"), doc.hyperstructure.element(0, "v0")): 1}
+        assert len(doc.hyperstructure.fusion_log) == 1 and doc.category is not None and doc.presheaf is not None
 
     def test_missing_face_in_the_last_simplex_dangles(self):
         n = 2000
