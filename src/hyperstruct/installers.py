@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .core import (
     BondSpec,
@@ -43,8 +43,13 @@ def _base_support(raw_ids: Iterable[RawId]) -> Support:
     return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
 
 
-def _canonical_name(raw_ids: Iterable[RawId]) -> str:
-    return "{" + ",".join(str(r) for r in sorted(raw_ids, key=id_key)) + "}"
+def _canonical_name(raw_ids: Collection[RawId]) -> str:
+    """"{a,b,...}" over the ids in id_key order, which is their plain order unless str and int ids mix."""
+    try:
+        ids = sorted(raw_ids)
+    except TypeError:
+        ids = sorted(raw_ids, key=id_key)
+    return "{" + ",".join(map(str, ids)) + "}"
 
 
 def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequence[RawId]]) -> Hyperstructure:
@@ -82,9 +87,9 @@ def from_hypergraph(vertices: Iterable[RawId], edges: Iterable[Iterable[RawId]])
             raise EmptyEdge("hypergraph edge is empty")
         if members in names:
             continue
-        for v in members:
-            if v not in base:
-                raise UnknownVertex(f"edge vertex {v!r} not declared")
+        if not base.keys() >= members:
+            stray = next(v for v in sorted(members, key=id_key) if v not in base)
+            raise UnknownVertex(f"edge vertex {stray!r} not declared")
         names[members] = _canonical_name(members)
     specs = [
         BondSpec(0, Support(0, frozenset([base[v] for v in members])), EDGE_PROPERTY, name)

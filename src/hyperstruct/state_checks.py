@@ -50,8 +50,9 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     (empty, or not covering) are skipped. The site is one make_site built;
     its tower's refinement orders are read here.
 
-    Each family is read into a mask over its level in one pass over its
-    members, and boundaries are the order's support masks, so a family
+    Each family is read into a mask over its level: with one lookup in the
+    order's mask memo when make_site read it, else in one pass over its
+    members. Boundaries are the order's support masks, so a family
     covers when the OR of its members' supports equals the bond's. The
     lower level's states are tabled by bit once per level; a state missing
     from the assignment raises KeyError only when a covering family reads it.
@@ -70,7 +71,7 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
         # families and boundaries as masks; ascending bits list them in
         # sorted_elements order, which fixes the order values are read in
         order, lower = _level_order(h, i), _level_order(h, i - 1)
-        index, support = order.index, order.support
+        index, support, masks = order.index, order.support, order.masks
         # the level-(i-1) states by bit; a level the assignment lacks has no
         # state above it either, so no family reads it
         states = lam.per_level[i - 1] if i <= len(lam.per_level) else {}
@@ -94,16 +95,19 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
             boundary = support[index[b.id]]
             got = None  # every covering family recomputes b's boundary, so once per bond
             for sieve in sieves:
-                # the family's bonds at this level; other members drop out, but a bond of
+                # the family's bonds at this level, in one lookup when the order has read or
+                # written the family before; otherwise other members drop out, but a bond of
                 # another level has its boundary elsewhere, so the family covers nothing
-                family = 0
-                for m in sieve.members:
-                    k = index.get(m)
-                    if k is not None:
-                        family |= 1 << k
-                    elif h.is_bond(m):
-                        family = 0
-                        break
+                family = masks.get(sieve.members) if type(sieve.members) is frozenset else None
+                if family is None:
+                    family = 0
+                    for m in sieve.members:
+                        k = index.get(m)
+                        if k is not None:
+                            family |= 1 << k
+                        elif h.is_bond(m):
+                            family = 0
+                            break
                 if not family:
                     continue
                 family_bits = _bit_indices(family)

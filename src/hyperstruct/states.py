@@ -126,7 +126,7 @@ class Connector(NamedTuple):
             raise ConnectorUndefined(f"empty state multiset{_at_bond(at)}")
         if self.kind in ("product", "sum"):
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, int):
+                if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):  # a plain int passes at once
                     raise ConnectorUndefined(f"{self.kind} connector needs integer states, got {v!r}{_at_bond(at)}")
             return prod(values) if self.kind == "product" else sum(values)
         if self.kind == "union":
@@ -169,11 +169,15 @@ class LambdaAssignment(NamedTuple):
 
 
 def _normalize_keyed(h: Hyperstructure, level: int, mapping: Mapping) -> dict[ElementId, StateToken]:
+    """mapping keyed by level elements; a str or int key is a raw id, found in the level's raw-id table."""
+    table = h.element_index[level]
     out: dict[ElementId, StateToken] = {}
     for k, v in mapping.items():
-        e = k if isinstance(k, ElementId) else h.element(level, k)
-        if e.level != level or not h.has_element(e):
-            raise UnknownElement(f"{e!r} is not a level-{level} element")
+        e = table.get(k) if type(k) is str or type(k) is int else None  # a bool or float would find an int
+        if e is None:
+            e = k if isinstance(k, ElementId) else h.element(level, k)
+            if e.level != level or not h.has_element(e):
+                raise UnknownElement(f"{e!r} is not a level-{level} element")
         out[e] = v
     return out
 
@@ -183,7 +187,11 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
 
     connectors[i-1] computes level-i states from the level-(i-1) states of
     each bond's boundary. Evaluation order never matters: fold connectors
-    are commutative and table connectors key on sorted multisets.
+    are commutative and table connectors key on sorted multisets. So sum and
+    product fold each boundary in stored order, and read it again in
+    sorted_elements order only when that fold fails, which makes the error
+    name the same member or value whatever the hash seed; union and table
+    connectors read every boundary sorted.
     """
     if len(connectors) != h.order:
         raise ConnectorUndefined(f"need {h.order} connectors, got {len(connectors)}")
@@ -196,7 +204,14 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
         delta = connectors[i - 1]
         below = per_level[i - 1]
         current: dict[ElementId, StateToken] = {}
+        unordered = delta.kind in ("sum", "product")
         for b in h.bonds_at(i):
+            if unordered:
+                try:
+                    current[b.id] = delta.apply([below[m] for m in b.support.members], at=b.id)
+                    continue
+                except (KeyError, ConnectorUndefined):
+                    pass  # raised again below, by the sorted read
             try:
                 values = [below[m] for m in sorted_elements(b.support.members)]
             except KeyError as e:  # a member without a bond record has no state

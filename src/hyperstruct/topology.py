@@ -33,6 +33,13 @@ a check in which no root samples draws nothing). The checker's report is
 lazy: reading its verdict stops at the first violation, and the axioms' witness text is written from
 the bits only when the findings are read. The level's view keeps each
 sieve's text once written, so later checks on the same tower reuse it.
+
+The view also keeps a memo from families to masks, keyed by the family's
+frozenset value: every family it writes (unmask) and every frozenset of
+its elements it reads (mask_of) goes in, so reading a family seen before,
+or an equal one, costs one lookup. make_site on maximal_topology's output,
+and descent over that site, read each family this way. Like the texts,
+the memo lives as long as the tower.
 """
 from __future__ import annotations
 
@@ -107,7 +114,9 @@ def pullback_sieve(h: Hyperstructure, sieve: Sieve, finer_root: ElementId) -> Si
     _, k = _position(h, sieve.root)
     if finer_root.level != sieve.root.level or not order.below[k] >> i & 1:
         raise NotRefinement(f"{finer_root!r} does not refine {sieve.root!r}")
-    m = order.mask_of([s for s in sieve.members if s.level == finer_root.level])
+    m = order.masks.get(sieve.members) if type(sieve.members) is frozenset else None
+    if m is None:  # not a family of this level seen before
+        m = order.mask_of([s for s in sieve.members if s.level == finer_root.level])
     return Sieve(root=finer_root, members=order.unmask(m & order.below[i]))
 
 
@@ -133,18 +142,22 @@ class _LevelOrder:
     below is that relation transposed. An empty support is under every
     element of the level.
 
-    texts holds the witness text of each sieve written so far, keyed by
-    (root bit, mask), so every check on this level writes a sieve once; the
-    element texts that witnesses and findings repeat are tabled when the
-    first of them is written.
+    masks maps each family (a frozenset of level elements) read by mask_of
+    or written by unmask to its mask. It is keyed by value, so an equal
+    family built elsewhere finds its mask with one lookup, and like texts it
+    lives as long as the tower. texts holds the witness text of each sieve
+    written so far, keyed by (root bit, mask), so every check on this level
+    writes a sieve once; the element texts that witnesses and findings
+    repeat are tabled when the first of them is written.
     """
 
-    __slots__ = ("elements", "index", "support", "below", "downsets", "texts", "_names")
+    __slots__ = ("elements", "index", "support", "below", "downsets", "masks", "texts", "_names")
 
     def __init__(self, h: Hyperstructure, level: int, lower: _LevelOrder | None):
         self.elements = sorted_elements(h.elements(level))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.downsets: dict[int, list[int]] = {}
+        self.masks: dict[frozenset[ElementId], int] = {}
         self.texts: dict[tuple[int, int], str] = {}
         self._names: tuple[list[str], list[str]] | None = None
         if lower is None:  # each level-0 element refines only itself
@@ -184,7 +197,15 @@ class _LevelOrder:
                 below[i] |= bit
 
     def mask_of(self, members: Iterable[ElementId]) -> int:
-        """The mask of members; UnknownElement names the first (sorted) member the level lacks."""
+        """The mask of members; UnknownElement names the first (sorted) member the level lacks.
+
+        A frozenset is looked up in masks first, and stored there once read.
+        """
+        memo = type(members) is frozenset
+        if memo:
+            got = self.masks.get(members)
+            if got is not None:
+                return got
         m = 0
         try:
             for e in members:
@@ -192,10 +213,15 @@ class _LevelOrder:
         except KeyError:
             stray = next(e for e in sorted_elements(members) if e not in self.index)
             raise UnknownElement(f"no element {stray!r}") from None
+        if memo:
+            self.masks[members] = m
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
-        return frozenset(map(self.elements.__getitem__, _bit_indices(mask)))
+        """The family of mask's bits, remembered in masks."""
+        family = frozenset(map(self.elements.__getitem__, _bit_indices(mask)))
+        self.masks[family] = mask
+        return family
 
     def names(self) -> tuple[list[str], list[str]]:
         """Each element's repr and its raw id as text, tabled on first use."""
@@ -273,7 +299,9 @@ def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
     size = order.below[i].bit_count()
     if size > EXHAUSTIVE_CAP:
         raise SweepTooLarge(f"listing the sieves on {b!r} would enumerate the subsets of a {size}-element ideal; the cap is {EXHAUSTIVE_CAP}")
-    return [Sieve(root=b, members=order.unmask(m)) for m in order.downsets_below(i)]
+    # built without unmask: the memo would keep up to 2^16 listed families for the tower's life
+    elements = order.elements
+    return [Sieve(root=b, members=frozenset(map(elements.__getitem__, _bit_indices(m)))) for m in order.downsets_below(i)]
 
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
@@ -426,7 +454,8 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     """The topology whose only covering of each element is its maximal sieve."""
     orders = [_level_order(h, i) for i in range(h.order + 1)]
-    return {e: frozenset({Sieve(e, o.unmask(m))}) for o in orders for e, m in zip(o.elements, o.below)}
+    # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
+    return {e: frozenset((tuple.__new__(Sieve, (e, o.unmask(m))),)) for o in orders for e, m in zip(o.elements, o.below)}
 
 
 class CoveringChain(NamedTuple):

@@ -331,6 +331,37 @@ def reference_check_amalgamation(site, lam, connectors):
     return _reference_text("amalgamation", findings, notes)
 
 
+def reference_globalize(h: Hyperstructure, base, connectors):
+    """globalize with every boundary read in sorted_elements order, for every connector kind."""
+    from hyperstruct.core import sorted_elements
+    from hyperstruct.errors import ConnectorUndefined, MissingState, UnknownElement
+    from hyperstruct.states import LambdaAssignment
+
+    if len(connectors) != h.order:
+        raise ConnectorUndefined(f"need {h.order} connectors, got {len(connectors)}")
+    level0 = {}
+    for k, v in base.items():
+        e = k if isinstance(k, ElementId) else h.element(0, k)
+        if e.level != 0 or not h.has_element(e):
+            raise UnknownElement(f"{e!r} is not a level-0 element")
+        level0[e] = v
+    for e in sorted_elements(h.elements(0)):
+        if e not in level0:
+            raise MissingState(f"base state missing for {e!r}")
+    per_level = [level0]
+    for i in range(1, h.order + 1):
+        current = {}
+        for b in h.bonds_at(i):
+            values = []
+            for m in sorted_elements(b.support.members):
+                if m not in per_level[i - 1]:
+                    raise MissingState(f"no state for {m!r} in the boundary of {b.id!r}")
+                values.append(per_level[i - 1][m])
+            current[b.id] = connectors[i - 1].apply(values, at=b.id)
+        per_level.append(current)
+    return LambdaAssignment(per_level=tuple(per_level))
+
+
 # -- support families as towers -------------------------------------------------------
 
 

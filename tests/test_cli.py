@@ -399,16 +399,19 @@ class TestDeterminism:
         run(capsys, "install", "brunnian", "--branching", "2,2,2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("case", ["category without identities", "simplicial without faces"])
+    @pytest.mark.parametrize("case", ["category without identities", "simplicial without faces", "hypergraph with undeclared vertices"])
     def test_error_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, case):
         p = tmp_path / "input.json"
         if case == "category without identities":
             obj = json.loads((CORPUS / "square_category.json").read_text())
             obj["category"]["identities"] = obj["category"]["identities"][:2]
             argv = ["nerve", str(p), "--max-dim", "2"]
-        else:
+        elif case == "simplicial without faces":
             obj = {"vertices": ["v0", "v1", "v2"], "simplices": [["v0"], ["v0", "v1"], ["v1", "v2"], ["v0", "v1", "v2"]]}
             argv = ["install", "simplicial", str(p)]
+        else:  # the first undeclared vertex in id_key order is named
+            obj = {"vertices": ["a"], "edges": [["x", "y", "z"]]}
+            argv = ["install", "hypergraph", str(p)]
         p.write_text(json.dumps(obj))
         runs = []
         for seed in ("1", "2"):
@@ -417,6 +420,8 @@ class TestDeterminism:
             runs.append((done.returncode, done.stdout, done.stderr))
         assert runs[0][0] == 2 and runs[0][1].startswith(b"error: ")
         assert runs[0] == runs[1]
+        if case == "hypergraph with undeclared vertices":
+            assert runs[0][1] == b"error: UnknownVertex\nedge vertex 'x' not declared\n"
 
 
 class TestErrorShape:

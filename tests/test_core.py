@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import naive_iterated_boundary, random_tower
 from hyperstruct.core import (
+    IDENTITY_PROPERTY,
     Bond,
+    BondSpec,
     ElementId,
     Support,
+    _check_spec,
     add_bond,
+    add_bonds,
     assign_property,
     boundary,
     gamma,
@@ -123,6 +131,62 @@ class TestAddBond:
         h, _ = build_linked_pair()
         with pytest.raises(EmptySupport):
             add_bond(h, 0, Support.empty(0), "linked", "e1")
+
+
+
+@st.composite
+def faulty_specs(draw):
+    """A spec for the tower below that may break several of _check_spec's rules at once."""
+    level = draw(st.integers(-1, 3))
+    support_level = draw(st.sampled_from([level, level, 0, 1, 5]))
+    pool = [ElementId(0, r) for r in ("a", "b", 1, "ghost", 7)] + [ElementId(1, r) for r in ("e", "ghost")] + [ElementId(4, "x")]
+    members = frozenset(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    token = draw(st.sampled_from(["p", IDENTITY_PROPERTY]))
+    return BondSpec(level, Support(support_level, members), token, draw(st.sampled_from(["new", "e", 3])), draw(st.booleans()))
+
+
+def two_level_tower():
+    h = new_hyperstructure(["a", "b", 1])
+    return add_bonds(h, [BondSpec(0, Support.of([ElementId(0, "a"), ElementId(0, 1)]), "p", "e")])
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+        return None
+    except Exception as e:  # the comparison covers whatever either side raises
+        return (type(e), str(e))
+
+
+class TestAddBondsChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_specs())
+    def test_the_fault_is_the_one_check_spec_names(self, spec):
+        # add_bonds accepts a spec after one subset test and asks _check_spec only to name a fault
+        h = two_level_tower()
+        want = _outcome(_check_spec, [set(level) for level in h.levels], spec.level, spec.support, spec.token, spec.identity)
+        got = _outcome(add_bonds, h, [spec])
+        if want is None:
+            assert got is None or got[0] is DuplicateId
+        else:
+            assert got == want
+
+    def test_a_stray_member_is_named_in_sorted_order_whatever_the_hash_seed(self):
+        # 0:x, 0:y and 0:z all miss from the tower; _check_spec names the first in sorted_elements order
+        code = (
+            "from hyperstruct.core import ElementId, Support, add_bond, new_hyperstructure\n"
+            "h = new_hyperstructure(['a'])\n"
+            "try:\n"
+            "    add_bond(h, 0, Support(0, frozenset(ElementId(0, r) for r in 'xyz')), 'p', 'b')\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, e)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60).stdout)
+        assert runs == [b"UnknownElement support member 0:x not in the tower\n"] * 2
 
 
 class TestIdentityBond:

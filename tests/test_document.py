@@ -326,9 +326,28 @@ REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 1.5, "", "x", "x0", "id", [], [0
 ODD_VALUES = (None, 1.5, True, 7, (1, "a"), ["a", ["b", {}]], {"z": [1, 2], "a": {"b": None}}, "\"q\\", "é\n")
 
 
-def _mutated(text: str, section: str, rng: random.Random) -> str:
-    """The document with one to three values of one section replaced or deleted."""
+def _keyed_states_tables(states: dict) -> list[list]:
+    """The nonempty keyed tables of a written states section: base, top, each
+    assignment level, the op tables and the connector and co-connector entries."""
+    tables = [states.get("base"), states.get("top"), *(states.get("assignment") or [])]
+    tables += [space["op"]["table"] for space in states.get("spaces") or [] if space.get("op")]
+    tables += [c.get("entries") for c in (states.get("connectors") or []) + (states.get("co_connectors") or [])]
+    return [t for t in tables if t]
+
+
+def _mutated(text: str, section: str, rng: random.Random, repeat_rows: bool = False) -> str:
+    """The document with one to three values of one section replaced or deleted.
+
+    With repeat_rows (states only), half the documents first get one row of a
+    keyed table written twice, and then zero to three replacements."""
     obj = json.loads(text)
+    repeated = False
+    if repeat_rows and rng.random() < 0.5:
+        tables = _keyed_states_tables(obj[section])
+        if tables:
+            table = rng.choice(tables)
+            table.insert(rng.randint(0, len(table)), json.loads(json.dumps(rng.choice(table))))
+            repeated = True
     paths = []
 
     def walk(node):
@@ -338,7 +357,7 @@ def _mutated(text: str, section: str, rng: random.Random) -> str:
             walk(node[key])
 
     walk(obj[section])
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(0 if repeated else 1, 3)):
         parent, key = rng.choice(paths)
         if isinstance(parent, dict) and rng.random() < 0.25:
             parent.pop(key, None)
@@ -602,5 +621,5 @@ class TestStatesCodecOracle:
         assert text == _outcome(reference_serialize, doc)
         if isinstance(text, str):
             assert _outcome(parse, text) == _outcome(reference_parse, text)
-            mutated = _mutated(text, "states", random.Random(seed))
+            mutated = _mutated(text, "states", random.Random(seed), repeat_rows=True)
             assert _outcome(parse, mutated) == _outcome(reference_parse, mutated)

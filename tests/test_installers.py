@@ -2,9 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tower
-from hyperstruct.core import validate
+from hyperstruct.core import id_key, validate
 from hyperstruct.errors import (
     ArityMismatch,
     DownwardClosureViolation,
@@ -89,6 +91,12 @@ class TestFromHypergraph:
         with pytest.raises(EmptyEdge):
             from_hypergraph(["a"], [["a"], [], [5]])
 
+    def test_undeclared_vertices_are_named_in_id_key_order(self):
+        with pytest.raises(UnknownVertex, match="^edge vertex 'x' not declared$"):
+            from_hypergraph(["a"], [["x", "y", "z"]])
+        with pytest.raises(UnknownVertex, match="^edge vertex 3 not declared$"):
+            from_hypergraph(["a", 1], [["a", 1], ["z", 16, "b", 9, 3, "a"]])
+
     def test_supports_bind_the_towers_own_elements(self):
         h = from_hypergraph(["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "a"]])
         base = h.element_index[0]
@@ -104,6 +112,15 @@ class TestFromHypergraph:
                 edges.append(rng.sample(vs, rng.randint(1, len(vs))))
             h = from_hypergraph(vs, edges)
             assert validate(h).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-5, 20), st.text(alphabet="ab1", max_size=2)), max_size=6))
+def test_canonical_name_sorts_in_id_key_order(raw_ids):
+    # a plain sort first; str and int ids mixed raise TypeError and sort by id_key
+    want = "{" + ",".join(str(r) for r in sorted(raw_ids, key=id_key)) + "}"
+    assert installers._canonical_name(raw_ids) == want
+    assert installers._canonical_name(frozenset(raw_ids)) == "{" + ",".join(str(r) for r in sorted(set(raw_ids), key=id_key)) + "}"
 
 
 class TestFromSimplicialComplex:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_id_tower, random_tower, reference_check_amalgamation
+from helpers import mixed_id_tower, random_tower, reference_check_amalgamation, reference_globalize
 from hyperstruct.core import ElementId, Support, add_bond, assign_property, new_hyperstructure
 from hyperstruct.document import Document, StatesSection, serialize
 from hyperstruct.errors import (
@@ -160,6 +160,37 @@ class TestGlobalize:
             assert lam1 == lam2
 
 
+class TestGlobalizeMatchesSortedFold:
+    """Sum and product fold each boundary in stored order and re-read it
+    sorted only on a fault, so they must raise what a sorted fold raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_bad_values_and_missing_states(self, seed, data):
+        rng = random.Random(seed)
+        h = random_tower(rng, max_order=3, max_per_level=8) if seed % 2 else mixed_id_tower(rng)
+        # an element above level 0 without its bond record has no state, so the bonds over it miss one
+        dropped = data.draw(st.sets(st.sampled_from([b.id for b in h.bonds] or [None]), max_size=2))
+        h = h._replace(bonds=tuple(b for b in h.bonds if b.id not in dropped))
+        value = st.one_of(st.integers(-3, 5), st.sampled_from(["s", "t", True, False, 2.5, None]))
+        bad = data.draw(st.floats(0, 1))
+        base = {e.id: data.draw(value) if data.draw(st.floats(0, 1)) < bad else 1 for e in h.elements(0)}
+        table = Connector(kind="table", table={(1,): 1, (1, 1): 2})
+        for connector in (SUM, PRODUCT, UNION_FOLD, table):
+            connectors = [connector] * h.order
+            got = _outcome(lambda: globalize(h, base, connectors))
+            assert got == _outcome(lambda: reference_globalize(h, base, connectors))
+
+    def test_the_first_sorted_bad_value_is_named(self):
+        h = new_hyperstructure(["a", "b", "c", "d"])
+        h = assign_property(h, 0, Support.of(h.elements(0)), "p")
+        h, _ = add_bond(h, 0, Support.of(h.elements(0)), "p", "e")
+        for connector in (SUM, PRODUCT):
+            with pytest.raises(ConnectorUndefined) as exc:
+                globalize(h, {"a": 1, "b": 2, "c": "z", "d": "y"}, [connector])
+            assert str(exc.value) == f"{connector.kind} connector needs integer states, got 'z' at bond 1:e"
+
+
 class TestAmalgamation:
     def test_globalize_output_passes_maximal_site(self):
         t = graded_triangle()
@@ -223,10 +254,10 @@ class TestAmalgamation:
 
 
 def _outcome(render):
-    """Rendered text, or the error raised: both checks must raise the same first error."""
+    """Rendered text (or any result), or the error raised: both sides must raise the same first error."""
     try:
         return render()
-    except (ConnectorUndefined, KeyError, TypeError) as e:  # TypeError: a table key sorting a marker
+    except (ConnectorUndefined, MissingState, KeyError, TypeError) as e:  # TypeError: a table key sorting a marker
         return type(e).__name__, str(e)
 
 

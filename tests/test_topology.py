@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    NaiveStructures,
     all_posets_up_to_iso,
     mixed_id_tower,
+    naive_check,
     naive_is_topology,
     naive_leq,
     poset_as_supports,
@@ -227,6 +229,92 @@ class TestGrothendieckAxioms:
         j[b2] = j[b2] | {Sieve(b2, frozenset({b0}))}
         rep = is_grothendieck_topology(h, j, 1)
         assert not rep.passed and "stability" in rep.codes
+
+    def test_stability_is_checked_for_a_maximal_sieve(self):
+        # J(b1) holds only its maximal sieve {b0, b1}, whose pullback along
+        # b0 <= b1 is {b0}: that is J(b0)'s maximal sieve, which J(b0) lacks.
+        # So the maximal sieve on b1 is stable along b0 only where maximality
+        # holds at b0, and both axioms must report it.
+        h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"})])
+        b0, b1 = h.element(1, "b0"), h.element(1, "b1")
+        j = maximal_topology(h)
+        j[b0] = frozenset({Sieve(b0, frozenset())})
+        rep = is_grothendieck_topology(h, j, 1)
+        assert [f.message for f in rep.findings] == [
+            "maximal sieve on 1:b0 missing from J(b0)",
+            "pullback of Sieve(1:b1: {b0,b1}) along 1:b0 missing from J(b0)",
+            "Sieve(1:b0: {b0}) covers locally over Sieve(1:b0: {}) but is missing from J(b0)",
+        ]
+        members_of = {b: {s.members for s in j[b]} for b in (b0, b1)}
+        assert naive_check(NaiveStructures(h, 1), members_of) is False
+        assert naive_is_topology(h, j, 1) is False
+
+
+class TestMaskMemo:
+    """The level order's memo gives mask_of the plain member loop's answer."""
+
+    @staticmethod
+    def plain_mask(order, members) -> int:
+        return sum(1 << order.index[e] for e in members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_hit_miss_and_equal_twins(self, seed, data):
+        rng = random.Random(seed)
+        h = random_tower(rng) if seed % 2 else mixed_id_tower(rng)
+        order = _level_order(h, data.draw(st.integers(0, h.order)))
+        for _ in range(8):
+            family = frozenset(data.draw(st.lists(st.sampled_from(order.elements), max_size=6)))
+            want = self.plain_mask(order, family)
+            assert order.mask_of(family) == want  # a miss, unless an equal family was read before
+            assert order.masks[family] == want  # stored on the miss
+            assert order.mask_of(family) == want  # a hit
+            twin = frozenset(list(family))  # equal, but another object
+            assert twin is not family and order.mask_of(twin) == want
+            assert order.mask_of(list(family)) == want and order.mask_of(set(family)) == want
+        mask = data.draw(st.integers(0, (1 << len(order.elements)) - 1))
+        family = order.unmask(mask)
+        assert order.masks[family] == mask == self.plain_mask(order, family)
+        assert order.mask_of(frozenset(list(family))) == mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_a_stray_member_is_named_and_not_stored(self, seed, data):
+        rng = random.Random(seed)
+        h = random_tower(rng) if seed % 2 else mixed_id_tower(rng)
+        level = data.draw(st.integers(0, h.order))
+        order = _level_order(h, level)
+        members = data.draw(st.lists(st.sampled_from(order.elements), max_size=4))
+        strays = data.draw(
+            st.lists(st.sampled_from([ElementId(level, "ghost"), ElementId(level, 99), ElementId(level + 1, "x0")]), min_size=1)
+        )
+        family = frozenset(members + strays)
+        first = next(e for e in sorted_elements(family) if e not in order.index)
+        before = dict(order.masks)
+        for candidates in (family, frozenset(list(family)), list(family)):
+            with pytest.raises(UnknownElement) as exc:
+                order.mask_of(candidates)
+            assert str(exc.value) == f"no element {first!r}"
+        assert order.masks == before and family not in order.masks
+
+    def test_a_listing_of_every_sieve_stays_out_of_the_memo(self):
+        h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"}), frozenset({"y"})])
+        assert len(all_sieves_on(h, h.element(1, "b1"))) == 5
+        assert _level_order(h, 1).masks == {}
+
+    def test_consumers_read_the_families_maximal_topology_wrote(self):
+        h = graded_triangle()
+        j = maximal_topology(h)
+        for i in range(h.order + 1):
+            order = _level_order(h, i)
+            for e in order.elements:
+                (s,) = j[e]
+                assert order.masks[s.members] == order.below[order.index[e]]
+        make_site(h, j)  # reads every family back with one lookup each
+        b = h.element(2, "{v0,v1,v2}")
+        (top,) = j[b]
+        assert pullback_sieve(h, top, b) == top
+        assert is_sieve(h, top.members, b)
 
 
 def brute_force_posets_up_to_iso(n):
