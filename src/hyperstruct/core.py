@@ -393,9 +393,11 @@ def assemble(
 def _check_spec(levels: Sequence[AbstractSet[ElementId]], i: int, s: Support, token: PropertyToken, identity: bool) -> None:
     """Refuse a bond over the level-i support s that the given levels cannot take.
 
-    The checks run in a fixed order, and members are checked in
-    sorted_elements order, so a spec that breaks several rules always
-    reports the same one.
+    The checks run in a fixed order, so a spec that breaks several rules
+    always reports the same one. A support that lies in its own level
+    passes the member check with one subset test; any other is walked in
+    sorted_elements order, so the member named does not depend on the hash
+    seed.
     """
     top = len(levels) - 1
     if not 0 <= i <= top:
@@ -404,9 +406,10 @@ def _check_spec(levels: Sequence[AbstractSet[ElementId]], i: int, s: Support, to
         raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
     if not s.members:
         raise EmptySupport("a bond must bind a nonempty support")
-    for m in sorted_elements(s.members):
-        if not (0 <= m.level <= top and m in levels[m.level]):
-            raise UnknownElement(f"support member {m!r} not in the tower")
+    if not s.members <= levels[i]:  # members of other levels that the tower holds still pass
+        for m in sorted_elements(s.members):
+            if not (0 <= m.level <= top and m in levels[m.level]):
+                raise UnknownElement(f"support member {m!r} not in the tower")
     if token == IDENTITY_PROPERTY and not identity:
         raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
 
@@ -418,10 +421,8 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     the tower has at least the given order. Each spec is then checked
     against the tower built so far; binding at the top level grows the
     tower by one level, and a raw id already present at the bond's level
-    raises DuplicateId. An identity spec may carry the reserved token. A
-    spec whose support lies in its level passes with one subset test, and
-    _check_spec runs only for the others, to name the fault. The work is
-    linear in the tower and the specs.
+    raises DuplicateId. An identity spec may carry the reserved token. The
+    work is linear in the tower and the specs.
     """
     levels = [set(lvl) for lvl in h.levels]
     omegas = [dict(table) for table in h.omegas]
@@ -434,12 +435,8 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     while len(levels) <= order:
         grow()
     for i, s, token, raw_id, identity in specs:
-        top = len(levels) - 1
-        fits = 0 <= i <= top and s.level == i and s.members and s.members <= levels[i]
-        if not fits or (token == IDENTITY_PROPERTY and not identity):
-            # names the fault; a support with members of other levels that the tower holds still passes
-            _check_spec(levels, i, s, token, identity)
-        if i == top:
+        _check_spec(levels, i, s, token, identity)
+        if i == len(levels) - 1:
             grow()
         eid = ElementId(i + 1, raw_id)
         if eid in levels[i + 1]:

@@ -51,8 +51,8 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     its tower's refinement orders are read here.
 
     Each family is read into a mask over its level: with one lookup in the
-    order's mask memo when make_site read it, else in one pass over its
-    members. Boundaries are the order's support masks, so a family
+    order's mask memo when maximal_topology built it, else in one pass over
+    its members. Boundaries are the order's support masks, so a family
     covers when the OR of its members' supports equals the bond's. The
     lower level's states are tabled by bit once per level; a state missing
     from the assignment raises KeyError only when a covering family reads it.
@@ -95,8 +95,8 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
             boundary = support[index[b.id]]
             got = None  # every covering family recomputes b's boundary, so once per bond
             for sieve in sieves:
-                # the family's bonds at this level, in one lookup when the order has read or
-                # written the family before; otherwise other members drop out, but a bond of
+                # the family's bonds at this level, in one lookup when maximal_topology
+                # built the family; otherwise other members drop out, but a bond of
                 # another level has its boundary elsewhere, so the family covers nothing
                 family = masks.get(sieve.members) if type(sieve.members) is frozenset else None
                 if family is None:

@@ -35,11 +35,11 @@ the bits only when the findings are read. The level's view keeps each
 sieve's text once written, so later checks on the same tower reuse it.
 
 The view also keeps a memo from families to masks, keyed by the family's
-frozenset value: every family it writes (unmask) and every frozenset of
-its elements it reads (mask_of) goes in, so reading a family seen before,
-or an equal one, costs one lookup. make_site on maximal_topology's output,
-and descent over that site, read each family this way. Like the texts,
-the memo lives as long as the tower.
+frozenset value. maximal_topology records each maximal sieve it builds
+there, at most one family per element, and mask_of reads it first, so
+make_site on that topology, and descent over the site, turn each family
+(or an equal one built elsewhere) into its mask with one lookup. Nothing
+else writes the memo; like the texts, it lives as long as the tower.
 """
 from __future__ import annotations
 
@@ -114,9 +114,7 @@ def pullback_sieve(h: Hyperstructure, sieve: Sieve, finer_root: ElementId) -> Si
     _, k = _position(h, sieve.root)
     if finer_root.level != sieve.root.level or not order.below[k] >> i & 1:
         raise NotRefinement(f"{finer_root!r} does not refine {sieve.root!r}")
-    m = order.masks.get(sieve.members) if type(sieve.members) is frozenset else None
-    if m is None:  # not a family of this level seen before
-        m = order.mask_of([s for s in sieve.members if s.level == finer_root.level])
+    m = order.mask_of([s for s in sieve.members if s.level == finer_root.level])
     return Sieve(root=finer_root, members=order.unmask(m & order.below[i]))
 
 
@@ -142,13 +140,14 @@ class _LevelOrder:
     below is that relation transposed. An empty support is under every
     element of the level.
 
-    masks maps each family (a frozenset of level elements) read by mask_of
-    or written by unmask to its mask. It is keyed by value, so an equal
-    family built elsewhere finds its mask with one lookup, and like texts it
-    lives as long as the tower. texts holds the witness text of each sieve
-    written so far, keyed by (root bit, mask), so every check on this level
-    writes a sieve once; the element texts that witnesses and findings
-    repeat are tabled when the first of them is written.
+    masks maps each maximal sieve's family that maximal_topology built (a
+    frozenset of level elements) to its mask, so it holds at most one
+    family per element. It is keyed by value, so mask_of finds an equal
+    family built elsewhere with one lookup, and like texts it lives as long
+    as the tower. texts holds the witness text of each sieve written so
+    far, keyed by (root bit, mask), so every check on this level writes a
+    sieve once; the element texts that witnesses and findings repeat are
+    tabled when the first of them is written.
     """
 
     __slots__ = ("elements", "index", "support", "below", "downsets", "masks", "texts", "_names")
@@ -199,10 +198,9 @@ class _LevelOrder:
     def mask_of(self, members: Iterable[ElementId]) -> int:
         """The mask of members; UnknownElement names the first (sorted) member the level lacks.
 
-        A frozenset is looked up in masks first, and stored there once read.
+        A frozenset is looked up in masks first; a miss is not stored.
         """
-        memo = type(members) is frozenset
-        if memo:
+        if type(members) is frozenset:
             got = self.masks.get(members)
             if got is not None:
                 return got
@@ -213,15 +211,10 @@ class _LevelOrder:
         except KeyError:
             stray = next(e for e in sorted_elements(members) if e not in self.index)
             raise UnknownElement(f"no element {stray!r}") from None
-        if memo:
-            self.masks[members] = m
         return m
 
     def unmask(self, mask: int) -> frozenset[ElementId]:
-        """The family of mask's bits, remembered in masks."""
-        family = frozenset(map(self.elements.__getitem__, _bit_indices(mask)))
-        self.masks[family] = mask
-        return family
+        return frozenset(map(self.elements.__getitem__, _bit_indices(mask)))
 
     def names(self) -> tuple[list[str], list[str]]:
         """Each element's repr and its raw id as text, tabled on first use."""
@@ -299,9 +292,7 @@ def all_sieves_on(h: Hyperstructure, b: ElementId) -> list[Sieve]:
     size = order.below[i].bit_count()
     if size > EXHAUSTIVE_CAP:
         raise SweepTooLarge(f"listing the sieves on {b!r} would enumerate the subsets of a {size}-element ideal; the cap is {EXHAUSTIVE_CAP}")
-    # built without unmask: the memo would keep up to 2^16 listed families for the tower's life
-    elements = order.elements
-    return [Sieve(root=b, members=frozenset(map(elements.__getitem__, _bit_indices(m)))) for m in order.downsets_below(i)]
+    return [Sieve(root=b, members=order.unmask(m)) for m in order.downsets_below(i)]
 
 
 def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -> list[int]:
@@ -452,10 +443,20 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
 
 
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
-    """The topology whose only covering of each element is its maximal sieve."""
-    orders = [_level_order(h, i) for i in range(h.order + 1)]
-    # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
-    return {e: frozenset((tuple.__new__(Sieve, (e, o.unmask(m))),)) for o in orders for e, m in zip(o.elements, o.below)}
+    """The topology whose only covering of each element is its maximal sieve.
+
+    Each family built is recorded in its level order's mask memo, so
+    make_site and descent read it back with one lookup.
+    """
+    out: dict[ElementId, frozenset[Sieve]] = {}
+    for o in (_level_order(h, i) for i in range(h.order + 1)):
+        masks = o.masks
+        for e, m in zip(o.elements, o.below):
+            family = o.unmask(m)
+            masks[family] = m
+            # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
+            out[e] = frozenset((tuple.__new__(Sieve, (e, family)),))
+    return out
 
 
 class CoveringChain(NamedTuple):

@@ -251,7 +251,7 @@ class TestGrothendieckAxioms:
 
 
 class TestMaskMemo:
-    """The level order's memo gives mask_of the plain member loop's answer."""
+    """The level order's memo gives mask_of the plain member loop's answer, and only maximal_topology fills it."""
 
     @staticmethod
     def plain_mask(order, members) -> int:
@@ -263,19 +263,20 @@ class TestMaskMemo:
         rng = random.Random(seed)
         h = random_tower(rng) if seed % 2 else mixed_id_tower(rng)
         order = _level_order(h, data.draw(st.integers(0, h.order)))
+        maximal_topology(h)
+        stored = dict(order.masks)
+        assert 0 < len(stored) <= len(order.elements)  # one family per element; equal ideals share one
         for _ in range(8):
             family = frozenset(data.draw(st.lists(st.sampled_from(order.elements), max_size=6)))
             want = self.plain_mask(order, family)
-            assert order.mask_of(family) == want  # a miss, unless an equal family was read before
-            assert order.masks[family] == want  # stored on the miss
-            assert order.mask_of(family) == want  # a hit
+            assert order.mask_of(family) == want  # a hit only if family is some element's ideal
             twin = frozenset(list(family))  # equal, but another object
             assert twin is not family and order.mask_of(twin) == want
             assert order.mask_of(list(family)) == want and order.mask_of(set(family)) == want
-        mask = data.draw(st.integers(0, (1 << len(order.elements)) - 1))
-        family = order.unmask(mask)
-        assert order.masks[family] == mask == self.plain_mask(order, family)
-        assert order.mask_of(frozenset(list(family))) == mask
+        assert order.masks == stored  # a miss is not stored
+        for m in order.below:
+            family = frozenset(list(order.unmask(m)))  # built outside maximal_topology
+            assert family in order.masks and order.mask_of(family) == m == self.plain_mask(order, family)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.data())
@@ -284,6 +285,7 @@ class TestMaskMemo:
         h = random_tower(rng) if seed % 2 else mixed_id_tower(rng)
         level = data.draw(st.integers(0, h.order))
         order = _level_order(h, level)
+        maximal_topology(h)
         members = data.draw(st.lists(st.sampled_from(order.elements), max_size=4))
         strays = data.draw(
             st.lists(st.sampled_from([ElementId(level, "ghost"), ElementId(level, 99), ElementId(level + 1, "x0")]), min_size=1)
@@ -297,10 +299,25 @@ class TestMaskMemo:
             assert str(exc.value) == f"no element {first!r}"
         assert order.masks == before and family not in order.masks
 
-    def test_a_listing_of_every_sieve_stays_out_of_the_memo(self):
+    def test_reads_and_checks_leave_the_memo_as_it_was(self):
         h = tower_from_supports([frozenset({"x"}), frozenset({"x", "y"}), frozenset({"y"})])
-        assert len(all_sieves_on(h, h.element(1, "b1"))) == 5
-        assert _level_order(h, 1).masks == {}
+        order = _level_order(h, 1)
+        assert order.masks == {}
+        b1 = h.element(1, "b1")
+        every = {e: frozenset(all_sieves_on(h, e)) for e in order.elements}
+        assert len(every[b1]) == 5
+        for _ in range(2):  # before and after maximal_topology fills the memo
+            before = dict(order.masks)
+            assert is_grothendieck_topology(h, every, 1).passed
+            for s in every[b1]:
+                assert is_sieve(h, s.members, b1)
+                for e in order.elements:
+                    if refines(h, e, b1):
+                        pullback_sieve(h, s, e)
+            maximal_sieve(h, b1)
+            assert order.masks == before
+            maximal_topology(h)
+        assert len(order.masks) == len(order.elements)
 
     def test_consumers_read_the_families_maximal_topology_wrote(self):
         h = graded_triangle()
