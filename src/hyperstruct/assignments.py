@@ -58,7 +58,7 @@ def _check_into(m: TokenMap, dom: TokenSet, cod: TokenSet, sub: Support, sup: Su
     """Totality on dom and codomain discipline for one induced map."""
     if sub == sup:
         return
-    for x in sorted(dom):
+    for x in sorted(dom):  # so the error names the first token, in sorted order, that breaks the map
         if x not in m:
             raise MissingInducedMap(f"induced map for {sub!r} ⊆ {sup!r} undefined at {x!r}")
         if m[x] not in cod:
@@ -180,7 +180,7 @@ def check_pushout(
     # the comparison map must be constant on classes, injective across them,
     # and surjective onto the union's tokens
     image = {}
-    for rep, members in sorted(classes.items(), key=lambda kv: str(kv[0])):
+    for rep, members in sorted(classes.items(), key=lambda kv: str(kv[0])):  # so "not-injective" names the same classes
         targets = set()
         for side, x in members:
             targets.add(_apply(u1 if side == 1 else u2, x, s1 if side == 1 else s2, un))
@@ -191,10 +191,10 @@ def check_pushout(
         if t in image:
             findings.append(Finding("not-injective", f"classes {image[t]!r} and {rep!r} both map to {t!r}"))
         image[t] = rep
-    for t in sorted(wu):
+    for t in wu:
         if t not in image:
             findings.append(Finding("no-preimage", f"token {t!r} at the union has no preimage in the pushout"))
-    for t in sorted(image):
+    for t in image:
         if t not in wu:
             findings.append(Finding("outside-union", f"comparison map hits {t!r} outside the union's tokens"))
     notes = (f"pushout size {len(classes)}, union size {len(wu)}",)
@@ -225,13 +225,13 @@ def check_pullback(
 
     pullback = {
         (x, y)
-        for x in sorted(w1)
-        for y in sorted(w2)
+        for x in w1
+        for y in w2
         if _apply(r1, x, inter, s1) == _apply(r2, y, inter, s2)
     }
     findings: list[Finding] = []
     image: dict = {}
-    for t in sorted(wu):
+    for t in sorted(wu):  # so "not-injective" names the same pair of tokens whatever the hash seed
         pair = (_apply(p1, t, s1, un), _apply(p2, t, s2, un))
         if pair not in pullback:
             findings.append(Finding("not-well-defined", f"token {t!r} projects to {pair!r} outside the pullback"))
@@ -239,7 +239,7 @@ def check_pullback(
         if pair in image:
             findings.append(Finding("not-injective", f"tokens {image[pair]!r} and {t!r} project to the same pair {pair!r}"))
         image[pair] = t
-    for pair in sorted(pullback, key=str):
+    for pair in pullback:
         if pair not in image:
             findings.append(Finding("no-preimage", f"pullback pair {pair!r} is hit by no union token"))
     notes = (f"pullback size {len(pullback)}, union size {len(wu)}",)
@@ -259,9 +259,9 @@ def check_tensor(omega: Mapping[Support, TokenSet], s1: Support, s2: Support) ->
     findings = []
     if len(wu) != len(w1) * len(w2):
         findings.append(Finding("cardinality", f"|union| = {len(wu)}, |parts| = {len(w1)} x {len(w2)}"))
-    for t in sorted(expected - wu):
+    for t in expected - wu:
         findings.append(Finding("missing-pair", f"expected pair token {t!r} absent at the union"))
-    for t in sorted(wu - expected):
+    for t in wu - expected:
         findings.append(Finding("not-a-pair", f"union token {t!r} is not a canonical pair"))
     notes = (f"|w1|={len(w1)} |w2|={len(w2)} |union|={len(wu)}",)
     return CheckReport("tensor", findings, notes)

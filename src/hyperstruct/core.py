@@ -480,8 +480,13 @@ def iterated_boundary(h: Hyperstructure, b: ElementId, p: int) -> Support:
     level = b.level
     while level > p:
         nxt: set[ElementId] = set()
-        for e in frontier:
-            nxt |= h.bond(e).support.members
+        try:
+            for e in frontier:
+                nxt |= h.bond(e).support.members
+        except (NotABond, UnknownElement):  # name the first element, in key order, that h.bond refuses
+            for e in sorted_elements(frontier):
+                h.bond(e)
+            raise
         frontier = nxt
         level -= 1
     return Support(p, frozenset(frontier))

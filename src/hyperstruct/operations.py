@@ -6,7 +6,7 @@ so they load on first use; `core` still exports every name here.
 """
 from __future__ import annotations
 
-from .core import BondSpec, ElementId, Hyperstructure, IDENTITY_PROPERTY, PropertyToken, RawId, Support, _check_spec, add_bonds
+from .core import BondSpec, ElementId, Hyperstructure, IDENTITY_PROPERTY, PropertyToken, RawId, Support, _check_spec, add_bonds, sorted_elements
 from .errors import EmptySupport, LevelOutOfRange, PropertyNotAssigned, ReservedProperty, UnknownElement
 
 
@@ -17,7 +17,7 @@ def assign_property(h: Hyperstructure, i: int, s: Support, token: PropertyToken)
         raise LevelOutOfRange(f"support at level {s.level}, expected {i}")
     if not s.members:
         raise EmptySupport("cannot assign a property to the empty support")
-    for m in s.members:
+    for m in sorted_elements(s.members):
         if not h.has_element(m):
             raise UnknownElement(f"support member {m!r} not in the tower")
     if token == IDENTITY_PROPERTY:

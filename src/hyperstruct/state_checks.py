@@ -15,8 +15,6 @@ from .states import Connector, LambdaAssignment, Marker, StateToken, StateTower
 if TYPE_CHECKING:
     from .topology import Site
 
-_ABSENT = object()  # marks a lower element without a state in check_amalgamation's table
-
 
 def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment) -> CheckReport:
     """Codomain discipline: level-i states must lie in the space S_{n-i}."""
@@ -29,7 +27,7 @@ def validate_lambda(h: Hyperstructure, tower: StateTower, lam: LambdaAssignment)
         return CheckReport("lambda-codomains", findings)
     for i in range(h.order + 1):
         space = tower.space_for_level(h.order, i)
-        for e in sorted_elements(h.elements(i)):
+        for e in h.elements(i):
             v = lam.per_level[i].get(e)
             if v is None:
                 findings.append(Finding("totality", f"no state for {e!r}"))
@@ -53,9 +51,11 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     Each family is read into a mask over its level: with one lookup in the
     order's mask memo when maximal_topology built it, else in one pass over
     its members. Boundaries are the order's support masks, so a family
-    covers when the OR of its members' supports equals the bond's. The
-    lower level's states are tabled by bit once per level; a state missing
-    from the assignment raises KeyError only when a covering family reads it.
+    covers when the OR of its members' supports equals the bond's. Lower
+    states are read from the assignment in bit order, so KeyError names the
+    first (sorted) member without one. Sieves are read as stored: the first
+    covering family folds the bond's own boundary, once, so no error depends
+    on their order; a one-member family costs no second fold.
     """
     from .topology import _bit_indices, _level_order
 
@@ -70,31 +70,22 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
         fold = delta.is_fold
         # families and boundaries as masks; ascending bits list them in
         # sorted_elements order, which fixes the order values are read in
-        order, lower = _level_order(h, i), _level_order(h, i - 1)
+        order, below = _level_order(h, i), _level_order(h, i - 1).elements
         index, support, masks = order.index, order.support, order.masks
-        # the level-(i-1) states by bit; a level the assignment lacks has no
-        # state above it either, so no family reads it
+        # a level the assignment lacks has no state above it either, so no family reads it
         states = lam.per_level[i - 1] if i <= len(lam.per_level) else {}
-        table = [states.get(e, _ABSENT) for e in lower.elements]
-        gaps = _ABSENT in table
 
         def values(mask: int) -> list[StateToken]:
-            got = [table[j] for j in _bit_indices(mask)]
-            if gaps and _ABSENT in got:  # the mapping raises KeyError at the first member without a state
-                return [states[lower.elements[j]] for j in _bit_indices(mask)]
-            return got
+            return [states[below[j]] for j in _bit_indices(mask)]
 
         for b in h.bonds_at(i):
             want = lam.get(b.id)
             if want is None or isinstance(want, Marker):
                 findings.append(Finding("totality", f"no state for {b.id!r}"))
                 continue
-            sieves = site.topology.get(b.id, ())
-            if len(sieves) > 1:
-                sieves = sorted(sieves, key=lambda s: s.key)
             boundary = support[index[b.id]]
             got = None  # every covering family recomputes b's boundary, so once per bond
-            for sieve in sieves:
+            for sieve in site.topology.get(b.id, ()):
                 # the family's bonds at this level, in one lookup when maximal_topology
                 # built the family; otherwise other members drop out, but a bond of
                 # another level has its boundary elsewhere, so the family covers nothing
@@ -124,9 +115,9 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                         Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
                     )
                 if fold and size == boundary.bit_count():
-                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got
+                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got, as does got alone
                     partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family_bits]
-                    staged = delta.apply(partials, at=b.id)
+                    staged = got if len(partials) == 1 else delta.apply(partials, at=b.id)
                     if staged != want:
                         findings.append(
                             Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
@@ -149,7 +140,7 @@ def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssign
         raise OperationMissing(f"no operation declared on space {space_index}")
     findings: list[Finding] = []
     for b in h.bonds_at(level):
-        values = [lam.per_level[level - 1][m] for m in sorted_elements(b.support.members)]
+        values = [lam.per_level[level - 1][m] for m in sorted_elements(b.support.members)]  # so KeyError names the first member
         folded = op.fold(values)
         want = lam.get(b.id)
         if folded != want:

@@ -92,15 +92,16 @@ def state_tower(spaces: Sequence[frozenset[StateToken]], ops: Sequence[SpaceOp |
             continue
         if op.unit not in space:
             raise InvalidStateTower(f"space {k}: unit {op.unit!r} outside the space")
-        for a, b in iter_product(space, repeat=2):
+        tokens = sorted(space, key=id_key)  # so each error names the same first fault under any hash seed
+        for a, b in iter_product(tokens, repeat=2):
             if (a, b) not in op.table:
                 raise InvalidStateTower(f"space {k}: operation not total at ({a!r}, {b!r})")
             if op.table[(a, b)] not in space:
                 raise InvalidStateTower(f"space {k}: operation leaves the space at ({a!r}, {b!r})")
-        for a in space:
+        for a in tokens:
             if op.table[(op.unit, a)] != a or op.table[(a, op.unit)] != a:
                 raise InvalidStateTower(f"space {k}: unit law fails at {a!r}")
-        for a, b, c in iter_product(space, repeat=3):
+        for a, b, c in iter_product(tokens, repeat=3):
             if op.table[(op.table[(a, b)], c)] != op.table[(a, op.table[(b, c)])]:
                 raise InvalidStateTower(f"space {k}: associativity fails at ({a!r}, {b!r}, {c!r})")
     return StateTower(spaces=sp, ops=tuple(ops))

@@ -498,7 +498,7 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
 
     for i in range(n):
         uppers = chain.families[i + 1]
-        for f in sorted_elements(chain.families[i]):
+        for f in chain.families[i]:
             if not any(f in h.bond(g).support.members for g in uppers if h.is_bond(g)):
                 findings.append(Finding("linkage", f"level {i}: {f!r} lies in no boundary of the level-{i + 1} family"))
     return CheckReport("covering-chain", findings)

@@ -6,7 +6,7 @@ finding codes.
 """
 from __future__ import annotations
 
-from .core import Bond, ElementId, Hyperstructure, sorted_elements
+from .core import Bond, ElementId, Hyperstructure
 from .report import CheckReport, Finding
 
 #: Violation classes emitted by validate().
@@ -23,7 +23,10 @@ DANGLING_FUSION = "dangling-fusion-record"
 
 
 def validate(h: Hyperstructure) -> CheckReport:
-    """Report every violated tower invariant; an empty report means valid."""
+    """Report every violated tower invariant; an empty report means valid.
+
+    One pass reads the bond registry; no walk sorts, as the report orders the findings.
+    """
     findings: list[Finding] = []
 
     def flag(code: str, message: str):
@@ -33,16 +36,31 @@ def validate(h: Hyperstructure) -> CheckReport:
         flag(MALFORMED_TOWER, f"declared order {h.order} vs {len(h.levels)} levels / {len(h.omegas)} omega tables")
         return CheckReport("validate", findings)
 
-    for i, lvl in enumerate(h.levels):
-        for e in lvl:
-            if e.level != i:
-                flag(LEVEL_MISMATCH, f"element {e!r} stored at level {i}")
-
-    # registry totality and single-valuedness
+    # one pass over the registry: the id index, each support, and the identity marks
     by_id: dict[ElementId, list[Bond]] = {}
+    marks: dict[ElementId, int] = {}  # identity bonds per element
     for b in h.bonds:
         by_id.setdefault(b.id, []).append(b)
-    for eid, records in sorted(by_id.items(), key=lambda kv: kv[0].key):
+        s = b.support
+        if b.identity and len(s.members) == 1:
+            (x,) = s.members
+            marks[x] = marks.get(x, 0) + 1
+        if not s.members:
+            flag(EMPTY_SUPPORT, f"bond {b.id!r} binds nothing")
+            continue
+        if s.level != b.id.level - 1:
+            flag(LEVEL_MISMATCH, f"bond {b.id!r} at level {b.id.level} binds level {s.level}")
+            continue
+        dangling = [m for m in s.members if not h.has_element(m)]
+        for m in dangling:
+            flag(DANGLING_SUPPORT, f"bond {b.id!r} binds missing element {m!r}")
+        if not dangling and b.property not in h.omegas[s.level].get(s, frozenset()):
+            flag(PROPERTY_NOT_ASSIGNED, f"bond {b.id!r} carries {b.property!r} not assigned to {s!r}")
+        if b.identity and len(s.members) != 1:
+            flag(IDENTITY_LAW, f"identity bond {b.id!r} binds {len(s.members)} elements")
+
+    # registry totality and single-valuedness
+    for eid, records in by_id.items():
         if len(records) > 1:
             supports = {r.support.members for r in records}
             if len(supports) > 1:
@@ -51,37 +69,15 @@ def validate(h: Hyperstructure) -> CheckReport:
                 flag(DUPLICATE_BOND, f"bond {eid!r} registered {len(records)} times")
         if not (0 < eid.level <= h.order) or eid not in h.levels[eid.level]:
             flag(LEVEL_MISMATCH, f"bond record {eid!r} is not a listed element")
-
-    for i in range(1, h.order + 1):
-        for e in sorted_elements(h.levels[i]):
-            if e not in by_id:
+    for i, lvl in enumerate(h.levels):
+        for e in lvl:
+            if e.level != i:
+                flag(LEVEL_MISMATCH, f"element {e!r} stored at level {i}")
+            if i and e not in by_id:
                 flag(NON_BOND_ELEMENT, f"element {e!r} above level 0 has no bond record")
-
-    for b in h.bonds:
-        s = b.support
-        if not s.members:
-            flag(EMPTY_SUPPORT, f"bond {b.id!r} binds nothing")
-            continue
-        if s.level != b.id.level - 1:
-            flag(LEVEL_MISMATCH, f"bond {b.id!r} at level {b.id.level} binds level {s.level}")
-            continue
-        dangling = [m for m in sorted_elements(s.members) if not h.has_element(m)]
-        for m in dangling:
-            flag(DANGLING_SUPPORT, f"bond {b.id!r} binds missing element {m!r}")
-        if not dangling and b.property not in h.omegas[s.level].get(s, frozenset()):
-            flag(PROPERTY_NOT_ASSIGNED, f"bond {b.id!r} carries {b.property!r} not assigned to {s!r}")
-        if b.identity and len(s.members) != 1:
-            flag(IDENTITY_LAW, f"identity bond {b.id!r} binds {len(s.members)} elements")
-
-    # one identity bond per element
-    marked: dict[ElementId, list[ElementId]] = {}
-    for b in h.bonds:
-        if b.identity and len(b.support.members) == 1:
-            (x,) = b.support.members
-            marked.setdefault(x, []).append(b.id)
-    for x, ids in sorted(marked.items(), key=lambda kv: kv[0].key):
-        if len(ids) > 1:
-            flag(IDENTITY_LAW, f"element {x!r} has {len(ids)} identity bonds")
+    for x, n in marks.items():
+        if n > 1:
+            flag(IDENTITY_LAW, f"element {x!r} has {n} identity bonds")
 
     for i, table in enumerate(h.omegas):
         for s, tokens in table.items():

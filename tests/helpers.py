@@ -95,13 +95,22 @@ def naive_iterated_boundary(h: Hyperstructure, e: ElementId, p: int) -> frozense
 # -- naive topology oracle -----------------------------------------------------------
 
 
+_supports_seen: list = [None, {}]  # the last tower asked about, and its supports by bond id
+
+
 def _naive_support(h: Hyperstructure, e: ElementId) -> frozenset[ElementId]:
     if e.level == 0:
         return frozenset({e})
-    for b in h.bonds:
-        if b.id == e:
-            return b.support.members
-    raise AssertionError(f"no bond for {e!r}")
+    tower, supports = _supports_seen
+    if tower is not h:  # a tower is immutable, so one scan of its bonds serves every later question
+        supports = {}
+        for b in h.bonds:
+            supports.setdefault(b.id, b.support.members)  # the first record, as a scan finds it
+        _supports_seen[:] = [h, supports]
+    got = supports.get(e)
+    if got is None:
+        raise AssertionError(f"no bond for {e!r}")
+    return got
 
 
 def naive_leq(h: Hyperstructure, a: ElementId, b: ElementId) -> bool:

@@ -399,9 +399,21 @@ class TestDeterminism:
         run(capsys, "install", "brunnian", "--branching", "2,2,2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("case", ["category without identities", "simplicial without faces", "hypergraph with undeclared vertices"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "category without identities",
+            "simplicial without faces",
+            "hypergraph with undeclared vertices",
+            "state operation not total",
+            "compose over bonds without records",
+            "validate with several findings",
+        ],
+    )
     def test_error_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, case):
         p = tmp_path / "input.json"
+        triangle = json.loads((CORPUS / "graded_triangle_site.json").read_text())
+        code, want = 2, None
         if case == "category without identities":
             obj = json.loads((CORPUS / "square_category.json").read_text())
             obj["category"]["identities"] = obj["category"]["identities"][:2]
@@ -409,19 +421,51 @@ class TestDeterminism:
         elif case == "simplicial without faces":
             obj = {"vertices": ["v0", "v1", "v2"], "simplices": [["v0"], ["v0", "v1"], ["v1", "v2"], ["v0", "v1", "v2"]]}
             argv = ["install", "simplicial", str(p)]
-        else:  # the first undeclared vertex in id_key order is named
+        elif case == "hypergraph with undeclared vertices":  # the first undeclared vertex in id_key order is named
             obj = {"vertices": ["a"], "edges": [["x", "y", "z"]]}
             argv = ["install", "hypergraph", str(p)]
+            want = b"error: UnknownVertex\nedge vertex 'x' not declared\n"
+        elif case == "state operation not total":  # defined only where the unit takes part
+            obj, tokens = triangle, ["a", "b", "c", "d", "e"]
+            table = [[x, "a", x] for x in tokens] + [["a", x, x] for x in tokens[1:]]
+            obj["states"]["spaces"][0] = {"op": {"table": table, "unit": "a"}, "tokens": tokens}
+            argv = ["globalize", str(p)]
+            want = b"error: InvalidStateTower\nspace 0: operation not total at ('b', 'b')\n"
+        elif case == "compose over bonds without records":  # the boundary walk names the first level-1 element
+            obj = triangle
+            obj["hyperstructure"]["bonds"] = [b for b in obj["hyperstructure"]["bonds"] if b["level"] != 1]
+            top = "2:{v0,v1,v2}"
+            argv = ["compose", str(p), "--a", top, "--b", top, "--p", "0", "--id", "t"]
+            want = b"error: NotABond\n1:{v0,v1} has no bond record\n"
+        else:  # five finding codes, found by walks over sets and dicts as stored
+            obj, code = triangle, 1
+            tower = obj["hyperstructure"]
+            bonds = [b for b in tower["bonds"] if b["id"] != "{v0,v2}"]
+            bonds[1]["property"] = "bogus"
+            bonds += [dict(bonds[0]), {"id": "x", "identity": True, "level": 1, "property": "id", "support": ["v0", "v1"]}]
+            tower["bonds"] = bonds
+            tower["levels"][1].append("x")
+            tower["omega"][0].append({"properties": [], "support": ["v2"]})
+            argv = ["validate", str(p)]
+            want = (
+                b"validate: FAIL\n"
+                b"duplicate-bond: bond 1:{v0,v1} registered 2 times\n"
+                b"empty-omega-entry: omega entry for {v2} at level 0 is empty\n"
+                b"identity-law: identity bond 1:x binds 2 elements\n"
+                b"non-bond-element: element 1:{v0,v2} above level 0 has no bond record\n"
+                b"property-not-assigned: bond 1:{v1,v2} carries 'bogus' not assigned to {v1,v2}\n"
+            )
         p.write_text(json.dumps(obj))
         runs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
             done = subprocess.run([sys.executable, "-m", "hyperstruct.cli", *argv], env=env, capture_output=True, timeout=60)
             runs.append((done.returncode, done.stdout, done.stderr))
-        assert runs[0][0] == 2 and runs[0][1].startswith(b"error: ")
-        assert runs[0] == runs[1]
-        if case == "hypergraph with undeclared vertices":
-            assert runs[0][1] == b"error: UnknownVertex\nedge vertex 'x' not declared\n"
+        assert runs[0][0] == code and runs[0] == runs[1]
+        if want is None:
+            assert runs[0][1].startswith(b"error: ")
+        else:
+            assert runs[0][1] == want
 
 
 class TestErrorShape:

@@ -172,21 +172,33 @@ class TestAddBondsChecks:
             assert got == want
 
     def test_a_stray_member_is_named_in_sorted_order_whatever_the_hash_seed(self):
-        # 0:x, 0:y and 0:z all miss from the tower; _check_spec names the first in sorted_elements order
+        # 0:x, 0:y and 0:z all miss from the tower; _check_spec and assign_property name the first
+        # in sorted_elements order, and so does iterated_boundary for the level-1 elements of a
+        # triangle whose bond records were dropped
+        root = Path(__file__).resolve().parent.parent
         code = (
-            "from hyperstruct.core import ElementId, Support, add_bond, new_hyperstructure\n"
+            "from hyperstruct.core import ElementId, Support, add_bond, assign_property, iterated_boundary, new_hyperstructure\n"
+            "from hyperstruct.document import parse\n"
+            "def show(f, *args):\n"
+            "    try:\n"
+            "        f(*args)\n"
+            "    except Exception as e:\n"
+            "        print(type(e).__name__, e)\n"
             "h = new_hyperstructure(['a'])\n"
-            "try:\n"
-            "    add_bond(h, 0, Support(0, frozenset(ElementId(0, r) for r in 'xyz')), 'p', 'b')\n"
-            "except Exception as e:\n"
-            "    print(type(e).__name__, e)\n"
+            "stray = Support(0, frozenset(ElementId(0, r) for r in 'xyz'))\n"
+            "show(add_bond, h, 0, stray, 'p', 'b')\n"
+            "show(assign_property, h, 0, stray, 'p')\n"
+            f"t = parse(open({str(root / 'corpus' / 'graded_triangle_site.json')!r}).read()).hyperstructure\n"
+            "t = t._replace(bonds=tuple(b for b in t.bonds if b.id.level != 1))\n"
+            "show(iterated_boundary, t, t.element(2, '{v0,v1,v2}'), 0)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        src = str(root / "src")
         runs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60).stdout)
-        assert runs == [b"UnknownElement support member 0:x not in the tower\n"] * 2
+        want = b"UnknownElement support member 0:x not in the tower\n" * 2 + b"NotABond 1:{v0,v1} has no bond record\n"
+        assert runs == [want] * 2
 
 
 class TestIdentityBond:

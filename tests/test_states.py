@@ -239,6 +239,34 @@ class TestAmalgamation:
         assert check_amalgamation(site, lam, [PRODUCT, PRODUCT]).passed
         assert lam.per_level[2][top] == (2 * 3) * (5 * 7)
 
+    def test_each_bond_costs_one_fold_on_a_maximal_site(self, monkeypatch):
+        # a bond's maximal sieve is its one covering family, whose flat recompute is the one
+        # fold; where the bond alone is the family, its stagewise fold is that value unchanged
+        calls = []
+        apply = Connector.apply
+        monkeypatch.setattr(Connector, "apply", lambda self, values, at=None: calls.append(at) or apply(self, values, at))
+        rng = random.Random(5)
+        for h in [graded_triangle(), *(random_tower(rng, max_order=3, max_per_level=8) for _ in range(10))]:
+            for delta in (PRODUCT, SUM, UNION_FOLD):
+                lam = globalize(h, {e: rng.randint(1, 3) for e in h.elements(0)}, [delta] * h.order)
+                site = make_site(h, maximal_topology(h))
+                calls.clear()
+                assert check_amalgamation(site, lam, [delta] * h.order).passed
+                assert sorted(calls) == sorted(b.id for b in h.bonds)
+        # a wrong state is still witnessed by both the flat and the stagewise recompute
+        t = graded_triangle()
+        lam = globalize(t, {"v0": 2, "v1": 2, "v2": 2}, [PRODUCT, PRODUCT])
+        top = t.element(2, "{v0,v1,v2}")
+        bad = LambdaAssignment(per_level=(*lam.per_level[:2], {top: 63}))
+        calls.clear()
+        rep = check_amalgamation(make_site(t, maximal_topology(t)), bad, [PRODUCT, PRODUCT])
+        assert len(calls) == 4
+        sieve = "Sieve(2:{v0,v1,v2}: {{v0,v1,v2}})"
+        assert [f.message for f in rep.findings] == [
+            f"bond 2:{{v0,v1,v2}}: family {sieve} recomputes 64 != 63",
+            f"bond 2:{{v0,v1,v2}}: stagewise fold over {sieve} gives 64 != 63",
+        ]
+
     def test_element_without_bond_record_refused_like_make_site(self):
         # a level-1 element with no bond record has no place in the refinement
         # order, so a site cannot be made on it and a hand-built one is refused

@@ -542,8 +542,16 @@ class TestLevelOrder:
             for i, b in enumerate(elements):
                 ideal = _bit_indices(below[i])
                 if len(ideal) <= 10:
-                    subsets = (sum(1 << j for pos, j in enumerate(ideal) if k >> pos & 1) for k in range(1 << len(ideal)))
-                    brute = [m for m in subsets if all(below[j] & ~m == 0 for j in _bit_indices(m))]
+                    # every subset k of the ideal as a mask, with the OR of its members' ideals,
+                    # each built from k minus its lowest member; k is a downset iff that OR lies in it
+                    n = 1 << len(ideal)
+                    subsets, closures = [0] * n, [0] * n
+                    for k in range(1, n):
+                        low = k & -k
+                        j = ideal[low.bit_length() - 1]
+                        subsets[k] = subsets[k ^ low] | 1 << j
+                        closures[k] = closures[k ^ low] | below[j]
+                    brute = [m for m, c in zip(subsets, closures) if c & ~m == 0]
                     assert order.downsets_below(i) == sorted(brute)
                 # witness text and the downset test for sieves and for arbitrary families of the level
                 families = [below[i], 0, rng.getrandbits(len(elements))]
