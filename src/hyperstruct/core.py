@@ -480,13 +480,8 @@ def iterated_boundary(h: Hyperstructure, b: ElementId, p: int) -> Support:
     level = b.level
     while level > p:
         nxt: set[ElementId] = set()
-        try:
-            for e in frontier:
-                nxt |= h.bond(e).support.members
-        except (NotABond, UnknownElement):  # name the first element, in key order, that h.bond refuses
-            for e in sorted_elements(frontier):
-                h.bond(e)
-            raise
+        for e in sorted_elements(frontier):  # key order names the first element h.bond refuses
+            nxt |= h.bond(e).support.members
         frontier = nxt
         level -= 1
     return Support(p, frozenset(frontier))

@@ -115,9 +115,10 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                         Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
                     )
                 if fold and size == boundary.bit_count():
-                    # a member on b's whole boundary (b itself, in its maximal sieve) folds to got, as does got alone
-                    partials = [got if support[k] == boundary else delta.apply(values(support[k]), at=b.id) for k in family_bits]
-                    staged = got if len(partials) == 1 else delta.apply(partials, at=b.id)
+                    if len(family_bits) == 1:
+                        staged = got
+                    else:
+                        staged = delta.apply([delta.apply(values(support[k]), at=b.id) for k in family_bits], at=b.id)
                     if staged != want:
                         findings.append(
                             Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
