@@ -65,9 +65,10 @@ def _expect_list(value, where: str) -> list:
     return value
 
 
-def _expect_id(value, where: str) -> RawId:
+def _expect_id(value, where: str, noun: str = "identifiers") -> RawId:
+    """value, an identifier or (with noun "states") a state: a str or an int, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise SchemaError(f"{where}: identifiers must be strings or integers, got {value!r}")
+        raise SchemaError(f"{where}: {noun} must be strings or integers, got {value!r}")
     return value
 
 

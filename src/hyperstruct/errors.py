@@ -1,12 +1,18 @@
 """Exception classes shared across the package.
 
 Every error carries a stable ``kind`` string; the CLI prints it as the
-machine-parsable first line ``error: <kind>``.
+machine-parsable first line ``error: <kind>``. A subclass's kind is its
+class name unless it passes its own, as ``DanglingReference`` does with
+``kind="ReferenceError"``.
 """
 
 
 class HyperstructError(Exception):
     kind = "Error"
+
+    def __init_subclass__(cls, kind: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind or cls.__name__
 
     def __init__(self, message: str = ""):
         super().__init__(message)
@@ -16,78 +22,76 @@ class HyperstructError(Exception):
 # -- tower construction ------------------------------------------------------
 
 class DuplicateId(HyperstructError):
-    kind = "DuplicateId"
+    pass
 
 
 class EmptyBase(HyperstructError):
-    kind = "EmptyBase"
+    pass
 
 
 class EmptySupport(HyperstructError):
-    kind = "EmptySupport"
+    pass
 
 
 class UnknownElement(HyperstructError):
-    kind = "UnknownElement"
+    pass
 
 
 class LevelOutOfRange(HyperstructError):
-    kind = "LevelOutOfRange"
+    pass
 
 
 class PropertyNotAssigned(HyperstructError):
-    kind = "PropertyNotAssigned"
+    pass
 
 
 class NotABond(HyperstructError):
-    kind = "NotABond"
+    pass
 
 
 class ReservedProperty(HyperstructError):
-    kind = "ReservedProperty"
+    pass
 
 
 class MixedLevels(HyperstructError):
-    kind = "MixedLevels"
+    pass
 
 
 # -- assignment behaviour checks ---------------------------------------------
 
 class MissingInducedMap(HyperstructError):
-    kind = "MissingInducedMap"
+    pass
 
 
 class CombinerUndefined(HyperstructError):
-    kind = "CombinerUndefined"
+    pass
 
 
 class NotDisjoint(HyperstructError):
-    kind = "NotDisjoint"
+    pass
 
 
 # -- composition --------------------------------------------------------------
 
 class NotComposable(HyperstructError):
-    kind = "NotComposable"
+    pass
 
 
 class NotGluable(HyperstructError):
-    kind = "NotGluable"
+    pass
 
 
 # -- topology ------------------------------------------------------------------
 
 class NotRefinement(HyperstructError):
-    kind = "NotRefinement"
+    pass
 
 
 class SweepTooLarge(HyperstructError):
-    kind = "SweepTooLarge"
+    pass
 
 
 class NotATopology(HyperstructError):
-    kind = "NotATopology"
-
     def __init__(self, message: str = "", report=None):
         super().__init__(message)
         self.report = report
@@ -96,74 +100,74 @@ class NotATopology(HyperstructError):
 # -- states ---------------------------------------------------------------------
 
 class InvalidStateTower(HyperstructError):
-    kind = "InvalidStateTower"
+    pass
 
 
 class MissingState(HyperstructError):
-    kind = "MissingState"
+    pass
 
 
 class ConnectorUndefined(HyperstructError):
-    kind = "ConnectorUndefined"
+    pass
 
 
 class CoConnectorUndefined(HyperstructError):
-    kind = "CoConnectorUndefined"
+    pass
 
 
 class OperationMissing(HyperstructError):
-    kind = "OperationMissing"
+    pass
 
 
 # -- categories -------------------------------------------------------------------
 
 class InvalidCategory(HyperstructError):
-    kind = "InvalidCategory"
+    pass
 
 
 class InvalidPresheaf(HyperstructError):
-    kind = "InvalidPresheaf"
+    pass
 
 
 class InconsistentComplex(HyperstructError):
-    kind = "InconsistentComplex"
+    pass
 
 
 # -- installers ---------------------------------------------------------------------
 
 class ArityMismatch(HyperstructError):
-    kind = "ArityMismatch"
+    pass
 
 
 class UnknownCoordinate(HyperstructError):
-    kind = "UnknownCoordinate"
+    pass
 
 
 class EmptyEdge(HyperstructError):
-    kind = "EmptyEdge"
+    pass
 
 
 class UnknownVertex(HyperstructError):
-    kind = "UnknownVertex"
+    pass
 
 
 class DownwardClosureViolation(HyperstructError):
-    kind = "DownwardClosureViolation"
+    pass
 
 
 class InvalidBranching(HyperstructError):
-    kind = "InvalidBranching"
+    pass
 
 
 # -- documents ------------------------------------------------------------------------
 
 class ParseError(HyperstructError):
-    kind = "ParseError"
+    pass
 
 
 class SchemaError(HyperstructError):
-    kind = "SchemaError"
+    pass
 
 
-class DanglingReference(HyperstructError):
-    kind = "ReferenceError"
+class DanglingReference(HyperstructError, kind="ReferenceError"):
+    pass

@@ -136,7 +136,7 @@ def check_tensor_pairing(h: Hyperstructure, tower: StateTower, lam: LambdaAssign
     if level == 0:
         return CheckReport("tensor-pairing", notes=("level 0 has no boundaries",))
     space_index = h.order - level + 1
-    op = tower.op_for_space(space_index)
+    op = tower.ops[space_index]
     if op is None:
         raise OperationMissing(f"no operation declared on space {space_index}")
     findings: list[Finding] = []

@@ -76,9 +76,6 @@ class StateTower(NamedTuple):
     def space_for_level(self, order: int, level: int) -> frozenset[StateToken]:
         return self.spaces[order - level]
 
-    def op_for_space(self, k: int) -> SpaceOp | None:
-        return self.ops[k]
-
 
 def state_tower(spaces: Sequence[frozenset[StateToken]], ops: Sequence[SpaceOp | None] | None = None) -> StateTower:
     """Build a tower of state spaces, brute-force checking each declared op."""
@@ -158,11 +155,6 @@ class LambdaAssignment(NamedTuple):
 
     per_level: tuple[Mapping[ElementId, StateToken | Marker], ...]
 
-    def state(self, e: ElementId) -> StateToken | Marker:
-        if e.level >= len(self.per_level) or e not in self.per_level[e.level]:
-            raise MissingState(f"no state for {e!r}")
-        return self.per_level[e.level][e]
-
     def get(self, e: ElementId, default=None):
         if e.level < len(self.per_level):
             return self.per_level[e.level].get(e, default)
@@ -188,31 +180,28 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
 
     connectors[i-1] computes level-i states from the level-(i-1) states of
     each bond's boundary. Evaluation order never matters: fold connectors
-    are commutative and table connectors key on sorted multisets. So sum and
-    product fold each boundary in stored order, and read it again in
+    are commutative, and union and table connectors sort the values they
+    get. So each boundary is folded in stored order, and read again in
     sorted_elements order only when that fold fails, which makes the error
-    name the same member or value whatever the hash seed; union and table
-    connectors read every boundary sorted.
+    name the same member or value whatever the hash seed.
     """
     if len(connectors) != h.order:
         raise ConnectorUndefined(f"need {h.order} connectors, got {len(connectors)}")
     level0 = _normalize_keyed(h, 0, base)
-    for e in sorted_elements(h.elements(0)):
-        if e not in level0:
-            raise MissingState(f"base state missing for {e!r}")
+    if len(level0) != len(h.elements(0)):  # every key is a level-0 element, so one lacks a state
+        missing = next(e for e in sorted_elements(h.elements(0)) if e not in level0)
+        raise MissingState(f"base state missing for {missing!r}")
     per_level: list[dict[ElementId, StateToken]] = [level0]
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
         below = per_level[i - 1]
         current: dict[ElementId, StateToken] = {}
-        unordered = delta.kind in ("sum", "product")
         for b in h.bonds_at(i):
-            if unordered:
-                try:
-                    current[b.id] = delta.apply([below[m] for m in b.support.members], at=b.id)
-                    continue
-                except (KeyError, ConnectorUndefined):
-                    pass  # raised again below, by the sorted read
+            try:
+                current[b.id] = delta.apply([below[m] for m in b.support.members], at=b.id)
+                continue
+            except (KeyError, ConnectorUndefined, TypeError):
+                pass  # raised again below, by the sorted read
             try:
                 values = [below[m] for m in sorted_elements(b.support.members)]
             except KeyError as e:  # a member without a bond record has no state
@@ -258,11 +247,10 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
         raise CoConnectorUndefined(f"need {h.order} co-connectors, got {len(co_connectors)}")
     n = h.order
     states: list[dict[ElementId, StateToken | Marker]] = [dict() for _ in range(n + 1)]
-    top_states = _normalize_keyed(h, n, top)
-    for e in sorted_elements(h.elements(n)):
-        if e not in top_states:
-            raise MissingState(f"top state missing for {e!r}")
-    states[n] = dict(top_states)
+    states[n] = _normalize_keyed(h, n, top)
+    if len(states[n]) != len(h.elements(n)):  # every key is a level-n element, so one lacks a state
+        missing = next(e for e in sorted_elements(h.elements(n)) if e not in states[n])
+        raise MissingState(f"top state missing for {missing!r}")
     for i in range(n, 0, -1):
         co = co_connectors[n - i]
         proposals: dict[ElementId, list[StateToken]] = {}
@@ -272,7 +260,7 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
                 continue
             for child in sorted_elements(b.support.members):
                 proposals.setdefault(child, []).append(co.apply(s, b.id, child))
-        for child in sorted_elements(h.elements(i - 1)):
+        for child in h.elements(i - 1):
             got = proposals.get(child)
             if not got:
                 states[i - 1][child] = UNASSIGNED
@@ -293,22 +281,15 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
 # raises its first error as the dict-tree codec did.
 
 
-def _expect_state(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise SchemaError(f"{where}: states must be strings or integers, got {value!r}")
-    return value
-
-
-def _state_from_json(value, where: str, allow_marker: bool = False):
+def _state_from_json(value, where: str):
+    """An assignment's state: a state, or a {"marker": name} object."""
     if isinstance(value, dict):
-        if not allow_marker:
-            raise SchemaError(f"{where}: markers are only valid inside assignments")
         obj = _expect_obj(value, where, {"marker"}, {"marker"})
-        m = MARKERS.get(obj["marker"])
+        m = MARKERS.get(obj["marker"]) if isinstance(obj["marker"], str) else None  # a list or an object is unhashable
         if m is None:
             raise SchemaError(f"{where}: unknown marker {obj['marker']!r}")
         return m
-    return _expect_state(value, where)
+    return _expect_id(value, where, "states")
 
 
 def _connector_to_json(c: Connector) -> dict:
@@ -333,8 +314,8 @@ def _connector_from_json(value, where: str) -> Connector:
     table, entries = {}, f"{where}.entries"
     for e in _expect_list(obj.get("entries", []), entries):
         multiset, state = _expect_row(e, entries, 2, "[multiset, state]")
-        key = tuple(sorted((_expect_state(x, where) for x in _expect_list(multiset, where)), key=_jkey))
-        state = _expect_state(state, where)
+        key = tuple(sorted((_expect_id(x, where, "states") for x in _expect_list(multiset, where)), key=_jkey))
+        state = _expect_id(state, where, "states")
         _refuse_repeat(table, key, entries)
         table[key] = state
     return Connector(kind="table", table=table)
@@ -364,8 +345,8 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
     if kind == "table":
         for e in _expect_list(obj.get("entries", []), entries):
             state, image = _expect_row(e, entries, 2, "[state, state]")
-            image = _expect_state(image, where)  # first, so a row with two bad states names the image
-            state = _expect_state(state, where)
+            image = _expect_id(image, where, "states")  # first, so a row with two bad states names the image
+            state = _expect_id(state, where, "states")
             _refuse_repeat(table, state, entries)
             table[state] = image
         return CoConnector(kind="table", table=table)
@@ -383,7 +364,7 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
         if parent is None or child is None:
             missing = ElementId(upper, p) if parent is None else ElementId(upper - 1, c)
             raise DanglingReference(f"{where}: no element {missing!r}")
-        state = _expect_state(state, where)
+        state = _expect_id(state, where, "states")
         _refuse_repeat(table, (parent, child), entries)
         table[(parent, child)] = state
     return CoConnector(kind="per_child", table=table)
@@ -469,7 +450,7 @@ def _states_text(fields: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n  }"
 
 
-def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_state=_expect_state) -> dict[ElementId, object]:
+def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_state=partial(_expect_id, noun="states")) -> dict[ElementId, object]:
     """[id, state] pairs as a dict, each id resolved in one raw-id table of the tower."""
     out: dict[ElementId, object] = {}
     for e in _expect_list(raw, where):
@@ -496,7 +477,7 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
         ops = []
         for k, entry in enumerate(_expect_list(obj["spaces"], "states.spaces")):
             e = _expect_obj(entry, f"states.spaces[{k}]", {"tokens", "op"}, {"tokens"})
-            tokens = frozenset(_expect_state(t, f"states.spaces[{k}]") for t in _expect_list(e["tokens"], f"states.spaces[{k}].tokens"))
+            tokens = frozenset(_expect_id(t, f"states.spaces[{k}]", "states") for t in _expect_list(e["tokens"], f"states.spaces[{k}].tokens"))
             spaces.append(tokens)
             op = e.get("op")
             if op is None:
@@ -506,11 +487,11 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
                 table, where = {}, f"states.spaces[{k}].op.table"
                 for t in _expect_list(o["table"], where):
                     a, b, result = _expect_row(t, where, 3, "[a, b, result]")
-                    result = _expect_state(result, "op")  # first, so a row with bad states names the result
-                    key = (_expect_state(a, "op"), _expect_state(b, "op"))
+                    result = _expect_id(result, "op", "states")  # first, so a row with bad states names the result
+                    key = (_expect_id(a, "op", "states"), _expect_id(b, "op", "states"))
                     _refuse_repeat(table, key, where)
                     table[key] = result
-                ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
+                ops.append(SpaceOp(unit=_expect_id(o["unit"], "op", "states"), table=table))
         s.tower = state_tower(spaces, ops)
 
     index = h.element_index
@@ -534,7 +515,7 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
             raise SchemaError(f"states.assignment: expected {h.order + 1} levels")
         s.assignment = LambdaAssignment(
             per_level=tuple(
-                _read_pairs(entries, index[i], f"states.assignment[{i}]", "", partial(_state_from_json, allow_marker=True))
+                _read_pairs(entries, index[i], f"states.assignment[{i}]", "", _state_from_json)
                 for i, entries in enumerate(raw_levels)
             )
         )

@@ -917,12 +917,28 @@ def _reference_expect_obj(value, where: str, allowed: set[str], required: set[st
     return value
 
 
+def _reference_expect_list(value, where: str) -> list:
+    from hyperstruct.errors import SchemaError
+
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    return value
+
+
+def _reference_scalar(value, where: str, noun: str = "identifiers"):
+    """An identifier or a state as a document holds one: a JSON string or integer."""
+    from hyperstruct.errors import SchemaError
+
+    if type(value) is not str and type(value) is not int:  # JSON true and false read as bool
+        raise SchemaError(f"{where}: {noun} must be strings or integers, got {value!r}")
+    return value
+
+
 def reference_h_from_json(value) -> Hyperstructure:
     from hyperstruct.core import IDENTITY_PROPERTY, Bond, FusionRecord, assemble
-    from hyperstruct.document import _expect_id, _expect_list
     from hyperstruct.errors import DanglingReference, ReservedProperty, SchemaError
 
-    _expect_obj = _reference_expect_obj
+    _expect_obj, _expect_list, _expect_id = _reference_expect_obj, _reference_expect_list, _reference_scalar
     obj = _expect_obj(value, "hyperstructure", {"order", "levels", "omega", "bonds", "fusion_log"}, {"order", "levels", "omega", "bonds"})
     order = obj["order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -1047,10 +1063,28 @@ def _pairs_to_json(mapping: dict) -> list:
     return [[e.id, v] for e, v in sorted(mapping.items(), key=lambda kv: kv[0].key)]
 
 
+def _reference_connector_to_json(c) -> dict:
+    if c.kind != "table":
+        return {"kind": c.kind}
+    entries = [[list(k), v] for k, v in (c.table or {}).items()]
+    return {"kind": "table", "entries": sorted(entries, key=lambda e: [_reference_jkey(x) for x in e[0]])}
+
+
+def _reference_co_connector_to_json(c) -> dict:
+    if c.kind == "identity":
+        return {"kind": "identity"}
+    if c.kind == "table":
+        entries = [[k, v] for k, v in (c.table or {}).items()]
+        return {"kind": "table", "entries": sorted(entries, key=lambda e: _reference_jkey(e[0]))}
+    entries = [[[p.id, ch.id], v] for (p, ch), v in (c.table or {}).items()]
+    return {"kind": "per_child", "entries": sorted(entries, key=lambda e: [_reference_jkey(e[0][0]), _reference_jkey(e[0][1])])}
+
+
 def reference_states_to_json(s) -> dict:
-    from hyperstruct.states import Marker, _co_connector_to_json, _connector_to_json
+    from hyperstruct.states import Marker
 
     _jkey = _reference_jkey
+    _connector_to_json, _co_connector_to_json = _reference_connector_to_json, _reference_co_connector_to_json
     out: dict = {}
     if s.tower is not None:
         spaces = []
@@ -1079,21 +1113,99 @@ def reference_states_to_json(s) -> dict:
     return out
 
 
-def reference_states_from_json(value, h: Hyperstructure | None):
-    from hyperstruct.document import StatesSection, _expect_id, _expect_list
+def _reference_state(value, where: str):
+    return _reference_scalar(value, where, "states")
+
+
+def _reference_state_from_json(value, where: str):
+    """A state, or in an assignment a {"marker": name} object."""
+    from hyperstruct.errors import SchemaError
+    from hyperstruct.states import CONFLICT, UNASSIGNED
+
+    if not isinstance(value, dict):
+        return _reference_state(value, where)
+    name = _reference_expect_obj(value, where, {"marker"}, {"marker"})["marker"]
+    for m in (UNASSIGNED, CONFLICT):
+        if m.name == name:
+            return m
+    raise SchemaError(f"{where}: unknown marker {name!r}")
+
+
+def _reference_connector_from_json(value, where: str):
+    from hyperstruct.errors import SchemaError
+    from hyperstruct.states import Connector
+
+    obj = _reference_expect_obj(value, where, {"kind", "entries"}, {"kind"})
+    kind = obj["kind"]
+    if kind in ("product", "sum", "union"):
+        if "entries" in obj:
+            raise SchemaError(f"{where}: built-in connectors take no entries")
+        return Connector(kind=kind)
+    if kind != "table":
+        raise SchemaError(f"{where}: unknown connector kind {kind!r}")
+    table = {}
+    for e in _reference_expect_list(obj.get("entries", []), f"{where}.entries"):
+        if len(_reference_expect_list(e, f"{where}.entries")) != 2:
+            raise SchemaError(f"{where}.entries: expected [multiset, state]")
+        states = [_reference_state(x, where) for x in _reference_expect_list(e[0], where)]
+        key = tuple(sorted(states, key=_reference_jkey))
+        state = _reference_state(e[1], where)
+        if key in table:
+            raise SchemaError(f"{where}.entries: duplicate entry for {key!r}")
+        table[key] = state
+    return Connector(kind="table", table=table)
+
+
+def _reference_co_connector_from_json(value, where: str, h: Hyperstructure, transition: int):
     from hyperstruct.errors import DanglingReference, SchemaError
-    from hyperstruct.states import (
-        LambdaAssignment,
-        SpaceOp,
-        _co_connector_from_json,
-        _connector_from_json,
-        _expect_state,
-        _state_from_json,
-        state_tower,
+    from hyperstruct.states import CoConnector
+
+    obj = _reference_expect_obj(value, where, {"kind", "entries"}, {"kind"})
+    kind = obj["kind"]
+    if kind == "identity":
+        if "entries" in obj:
+            raise SchemaError(f"{where}: identity co-connectors take no entries")
+        return CoConnector(kind="identity")
+    if kind not in ("table", "per_child"):
+        raise SchemaError(f"{where}: unknown co-connector kind {kind!r}")
+    shape = "[state, state]" if kind == "table" else "[[parent, child], state]"
+    table = {}
+    for e in _reference_expect_list(obj.get("entries", []), f"{where}.entries"):
+        if len(_reference_expect_list(e, f"{where}.entries")) != 2:
+            raise SchemaError(f"{where}.entries: expected {shape}")
+        if kind == "table":
+            image = _reference_state(e[1], where)  # the image is checked first
+            key = _reference_state(e[0], where)
+        else:
+            if not isinstance(e[0], list) or len(e[0]) != 2:
+                raise SchemaError(f"{where}.entries: expected {shape}")
+            upper = h.order - transition
+            parent = ElementId(upper, _reference_scalar(e[0][0], where))
+            child = ElementId(upper - 1, _reference_scalar(e[0][1], where))
+            for el in (parent, child):
+                if not h.has_element(el):
+                    raise DanglingReference(f"{where}: no element {el!r}")
+            key, image = (parent, child), _reference_state(e[1], where)
+        if key in table:
+            raise SchemaError(f"{where}.entries: duplicate entry for {key!r}")
+        table[key] = image
+    return CoConnector(kind=kind, table=table)
+
+
+def reference_states_from_json(value, h: Hyperstructure | None):
+    from hyperstruct.document import StatesSection
+    from hyperstruct.errors import DanglingReference, SchemaError
+    from hyperstruct.states import LambdaAssignment, SpaceOp, state_tower
+
+    _expect_obj, _expect_list, _expect_id = _reference_expect_obj, _reference_expect_list, _reference_scalar
+    _expect_state, _connector_from_json, _co_connector_from_json = (
+        _reference_state,
+        _reference_connector_from_json,
+        _reference_co_connector_from_json,
     )
 
-    _expect_obj = _reference_expect_obj
-
+    if h is None:
+        raise DanglingReference("states: requires a hyperstructure section")
     obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
     s = StatesSection()
     if obj.get("spaces") is not None:
@@ -1165,7 +1277,7 @@ def reference_states_from_json(value, h: Hyperstructure | None):
                 el = ElementId(i, _expect_id(pair[0], f"states.assignment[{i}]"))
                 if not h.has_element(el):
                     raise DanglingReference(f"states.assignment[{i}]: no element {pair[0]!r}")
-                state = _state_from_json(pair[1], f"states.assignment[{i}]", allow_marker=True)
+                state = _reference_state_from_json(pair[1], f"states.assignment[{i}]")
                 if el in level:
                     raise SchemaError(f"states.assignment[{i}]: duplicate entry for {el!r}")
                 level[el] = state

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import KEYED_ROWS, at_path, every_section_document, tower_from_supports
-from hyperstruct import cli, installers
+from hyperstruct import cli, errors, installers
 from hyperstruct.cli import COMMANDS, build_parser, main
 from hyperstruct.commands.refs import _resolve_id
 from hyperstruct.core import ElementId, FusionRecord
@@ -569,6 +569,25 @@ class TestErrorShape:
         p.write_text(json.dumps(obj))
         code, out = run(capsys, "globalize", str(p))
         assert (code, out.splitlines()) == (2, ["error: SchemaError", message])
+
+    @pytest.mark.parametrize("name", [[], {}, 1, None])
+    def test_marker_name_that_is_not_a_string(self, capsys, tmp_path, name):
+        obj = every_section_document()
+        obj["states"]["assignment"][2][0][1] = {"marker": name}
+        p = tmp_path / "marker.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(p))
+        assert (code, out.splitlines()) == (2, ["error: SchemaError", f"states.assignment[2]: unknown marker {name!r}"])
+
+    def test_every_error_kind_is_its_class_name(self):
+        kinds = {
+            name: cls.kind
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.HyperstructError) and cls is not errors.HyperstructError
+        }
+        assert len(kinds) == 34
+        assert kinds.pop("DanglingReference") == "ReferenceError"
+        assert kinds == {name: name for name in kinds}
 
     def test_repeated_base_state_is_not_folded(self, capsys, tmp_path):
         obj = json.loads((CORPUS / "graded_triangle_site.json").read_text())

@@ -115,8 +115,11 @@ class TestGlobalize:
 
     def test_missing_base_state(self):
         t = graded_triangle()
-        with pytest.raises(MissingState):
+        with pytest.raises(MissingState, match="^base state missing for 0:v2$"):
             globalize(t, {"v0": 2, "v1": 2}, [PRODUCT, PRODUCT])
+        # three keys, but two name one element: the first element without a state is named
+        with pytest.raises(MissingState, match="^base state missing for 0:v0$"):
+            globalize(t, {"v1": 2, t.element(0, "v1"): 2, "v2": 2}, [PRODUCT, PRODUCT])
 
     def test_table_connector_missing_entry_names_bond(self):
         t = graded_triangle()
@@ -161,8 +164,8 @@ class TestGlobalize:
 
 
 class TestGlobalizeMatchesSortedFold:
-    """Sum and product fold each boundary in stored order and re-read it
-    sorted only on a fault, so they must raise what a sorted fold raises."""
+    """globalize folds each boundary in stored order and re-reads it sorted
+    only on a fault, so every connector kind must raise what a sorted fold raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.data())
@@ -462,6 +465,15 @@ class TestLocalize:
         lam = localize(h, {e1: "left", e2: "right"}, [BROADCAST])
         assert lam.per_level[0][h.element(0, "a")] == "left"
         assert lam.per_level[0][h.element(0, "d")] == "right"
+
+    def test_missing_top_state_is_named(self):
+        h = new_hyperstructure(["a", "b", "c"])
+        for raw in ("e2", "e1", "e3"):
+            s = h.support_at(0, ["a", "b", "c"])
+            h = assign_property(h, 0, s, "p")
+            h, _ = add_bond(h, 0, s, "p", raw)
+        with pytest.raises(MissingState, match="^top state missing for 1:e1$"):
+            localize(h, {"e2": "s", h.element(1, "e2"): "s", "e3": "t"}, [BROADCAST])
 
     def test_unreachable_marked(self):
         h = new_hyperstructure(["a", "b", "lonely"])

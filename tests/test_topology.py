@@ -534,13 +534,17 @@ class TestLevelOrder:
             order = _level_order(h, level)
             elements = order.elements
             assert elements == sorted_elements(h.elements(level))
+
+            def indices(m: int) -> list[int]:  # the positions of m's set bits, read off the level's elements
+                return [j for j in range(len(elements)) if m >> j & 1]
+
             below = [sum(1 << j for j, e in enumerate(elements) if naive_leq(h, e, b)) for b in elements]
             assert order.below == below
             if level:  # supports as masks over the level below's sorted elements
                 lower = sorted_elements(h.elements(level - 1))
                 assert order.support == [sum(1 << lower.index(m) for m in h.bond(b).support.members) for b in elements]
             for i, b in enumerate(elements):
-                ideal = _bit_indices(below[i])
+                ideal = indices(below[i])
                 if len(ideal) <= 10:
                     # every subset k of the ideal as a mask, with the OR of its members' ideals,
                     # each built from k minus its lowest member; k is a downset iff that OR lies in it
@@ -556,8 +560,8 @@ class TestLevelOrder:
                 # witness text and the downset test for sieves and for arbitrary families of the level
                 families = [below[i], 0, rng.getrandbits(len(elements))]
                 for m in families:
-                    assert order.sieve_text(i, m) == repr(Sieve(b, order.unmask(m)))
-                    assert order.is_downset(m) == all(below[j] & ~m == 0 for j in _bit_indices(m))
+                    assert order.sieve_text(i, m) == repr(Sieve(b, frozenset(elements[j] for j in indices(m))))
+                    assert order.is_downset(m) == all(below[j] & ~m == 0 for j in indices(m))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31))
