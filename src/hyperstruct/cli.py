@@ -13,10 +13,21 @@ tower reader, and a payload section's module (topology, states or catelem,
 which hold that section's codec) only when the document carries the
 section; only --out compiles the tower writer and loads tempfile and
 pathlib. validate alone compiles the tower laws.
+
+A command process ends in run_process, which both `python -m
+hyperstruct.cli` and the installed `hyperstruct` script call: it runs main,
+flushes stdout and stderr, and ends with os._exit(code), skipping the
+module teardown and final garbage collection of an interpreter about to
+die. A stdout that cannot take the output is an input error there (exit
+2, `cannot write <stdout>: <reason>` on stderr). main itself returns the
+exit code and never exits, so tests and an in-process caller (the
+benchmark's replay) can run many commands in one interpreter.
 """
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .errors import HyperstructError, NotATopology, NotComposable, NotGluable
@@ -134,5 +145,30 @@ def main(argv=None) -> int:
         return 1 if isinstance(e, CHECK_FAILURES) else 2
 
 
+def run_process() -> None:
+    """Run main as the whole life of a command process, then end it with os._exit.
+
+    Both `python -m hyperstruct.cli` and the installed `hyperstruct` script
+    come here. The process flushes stdout and stderr itself and skips the
+    interpreter's teardown, which would only free what the dying process
+    holds. A stdout that cannot take the output, closed at start-up or
+    failing a write or the final flush, ends the process with exit 2 and
+    `error: SchemaError` / `cannot write <stdout>: <reason>` on stderr.
+    Commands turn their own file errors into HyperstructErrors, so an
+    OSError that reaches this point came from stdout. argparse's SystemExit
+    (--help, a usage error) and any other exception take the normal exit.
+    """
+    try:
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code = main()
+        sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write(f"error: SchemaError\ncannot write <stdout>: {e.strerror}\n")
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_process()

@@ -10,12 +10,13 @@ This module holds the envelope and the checks every reader of outside input
 shares, so each rule is spelled once: `load_json` decodes text and refuses
 nesting too deep for the decoder and lone surrogates; `_expect_obj`,
 `_expect_list`, `_expect_id` and `_expect_row` check shapes, the last one
-each fixed-length `[...]` row; `_refuse_repeat` refuses a key a keyed list
-already holds. Every section's reader and the `install` payload read through
-them. `parse` lives in `document_reader` with the tower section's reader, and
-`serialize` in `document_writer` with the tower section's writer; each
-loads on first use, so a command that only writes a document never compiles
-the reader, and one that only reads never compiles the writer. Each payload
+each fixed-length `[...]` row; `_of_types` checks a whole table's types in
+one pass; `_refuse_repeat` refuses a key a keyed list already holds. Every
+section's reader and the `install` payload read through them. `parse` lives
+in `document_reader` with the tower section's reader, and `serialize` in
+`document_writer` with the tower section's writer; each loads on first use,
+so a command that only writes a document never compiles the reader, and one
+that only reads never compiles the writer. Each payload
 section's reader and writer lives beside its types: the topology section in
 `topology`, the states section in `states`, and the category, presheaf and
 simplicial sections in `catelem`. `parse` and `serialize` import a section's
@@ -70,6 +71,12 @@ def _expect_id(value, where: str, noun: str = "identifiers") -> RawId:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(f"{where}: {noun} must be strings or integers, got {value!r}")
     return value
+
+
+def _of_types(values, *types: type) -> bool:
+    """Whether every value's type is one of types (so a bool is not an int): a
+    whole table's check in one pass, before it is read at once."""
+    return set(map(type, values)).issubset(types)
 
 
 def _expect_row(value, where: str, n: int, shape: str) -> list:

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .composition import union_token
 from .core import ElementId, Hyperstructure, RawId, _key_sorted, id_key, sorted_elements
-from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
+from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _of_types, _refuse_repeat
 from .errors import (
     CoConnectorUndefined,
     ConnectorUndefined,
@@ -451,9 +451,21 @@ def _states_text(fields: dict) -> str:
 
 
 def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_state=partial(_expect_id, noun="states")) -> dict[ElementId, object]:
-    """[id, state] pairs as a dict, each id resolved in one raw-id table of the tower."""
+    """[id, state] pairs as a dict, each id resolved in one raw-id table of the tower.
+
+    The pairs are read at once when every row is an [id, state] pair of
+    strs and ints whose id names an element no other row names; otherwise
+    they are walked row by row, which raises the first fault.
+    """
+    rows = _expect_list(raw, where)
+    if rows and _of_types(rows, list) and set(map(len, rows)) == {2}:
+        ids, states = zip(*rows)
+        if _of_types(ids, str, int) and _of_types(states, str, int):
+            at_once = dict(zip(map(table.get, ids), states))
+            if None not in at_once and len(at_once) == len(rows):
+                return at_once
     out: dict[ElementId, object] = {}
-    for e in _expect_list(raw, where):
+    for e in rows:
         r, v = _expect_row(e, where, 2, "[id, state]")
         el = table.get(r) if type(r) is str or type(r) is int else None  # a bool or float would find an int
         if el is None:

@@ -677,6 +677,105 @@ class TestErrorShape:
         assert (code, out) == (0, "validate: pass\n")
 
 
+
+def _process(argv, stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+    """argv run by a `python -m hyperstruct.cli` process, argparse's text 80 columns wide."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "hyperstruct.cli", *argv]
+    return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+class TestProcessExit:
+    """A command process ends by os._exit once it has flushed its output: the
+    same bytes and exit code as a normal exit, and a stdout that cannot take
+    the output is an input error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "change, code, stdout",
+        [
+            (None, 0, b"validate: pass\n"),
+            ("orphan", 1, b"validate: FAIL\nnon-bond-element: element 2:orphan above level 0 has no bond record\n"),
+            ("cut", 2, b"error: ParseError\nline 1 column 47: Expecting value\n"),
+        ],
+    )
+    def test_validate_keeps_its_bytes_and_code(self, tmp_path, change, code, stdout):
+        text = (CORPUS / "brunnian_3_3.json").read_text()
+        if change == "orphan":
+            obj = json.loads(text)
+            obj["hyperstructure"]["levels"][2].append("orphan")
+            text = json.dumps(obj)
+        elif change == "cut":
+            text = '{"format": "hyperstruct/1", "hyperstructure": '
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        done = _process(["validate", str(p)])
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, b"")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["validate"], ["validate", "--help"]])
+    def test_argparse_exits_keep_their_text(self, argv):
+        golden = json.loads(CLI_TEXT.read_text(encoding="utf-8"))[" ".join(argv)]
+        done = _process(argv)
+        got = {"code": done.returncode, "stdout": done.stdout.decode(), "stderr": done.stderr.decode()}
+        assert got == golden
+
+    def test_out_document_is_the_canonical_text(self, tmp_path):
+        out = tmp_path / "out.json"
+        done = _process(["globalize", str(CORPUS / "graded_triangle_site.json"), "--out", str(out)])
+        assert done.returncode == 0 and done.stdout.startswith(b"globalized\n")
+        text = out.read_text(encoding="utf-8")
+        assert text == serialize(parse(text))
+        assert parse(text).states.assignment is not None
+
+    @pytest.mark.parametrize("target", ["closed", "full"])
+    def test_unwritable_stdout_is_an_input_error(self, target):
+        if target == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        argv = ["validate", str(CORPUS / "brunnian_3_3.json")]
+        if target == "closed":  # the process starts with descriptor 1 closed
+            done = _process(argv, stdout=None, preexec_fn=lambda: os.close(1))
+            reason = "Bad file descriptor"
+        else:
+            with open("/dev/full", "wb") as full:
+                done = _process(argv, stdout=full)
+            reason = "No space left on device"
+        assert done.returncode == 2
+        assert done.stderr == f"error: SchemaError\ncannot write <stdout>: {reason}\n".encode()
+
+    def test_stdout_whose_reader_is_gone(self):
+        read, write = os.pipe()
+        os.close(read)  # the first write fails with EPIPE
+        try:
+            done = _process(["validate", str(CORPUS / "brunnian_3_3.json")], stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, b"error: SchemaError\ncannot write <stdout>: Broken pipe\n")
+
+    def test_large_output_into_head_ends_without_a_traceback(self, tmp_path):
+        """globalize prints about 190 kB into a pipe whose reader, like `head
+        -c 1`, leaves after one byte: during the write, which then ends early,
+        or before it, which makes it fail."""
+        ids = [f"v{i}" for i in range(20000)]
+        tower = {
+            "order": 1,
+            "levels": [ids, ["e"]],
+            "omega": [[{"properties": ["p"], "support": ["v0", "v1"]}], []],
+            "bonds": [{"id": "e", "identity": False, "level": 1, "property": "p", "support": ["v0", "v1"]}],
+        }
+        states = {"base": [[v, 1] for v in ids], "connectors": [{"kind": "sum"}]}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({"format": "hyperstruct/1", "hyperstructure": tower, "states": states}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "hyperstruct.cli", "globalize", str(p)]
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(1) == b"g"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert b"Traceback" not in err
+        assert (code, err) in [(0, b""), (2, b"error: SchemaError\ncannot write <stdout>: Broken pipe\n")]
+
+
 #: argv whose stdout, stderr and exit code are pinned in cli_text.json: the
 #: top-level help, usage and unknown command, each command's help, and one
 #: argparse error per command.

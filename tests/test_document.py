@@ -338,9 +338,14 @@ def _keyed_states_tables(states: dict) -> list[list]:
 def _mutated(text: str, section: str, rng: random.Random, repeat_rows: bool = False) -> str:
     """The document with one to three values of one section replaced or deleted.
 
-    With repeat_rows (states only), half the documents first get one row of a
-    keyed table written twice, and then zero to three replacements."""
+    Half the documents instead get one row with two bad values (see
+    _two_bad_values), so a reader that checks a row's values in another
+    order names another fault. With repeat_rows (states only), half of the
+    others first get one row of a keyed table written twice, and then zero
+    to three replacements."""
     obj = json.loads(text)
+    if rng.random() < 0.5 and _two_bad_values(obj[section], section, rng):
+        return json.dumps(obj)
     repeated = False
     if repeat_rows and rng.random() < 0.5:
         tables = _keyed_states_tables(obj[section])
@@ -364,6 +369,39 @@ def _mutated(text: str, section: str, rng: random.Random, repeat_rows: bool = Fa
         elif isinstance(parent, dict) or key < len(parent):
             parent[key] = rng.choice(REPLACEMENTS)
     return json.dumps(obj)
+
+
+BAD_VALUES = (None, True, 1.5, [], {"x": 1})  # neither an id nor a state
+BAD_IDS = BAD_VALUES + ("ghost", 99)
+BAD_LISTS = (None, 1.5, "x", {}, [None], [True], ["ghost"], [[]], ["ghost", 1.5])
+
+
+def _two_bad_values(section: dict, name: str, rng: random.Random) -> bool:
+    """Give one row of the written section two different bad values, and say
+    whether it had such a row: in the tower, a bond a bad id and a bad
+    support, or an omega entry a bad support and bad properties; in the
+    states section, a co-connector row a bad image or pair and a bad state,
+    or, without co-connector rows, two cells of another keyed row."""
+    if name == "hyperstructure":
+        entries = [("bond", e) for e in section.get("bonds") or []]
+        entries += [("omega", e) for table in section.get("omega") or [] for e in table]
+        if not entries:
+            return False
+        kind, row = rng.choice(entries)
+        if kind == "bond":
+            row["id"], row["support"] = rng.choice(BAD_IDS), rng.choice(BAD_LISTS)
+        else:
+            row["support"], row["properties"] = rng.sample(BAD_LISTS, 2)
+        return True
+    co_rows = [row for c in section.get("co_connectors") or [] for row in c.get("entries", [])]
+    rows = co_rows or [row for table in _keyed_states_tables(section) for row in table]
+    if not rows:
+        return False
+    row = rng.choice(rows)
+    cells = rng.sample(range(len(row)), 2)
+    for k, value in zip(cells, rng.sample(BAD_VALUES + (["ghost", 7],), 2)):
+        row[k] = value
+    return True
 
 
 def _outcome(fn, *args):
