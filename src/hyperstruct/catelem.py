@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import FrozenRecord, Hyperstructure, sorted_elements
-from .document import _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
+from .document import _expect_id, _expect_int, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError, SweepTooLarge
 
 ObjId = Hashable
@@ -625,12 +625,12 @@ def _category_to_json(c: FiniteCategory) -> dict:
     return {
         "objects": sorted(c.objects, key=_jkey),
         "morphisms": [
-            {"id": m.id, "src": m.src, "tgt": m.tgt}
+            {"id": m.id, "src": _expect_id(m.src, "morphism"), "tgt": _expect_id(m.tgt, "morphism")}
             for m in sorted(c.morphisms, key=lambda m: _jkey(m.id))
         ],
-        "identities": sorted(([o, m] for o, m in c.identities.items()), key=lambda e: _jkey(e[0])),
+        "identities": sorted(([o, _expect_id(m, "category.identities")] for o, m in c.identities.items()), key=lambda e: _jkey(e[0])),
         "composition": sorted(
-            ([g, f, gf] for (g, f), gf in c.composition.items()),
+            ([g, f, _expect_id(gf, "category.composition")] for (g, f), gf in c.composition.items()),
             key=lambda e: (_jkey(e[0]), _jkey(e[1])),
         ),
     }
@@ -674,7 +674,10 @@ def _presheaf_to_json(p: Presheaf) -> dict:
     return {
         "on_objects": sorted(([o, sorted(v, key=_jkey)] for o, v in p.on_objects.items()), key=lambda e: _jkey(e[0])),
         "on_morphisms": sorted(
-            ([m, sorted(([x, y] for x, y in t.items()), key=lambda xy: _jkey(xy[0]))] for m, t in p.on_morphisms.items()),
+            (
+                [m, sorted(([x, _expect_id(y, "presheaf.on_morphisms")] for x, y in t.items()), key=lambda xy: _jkey(xy[0]))]
+                for m, t in p.on_morphisms.items()
+            ),
             key=lambda e: _jkey(e[0]),
         ),
     }
@@ -713,16 +716,17 @@ def _presheaf_from_json(value, cat: FiniteCategory | None) -> Presheaf:
 
 
 def _simplicial_to_json(s: SimplicialData) -> dict:
-    dims = []
-    for k in range(s.max_dim + 1):
+    max_dim, dims = _expect_int(s.max_dim, "simplicial.max_dim"), []
+    for k, simplices in enumerate(s.simplices[: max_dim + 1]):
         entries = []
-        for sid in sorted(s.simplices[k], key=_jkey):
+        for sid in sorted(simplices, key=_jkey):
             if k == 0:
                 entries.append({"id": sid, "faces": None})
             else:
-                entries.append({"id": sid, "faces": list(s.faces[sid])})
+                faces = [f if f is None else _expect_id(f, "simplicial.faces") for f in s.faces[sid]]
+                entries.append({"id": sid, "faces": faces})
         dims.append(entries)
-    return {"max_dim": s.max_dim, "dimensions": dims}
+    return {"max_dim": max_dim, "dimensions": dims}
 
 
 def _simplicial_from_json(value) -> SimplicialData:

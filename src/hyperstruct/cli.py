@@ -18,15 +18,17 @@ A command process ends in run_process, which both `python -m
 hyperstruct.cli` and the installed `hyperstruct` script call: it runs main,
 flushes stdout and stderr, and ends with os._exit(code), skipping the
 module teardown and final garbage collection of an interpreter about to
-die. A stdout that cannot take the output is an input error there (exit
-2, `cannot write <stdout>: <reason>` on stderr). main itself returns the
-exit code and never exits, so tests and an in-process caller (the
-benchmark's replay) can run many commands in one interpreter.
+die. A stdout that cannot take all of the output, a pipe whose reader
+leaves mid-write included, is an input error there (exit 2, `cannot write
+<stdout>: <reason>` on stderr). main itself returns the exit code and
+never exits, so tests and an in-process caller (the benchmark's replay)
+can run many commands in one interpreter.
 """
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
 
@@ -145,6 +147,21 @@ def main(argv=None) -> int:
         return 1 if isinstance(e, CHECK_FAILURES) else 2
 
 
+class _Stdout(io.RawIOBase):
+    """Descriptor 1, each write taking every byte or raising. A pipe whose
+    reader leaves takes part of a large write; the standard stdout's text
+    layer drops that short count, while writing the rest raises."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        view = memoryview(b)
+        while view:
+            view = view[os.write(1, view) :]
+        return len(b)
+
+
 def run_process() -> None:
     """Run main as the whole life of a command process, then end it with os._exit.
 
@@ -152,8 +169,9 @@ def run_process() -> None:
     come here. The process flushes stdout and stderr itself and skips the
     interpreter's teardown, which would only free what the dying process
     holds. A stdout that cannot take the output, closed at start-up or
-    failing a write or the final flush, ends the process with exit 2 and
-    `error: SchemaError` / `cannot write <stdout>: <reason>` on stderr.
+    failing a write or the final flush (_Stdout makes a short write fail),
+    ends the process with exit 2 and `error: SchemaError` / `cannot write
+    <stdout>: <reason>` on stderr.
     Commands turn their own file errors into HyperstructErrors, so an
     OSError that reaches this point came from stdout. argparse's SystemExit
     (--help, a usage error) and any other exception take the normal exit.
@@ -161,6 +179,8 @@ def run_process() -> None:
     try:
         if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        out = sys.stdout
+        sys.stdout = io.TextIOWrapper(_Stdout(), out.encoding, out.errors, line_buffering=out.line_buffering)
         code = main()
         sys.stdout.flush()
     except OSError as e:

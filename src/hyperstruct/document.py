@@ -9,10 +9,12 @@ bytes and golden-file comparisons are trivial.
 This module holds the envelope and the checks every reader of outside input
 shares, so each rule is spelled once: `load_json` decodes text and refuses
 nesting too deep for the decoder and lone surrogates; `_expect_obj`,
-`_expect_list`, `_expect_id` and `_expect_row` check shapes, the last one
-each fixed-length `[...]` row; `_of_types` checks a whole table's types in
-one pass; `_refuse_repeat` refuses a key a keyed list already holds. Every
-section's reader and the `install` payload read through them. `parse` lives
+`_expect_list`, `_expect_id`, `_expect_int` and `_expect_row` check shapes,
+the last one each fixed-length `[...]` row; `_of_types` checks a whole
+table's types in one pass; `_refuse_repeat` refuses a key a keyed list
+already holds. Every section's reader and the `install` payload read
+through them, and each payload section's writer passes what it writes
+through `_jkey` (a checked `core.id_key`), `_expect_id` or `_expect_int`. `parse` lives
 in `document_reader` with the tower section's reader, and `serialize` in
 `document_writer` with the tower section's writer; each loads on first use,
 so a command that only writes a document never compiles the reader, and one
@@ -29,7 +31,7 @@ import json
 import re
 from typing import TYPE_CHECKING
 
-from .core import ElementId, Hyperstructure, RawId, Record
+from .core import ElementId, Hyperstructure, RawId, Record, id_key
 from .errors import HyperstructError, SchemaError
 
 if TYPE_CHECKING:
@@ -41,9 +43,10 @@ FORMAT = "hyperstruct/1"
 
 
 def _jkey(v):
+    """v's place in id order, once v is checked to be an identifier or a state."""
     if not isinstance(v, (str, int)) or isinstance(v, bool):
         raise SchemaError(f"identifiers and states must be strings or integers, got {v!r}")
-    return (isinstance(v, str), v)
+    return id_key(v)
 
 
 def _expect_obj(value, where: str, allowed: set[str], required: set[str] = frozenset()) -> dict:
@@ -70,6 +73,13 @@ def _expect_id(value, where: str, noun: str = "identifiers") -> RawId:
     """value, an identifier or (with noun "states") a state: a str or an int, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(f"{where}: {noun} must be strings or integers, got {value!r}")
+    return value
+
+
+def _expect_int(value, where: str) -> int:
+    """value, an int and never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
     return value
 
 

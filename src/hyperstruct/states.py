@@ -295,7 +295,7 @@ def _state_from_json(value, where: str):
 def _connector_to_json(c: Connector) -> dict:
     if c.kind == "table":
         entries = sorted(
-            ([list(k), v] for k, v in (c.table or {}).items()),
+            ([list(k), _expect_id(v, "states.connectors", "states")] for k, v in (c.table or {}).items()),
             key=lambda e: [_jkey(x) for x in e[0]],
         )
         return {"kind": "table", "entries": entries}
@@ -325,10 +325,10 @@ def _co_connector_to_json(c: CoConnector) -> dict:
     if c.kind == "identity":
         return {"kind": "identity"}
     if c.kind == "table":
-        entries = sorted(([k, v] for k, v in (c.table or {}).items()), key=lambda e: _jkey(e[0]))
+        entries = sorted(([k, _expect_id(v, "states.co_connectors", "states")] for k, v in (c.table or {}).items()), key=lambda e: _jkey(e[0]))
         return {"kind": "table", "entries": entries}
     entries = sorted(
-        ([[p.id, ch.id], v] for (p, ch), v in (c.table or {}).items()),
+        ([[p.id, ch.id], _expect_id(v, "states.co_connectors", "states")] for (p, ch), v in (c.table or {}).items()),
         key=lambda e: [_jkey(e[0][0]), _jkey(e[0][1])],
     )
     return {"kind": "per_child", "entries": entries}
@@ -370,18 +370,29 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
     return CoConnector(kind="per_child", table=table)
 
 
-def _sorted_pairs(mapping: Mapping[ElementId, object]) -> list[tuple[ElementId, object]]:
-    """The mapping's items in ElementId.key order."""
+def _sorted_pairs(mapping: Mapping[ElementId, object], states: tuple) -> tuple:
+    """The mapping's items in ElementId.key order, with how to write their ids
+    and their states, once the ids are strs and ints and every state has a
+    type that states (a document_writer column kind) holds."""
+    from .document_writer import _writer
+
     keys = list(mapping)
-    if all(type(e) is ElementId for e in keys):
-        keys = _key_sorted(keys)
-    else:
+    if not _of_types(keys, ElementId):
         keys.sort(key=lambda e: e.key)  # a key that is not an ElementId has no .key: AttributeError
-    return [(e, mapping[e]) for e in keys]
+    write_id = _writer([[e.id for e in keys]])
+    write_state = _writer([mapping.values()], states)
+    return [(e, mapping[e]) for e in _key_sorted(keys)], write_id, write_state
+
+
+def _marker_text(m: Marker) -> str:
+    """A marker as its {"marker": name} object, at an assignment state's depth of ten columns."""
+    return f'{{\n{" " * 12}"marker": {encode_basestring(m.name)}\n{" " * 10}}}'
 
 
 def _states_sorted(s: StatesSection) -> dict:
     """The states section's fields in canonical order, every check run."""
+    from .document_writer import _IDS
+
     out: dict = {}
     if s.tower is not None:
         spaces = []
@@ -391,36 +402,29 @@ def _states_sorted(s: StatesSection) -> dict:
                 entry["op"] = None
             else:
                 entry["op"] = {
-                    "unit": op.unit,
-                    "table": sorted(([a, b, v] for (a, b), v in op.table.items()), key=lambda t: (_jkey(t[0]), _jkey(t[1]))),
+                    "unit": _expect_id(op.unit, "op", "states"),
+                    "table": sorted(
+                        ([a, b, _expect_id(v, "op", "states")] for (a, b), v in op.table.items()),
+                        key=lambda t: (_jkey(t[0]), _jkey(t[1])),
+                    ),
                 }
             spaces.append(entry)
         out["spaces"] = spaces
-    out["base"] = _sorted_pairs(s.base) if s.base is not None else None
-    out["top"] = _sorted_pairs(s.top) if s.top is not None else None
+    out["base"] = _sorted_pairs(s.base, _IDS) if s.base is not None else None
+    out["top"] = _sorted_pairs(s.top, _IDS) if s.top is not None else None
     out["connectors"] = [_connector_to_json(c) for c in s.connectors] if s.connectors is not None else None
     out["co_connectors"] = [_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None
-    out["assignment"] = [_sorted_pairs(level) for level in s.assignment.per_level] if s.assignment is not None else None
+    marked = (_IDS[0], {**_IDS[1], Marker: _marker_text})  # an assignment's states may also be markers
+    out["assignment"] = [_sorted_pairs(level, marked) for level in s.assignment.per_level] if s.assignment is not None else None
     return out
 
 
-def _pairs_text(pairs: list, pad: str, state_text) -> str:
-    """A sorted pair list as a JSON list of [id, state] lists, one template per pair.
+def _pairs_text(pairs: list, write_id, write_state, pad: str) -> str:
+    """A sorted pair list as a JSON list of [id, state] lists, one template per pair."""
+    from .document_writer import _list
 
-    str ids and int states, the common case, are written without a call to
-    _scalar or state_text.
-    """
-    from .document_writer import _list, _scalar
-
-    p2, p4, inner = "\n" + pad + "  ", "\n" + pad + "    ", pad + "    "
-    return _list(
-        [
-            f"[{p4}{encode_basestring(e.id) if type(e.id) is str else _scalar(e.id, inner)},"
-            f"{p4}{int.__repr__(v) if type(v) is int else state_text(v, inner)}{p2}]"
-            for e, v in pairs
-        ],
-        pad,
-    )
+    p2, p4 = "\n" + pad + "  ", "\n" + pad + "    "
+    return _list([f"[{p4}{write_id(e.id)},{p4}{write_state(v)}{p2}]" for e, v in pairs], pad)
 
 
 def _states_text(fields: dict) -> str:
@@ -429,13 +433,7 @@ def _states_text(fields: dict) -> str:
     The writer's helpers are imported when a states section is written, so a
     command that only reads one never compiles document_writer.
     """
-    from .document_writer import _dumps, _list, _scalar
-
-    def marked_text(v, pad: str) -> str:
-        """_scalar(v, pad), with a marker written as its {"marker": name} object."""
-        if isinstance(v, Marker):
-            return f'{{\n{pad}  "marker": {_scalar(v.name, pad + "  ")}\n{pad}}}'
-        return _scalar(v, pad)
+    from .document_writer import _dumps, _list
 
     p4 = " " * 4
     items = []
@@ -443,9 +441,9 @@ def _states_text(fields: dict) -> str:
         if value is None or name in ("spaces", "connectors", "co_connectors"):
             text = _dumps(value, p4)
         elif name == "assignment":
-            text = _list([_pairs_text(level, " " * 6, marked_text) for level in value], p4)
+            text = _list([_pairs_text(*level, " " * 6) for level in value], p4)
         else:
-            text = _pairs_text(value, p4, _scalar)
+            text = _pairs_text(*value, p4)
         items.append(f'{p4}"{name}": {text}')
     return "{\n" + ",\n".join(items) + "\n  }"
 

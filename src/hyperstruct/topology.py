@@ -47,7 +47,7 @@ import random
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import ElementId, Hyperstructure, sorted_elements
-from .document import _expect_id, _expect_list, _expect_row, _jkey, _refuse_repeat
+from .document import _expect_id, _expect_int, _expect_list, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding
 
@@ -530,7 +530,7 @@ def make_site(h: Hyperstructure, topology: TopologyAssignment, exhaustive: bool 
 
 def _topology_to_json(topology: dict[ElementId, frozenset[Sieve]]) -> list:
     out = []
-    for e in sorted(topology, key=lambda e: e.key):
+    for e in sorted(topology, key=lambda e: (_expect_int(e.level, "topology"), _jkey(e.id))):
         sieves = sorted(
             (sorted((m.id for m in s.members), key=_jkey) for s in topology[e]),
             key=lambda ms: [_jkey(m) for m in ms],

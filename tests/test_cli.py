@@ -752,8 +752,8 @@ class TestProcessExit:
 
     def test_large_output_into_head_ends_without_a_traceback(self, tmp_path):
         """globalize prints about 190 kB into a pipe whose reader, like `head
-        -c 1`, leaves after one byte: during the write, which then ends early,
-        or before it, which makes it fail."""
+        -c 1`, leaves after one byte, during the write or before it: either
+        way the output is cut short, and the process says so."""
         ids = [f"v{i}" for i in range(20000)]
         tower = {
             "order": 1,
@@ -772,8 +772,7 @@ class TestProcessExit:
         err = proc.stderr.read()
         proc.stderr.close()
         code = proc.wait(timeout=60)
-        assert b"Traceback" not in err
-        assert (code, err) in [(0, b""), (2, b"error: SchemaError\ncannot write <stdout>: Broken pipe\n")]
+        assert (code, err) == (2, b"error: SchemaError\ncannot write <stdout>: Broken pipe\n")
 
 
 #: argv whose stdout, stderr and exit code are pinned in cli_text.json: the

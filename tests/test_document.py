@@ -497,6 +497,162 @@ def _towers(seed: int):
     yield _fused(random_tower(rng, max_order=3, max_per_level=6), rng)
 
 
+def _assert_written_like_the_reference(doc) -> None:
+    """serialize writes the dict-tree reference's text when that text parses.
+    Where the reference raises, or writes text parse refuses, serialize raises
+    SchemaError or writes that same text (a range or reference fault is left
+    for parse to name)."""
+    got, want = _outcome(serialize, doc), _outcome(reference_serialize, doc)
+    if isinstance(want, str) and isinstance(_outcome(parse, want), Document):
+        assert got == want
+    else:
+        assert got == want or (isinstance(got, tuple) and got[0] is SchemaError), got
+
+
+def _bond(change):
+    """A cell of a random bond of the document's tower; change(bond, value) is the changed bond."""
+
+    def put(doc, value, rng):
+        bonds = list(doc.hyperstructure.bonds)
+        assume(bonds)
+        k = rng.randrange(len(bonds))
+        bonds[k] = change(bonds[k], value)
+        doc.hyperstructure = doc.hyperstructure._replace(bonds=tuple(bonds))
+
+    return put
+
+
+def _fusion(change):
+    """A cell of the first fusion record of the document's tower."""
+
+    def put(doc, value, rng):
+        log = doc.hyperstructure.fusion_log
+        assume(log)
+        doc.hyperstructure = doc.hyperstructure._replace(fusion_log=(change(log[0], value),) + log[1:])
+
+    return put
+
+
+def _tower(change):
+    """A cell of the document's tower outside its bonds and fusion log."""
+
+    def put(doc, value, rng):
+        doc.hyperstructure = change(doc.hyperstructure, value)
+
+    return put
+
+
+def _with_token(h, token) -> dict:
+    """h's first omega table with an entry for all of level 0 that carries "p" and token."""
+    return {**h.omegas[0], Support(0, frozenset(h.levels[0])): frozenset({"p", token})}
+
+
+def _first(table: dict, value) -> dict:
+    """table with the value of its first key (in repr order) replaced."""
+    return {**table, min(table, key=repr): value}
+
+
+def _topology_root(level: bool):
+    def put(doc, value, rng):
+        root = min(doc.topology, key=repr)
+        sieves = doc.topology.pop(root)
+        doc.topology[ElementId(value, root.id) if level else ElementId(root.level, value)] = sieves
+
+    return put
+
+
+def _morphism(field: str):
+    def put(doc, value, rng):
+        c = doc.category
+        doc.category = c._replace(morphisms=(c.morphisms[0]._replace(**{field: value}),) + c.morphisms[1:])
+
+    return put
+
+
+def _category(field: str):
+    """The first entry of the category's identities or composition."""
+
+    def put(doc, value, rng):
+        doc.category = doc.category._replace(**{field: _first(getattr(doc.category, field), value)})
+
+    return put
+
+
+def _action(doc, value, rng):
+    p = doc.presheaf
+    m = min((m for m, t in p.on_morphisms.items() if t), key=repr)
+    doc.presheaf = p._replace(on_morphisms={**p.on_morphisms, m: _first(p.on_morphisms[m], value)})
+
+
+def _face(doc, value, rng):
+    s = doc.simplicial
+    sid = min(s.simplices[1], key=repr)
+    doc.simplicial = s._replace(faces={**s.faces, sid: (value,) + s.faces[sid][1:]})
+
+
+def _max_dim(doc, value, rng):
+    doc.simplicial = doc.simplicial._replace(max_dim=value)
+
+
+def _op(field: str):
+    """The unit, or the first result, of the first state space's operation table."""
+
+    def put(doc, value, rng):
+        ops = doc.states.tower.ops
+        op = ops[0]._replace(unit=value) if field == "unit" else ops[0]._replace(table=_first(ops[0].table, value))
+        doc.states.tower = doc.states.tower._replace(ops=(op,) + ops[1:])
+
+    return put
+
+
+def _table(field: str, k: int):
+    """The first output of the k-th table connector or co-connector."""
+
+    def put(doc, value, rng):
+        folds = list(getattr(doc.states, field))
+        folds[k] = folds[k]._replace(table=_first(folds[k].table, value))
+        setattr(doc.states, field, tuple(folds))
+
+    return put
+
+
+ID, INT = (str, int), (int,)
+#: Each cell of a document's tables whose type the reader checks: the types
+#: it takes there, whether the value goes into a set or a dict key, and how
+#: to put a value in. Tower cells go into a random fused tower with payload
+#: sections; the others into the every-section document.
+TOWER_CELLS = {
+    "bond property": ((str,), False, _bond(lambda b, v: b._replace(property=v))),
+    "bond identity": ((bool,), False, _bond(lambda b, v: b._replace(identity=v))),
+    "bond id": (ID, True, _bond(lambda b, v: b._replace(id=ElementId(b.id.level, v)))),
+    "bond level": (INT, True, _bond(lambda b, v: b._replace(id=ElementId(v, b.id.id)))),
+    "support id": (ID, True, _bond(lambda b, v: b._replace(support=Support(b.support.level, b.support.members | {ElementId(0, v)})))),
+    "level id": (ID, True, _tower(lambda h, v: h._replace(levels=(h.levels[0] | {ElementId(0, v)},) + h.levels[1:]))),
+    "omega token": ((str,), True, _tower(lambda h, v: h._replace(omegas=(_with_token(h, v),) + h.omegas[1:]))),
+    "fusion k": (INT, False, _fusion(lambda r, v: r._replace(k=v))),
+    "fusion id": (ID, False, _fusion(lambda r, v: r._replace(b=ElementId(r.b.level, v)))),
+    "fusion level": (INT, False, _fusion(lambda r, v: r._replace(result=ElementId(v, r.result.id)))),
+    "order": (INT, False, _tower(lambda h, v: h._replace(order=v))),
+}
+ODD_CELLS = {
+    **TOWER_CELLS,
+    "topology root id": (ID, True, _topology_root(level=False)),
+    "topology root level": (INT, True, _topology_root(level=True)),
+    "morphism src": (ID, False, _morphism("src")),
+    "morphism tgt": (ID, False, _morphism("tgt")),
+    "identity": (ID, False, _category("identities")),
+    "composite": (ID, False, _category("composition")),
+    "presheaf action": (ID, False, _action),
+    "simplicial face": (ID + (type(None),), False, _face),
+    "simplicial max_dim": (INT, False, _max_dim),
+    "op unit": (ID, False, _op("unit")),
+    "op result": (ID, False, _op("table")),
+    "connector output": (ID, False, _table("connectors", 0)),
+    "co-connector image": (ID, False, _table("co_connectors", 0)),
+    "per_child value": (ID, False, _table("co_connectors", 1)),
+}
+
+
 class TestCodecOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**31))
@@ -514,47 +670,36 @@ class TestCodecOracle:
         assert text == reference_serialize(doc)
         assert serialize(parse(text)) == text
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2**31), st.sampled_from(ODD_VALUES), st.integers(0, 7))
-    def test_odd_values_written_or_refused_like_the_dict_tree(self, seed, value, where):
-        """Hand-built towers holding values no document can: a bad id is refused
-        with the same message, anything else json can write is written the same."""
-        rng = random.Random(seed)
-        h = _fused(random_tower(rng, max_order=3, max_per_level=6), rng)
-        doc = _with_sections(h, rng)  # payload sections of the unbroken tower
-        bonds = list(h.bonds)
-        if 2 <= where <= 6:  # these go into sets and dict keys
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(ODD_VALUES), st.sampled_from(sorted(ODD_CELLS)))
+    def test_odd_values_written_like_the_dict_tree_or_refused(self, seed, value, cell):
+        """Hand-built documents holding one odd value in one cell: written as the
+        reference writes them, or refused with SchemaError where the reference
+        raises or writes text parse refuses, and always refused, naming the
+        value, when the reader takes no value of its type there."""
+        takes, hashed, change = ODD_CELLS[cell]
+        if hashed:  # these go into sets and dict keys
             assume(not isinstance(value, (list, dict)))
-        if where < 5:
-            assume(bonds)
-            k = rng.randrange(len(bonds))
-            b = bonds[k]
-            if where == 0:
-                bonds[k] = b._replace(property=value)
-            elif where == 1:
-                bonds[k] = b._replace(identity=value)
-            elif where == 2:
-                bonds[k] = b._replace(id=ElementId(b.id.level, value))
-            elif where == 3:
-                bonds[k] = b._replace(support=Support(b.support.level, b.support.members | {ElementId(0, value)}))
-            else:
-                bonds[k] = b._replace(id=ElementId(value, b.id.id))
-            h = h._replace(bonds=tuple(bonds))
-        elif where == 5:
-            levels = list(h.levels)
-            levels[0] = levels[0] | {ElementId(0, value)}
-            h = h._replace(levels=tuple(levels))
-        elif where == 6:
-            omegas = [dict(t) for t in h.omegas]
-            omegas[0][Support(0, frozenset(h.levels[0]))] = frozenset({"p", value})
-            h = h._replace(omegas=tuple(omegas))
-        elif h.fusion_log:
-            r = h.fusion_log[0]
-            h = h._replace(fusion_log=(FusionRecord(k=value, m=r.m, n=r.n, a=r.a, b=r.b, result=r.result),))
+        rng = random.Random(seed)
+        if cell in TOWER_CELLS:
+            doc = _with_sections(_fused(random_tower(rng, max_order=3, max_per_level=6), rng), rng)
         else:
-            h = h._replace(order=value)
-        doc.hyperstructure = h
-        assert _outcome(serialize, doc) == _outcome(reference_serialize, doc)
+            doc = parse(json.dumps({**every_section_document(), **json.loads((CORPUS / "hollow_triangle.json").read_text())}))
+        change(doc, value, rng)
+        _assert_written_like_the_reference(doc)
+        if type(value) not in takes:
+            got = _outcome(serialize, doc)
+            assert isinstance(got, tuple) and got[0] is SchemaError and got[1].endswith(f"got {value!r}"), got
+
+    def test_tokens_mixing_none_and_str_are_refused(self):
+        """The reference's sort of such a set raises TypeError; the writer names the None."""
+        h = new_hyperstructure(["a", "b"])
+        h = h._replace(omegas=({Support(0, frozenset(h.levels[0])): frozenset({None, "p", "q"})},))
+        doc = Document(hyperstructure=h)
+        assert _outcome(reference_serialize, doc)[0] is TypeError
+        with pytest.raises(SchemaError) as got:
+            serialize(doc)
+        assert str(got.value) == "property tokens must be strings, got None"
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31))
@@ -653,10 +798,16 @@ class TestStatesCodecOracle:
     @settings(max_examples=200, deadline=None)
     @given(states_documents(), st.integers(0, 2**31))
     def test_states_section_equals_the_old_codec(self, doc, seed):
-        """Same bytes or the same error when written; when read, the same
-        section or the same first error, also after the text is mutated."""
+        """Written as the reference writes it, or refused with SchemaError where
+        the reference raises or writes text parse refuses; when read, the
+        same section or the same first error, also after the text is mutated."""
+        _assert_written_like_the_reference(doc)
         text = _outcome(serialize, doc)
-        assert text == _outcome(reference_serialize, doc)
+        sec = doc.states
+        keyed = [sec.base, sec.top, *(sec.assignment.per_level if sec.assignment else ())]
+        keyed += [c.table for c in sec.co_connectors or () if c.kind == "per_child"]
+        if any(isinstance(v, tuple(map(type, ODD_STATES))) for table in keyed if table for v in table.values()):
+            assert isinstance(text, tuple) and text[0] is SchemaError, text
         if isinstance(text, str):
             assert _outcome(parse, text) == _outcome(reference_parse, text)
             mutated = _mutated(text, "states", random.Random(seed), repeat_rows=True)
