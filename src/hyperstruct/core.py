@@ -118,7 +118,8 @@ def _key_sorted(items: list, element=None) -> list:
 
     Two ids at one level compare as plain values exactly as their id_keys
     do, unless one is a str and the other not; that comparison raises
-    TypeError, and only then are the keys built.
+    TypeError, and only then are the keys built. So when every item lies at
+    one level, element may map each to its raw id alone.
     """
     try:
         return sorted(items, key=element)

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Sequence
 from .core import Hyperstructure, sorted_elements
 from .errors import OperationMissing
 from .report import CheckReport, Finding
-from .states import Connector, LambdaAssignment, Marker, StateToken, StateTower
+from .states import Connector, LambdaAssignment, Marker, StateTower
 
 if TYPE_CHECKING:
     from .topology import Site
@@ -50,12 +50,15 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
 
     Each family is read into a mask over its level: with one lookup in the
     order's mask memo when maximal_topology built it, else in one pass over
-    its members. Boundaries are the order's support masks, so a family
-    covers when the OR of its members' supports equals the bond's. Lower
-    states are read from the assignment in bit order, so KeyError names the
-    first (sorted) member without one. Sieves are read as stored: the first
-    covering family folds the bond's own boundary, once, so no error depends
-    on their order; a one-member family costs no second fold.
+    its members. A family covers when the OR of its members' support masks
+    equals the bond's. The family's members are read from the order's ideal
+    list of the bond when the family is the bond's maximal sieve, and from
+    the mask's bits otherwise. Boundaries are the order's members lists:
+    ascending positions over the level below, so lower states are read in
+    sorted_elements order and KeyError names the first member without one.
+    Sieves are read as stored: the first covering family folds the bond's
+    own boundary, once, so no error depends on their order; a one-member
+    family costs no second fold.
     """
     from .topology import _bit_indices, _level_order
 
@@ -68,24 +71,25 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
     for i in range(1, h.order + 1):
         delta = connectors[i - 1]
         fold = delta.is_fold
-        # families and boundaries as masks; ascending bits list them in
-        # sorted_elements order, which fixes the order values are read in
-        order, below = _level_order(h, i), _level_order(h, i - 1).elements
-        index, support, masks = order.index, order.support, order.masks
+        # families as masks and boundaries as ascending positions, which list
+        # them in sorted_elements order and so fix the order values are read in
+        order, lower = _level_order(h, i), _level_order(h, i - 1).elements
+        index, support, members, masks = order.index, order.support, order.members, order.masks
+        below, ideals = order.below, order.ideals
         # a level the assignment lacks has no state above it either, so no family reads it
         states = lam.per_level[i - 1] if i <= len(lam.per_level) else {}
-
-        def values(mask: int) -> list[StateToken]:
-            return [states[below[j]] for j in _bit_indices(mask)]
+        wants = lam.per_level[i] if i < len(lam.per_level) else {}
 
         for b in h.bonds_at(i):
-            want = lam.get(b.id)
+            e = b.id
+            want = wants.get(e)
             if want is None or isinstance(want, Marker):
-                findings.append(Finding("totality", f"no state for {b.id!r}"))
+                findings.append(Finding("totality", f"no state for {e!r}"))
                 continue
-            boundary = support[index[b.id]]
-            got = None  # every covering family recomputes b's boundary, so once per bond
-            for sieve in site.topology.get(b.id, ()):
+            k = index[e]
+            boundary = members[k]
+            got = None  # every covering family recomputes e's boundary, so once per bond
+            for sieve in site.topology.get(e, ()):
                 # the family's bonds at this level, in one lookup when maximal_topology
                 # built the family; otherwise other members drop out, but a bond of
                 # another level has its boundary elsewhere, so the family covers nothing
@@ -93,35 +97,33 @@ def check_amalgamation(site: Site, lam: LambdaAssignment, connectors: Sequence[C
                 if family is None:
                     family = 0
                     for m in sieve.members:
-                        k = index.get(m)
-                        if k is not None:
-                            family |= 1 << k
+                        j = index.get(m)
+                        if j is not None:
+                            family |= 1 << j
                         elif h.is_bond(m):
                             family = 0
                             break
                 if not family:
                     continue
-                family_bits = _bit_indices(family)
+                family_bits = ideals[k] if family == below[k] else _bit_indices(family)
                 covered = size = 0
-                for k in family_bits:
-                    covered |= support[k]
-                    size += support[k].bit_count()
-                if covered != boundary:
+                for j in family_bits:
+                    covered |= support[j]
+                    size += len(members[j])
+                if covered != support[k]:
                     continue
                 if got is None:
-                    got = delta.apply(values(boundary), at=b.id)
+                    got = delta.apply([states[lower[m]] for m in boundary], at=e)
                 if got != want:
-                    findings.append(
-                        Finding("descent", f"bond {b.id!r}: family {sieve!r} recomputes {got!r} != {want!r}")
-                    )
-                if fold and size == boundary.bit_count():
+                    findings.append(Finding("descent", f"bond {e!r}: family {sieve!r} recomputes {got!r} != {want!r}"))
+                if fold and size == len(boundary):
                     if len(family_bits) == 1:
                         staged = got
                     else:
-                        staged = delta.apply([delta.apply(values(support[k]), at=b.id) for k in family_bits], at=b.id)
+                        staged = delta.apply([delta.apply([states[lower[m]] for m in members[j]], at=e) for j in family_bits], at=e)
                     if staged != want:
                         findings.append(
-                            Finding("descent", f"bond {b.id!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
+                            Finding("descent", f"bond {e!r}: stagewise fold over {sieve!r} gives {staged!r} != {want!r}")
                         )
     return CheckReport("amalgamation", findings, notes)
 

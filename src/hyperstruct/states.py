@@ -372,13 +372,17 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
 
 def _sorted_pairs(mapping: Mapping[ElementId, object], states: tuple) -> tuple:
     """The mapping's items in ElementId.key order, with how to write their ids
-    and their states, once the ids are strs and ints and every state has a
-    type that states (a document_writer column kind) holds."""
-    from .document_writer import _writer
+    and their states, once every key is an ElementId with an int level, the
+    ids are strs and ints and every state has a type that states (a
+    document_writer column kind) holds; SchemaError names the first key or
+    value that is not."""
+    from .document_writer import _INTS, _writer
 
     keys = list(mapping)
     if not _of_types(keys, ElementId):
-        keys.sort(key=lambda e: e.key)  # a key that is not an ElementId has no .key: AttributeError
+        bad = next(k for k in keys if type(k) is not ElementId)
+        raise SchemaError(f"states are keyed by elements, got {type(bad).__name__} {bad!r}")
+    _writer([[e.level for e in keys]], _INTS)
     write_id = _writer([[e.id for e in keys]])
     write_state = _writer([mapping.values()], states)
     return [(e, mapping[e]) for e in _key_sorted(keys)], write_id, write_state

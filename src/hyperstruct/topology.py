@@ -11,8 +11,13 @@ Every consumer of the preorder (refines, the sieve functions, the axiom
 checker, descent in states and refinement_category in catelem) reads one
 bitmask view per level, cached on the tower (towers are immutable), so
 sweeping many candidate topologies over one tower pays the setup cost once.
-A level's view holds each element's support as a mask over the level below
-(its own bit at level 0), so views are built bottom-up. An element lies
+A level's view holds each element's support over the level below (its own
+position at level 0) and each element's ideal, every one both as a mask and
+as the ascending list of its positions, so views are built bottom-up. The
+masks carry the set algebra of the axioms; the lists spare the consumers
+that walk members a bit-by-bit decomposition: maximal_topology builds each
+family from its ideal list, the stability axiom walks the ideals, and
+descent reads boundary states through the support lists. An element lies
 under exactly the elements whose supports hold every member of its own, so
 its upper set is the AND of one mask per support member, and the view's
 ideals are the transpose of those upper sets: a view costs the total support
@@ -44,9 +49,10 @@ else writes the memo; like the texts, it lives as long as the tower.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import ElementId, Hyperstructure, sorted_elements
+from .core import ElementId, Hyperstructure, _key_sorted, sorted_elements
 from .document import _expect_id, _expect_int, _expect_list, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding
@@ -56,6 +62,8 @@ from .report import CheckReport, Finding
 #: has more members than this.
 EXHAUSTIVE_CAP = 16
 SAMPLE_SIZE = 64
+
+_raw_id = itemgetter(1)  # an ElementId's raw id, which orders the elements of one level
 
 
 class Sieve(NamedTuple):
@@ -140,6 +148,12 @@ class _LevelOrder:
     below is that relation transposed. An empty support is under every
     element of the level.
 
+    members[j] and ideals[i] are the same sets as support[j] and below[i],
+    as ascending position lists, built with them: so the order they list
+    never depends on the hash seed. maximal_topology, the stability axiom
+    and check_amalgamation read them; the sieve functions, which take and
+    return arbitrary families, decompose masks with unmask.
+
     masks maps each maximal sieve's family that maximal_topology built (a
     frozenset of level elements) to its mask, so it holds at most one
     family per element. It is keyed by value, so mask_of finds an equal
@@ -150,57 +164,68 @@ class _LevelOrder:
     tabled when the first of them is written.
     """
 
-    __slots__ = ("elements", "index", "support", "below", "downsets", "masks", "texts", "_names")
+    __slots__ = ("elements", "index", "support", "members", "below", "ideals", "downsets", "masks", "texts", "_names")
 
     def __init__(self, h: Hyperstructure, level: int, lower: _LevelOrder | None):
-        self.elements = sorted_elements(h.elements(level))
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.elements = _key_sorted(list(h.elements(level)), _raw_id)
+        n = len(self.elements)
+        self.index = dict(zip(self.elements, range(n)))
         self.downsets: dict[int, list[int]] = {}
         self.masks: dict[frozenset[ElementId], int] = {}
         self.texts: dict[tuple[int, int], str] = {}
         self._names: tuple[list[str], list[str]] | None = None
         if lower is None:  # each level-0 element refines only itself
-            self.support = self.below = [1 << j for j in range(len(self.elements))]
+            self.support = self.below = [1 << j for j in range(n)]
+            self.members = self.ideals = [[j] for j in range(n)]
             return
-        # support[j], read once from the level below's index (a miss asks
-        # h.bond or mask_of, which raise); containing[m] = mask of elements
-        # whose support holds bit m
+        # support[j] and members[j], read once from the level below's index (a
+        # miss asks h.bond or mask_of, which raise); containing[m] = mask of
+        # elements whose support holds bit m
         bonds, index = h.bond_index, lower.index
-        self.support, bits = [], []
+        self.support, self.members = support, members = [], []
         containing = [0] * len(lower.elements)
         empty = 0
         for j, e in enumerate(self.elements):
             b = bonds.get(e) or h.bond(e)
             try:
-                members = [index[m] for m in b.support.members]
+                bits = sorted(map(index.__getitem__, b.support.members))
             except KeyError:
                 lower.mask_of(b.support.members)
                 raise
-            mask = 0
-            for m in members:
+            mask, bit = 0, 1 << j
+            for m in bits:
                 mask |= 1 << m
-                containing[m] |= 1 << j
-            if not members:
-                empty |= 1 << j
-            self.support.append(mask)
-            bits.append(members)
-        self.below = below = [empty] * len(self.elements)
-        for j, members in enumerate(bits):
-            if not members:
+                containing[m] |= bit
+            if not bits:
+                empty |= bit
+            support.append(mask)
+            members.append(bits)
+        self.below = below = [empty] * n
+        self.ideals = ideals = [[] for _ in range(n)]
+        for j, bits in enumerate(members):
+            if not bits:
                 continue
-            above = containing[members[0]]
-            for m in members[1:]:
+            above = containing[bits[0]]
+            for m in bits[1:]:
                 above &= containing[m]
             bit = 1 << j
-            for i in _bit_indices(above):
+            if above == bit:  # j lies under itself, and most elements under nothing else
+                below[j] |= bit
+                ideals[j].append(j)
+                continue
+            for i in _bit_indices(above):  # j ascends, so every ideal list does too
                 below[i] |= bit
+                ideals[i].append(j)
+        if empty:  # an empty support lies under every element, out of the loop's sight
+            self.ideals = [_bit_indices(m) for m in below]
 
     def mask_of(self, members: Iterable[ElementId]) -> int:
         """The mask of members; UnknownElement names the first (sorted) member the level lacks.
 
-        A frozenset is looked up in masks first; a miss is not stored.
+        A frozenset is looked up in masks first, once masks holds anything;
+        a miss is not stored.
         """
-        if type(members) is frozenset:
+        if type(members) is frozenset and self.masks:
             got = self.masks.get(members)
             if got is not None:
                 return got
@@ -354,6 +379,7 @@ def is_grothendieck_topology(
     # convert each collection to a set of masks, validating as we go
     invalid: list[Finding] = []
     masks: list[set[int]] = []
+    below = order.below
     for i, b in enumerate(elements):
         got = set()
         for s in topology[b]:
@@ -366,7 +392,7 @@ def is_grothendieck_topology(
                 stray = next(e for e in sorted_elements(s.members) if e not in order.index)
                 invalid.append(Finding("not-a-sieve", f"family under {b!r} names {stray!r}, not a level-{level} element: {s!r}"))
                 continue
-            if m != order.below[i] and (m & ~order.below[i] or not order.is_downset(m)):
+            if m != below[i] and (m & ~below[i] or not order.is_downset(m)):
                 invalid.append(Finding("not-a-sieve", f"family under {b!r} is not downward closed: {s!r}"))
                 continue
             got.add(m)
@@ -383,7 +409,7 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
     the order's text memo, and nothing is written until a violation is found.
     """
     yield from invalid
-    below, text = order.below, order.sieve_text
+    below, ideals, text = order.below, order.ideals, order.sieve_text
 
     # (i) maximality
     for i, sieves in enumerate(masks):
@@ -393,7 +419,9 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
 
     # (ii) stability under pullback along every refinement
     for i, sieves in enumerate(masks):
-        for j in _bit_indices(below[i] & ~(1 << i)):
+        for j in ideals[i]:
+            if j == i:
+                continue
             below_j, sieves_j = below[j], masks[j]
             for s in sieves:
                 if s & below_j not in sieves_j:
@@ -412,10 +440,10 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
     # if no such root follows.
     owed = 0
     for i, sieves in enumerate(masks):
-        others = [s for s in sieves if not s >> i & 1]
-        if not others:
+        if len(sieves) == (below[i] in sieves):  # below[i] is the one valid sieve holding i, so no other is listed
             owed += 64 * SAMPLE_SIZE * below[i].bit_count()
             continue
+        others = [s for s in sieves if not s >> i & 1]
         if rng is None:
             candidates = order.downsets_below(i)
         else:
@@ -450,9 +478,9 @@ def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     """
     out: dict[ElementId, frozenset[Sieve]] = {}
     for o in (_level_order(h, i) for i in range(h.order + 1)):
-        masks = o.masks
-        for e, m in zip(o.elements, o.below):
-            family = o.unmask(m)
+        masks, element = o.masks, o.elements.__getitem__
+        for e, m, ideal in zip(o.elements, o.below, o.ideals):
+            family = frozenset(map(element, ideal))
             masks[family] = m
             # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
             out[e] = frozenset((tuple.__new__(Sieve, (e, family)),))

@@ -49,6 +49,14 @@ class TestValidate:
         assert code == 1
         assert "non-bond-element" in out
 
+    def test_empty_support_reports_and_fails(self, capsys, tmp_path):
+        # parse keeps a bond that binds nothing; validate names it and fails
+        obj = json.loads((CORPUS / "flat_triangle.json").read_text())
+        obj["hyperstructure"]["bonds"][0]["support"] = []
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps(obj))
+        assert run(capsys, "validate", str(p)) == (1, "validate: FAIL\nempty-support: bond 1:{v0,v1,v2} binds nothing\n")
+
 
 class TestInstallAndBrunnian:
     def test_branching_flow(self, capsys, tmp_path):

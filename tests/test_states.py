@@ -17,6 +17,7 @@ from hyperstruct.errors import (
     MissingState,
     NotABond,
     OperationMissing,
+    SchemaError,
 )
 from hyperstruct.installers import from_simplicial_complex
 from hyperstruct.states import (
@@ -397,7 +398,14 @@ class TestStatesSectionOrder:
     @pytest.mark.parametrize("base, kind", [({"a": 1}, "str"), ({ElementId(0, "a"): 1, (0, "b"): 2}, "tuple")])
     def test_a_key_that_is_not_an_element_id_is_refused(self, base, kind):
         h = new_hyperstructure([2, "a", 10, "b"])
-        with pytest.raises(AttributeError, match=f"^'{kind}' object has no attribute 'key'$"):
+        with pytest.raises(SchemaError, match=f"^states are keyed by elements, got {kind} "):
+            serialize(Document(hyperstructure=h, states=StatesSection(base=base)))
+
+    def test_a_key_without_an_int_level_is_refused(self):
+        # None cannot be sorted against 0; the key is refused before the sort is tried
+        h = new_hyperstructure([2, "a", 10, "b"])
+        base = {ElementId(None, "a"): 1, ElementId(0, "b"): 2}
+        with pytest.raises(SchemaError, match="^levels, k and the order must be integers, got None$"):
             serialize(Document(hyperstructure=h, states=StatesSection(base=base)))
 
 

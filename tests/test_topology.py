@@ -540,9 +540,13 @@ class TestLevelOrder:
 
             below = [sum(1 << j for j, e in enumerate(elements) if naive_leq(h, e, b)) for b in elements]
             assert order.below == below
-            if level:  # supports as masks over the level below's sorted elements
+            assert order.ideals == [indices(m) for m in below]
+            if level:  # supports as masks and as ascending positions over the level below's sorted elements
                 lower = sorted_elements(h.elements(level - 1))
                 assert order.support == [sum(1 << lower.index(m) for m in h.bond(b).support.members) for b in elements]
+                assert order.members == [sorted(lower.index(m) for m in h.bond(b).support.members) for b in elements]
+            else:
+                assert order.members == [[j] for j in range(len(elements))]
             for i, b in enumerate(elements):
                 ideal = indices(below[i])
                 if len(ideal) <= 10:
@@ -599,7 +603,19 @@ class TestLevelOrder:
         obj["hyperstructure"]["bonds"][0]["support"] = []
         h = parse(json.dumps(obj)).hyperstructure
         self.assert_matches_oracles(h, random.Random(0))
-        assert _level_order(h, 1).below == [0b01, 0b11]
+        order = _level_order(h, 1)
+        assert order.below == [0b01, 0b11] and order.ideals == [[0], [0, 1]] and order.members == [[], [1]]
+        # the site pipeline reads those lists: the maximal topology and the checker agree with the oracles
+        TestMaximalTopology.assert_matches_maximal_sieves(h)
+        j = maximal_topology(h)
+        make_site(h, j)
+        b0, b1 = order.elements
+        j_without = {**j, b1: frozenset({Sieve(b1, frozenset({b0}))})}  # b1's collection lacks its maximal sieve
+        for topology in (j, j_without):
+            for level in range(h.order + 1):
+                rep = is_grothendieck_topology(h, topology, level)
+                assert rep.render() == reference_is_grothendieck_topology(h, topology, level)
+        assert not is_grothendieck_topology(h, j_without, 1).passed
 
 
 def identity_tower(order: int):
