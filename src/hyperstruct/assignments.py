@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Literal, Mapping, NamedTuple
 
 from .core import PropertyToken, Support
-from .errors import CombinerUndefined, MissingInducedMap, MixedLevels, NotDisjoint
+from .errors import CombinerUndefined, MissingInducedMap, NotDisjoint
 from .report import CheckReport, Finding
 
 TENSOR_SEPARATOR = "⊗"
@@ -104,8 +104,6 @@ def combine_phi(combiner: Combiner, w1: TokenSet, w2: TokenSet, w12: TokenSet) -
 
 def emergent(omega: Mapping[Support, TokenSet], s1: Support, s2: Support, combiner: Combiner) -> TokenSet:
     """Tokens at the union that the combiner cannot produce from the parts."""
-    if s1.level != s2.level:
-        raise MixedLevels("supports at different levels")
     union = s1.union(s2)
     inter = s1.intersection(s2)
     predicted = combine_phi(
@@ -163,8 +161,6 @@ def check_pushout(
     """
     if maps.variance != "covariant":
         raise MissingInducedMap("pushout checks need covariant maps")
-    if s1.level != s2.level:
-        raise MixedLevels("supports at different levels")
     inter, un = s1.intersection(s2), s1.union(s2)
     w1, w2, w12, wu = (omega.get(s, frozenset()) for s in (s1, s2, inter, un))
     f1 = maps.map_for(inter, s1)
@@ -210,8 +206,6 @@ def check_pullback(
     """Is the union's token set the pullback of the parts over the overlap?"""
     if maps.variance != "contravariant":
         raise MissingInducedMap("pullback checks need contravariant maps")
-    if s1.level != s2.level:
-        raise MixedLevels("supports at different levels")
     inter, un = s1.intersection(s2), s1.union(s2)
     w1, w2, w12, wu = (omega.get(s, frozenset()) for s in (s1, s2, inter, un))
     r1 = maps.map_for(inter, s1)  # omega(s1) -> omega(inter)
@@ -248,8 +242,6 @@ def check_pullback(
 
 def check_tensor(omega: Mapping[Support, TokenSet], s1: Support, s2: Support) -> CheckReport:
     """For disjoint supports: does the union carry exactly the pair tokens?"""
-    if s1.level != s2.level:
-        raise MixedLevels("supports at different levels")
     if s1.members & s2.members:
         raise NotDisjoint(f"supports share {sorted(str(e) for e in s1.members & s2.members)}")
     w1 = omega.get(s1, frozenset())

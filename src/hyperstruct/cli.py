@@ -32,10 +32,10 @@ import io
 import os
 import sys
 
-from .errors import HyperstructError, NotATopology, NotComposable, NotGluable
+from .errors import HyperstructError, NotComposable, NotGluable
 
 #: Errors that mean "the check failed" rather than "the input is broken".
-CHECK_FAILURES = (NotComposable, NotGluable, NotATopology)
+CHECK_FAILURES = (NotComposable, NotGluable)
 
 _INPUT = ("input", {})
 _OUT = ("--out", {})
@@ -140,10 +140,7 @@ def main(argv=None) -> int:
     try:
         return _command(args.command).run(args)
     except HyperstructError as e:
-        lines = [f"error: {e.kind}", e.message]
-        if isinstance(e, NotATopology) and e.report is not None:
-            lines.extend(e.report.lines())
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(f"error: {e.kind}\n{e.message}\n")
         return 1 if isinstance(e, CHECK_FAILURES) else 2
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core import ElementId
-from ..errors import SchemaError, UnknownElement
+from ..errors import SchemaError
 
 if TYPE_CHECKING:
     from ..core import Hyperstructure, RawId
@@ -29,10 +29,7 @@ def _element_ref(h: Hyperstructure, ref: str) -> ElementId:
         lvl = int(lvl_s)
     except ValueError:
         raise SchemaError(f"element reference {ref!r} must start with a level index") from None
-    e = ElementId(lvl, _resolve_id(h, lvl, raw))
-    if h.has_element(e):
-        return e
-    raise UnknownElement(f"no element {raw!r} at level {lvl}")
+    return h.element(lvl, _resolve_id(h, lvl, raw))
 
 
 def _combiner(name: str | None):

@@ -311,10 +311,7 @@ class Hyperstructure(FrozenRecord):
 
     def support_at(self, i: int, raw_ids: Iterable[RawId]) -> Support:
         self.check_level(i)
-        ids = list(raw_ids)
-        if not ids:
-            return Support.empty(i)
-        return Support(i, frozenset(self.element(i, r) for r in ids))
+        return Support(i, frozenset(self.element(i, r) for r in raw_ids))
 
     def bond(self, e: ElementId) -> Bond:
         if not self.has_element(e):

@@ -54,13 +54,13 @@ def _expect_obj(value, where: str, allowed: set[str], required: set[str] = froze
         raise SchemaError(f"{where}: expected an object")
     if required <= value.keys() <= allowed:
         return value
+    # otherwise a field lies outside allowed or a required one is missing, and a loop below raises
     for k in value:
         if k not in allowed:
             raise SchemaError(f"{where}: unknown field {k!r}")
     for k in sorted(required):  # sorted, so the field named does not depend on the hash seed
         if k not in value:
             raise SchemaError(f"{where}: missing field {k!r}")
-    return value
 
 
 def _expect_list(value, where: str) -> list:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -18,9 +19,10 @@ from hyperstruct.assignments import (
     combine_phi,
     emergent,
     pair_token,
+    pushout_classes,
 )
-from hyperstruct.core import Support, new_hyperstructure
-from hyperstruct.errors import CombinerUndefined, MissingInducedMap, NotDisjoint
+from hyperstruct.core import ElementId, Support, new_hyperstructure
+from hyperstruct.errors import CombinerUndefined, MissingInducedMap, MixedLevels, NotDisjoint
 
 BASE = new_hyperstructure(["a", "b", "c"])
 EMPTY = Support.empty(0)
@@ -105,6 +107,19 @@ class TestCheckPushout:
         )
         with pytest.raises(MissingInducedMap, match="outside"):
             check_pushout(omega, maps, sup("a"), sup("b"))
+
+    def test_comparison_map_leaving_the_union(self):
+        omega = {sup("a"): frozenset({"t"}), sup("b"): frozenset({"u"}), sup("a", "b"): frozenset({"t", "u"})}
+        maps = InducedMaps(
+            "covariant",
+            {(EMPTY, sup("a")): {}, (EMPTY, sup("b")): {}, (sup("a"), sup("a", "b")): {"t": "stray"}, (sup("b"), sup("a", "b")): {"u": "u"}},
+        )
+        assert check_pushout(omega, maps, sup("a"), sup("b")).lines() == [
+            "pushout: FAIL",
+            "note: pushout size 2, union size 2",
+            "no-preimage: token 't' at the union has no preimage in the pushout",
+            "outside-union: comparison map hits 'stray' outside the union's tokens",
+        ]
 
 
 class TestCheckPullback:
@@ -332,3 +347,51 @@ class TestCheckTensor:
     def test_overlapping_supports_rejected(self):
         with pytest.raises(NotDisjoint):
             check_tensor({}, sup("a", "b"), sup("b", "c"))
+
+
+AT_LEVEL_1 = Support(1, frozenset({ElementId(1, "x")}))
+AB = sup("a", "b")
+ONE_TOKEN = {sup("a"): frozenset({"t"}), sup("b"): frozenset({"u"}), EMPTY: frozenset({"z"}), AB: frozenset({"t", "u"})}
+ONE_TOKEN_MAPS = {(EMPTY, sup("a")): {"z": "t"}, (EMPTY, sup("b")): {"z": "u"}, (sup("a"), AB): {"t": "t"}, (sup("b"), AB): {"u": "u"}}
+
+
+def one_token_pushout(inclusion: tuple, table: dict):
+    """check_pushout of {a} and {b} over ONE_TOKEN, the map along one inclusion replaced by table."""
+    return check_pushout(ONE_TOKEN, InducedMaps("covariant", {**ONE_TOKEN_MAPS, inclusion: table}), sup("a"), sup("b"))
+
+
+class TestRefusals:
+    """Each refusal of the assignment checks, raised with its message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: check_pushout({}, InducedMaps("contravariant", {}), sup("a"), sup("b")), MissingInducedMap, "pushout checks need covariant maps"),
+            (lambda: check_pullback({}, InducedMaps("covariant", {}), sup("a"), sup("b")), MissingInducedMap, "pullback checks need contravariant maps"),
+            (lambda: check_pushout({}, InducedMaps("covariant", {}), sup("a"), AT_LEVEL_1), MixedLevels, "intersection across levels"),
+            (lambda: check_pullback({}, InducedMaps("contravariant", {}), sup("a"), AT_LEVEL_1), MixedLevels, "intersection across levels"),
+            (lambda: check_tensor({}, sup("a"), AT_LEVEL_1), MixedLevels, "union across levels"),
+            (lambda: emergent({}, sup("a"), AT_LEVEL_1, UNION), MixedLevels, "union across levels"),
+            (lambda: one_token_pushout((EMPTY, sup("a")), {}), MissingInducedMap, "induced map for {} ⊆ {a} undefined at 'z'"),
+            (lambda: one_token_pushout((sup("a"), AB), {}), MissingInducedMap, "induced map for {a} ⊆ {a,b} undefined at 't'"),
+            (lambda: pushout_classes({"t"}, {"u"}, {"z"}, {"z": "t"}, {}), MissingInducedMap, "overlap token 'z' missing from an induced map"),
+            (lambda: combine_phi(Combiner(name="pairing", kind="table"), {"p"}, {"q"}, frozenset()), CombinerUndefined, "combiner 'pairing' has no table"),
+            (lambda: combine_phi(Combiner(name="odd", kind="odd"), {"p"}, {"q"}, frozenset()), CombinerUndefined, "unknown combiner kind 'odd'"),
+        ],
+        ids=[
+            "pushout-variance",
+            "pullback-variance",
+            "pushout-across-levels",
+            "pullback-across-levels",
+            "tensor-across-levels",
+            "emergent-across-levels",
+            "overlap-map-not-total",
+            "union-map-not-total",
+            "pushout-classes-map-not-total",
+            "table-combiner-without-table",
+            "unknown-combiner-kind",
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -654,6 +654,23 @@ class TestDerivedFastPaths:
         with pytest.raises(InvalidCategory, match=re.escape("object 'y' lacks an identity morphism")):
             check(cat, terminal_presheaf(cat))
 
+    @pytest.mark.parametrize(
+        "identities, composites, message",
+        [
+            ({"x": "f"}, {}, "action of 'f' undefined at 5"),
+            ({}, {("iy", "f"): "ix"}, "action of 'ix' undefined at 0"),
+        ],
+        ids=["identity-not-an-endomorphism", "composite-with-wrong-endpoints"],
+    )
+    def test_hand_built_category_whose_actions_miss_a_section(self, identities, composites, message):
+        # P is a presheaf on the lawful category; the changed one reads an action where P defines none
+        lawful = finite_category(*_parallel_arrows())
+        p = Presheaf(on_objects={"x": frozenset({5}), "y": frozenset({0})}, on_morphisms={"ix": {5: 5}, "iy": {0: 0}, "f": {0: 5}, "g": {0: 5}})
+        validate_presheaf(lawful, p)
+        changed = _by_hand(lawful, identities={**lawful.identities, **identities}, composition={**lawful.composition, **composites})
+        with pytest.raises(InvalidPresheaf, match=f"^{re.escape(message)}$"):
+            validate_presheaf(changed, p)
+
     def test_broken_copy_of_lawful_category_rejected(self):
         broken = dict(SQUARE.composition)
         broken[(("01", "11"), ("00", "01"))] = ("00", "01")
@@ -988,3 +1005,5 @@ class TestTowerBridges:
         # 3 vertices + 3 edges; each edge sits above its 2 vertices
         assert len(cat.objects) == 6
         assert len(cat.morphisms) == 6 + 6
+        with pytest.raises(InvalidCategory, match="^boundary linkage needs a bond level$"):
+            boundary_category(h, 0)

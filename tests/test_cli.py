@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -684,6 +685,436 @@ class TestErrorShape:
         code, out = run(capsys, "validate", str(out_path))
         assert (code, out) == (0, "validate: pass\n")
 
+
+
+def _doc(name: str | None, *edits) -> Callable[[], dict]:
+    """A function returning corpus document name (every_section_document()
+    for None) with each edit(obj) applied in turn."""
+
+    def build() -> dict:
+        obj = every_section_document() if name is None else json.loads((CORPUS / name).read_text())
+        for edit in edits:
+            edit(obj)
+        return obj
+
+    return build
+
+
+def _set(path: tuple, value):
+    return lambda obj: at_path(obj, path[:-1]).__setitem__(path[-1], value)
+
+
+def _append(path: tuple, value):
+    return lambda obj: at_path(obj, path).append(value)
+
+
+def _rename(path: tuple, field: str, to: str):
+    return lambda obj: at_path(obj, path).__setitem__(to, at_path(obj, path).pop(field))
+
+
+def _drop(*sections: str):
+    def edit(obj):
+        for s in sections:
+            del obj[s]
+
+    return edit
+
+
+DOC, OUT = "<doc>", "<out>"  # where a pinned run's argv names its input document and its --out path
+STATES = ("states",)
+TOWER = ("hyperstructure",)
+SIMPLICES = ("simplicial", "dimensions")
+TRIANGLE, SITE, REGIONS = "flat_triangle.json", "graded_triangle_site.json", "localize_regions.json"
+#: level 0 a, b, c; level 1 l = {a, b} and r = {c}; level 2 t = {l}, so r lies under no top bond
+UNDER_NO_TOP = {
+    "format": "hyperstruct/1",
+    "hyperstructure": {
+        "order": 2,
+        "levels": [["a", "b", "c"], ["l", "r"], ["t"]],
+        "omega": [[{"support": ["a", "b"], "properties": ["p"]}, {"support": ["c"], "properties": ["p"]}], [{"support": ["l"], "properties": ["p"]}], []],
+        "bonds": [
+            {"id": "l", "level": 1, "support": ["a", "b"], "property": "p"},
+            {"id": "r", "level": 1, "support": ["c"], "property": "p"},
+            {"id": "t", "level": 2, "support": ["l"], "property": "p"},
+        ],
+    },
+    "states": {"top": [["t", "L"]], "co_connectors": [{"kind": "identity"}, {"kind": "identity"}]},
+}
+
+#: Runs whose exit code and whole stdout are pinned: each refusal at a level
+#: or section boundary that a document or an argument reaches, and the runs
+#: beside them. doc is made by _doc, or is a JSON value written as it is (an
+#: install payload), or None for no input file.
+PINNED_RUNS = [
+    # the tower section; a support listed twice in an omega table carries the union of its entries' tokens
+    pytest.param(
+        _doc(TRIANGLE, _append(TOWER + ("levels", 0), "v0")),
+        ["validate", DOC],
+        2,
+        "error: SchemaError\nlevels[0]: duplicate identifiers\n",
+        id="repeated-level-id",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, lambda o: o["hyperstructure"]["omega"].pop()),
+        ["validate", DOC],
+        2,
+        "error: SchemaError\nhyperstructure.omega: expected 2 tables\n",
+        id="omega-table-count",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, _append(TOWER + ("omega", 0), {"support": ["v1", "v0"], "properties": ["edge"]})),
+        ["emergent", DOC, "--level", "0", "--s1", "v0", "--s2", "v1"],
+        0,
+        "emergent: edge, simplex\n",
+        id="support-listed-twice-carries-the-union",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, _rename(TOWER + ("omega", 0, 0), "properties", "propertys")),
+        ["validate", DOC],
+        2,
+        "error: SchemaError\nomega[0]: unknown field 'propertys'\n",
+        id="misspelt-omega-field",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, _rename(TOWER + ("bonds", 1), "identity", "identiti")),
+        ["validate", DOC],
+        2,
+        "error: SchemaError\nbonds[1]: unknown field 'identiti'\n",
+        id="misspelt-bond-field",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, _set(TOWER + ("bonds", 2, "property"), "id")),
+        ["validate", DOC],
+        2,
+        "error: ReservedProperty\nbonds[2]: 'id' is reserved for identity bonds\n",
+        id="id-property-on-a-plain-bond",
+    ),
+    pytest.param(
+        _doc(
+            TRIANGLE,
+            _append(TOWER + ("levels", 1), "i"),
+            _append(TOWER + ("levels", 1), "j"),
+            _append(TOWER + ("bonds",), {"id": "i", "level": 1, "support": ["v0"], "property": "id", "identity": True}),
+            _append(TOWER + ("bonds",), {"id": "j", "level": 1, "support": ["v0"], "property": "id", "identity": True}),
+        ),
+        ["validate", DOC],
+        1,
+        "validate: FAIL\nidentity-law: element 0:v0 has 2 identity bonds\n",
+        id="two-identity-bonds-over-one-element",
+    ),
+    pytest.param(
+        _doc(TRIANGLE, _append(TOWER + ("bonds",), {"id": "{v0,v1}", "level": 1, "support": ["v0", "v1"], "property": "simplex"})),
+        ["validate", DOC],
+        1,
+        "validate: FAIL\nduplicate-bond: bond 1:{v0,v1} registered 2 times\n",
+        id="bond-listed-twice",
+    ),
+    # the topology section
+    pytest.param(
+        _doc(SITE, _drop("hyperstructure", "states")),
+        ["topology-check", DOC],
+        2,
+        "error: ReferenceError\ntopology: requires a hyperstructure section\n",
+        id="topology-without-tower",
+    ),
+    pytest.param(
+        _doc(SITE, _set(("topology", 3, 1), [["{v0,v1}", "v0"]])),
+        ["topology-check", DOC],
+        2,
+        "error: ReferenceError\ntopology[3]: sieve member 'v0' missing at level 1\n",
+        id="sieve-member-at-another-level",
+    ),
+    # the states section
+    pytest.param(
+        _doc(SITE, _drop("hyperstructure", "topology")),
+        ["globalize", DOC],
+        2,
+        "error: ReferenceError\nstates: requires a hyperstructure section\n",
+        id="states-without-tower",
+    ),
+    pytest.param(
+        _doc(SITE, _set(STATES + ("connectors", 0, "entries"), [])),
+        ["globalize", DOC],
+        2,
+        "error: SchemaError\nstates.connectors[0]: built-in connectors take no entries\n",
+        id="built-in-connector-with-entries",
+    ),
+    pytest.param(
+        _doc(SITE, _set(STATES + ("connectors", 1), {"kind": "mean"})),
+        ["globalize", DOC],
+        2,
+        "error: SchemaError\nstates.connectors[1]: unknown connector kind 'mean'\n",
+        id="unknown-connector-kind",
+    ),
+    pytest.param(
+        _doc(REGIONS, _set(STATES + ("co_connectors", 0, "entries"), [])),
+        ["localize", DOC],
+        2,
+        "error: SchemaError\nstates.co_connectors[0]: identity co-connectors take no entries\n",
+        id="identity-co-connector-with-entries",
+    ),
+    pytest.param(
+        _doc(REGIONS, _set(STATES + ("co_connectors", 0), {"kind": "split"})),
+        ["localize", DOC],
+        2,
+        "error: SchemaError\nstates.co_connectors[0]: unknown co-connector kind 'split'\n",
+        id="unknown-co-connector-kind",
+    ),
+    pytest.param(
+        _doc(None, _set(STATES + ("co_connectors", 1, "entries", 0, 0), ["{v0,v1}"])),
+        ["localize", DOC],
+        2,
+        "error: SchemaError\nstates.co_connectors[1].entries: expected [[parent, child], state]\n",
+        id="per-child-key-not-a-pair",
+    ),
+    pytest.param(
+        _doc(None, _set(STATES + ("assignment", 0, 0, 1), 1.5)),
+        ["validate", DOC],
+        2,
+        "error: SchemaError\nstates.assignment[0]: states must be strings or integers, got 1.5\n",
+        id="float-assignment-state",
+    ),
+    pytest.param(
+        _doc(SITE, _set(STATES + ("connectors",), [{"kind": "product"}])),
+        ["globalize", DOC],
+        2,
+        "error: ConnectorUndefined\nneed 2 connectors, got 1\n",
+        id="connector-count",
+    ),
+    pytest.param(
+        _doc(REGIONS, _set(STATES + ("co_connectors",), [])),
+        ["localize", DOC],
+        2,
+        "error: CoConnectorUndefined\nneed 1 co-connectors, got 0\n",
+        id="co-connector-count",
+    ),
+    pytest.param(
+        _doc(SITE, _set(TOWER + ("bonds", 0, "support"), [])),
+        ["globalize", DOC],
+        2,
+        "error: ConnectorUndefined\nempty state multiset at bond 1:{v0,v1}\n",
+        id="bond-binding-nothing-has-no-state",
+    ),
+    pytest.param(
+        _doc(REGIONS, _set(STATES + ("co_connectors", 0), {"kind": "table", "entries": [["L", "l"]]})),
+        ["localize", DOC],
+        2,
+        "error: CoConnectorUndefined\nco-connector undefined at state 'R'\n",
+        id="co-connector-table-without-the-state",
+    ),
+    pytest.param(
+        _doc(SITE),
+        ["localize", DOC],
+        2,
+        "error: SchemaError\nlocalize needs states.top and states.co_connectors\n",
+        id="localize-without-top",
+    ),
+    pytest.param(
+        _doc(SITE, lambda o: o["states"]["spaces"].pop()),
+        ["globalize", DOC, "--out", OUT],
+        1,
+        "globalized\nlevel 0: v0=2, v1=2, v2=2\nlevel 1: {v0,v1}=4, {v0,v2}=4, {v1,v2}=4\nlevel 2: {v0,v1,v2}=64\nlambda-codomains: FAIL\nshape: 2 state spaces for an order-2 tower\n",
+        id="state-spaces-for-another-order",
+    ),
+    pytest.param(
+        _doc(SITE, lambda o: o["hyperstructure"]["bonds"].pop()),
+        ["globalize", DOC, "--out", OUT],
+        1,
+        "globalized\nlevel 0: v0=2, v1=2, v2=2\nlevel 1: {v0,v1}=4, {v0,v2}=4, {v1,v2}=4\nlevel 2: \nlambda-codomains: FAIL\ntotality: no state for 2:{v0,v1,v2}\n",
+        id="top-element-without-a-state",
+    ),
+    pytest.param(
+        UNDER_NO_TOP,
+        ["localize", DOC],
+        0,
+        "localized\nlevel 0: a='L', b='L', c=<unassigned>\nlevel 1: l='L', r=<unassigned>\nlevel 2: t='L'\n",
+        id="bond-under-no-top-bond",
+    ),
+    # the category, presheaf and simplicial sections
+    pytest.param(
+        _doc("square_category.json", _set(("category", "identities", 0), ["00", "zz"])),
+        ["nerve", DOC],
+        2,
+        "error: ReferenceError\ncategory.identities: unresolved pair ['00', 'zz']\n",
+        id="identity-names-no-morphism",
+    ),
+    pytest.param(
+        _doc("square_category.json", _drop("category")),
+        ["validate", DOC],
+        2,
+        "error: ReferenceError\npresheaf: requires a category section\n",
+        id="presheaf-without-category",
+    ),
+    pytest.param(
+        _doc("square_category.json", _append(("presheaf", "on_objects"), ["22", [0]])),
+        ["nerve", DOC],
+        2,
+        "error: ReferenceError\npresheaf.on_objects: unknown object '22'\n",
+        id="presheaf-unknown-object",
+    ),
+    pytest.param(
+        _doc("square_category.json", _append(("presheaf", "on_morphisms"), ["22->22", []])),
+        ["nerve", DOC],
+        2,
+        "error: ReferenceError\npresheaf.on_morphisms: unknown morphism '22->22'\n",
+        id="presheaf-unknown-morphism",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _set(("simplicial", "max_dim"), "1")),
+        ["betti", DOC],
+        2,
+        "error: SchemaError\nsimplicial.max_dim: expected a non-negative integer\n",
+        id="max-dim-not-an-integer",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _set(SIMPLICES + (0, 0, "faces"), [])),
+        ["betti", DOC],
+        2,
+        "error: SchemaError\nsimplicial.dimensions[0]: vertices have no faces\n",
+        id="vertex-with-faces",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _set(SIMPLICES + (1, 0, "faces"), None)),
+        ["betti", DOC],
+        2,
+        "error: SchemaError\nsimplicial.dimensions[1]: simplex 'e01' lacks faces\n",
+        id="edge-without-faces",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _set(SIMPLICES + (1, 0, "faces"), ["v0"])),
+        ["betti", DOC],
+        2,
+        "error: SchemaError\nsimplicial.dimensions[1]: simplex 'e01' needs 2 faces\n",
+        id="edge-with-one-face",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _set(SIMPLICES + (1, 0, "faces"), [None, "v1"])),
+        ["betti", DOC],
+        0,
+        "betti: 0 0\n",
+        id="a-null-face-leaves-the-boundary",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json", _append(SIMPLICES + (1,), {"id": "e01", "faces": ["v1", "v2"]})),
+        ["betti", DOC],
+        2,
+        "error: SchemaError\nsimplicial.dimensions[1]: duplicate simplex ids\n",
+        id="repeated-simplex-id",
+    ),
+    # install
+    pytest.param(
+        [],
+        ["install", "hypergraph", DOC],
+        2,
+        "error: SchemaError\ninstall payload must be a JSON object\n",
+        id="payload-not-an-object",
+    ),
+    pytest.param(
+        {"vertices": ["a"], "edgez": []},
+        ["install", "hypergraph", DOC],
+        2,
+        "error: SchemaError\ninstall hypergraph: unknown field 'edgez'\n",
+        id="payload-unknown-field",
+    ),
+    pytest.param(
+        {"vertices": ["a"], "simplices": [["a"], ["b"]]},
+        ["install", "simplicial", DOC],
+        2,
+        "error: UnknownVertex\nsimplex vertex 'b' not declared\n",
+        id="undeclared-simplex-vertex",
+    ),
+    pytest.param(
+        None,
+        ["install", "hypergraph"],
+        2,
+        "error: SchemaError\ninstall hypergraph needs an input payload file\n",
+        id="payload-missing",
+    ),
+    pytest.param(
+        None,
+        ["install", "brunnian"],
+        2,
+        "error: SchemaError\ninstall brunnian needs --branching, e.g. --branching 3,3\n",
+        id="branching-missing",
+    ),
+    pytest.param(
+        None,
+        ["install", "brunnian", "--branching", "3,x"],
+        2,
+        "error: SchemaError\nbad --branching value '3,x'\n",
+        id="branching-not-integers",
+    ),
+    pytest.param(
+        {"components": [["x", "y"], ["u", "v"]], "tuples": [["x", "u"], ["y", "u"], ["y", "v"]]},
+        ["install", "relation", DOC, "--out", OUT],
+        0,
+        "installed: relation\nlevel-0 elements: 4\nlevel-1 bonds: 3\n",
+        id="install-relation",
+    ),
+    # element references, combiners and levels
+    pytest.param(
+        _doc(TRIANGLE),
+        ["compose", DOC, "--a", "{v0,v1}", "--b", "1:{v1,v2}", "--p", "0", "--id", "c"],
+        2,
+        "error: SchemaError\nelement reference '{v0,v1}' must look like level:id\n",
+        id="reference-without-level",
+    ),
+    pytest.param(
+        _doc(TRIANGLE),
+        ["compose", DOC, "--a", "one:{v0,v1}", "--b", "1:{v1,v2}", "--p", "0", "--id", "c"],
+        2,
+        "error: SchemaError\nelement reference 'one:{v0,v1}' must start with a level index\n",
+        id="reference-level-not-an-integer",
+    ),
+    pytest.param(
+        _doc(TRIANGLE),
+        ["fuse", DOC, "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "0", "--combiner", "sum", "--id", "c"],
+        2,
+        "error: SchemaError\nunknown combiner 'sum'; choose from ['disjoint-union', 'tensor-pairs', 'union']\n",
+        id="unknown-combiner",
+    ),
+    pytest.param(
+        _doc(TRIANGLE),
+        ["fuse", DOC, "--a", "1:{v0,v1}", "--b", "1:{v1,v2}", "--k", "1", "--id", "c"],
+        2,
+        "error: LevelOutOfRange\ngluing level 1 not below both bonds\n",
+        id="gluing-level-not-below",
+    ),
+    pytest.param(
+        _doc(TRIANGLE),
+        ["emergent", DOC, "--level", "0", "--s1", "v0,v9", "--s2", "v1"],
+        2,
+        "error: UnknownElement\nno element 'v9' at level 0\n",
+        id="emergent-unknown-id",
+    ),
+    pytest.param(
+        _doc(TRIANGLE),
+        ["emergent", DOC, "--level", "1", "--s1", "", "--s2", ""],
+        0,
+        "emergent: (none)\n",
+        id="emergent-empty-supports",
+    ),
+    pytest.param(
+        _doc(SITE),
+        ["compose", DOC, "--a", "2:{v0,v1,v2}", "--b", "1:{v0,v1}", "--p", "0", "--mode", "weak", "--id", "c", "--out", OUT],
+        0,
+        "composed: 2:c\nsupport: {{v0,v1},{v0,v2},{v1,v2}}\nproperty: id∪simplex\n",
+        id="compose-across-levels",
+    ),
+]
+
+
+class TestPinnedRuns:
+    """Each run prints exactly its pinned text and exits with its code; --out is written only on success."""
+
+    @pytest.mark.parametrize("doc, argv, code, stdout", PINNED_RUNS)
+    def test_exit_code_and_stdout(self, capsys, tmp_path, doc, argv, code, stdout):
+        path, out_path = tmp_path / "doc.json", tmp_path / "out.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc() if callable(doc) else doc))
+        writes = OUT in argv
+        assert run(capsys, *[{DOC: str(path), OUT: str(out_path)}.get(a, a) for a in argv]) == (code, stdout)
+        assert out_path.exists() == (writes and code == 0)
 
 
 def _process(argv, stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:

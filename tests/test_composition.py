@@ -4,8 +4,9 @@ from itertools import permutations
 import pytest
 
 from helpers import random_tower
-from hyperstruct.assignments import TENSOR_PAIRS, UNION
+from hyperstruct.assignments import TENSOR_PAIRS, UNION, Combiner
 from hyperstruct.composition import (
+    combine_tokens,
     composable,
     compose,
     compose_cross,
@@ -27,7 +28,7 @@ from hyperstruct.core import (
     new_hyperstructure,
     validate,
 )
-from hyperstruct.errors import LevelOutOfRange, NotComposable, NotGluable
+from hyperstruct.errors import CombinerUndefined, LevelOutOfRange, NotComposable, NotGluable
 
 
 def chain_tower():
@@ -347,3 +348,29 @@ def test_union_token_flattening():
             t = union_token(t, nxt)
         assert t == "p∪q∪r"
     assert union_token("p", "p") == "p"
+
+
+def pairing(*tokens: str) -> Combiner:
+    """A table combiner that gives tokens for the parts {p} and {q}."""
+    return Combiner(name="pairing", kind="table", table={(frozenset({"p"}), frozenset({"q"}), frozenset()): frozenset(tokens)})
+
+
+@pytest.mark.parametrize(
+    "combiner, outcome",
+    [
+        (None, "p∪q"),
+        (TENSOR_PAIRS, "p⊗q"),
+        (pairing("pq"), "pq"),
+        ("union", "not a combiner: 'union'"),
+        (pairing(), "table combiner returned 0 tokens for a bond property"),
+        (pairing("x", "y"), "table combiner returned 2 tokens for a bond property"),
+        (Combiner(name="odd", kind="odd"), "unknown combiner kind 'odd'"),
+    ],
+    ids=["none", "tensor-pairs", "one-token-table", "not-a-combiner", "no-token-table", "two-token-table", "unknown-kind"],
+)
+def test_combine_tokens_gives_one_token_or_refuses(combiner, outcome):
+    try:
+        got = combine_tokens(combiner, "p", "q")
+    except CombinerUndefined as e:
+        got = str(e)
+    assert got == outcome

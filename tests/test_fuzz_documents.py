@@ -1,8 +1,10 @@
 """Mutated corpus documents never escape the CLI as a traceback.
 
-Each example replaces or deletes one value at a random JSON path of a corpus
-document and runs the document commands in-process. Whatever the damage, a
-command exits 0, 1 or 2, and on exit 2 its first line names the error kind.
+Each example makes one change to a corpus document and runs the document
+commands in-process. The change replaces or deletes the value at a random
+JSON path, repeats a list item, or gives an object a field its section
+allows but the object lacks. Whatever the damage, a command exits 0, 1 or
+2, and on exit 2 its first line names the error kind.
 """
 import contextlib
 import copy
@@ -30,6 +32,27 @@ COMMANDS = (
     ("brunnian",),
 )
 REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 1.5, "", "x", "v0", [], [0], ["x"], [[]], {}, {"x": 1})
+#: The fields each kind of object in a document may carry: the document, the
+#: tower, an omega entry, a bond, a fusion record, the states section, a state
+#: space, its operation, a (co-)connector, a marker, the category, a morphism,
+#: the presheaf, the simplicial section and a simplex.
+OBJECT_FIELDS = (
+    {"format", "hyperstructure", "topology", "states", "category", "presheaf", "simplicial"},
+    {"order", "levels", "omega", "bonds", "fusion_log"},
+    {"support", "properties"},
+    {"id", "level", "support", "property", "identity"},
+    {"k", "a", "b", "result"},
+    {"spaces", "base", "top", "connectors", "co_connectors", "assignment"},
+    {"tokens", "op"},
+    {"unit", "table"},
+    {"kind", "entries"},
+    {"marker"},
+    {"objects", "morphisms", "identities", "composition"},
+    {"id", "src", "tgt"},
+    {"on_objects", "on_morphisms"},
+    {"max_dim", "dimensions"},
+    {"id", "faces"},
+)
 
 
 def _paths(node):
@@ -40,15 +63,42 @@ def _paths(node):
         yield from _paths(node[key])
 
 
+def _field_values() -> dict:
+    """Each field name's values in the corpus objects that carry it."""
+    values: dict = {}
+    for doc in DOCUMENTS.values():
+        for parent, key in _paths(doc):
+            if isinstance(parent, dict):
+                values.setdefault(key, []).append(parent[key])
+    return values
+
+
+FIELD_VALUES = _field_values()
+
+
 def mutated_document(seed: int):
-    """A corpus document with the value at one uniformly drawn path replaced or deleted."""
+    """A corpus document with one change: the value at a uniformly drawn path
+    replaced or deleted, a list item repeated, or a field added to an object
+    that lacks it, its value one the field has elsewhere in the corpus."""
     rng = random.Random(seed)
     doc = copy.deepcopy(DOCUMENTS[rng.choice(sorted(DOCUMENTS))])
-    parent, key = rng.choice(list(_paths(doc)))
-    if rng.random() < 0.25:
-        del parent[key]
+    kind = rng.choice(("replace", "replace", "delete", "repeat", "add"))
+    paths = list(_paths(doc))
+    if kind == "repeat":
+        parent, key = rng.choice([(p, k) for p, k in paths if isinstance(p, list)])
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif kind == "add":  # the document lacks some section, so there is always an object to grow
+        objects = [doc] + [p[k] for p, k in paths if isinstance(p[k], dict)]
+        lacking = [(o, sorted(next(f for f in OBJECT_FIELDS if o.keys() <= f) - o.keys())) for o in objects]
+        obj, missing = rng.choice([(o, m) for o, m in lacking if m])
+        field = rng.choice(missing)
+        obj[field] = copy.deepcopy(rng.choice(FIELD_VALUES.get(field, REPLACEMENTS)))
     else:
-        parent[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        parent, key = rng.choice(paths)
+        if kind == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
     return doc
 
 

@@ -58,6 +58,18 @@ def test_import_loads_nothing_else(module, expected):
     assert _loaded_after(f"import {module}") == expected
 
 
+def test_package_names_are_their_home_modules_objects():
+    import hyperstruct
+    from hyperstruct import core, report
+
+    for name in hyperstruct.__all__:
+        home = report if name in ("CheckReport", "Finding") else core
+        assert getattr(hyperstruct, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="^module 'hyperstruct' has no attribute 'Tower'$"):
+        hyperstruct.Tower
+    assert set(hyperstruct.__all__) <= set(dir(hyperstruct))
+
+
 def _install_hypergraph_argv(tmp_path) -> list[str]:
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))

@@ -185,6 +185,10 @@ class TestBrunnianComplex:
         k = BrunnianComplex.of([1, 2, 3], [[1, 2, 3], [1, 2]])
         assert frozenset({1, 2, 3}) not in brunnian_bonds(k)
 
+    def test_undeclared_vertex(self):
+        with pytest.raises(UnknownVertex, match="^family member 4 not a vertex$"):
+            BrunnianComplex.of([1, 2, 3], [[1, 4]])
+
 
 class TestBrunnianOrder:
     def test_fig_style_tower(self):

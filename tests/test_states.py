@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from enum import IntEnum
 from itertools import combinations_with_replacement
 
@@ -18,6 +19,7 @@ from hyperstruct.errors import (
     NotABond,
     OperationMissing,
     SchemaError,
+    UnknownElement,
 )
 from hyperstruct.installers import from_simplicial_complex
 from hyperstruct.states import (
@@ -91,6 +93,34 @@ class TestStateTower:
         table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "e", ("a", "a"): "a"}
         with pytest.raises(InvalidStateTower):
             state_tower([toks], [SpaceOp(unit="e", table=table)])
+
+
+V0, E01 = ElementId(0, "v0"), ElementId(1, "{v0,v1}")
+
+
+class TestRefusals:
+    """The state types' own guards, on values only a library caller can build."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: SpaceOp(unit=1, table={(1, 1): 1}).apply(1, 2), OperationMissing, "operation undefined at (1, 2)"),
+            (lambda: state_tower([{1}, {2}], [None]), InvalidStateTower, "2 spaces but 1 operations"),
+            (lambda: Connector(kind="mean").apply([1]), ConnectorUndefined, "unknown connector kind 'mean'"),
+            (lambda: CoConnector(kind="split").apply(1, E01, V0), CoConnectorUndefined, "unknown co-connector kind 'split'"),
+            (lambda: globalize(graded_triangle(), {E01: 2}, [PRODUCT, PRODUCT]), UnknownElement, "1:{v0,v1} is not a level-0 element"),
+        ],
+        ids=["operation-undefined", "ops-for-other-spaces", "connector-kind", "co-connector-kind", "base-key-at-level-1"],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_ops_default_to_none(self):
+        assert state_tower([{1}, {2}]).ops == (None, None)
+
+    def test_get_past_the_last_level_is_the_default(self):
+        assert LambdaAssignment(per_level=({V0: 1},)).get(E01, "none") == "none"
 
 
 class TestGlobalize:
@@ -203,6 +233,8 @@ class TestAmalgamation:
         rep = check_amalgamation(site, lam, [PRODUCT, PRODUCT])
         assert rep.passed
         assert any("levelwise" in n for n in rep.notes)
+        rep = check_amalgamation(site, lam, [PRODUCT])
+        assert [(f.code, f.message) for f in rep.findings] == [("shape", "need 2 connectors, got 1")]
 
     def test_perturbed_top_bond_is_witnessed(self):
         t = graded_triangle()
@@ -440,6 +472,12 @@ class TestTensorPairing:
         with pytest.raises(OperationMissing):
             check_tensor_pairing(t, tower, lam, 1)
 
+    def test_level_0_has_nothing_to_pair(self):
+        t = graded_triangle()
+        lam = globalize(t, {"v0": 2, "v1": 2, "v2": 2}, [PRODUCT, PRODUCT])
+        rep = check_tensor_pairing(t, state_tower([frozenset()] * 3), lam, 0)
+        assert rep.passed and rep.notes == ("level 0 has no boundaries",)
+
 
 class TestValidateLambda:
     def test_codomain_discipline(self):
@@ -453,6 +491,22 @@ class TestValidateLambda:
         wrong = state_tower([frozenset({1}), frozenset({4}), frozenset({2})], [None] * 3)
         rep = validate_lambda(t, wrong, lam)
         assert not rep.passed and "codomain" in rep.codes
+
+    def test_assignment_of_another_order_is_a_shape_finding(self):
+        t = graded_triangle()
+        tower = state_tower([frozenset({1})] * 3)
+        assert validate_lambda(t, tower, LambdaAssignment(per_level=({},))).lines() == [
+            "lambda-codomains: FAIL",
+            "shape: 1 assignment levels for an order-2 tower",
+        ]
+
+    def test_markers_lie_in_every_space(self):
+        h = new_hyperstructure(["a", "b", "lonely"])
+        sab = h.support_at(0, ["a", "b"])
+        h, e1 = add_bond(assign_property(h, 0, sab, "p"), 0, sab, "p", "e1")
+        lam = localize(h, {e1: "s"}, [BROADCAST])
+        assert lam.per_level[0][h.element(0, "lonely")] is UNASSIGNED
+        assert validate_lambda(h, state_tower([frozenset({"s"})] * 2), lam).passed
 
 
 class TestLocalize:

@@ -430,6 +430,25 @@ class TestCoveringChain:
         assert any("family not in J" in f.message for f in rep.findings)
 
 
+    @pytest.mark.parametrize(
+        "chain, drop_root, findings",
+        [
+            ((("x",), ("x",)), False, ["shape: chain must span levels 0..1"]),
+            ((("b0", "x"), ("x", "b0")), False, ["shape: chain entry 0:x is not a level-1 element", "shape: chain entry 1:b0 is not a level-0 element"]),
+            ((("x", "b0"), ("x", "b0")), True, ["family: no sieve collection at 0:x"]),
+            ((("x", "b0"), ("xy", "b0")), False, ["family: level 0: family not contained in any sieve of J(x)"]),
+        ],
+        ids=["too-short", "entries-at-other-levels", "root-without-sieves", "family-in-no-sieve"],
+    )
+    def test_shape_and_family_findings(self, chain, drop_root, findings):
+        h = tower_from_supports([frozenset({"x", "y"})])
+        named = {"x": h.element(0, "x"), "b0": h.element(1, "b0")}
+        families = {"x": frozenset({named["x"]}), "xy": h.elements(0), "b0": frozenset({named["b0"]})}
+        j = {e: sieves for e, sieves in maximal_topology(h).items() if not (drop_root and e == named["x"])}
+        rep = check_covering_chain(h, j, CoveringChain(tuple(named[e] for e in chain[0]), tuple(families[f] for f in chain[1])))
+        assert rep.lines() == ["covering-chain: FAIL", *findings]
+
+
 class TestForeignMembers:
     """A listed family naming something outside the level is a finding, not a KeyError."""
 

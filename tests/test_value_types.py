@@ -55,6 +55,7 @@ CASES = [
     (Document, dict(hyperstructure=TOWER, topology=None, states=None, category=None, presheaf=None, simplicial=None), False, False),
 ]
 CUSTOM_REPR = {ElementId: "1:a", Support: "{a,b}", Sieve: "Sieve(1:x: {x})"}
+MEMBERS = {Support: [A, B]}  # what iterating the value lists, in sorted order
 
 
 @pytest.mark.parametrize(
@@ -67,6 +68,8 @@ def test_value_type_contract(cls, fields, hashable, frozen):
     values = tuple(fields.values())
     v, w = cls(**fields), cls(*values)
     assert v == w and not v != w
+    if not isinstance(v, tuple):  # a NamedTuple equals the plain tuple of its fields; a Record equals only its own type
+        assert v != values and not v == values
     assert tuple(getattr(v, f) for f in cls._fields) == values
 
     if hashable:
@@ -79,9 +82,15 @@ def test_value_type_contract(cls, fields, hashable, frozen):
     if frozen:
         with pytest.raises(AttributeError):
             setattr(v, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(v, name)
         assert v == w
     else:
         setattr(v, name, values[0])
+
+    if cls in MEMBERS:
+        assert list(v) == MEMBERS[cls] and len(v) == len(MEMBERS[cls])
+        assert all(m in v for m in MEMBERS[cls]) and X not in v
 
     expected = CUSTOM_REPR.get(cls, f"{cls.__name__}(" + ", ".join(f"{f}={x!r}" for f, x in fields.items()) + ")")
     assert repr(v) == expected
