@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from typing import Literal, Mapping, NamedTuple
 
-from .core import PropertyToken, Support
+from .core import PropertyToken, Support, pair_token
 from .errors import CombinerUndefined, MissingInducedMap, NotDisjoint
 from .report import CheckReport, Finding
 
-TENSOR_SEPARATOR = "⊗"
-
 TokenSet = frozenset[PropertyToken]
 TokenMap = Mapping[PropertyToken, PropertyToken]
-
-
-def pair_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
-    """Canonical name for an ordered token pair."""
-    return f"{a}{TENSOR_SEPARATOR}{b}"
 
 
 class InducedMaps(NamedTuple):

@@ -25,7 +25,9 @@ from .core import (
     identity_bond,
     identity_spec,
     iterated_boundary,
+    pair_token,
     sorted_elements,
+    union_token,
 )
 from .errors import (
     CombinerUndefined,
@@ -37,24 +39,12 @@ from .errors import (
 
 CompatibilityMode = Literal["strict", "weak"]
 
-UNION_SEPARATOR = "∪"  # the token-name join used by the union combiner
-
-
-def union_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
-    """Canonical union-name: flatten, dedupe and sort the joined parts.
-
-    Flattening makes the naming associative and commutative, so composites
-    built in any grouping agree on their property.
-    """
-    parts = sorted(set(a.split(UNION_SEPARATOR)) | set(b.split(UNION_SEPARATOR)))
-    return UNION_SEPARATOR.join(parts)
-
 
 def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToken:
     """Single-token form of a combiner, used for composite bond properties."""
     if combiner is None:
         return union_token(a, b)
-    from .assignments import Combiner, pair_token  # late import; assignments also uses core
+    from .assignments import Combiner  # late import; assignments also uses core
 
     if not isinstance(combiner, Combiner):
         raise CombinerUndefined(f"not a combiner: {combiner!r}")
@@ -72,7 +62,8 @@ def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToke
 
 def composable(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mode: CompatibilityMode = "strict") -> bool:
     """Whether the probe-level boundaries make the pair composable."""
-    ba, bb = h.bond(a), h.bond(b)
+    h.bond(a)
+    h.bond(b)
     if p < 0 or p >= min(a.level, b.level):
         raise LevelOutOfRange(f"probe level {p} not below both bonds ({a.level}, {b.level})")
     da = iterated_boundary(h, a, p).members
@@ -154,14 +145,9 @@ def fuse(
     h.bond(b)
     if not (0 <= k < min(a.level, b.level)):
         raise LevelOutOfRange(f"gluing level {k} not below both bonds")
-    da = iterated_boundary(h, a, k).members
-    db = iterated_boundary(h, b, k).members
-    if not da & db:
+    if not composable(h, a, b, k, "weak"):
         raise NotGluable(f"{a!r} and {b!r} share nothing at level {k}")
-    if a.level == b.level:
-        h2, eid = compose(h, a, b, k, "weak", combiner, raw_id)
-    else:
-        h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
+    h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
     rec = FusionRecord(k=k, m=max(a.level, b.level), n=min(a.level, b.level), a=a, b=b, result=eid)
     return h2._replace(fusion_log=h2.fusion_log + (rec,)), eid
 

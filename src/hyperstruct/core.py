@@ -9,11 +9,12 @@ an element one level up with a singleton boundary.
 All operations are functional: they return a new tower and never mutate
 their input, so any value can be shared freely across threads.
 
-This module holds the value types and the bulk construction path that
-reading, writing and installing a tower use. It also exports validate and
-its finding codes (from `validation`) and the one-step operations
-assign_property, add_bond, boundary and gamma (from `operations`); each of
-those modules loads when one of its names is first read.
+This module holds the value types, the spellings of combined property
+tokens, and the bulk construction path that reading, writing and installing
+a tower use. It also exports validate and its finding codes (from
+`validation`) and the one-step operations assign_property, add_bond,
+boundary and gamma (from `operations`); each of those modules loads when
+one of its names is first read.
 """
 from __future__ import annotations
 
@@ -37,6 +38,24 @@ PropertyToken = str
 
 #: Reserved token carried by identity bonds; user data may not claim it.
 IDENTITY_PROPERTY: PropertyToken = "id"
+
+UNION_SEPARATOR = "∪"  # the token-name join used by the union combiner
+TENSOR_SEPARATOR = "⊗"  # the join of an ordered token pair
+
+
+def union_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
+    """Canonical union-name: flatten, dedupe and sort the joined parts.
+
+    Flattening makes the naming associative and commutative, so composites
+    built in any grouping agree on their property.
+    """
+    parts = sorted(set(a.split(UNION_SEPARATOR)) | set(b.split(UNION_SEPARATOR)))
+    return UNION_SEPARATOR.join(parts)
+
+
+def pair_token(a: PropertyToken, b: PropertyToken) -> PropertyToken:
+    """Canonical name for an ordered token pair."""
+    return f"{a}{TENSOR_SEPARATOR}{b}"
 
 
 def id_key(raw: RawId):

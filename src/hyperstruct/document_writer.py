@@ -6,7 +6,6 @@ writes its pair lists with the helpers here.
 from __future__ import annotations
 
 import json
-from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -29,8 +28,11 @@ from .errors import SchemaError
 # The writer writes only what the reader reads, with one path per table. One
 # set-of-types test per column (_writer) picks how the column is written and
 # refuses, with SchemaError naming it, a value of a type the reader refuses
-# there (exactly: a bool is no int). Every section is checked before any is
-# written; ranges and references are left to validate and parse. Id lists
+# there (exactly: a bool is no int); ranges and references are left to
+# validate and parse. Each section is checked and written in one pass, in
+# the order format, hyperstructure, topology, states, category, presheaf,
+# simplicial, so a refused document raises the first fault in that order,
+# and serialize returns no text until every section is written. Id lists
 # sort as plain values, and by id_key only when a str meets an int.
 
 
@@ -86,37 +88,39 @@ def _id_lists(member_sets: list, pad: str) -> tuple[list[list[RawId]], list[str]
     return rows, _lists(rows, _writer(rows), pad)
 
 
-def _omega_entries(table: dict, written: dict[frozenset[ElementId], str]) -> list[tuple[list[RawId], str, str]]:
-    """An omega table's entries as (ids, support text, properties text) in
-    canonical order. The identity token is not written, nor an entry that
-    carries nothing else.
+def _omega_text(table: dict, written: dict[frozenset[ElementId], str]) -> str:
+    """An omega table as a JSON list of its entries in canonical order, at a
+    table's depth of six columns. The identity token is not written, nor an
+    entry that carries nothing else.
 
     Each distinct token set is written once, and each support's id list is
     written at a bond's depth into written, for the bonds to reuse; an entry
     shifts it two columns right.
     """
+    p8, p10 = " " * 8, " " * 10
     token_sets = set(table.values())
     write = _writer(token_sets, _TOKENS)
     kept = {tokens: sorted(tokens.difference(_IDENTITY)) for tokens in token_sets}
-    properties = dict(zip(kept, _lists(kept.values(), write, " " * 10)))
+    properties = dict(zip(kept, _lists(kept.values(), write, p10)))
     members, tokens = list(zip(*[(s.members, tokens) for s, tokens in table.items() if kept[tokens]])) or [(), ()]
-    rows, texts = _id_lists(members, " " * 8)
+    rows, texts = _id_lists(members, p8)
     written.update(zip(members, texts))
     entries = list(zip(rows, map(str.replace, texts, repeat("\n"), repeat("\n  ")), map(properties.__getitem__, tokens)))
     try:  # ids of one type at each position compare as their keys do
-        return sorted(entries, key=itemgetter(0))
+        entries.sort(key=itemgetter(0))
     except TypeError:  # a str met an int: order by id_key, ints first
-        return sorted(entries, key=lambda e: list(map(id_key, e[0])))
+        entries.sort(key=lambda e: list(map(id_key, e[0])))
+    return _list([f'{{\n{p10}"properties": {prop},\n{p10}"support": {support}\n{p8}}}' for _, support, prop in entries], " " * 6)
 
 
-def _h_sorted(h: Hyperstructure) -> tuple[list, list, list, list]:
-    """The tower section's parts, checked and written, in canonical order:
-    each level's id list, each omega table's entries, each bond's fields and
+def _h_text(h: Hyperstructure) -> str:
+    """The hyperstructure section at depth one, checked and written in
+    canonical order: each level's id list, each omega table, each bond and
     each fusion record. A support written for an omega entry is reused."""
-    p6, p8 = " " * 6, " " * 8
+    p4, p6, p8 = " " * 4, " " * 6, " " * 8
     levels = [_id_lists([lvl], p6)[1][0] for lvl in h.levels]
     written: dict[frozenset[ElementId], str] = {}
-    omega = [_omega_entries(table, written) for table in h.omegas]
+    tables = [_omega_text(table, written) for table in h.omegas]
     try:
         bonds = _key_sorted(list(h.bonds), itemgetter(0))
     except TypeError:  # a level or id no document holds, which the column checks below name
@@ -126,7 +130,10 @@ def _h_sorted(h: Hyperstructure) -> tuple[list, list, list, list]:
     members = [b.support.members for b in bonds]
     missing = [m for m in members if m not in written]
     written.update(zip(missing, _id_lists(missing, p8)[1]))
-    fields = zip(*map(map, writers, columns), map(written.__getitem__, members))
+    items = [
+        f'{{\n{p8}"id": {i},\n{p8}"identity": {f},\n{p8}"level": {lvl},\n{p8}"property": {prop},\n{p8}"support": {support}\n{p6}}}'
+        for lvl, i, prop, f, support in zip(*map(map, writers, columns), map(written.__getitem__, members))
+    ]
     refs = [e for r in h.fusion_log for e in (r.a, r.b, r.result)]
     write_int = _writer([[h.order], [r.k for r in h.fusion_log], [e.level for e in refs]], _INTS)
     write_id = _writer([[e.id for e in refs]])
@@ -134,60 +141,48 @@ def _h_sorted(h: Hyperstructure) -> tuple[list, list, list, list]:
     def pair(e: ElementId) -> str:
         return _list([write_int(e.level), write_id(e.id)], p8)
 
-    records = [
-        f'{{\n{p8}"a": {pair(r.a)},\n{p8}"b": {pair(r.b)},\n{p8}"k": {write_int(r.k)},'
-        f'\n{p8}"result": {pair(r.result)}\n{p6}}}'
-        for r in h.fusion_log
-    ]
-    return levels, omega, fields, records
-
-
-def _h_text(h: Hyperstructure, levels: list, omega: list, fields: list, records: list) -> str:
-    """The hyperstructure section, put together at depth one from _h_sorted's parts."""
-    p4, p6, p8, p10 = " " * 4, " " * 6, " " * 8, " " * 10
-    items = [
-        f'{{\n{p8}"id": {i},\n{p8}"identity": {f},\n{p8}"level": {lvl},\n{p8}"property": {prop},\n{p8}"support": {support}\n{p6}}}'
-        for lvl, i, prop, f, support in fields
-    ]
     parts = [f'"bonds": {_list(items, p4)}']
-    if records:  # written only when present, so unfused towers keep their bytes
+    if h.fusion_log:  # written only when present, so unfused towers keep their bytes
+        records = [
+            f'{{\n{p8}"a": {pair(r.a)},\n{p8}"b": {pair(r.b)},\n{p8}"k": {write_int(r.k)},'
+            f'\n{p8}"result": {pair(r.result)}\n{p6}}}'
+            for r in h.fusion_log
+        ]
         parts.append(f'"fusion_log": {_list(records, p4)}')
     parts.append(f'"levels": {_list(levels, p4)}')
-    tables = [
-        _list([f'{{\n{p10}"properties": {tokens},\n{p10}"support": {support}\n{p8}}}' for _, support, tokens in entries], p6)
-        for entries in omega
-    ]
     parts.append(f'"omega": {_list(tables, p4)}')
-    parts.append(f'"order": {int.__repr__(h.order)}')
+    parts.append(f'"order": {write_int(h.order)}')
     sep = ",\n" + p4
     return f"{{\n{p4}{sep.join(parts)}\n  }}"
 
 
 def serialize(doc: Document) -> str:
     """The document's canonical text (see the serialization notes above)."""
-    h = doc.hyperstructure
-    writers = {"format": partial(_dumps, FORMAT, "  ")}  # section -> its text, once every check has run
-    if h is not None:
-        writers["hyperstructure"] = partial(_h_text, h, *_h_sorted(h))
+    sections = {"format": _dumps(FORMAT, "  ")}  # section -> its text, checked and written in this order
+    if doc.hyperstructure is not None:
+        sections["hyperstructure"] = _h_text(doc.hyperstructure)
     if doc.topology is not None:
         from .topology import _topology_to_json
 
-        writers["topology"] = partial(_dumps, _topology_to_json(doc.topology), "  ")
+        sections["topology"] = _dumps(_topology_to_json(doc.topology), "  ")
     if doc.states is not None:
-        from .states import _states_sorted, _states_text
+        from .states import _states_text
 
-        writers["states"] = partial(_states_text, _states_sorted(doc.states))
+        sections["states"] = _states_text(doc.states)
     if doc.category is not None:
         from .catelem import _category_to_json
 
-        writers["category"] = partial(_dumps, _category_to_json(doc.category), "  ")
+        sections["category"] = _dumps(_category_to_json(doc.category), "  ")
     if doc.presheaf is not None:
         from .catelem import _presheaf_to_json
 
-        writers["presheaf"] = partial(_dumps, _presheaf_to_json(doc.presheaf), "  ")
+        sections["presheaf"] = _dumps(_presheaf_to_json(doc.presheaf), "  ")
     if doc.simplicial is not None:
         from .catelem import _simplicial_to_json
 
-        writers["simplicial"] = partial(_dumps, _simplicial_to_json(doc.simplicial), "  ")
-    body = ",\n".join(f'  "{name}": {write()}' for name, write in sorted(writers.items()))
-    return f"{{\n{body}\n}}\n"
+        sections["simplicial"] = _dumps(_simplicial_to_json(doc.simplicial), "  ")
+    pieces = ["{\n"]  # joined once, so each section's text is copied only into the result
+    for name, text in sorted(sections.items()):
+        pieces += ['  "', name, '": ', text, ",\n"]
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)

@@ -16,6 +16,8 @@ from json.encoder import encode_basestring
 from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
+# union_token is core's; taking it through composition keeps composition loaded with
+# states, since perfbench/tracing.py finds the functions it wraps in sys.modules
 from .composition import union_token
 from .core import ElementId, Hyperstructure, RawId, _key_sorted, id_key, sorted_elements
 from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _of_types, _refuse_repeat
@@ -274,11 +276,11 @@ def localize(h: Hyperstructure, top: Mapping, co_connectors: Sequence[CoConnecto
 # -- the states section of a document -----------------------------------------------
 #
 # The reader resolves each [id, state] pair through the tower's per-level
-# raw-id tables (Hyperstructure.element_index). The writer runs every check
-# of the section first, in the order spaces, base, top, connectors,
-# co-connectors, assignment, and then writes each pair list from one
-# template per pair and the rest through json.dumps, so a refused section
-# raises its first error as the dict-tree codec did.
+# raw-id tables (Hyperstructure.element_index). The writer checks and
+# writes each field in one pass, in the order spaces, base, top, connectors,
+# co-connectors, assignment: each pair list from one template per pair and
+# the rest through json.dumps, so a refused section raises its first error
+# as the dict-tree codec did.
 
 
 def _state_from_json(value, where: str):
@@ -370,13 +372,18 @@ def _co_connector_from_json(value, where: str, h: Hyperstructure, transition: in
     return CoConnector(kind="per_child", table=table)
 
 
-def _sorted_pairs(mapping: Mapping[ElementId, object], states: tuple) -> tuple:
-    """The mapping's items in ElementId.key order, with how to write their ids
-    and their states, once every key is an ElementId with an int level, the
-    ids are strs and ints and every state has a type that states (a
+def _marker_text(m: Marker) -> str:
+    """A marker as its {"marker": name} object, at an assignment state's depth of ten columns."""
+    return f'{{\n{" " * 12}"marker": {encode_basestring(m.name)}\n{" " * 10}}}'
+
+
+def _pairs_text(mapping: Mapping[ElementId, object], kind: tuple, pad: str) -> str:
+    """The mapping's items as a JSON list of [id, state] lists in ElementId.key
+    order, one template per pair, once every key is an ElementId with an int
+    level, the ids are strs and ints and every state has a type that kind (a
     document_writer column kind) holds; SchemaError names the first key or
     value that is not."""
-    from .document_writer import _INTS, _writer
+    from .document_writer import _INTS, _list, _writer
 
     keys = list(mapping)
     if not _of_types(keys, ElementId):
@@ -384,72 +391,40 @@ def _sorted_pairs(mapping: Mapping[ElementId, object], states: tuple) -> tuple:
         raise SchemaError(f"states are keyed by elements, got {type(bad).__name__} {bad!r}")
     _writer([[e.level for e in keys]], _INTS)
     write_id = _writer([[e.id for e in keys]])
-    write_state = _writer([mapping.values()], states)
-    return [(e, mapping[e]) for e in _key_sorted(keys)], write_id, write_state
-
-
-def _marker_text(m: Marker) -> str:
-    """A marker as its {"marker": name} object, at an assignment state's depth of ten columns."""
-    return f'{{\n{" " * 12}"marker": {encode_basestring(m.name)}\n{" " * 10}}}'
-
-
-def _states_sorted(s: StatesSection) -> dict:
-    """The states section's fields in canonical order, every check run."""
-    from .document_writer import _IDS
-
-    out: dict = {}
-    if s.tower is not None:
-        spaces = []
-        for tokens, op in zip(s.tower.spaces, s.tower.ops):
-            entry: dict = {"tokens": sorted(tokens, key=_jkey)}
-            if op is None:
-                entry["op"] = None
-            else:
-                entry["op"] = {
-                    "unit": _expect_id(op.unit, "op", "states"),
-                    "table": sorted(
-                        ([a, b, _expect_id(v, "op", "states")] for (a, b), v in op.table.items()),
-                        key=lambda t: (_jkey(t[0]), _jkey(t[1])),
-                    ),
-                }
-            spaces.append(entry)
-        out["spaces"] = spaces
-    out["base"] = _sorted_pairs(s.base, _IDS) if s.base is not None else None
-    out["top"] = _sorted_pairs(s.top, _IDS) if s.top is not None else None
-    out["connectors"] = [_connector_to_json(c) for c in s.connectors] if s.connectors is not None else None
-    out["co_connectors"] = [_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None
-    marked = (_IDS[0], {**_IDS[1], Marker: _marker_text})  # an assignment's states may also be markers
-    out["assignment"] = [_sorted_pairs(level, marked) for level in s.assignment.per_level] if s.assignment is not None else None
-    return out
-
-
-def _pairs_text(pairs: list, write_id, write_state, pad: str) -> str:
-    """A sorted pair list as a JSON list of [id, state] lists, one template per pair."""
-    from .document_writer import _list
-
+    write_state = _writer([mapping.values()], kind)
     p2, p4 = "\n" + pad + "  ", "\n" + pad + "    "
-    return _list([f"[{p4}{write_id(e.id)},{p4}{write_state(v)}{p2}]" for e, v in pairs], pad)
+    return _list([f"[{p4}{write_id(e.id)},{p4}{write_state(mapping[e])}{p2}]" for e in _key_sorted(keys)], pad)
 
 
-def _states_text(fields: dict) -> str:
-    """The states section, written at depth one from _states_sorted's fields.
+def _op_to_json(op: SpaceOp | None) -> dict | None:
+    if op is None:
+        return None
+    unit = _expect_id(op.unit, "op", "states")
+    table = sorted(([a, b, _expect_id(v, "op", "states")] for (a, b), v in op.table.items()), key=lambda t: (_jkey(t[0]), _jkey(t[1])))
+    return {"unit": unit, "table": table}
+
+
+def _states_text(s: StatesSection) -> str:
+    """The states section at depth one, its fields checked and written in the
+    order spaces, base, top, connectors, co-connectors, assignment.
 
     The writer's helpers are imported when a states section is written, so a
     command that only reads one never compiles document_writer.
     """
-    from .document_writer import _dumps, _list
+    from .document_writer import _IDS, _dumps, _list
 
     p4 = " " * 4
-    items = []
-    for name, value in sorted(fields.items()):
-        if value is None or name in ("spaces", "connectors", "co_connectors"):
-            text = _dumps(value, p4)
-        elif name == "assignment":
-            text = _list([_pairs_text(*level, " " * 6) for level in value], p4)
-        else:
-            text = _pairs_text(*value, p4)
-        items.append(f'{p4}"{name}": {text}')
-    return "{\n" + ",\n".join(items) + "\n  }"
+    fields = {}
+    if s.tower is not None:
+        spaces = [{"tokens": sorted(tokens, key=_jkey), "op": _op_to_json(op)} for tokens, op in zip(s.tower.spaces, s.tower.ops)]
+        fields["spaces"] = _dumps(spaces, p4)
+    fields["base"] = _pairs_text(s.base, _IDS, p4) if s.base is not None else "null"
+    fields["top"] = _pairs_text(s.top, _IDS, p4) if s.top is not None else "null"
+    fields["connectors"] = _dumps([_connector_to_json(c) for c in s.connectors] if s.connectors is not None else None, p4)
+    fields["co_connectors"] = _dumps([_co_connector_to_json(c) for c in s.co_connectors] if s.co_connectors is not None else None, p4)
+    marked = (_IDS[0], {**_IDS[1], Marker: _marker_text})  # an assignment's states may also be markers
+    fields["assignment"] = _list([_pairs_text(level, marked, " " * 6) for level in s.assignment.per_level], p4) if s.assignment is not None else "null"
+    return "{\n" + ",\n".join(f'{p4}"{name}": {text}' for name, text in sorted(fields.items())) + "\n  }"
 
 
 def _read_pairs(raw, table: dict[RawId, ElementId], where: str, at: str, read_state=partial(_expect_id, noun="states")) -> dict[ElementId, object]:

@@ -616,6 +616,20 @@ def _table(field: str, k: int):
     return put
 
 
+def _first_property(doc, value, rng):
+    h = doc.hyperstructure
+    doc.hyperstructure = h._replace(bonds=(h.bonds[0]._replace(property=value),) + h.bonds[1:])
+
+
+def _base(doc, value, rng):
+    doc.states.base = _first(doc.states.base, value)
+
+
+def _assigned(doc, value, rng):
+    levels = doc.states.assignment.per_level
+    doc.states.assignment = LambdaAssignment((_first(levels[0], value),) + levels[1:])
+
+
 ID, INT = (str, int), (int,)
 #: Each cell of a document's tables whose type the reader checks: the types
 #: it takes there, whether the value goes into a set or a dict key, and how
@@ -690,6 +704,31 @@ class TestCodecOracle:
         if type(value) not in takes:
             got = _outcome(serialize, doc)
             assert isinstance(got, tuple) and got[0] is SchemaError and got[1].endswith(f"got {value!r}"), got
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ([("first bond property", 7), ("base state", 1.5)], "property tokens must be strings, got 7"),
+            ([("base state", 2.5), ("connector output", None)], "identifiers and states must be strings or integers, got 2.5"),
+            ([("op unit", 3.5), ("assignment state", 4.5)], "op: states must be strings or integers, got 3.5"),
+            ([("topology root level", None), ("morphism src", 5.5)], "topology: expected an integer, got None"),
+        ],
+        ids=["tower-then-states", "base-then-connectors", "spaces-then-assignment", "topology-then-category"],
+    )
+    def test_two_refused_values_name_the_first_checked(self, faults, message):
+        """Sections are checked in the order hyperstructure, topology, states,
+        category, and a states section's fields in the order spaces, base, top,
+        connectors, co-connectors, assignment; either fault put in alone is
+        refused too, so the first checked is the one named."""
+        puts = {cell: put for cell, (_, _, put) in ODD_CELLS.items()}
+        puts.update({"first bond property": _first_property, "base state": _base, "assignment state": _assigned})
+        doc = parse(json.dumps({**every_section_document(), **json.loads((CORPUS / "hollow_triangle.json").read_text())}))
+        rng = random.Random(0)
+        for cell, value in reversed(faults):
+            puts[cell](doc, value, rng)
+        with pytest.raises(SchemaError) as got:
+            serialize(doc)
+        assert str(got.value) == message
 
     def test_tokens_mixing_none_and_str_are_refused(self):
         """The reference's sort of such a set raises TypeError; the writer names the None."""
