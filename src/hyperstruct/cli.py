@@ -4,10 +4,14 @@ Exit codes: 0 = success or passing check, 1 = a check failed (the report
 says why), 2 = input error. Reports are deterministic — identical inputs
 produce identical bytes — and result documents are written atomically.
 
-A process loads only what its own command runs. When argv[0] names a
-command, main builds that command's subparser alone from COMMANDS, and
-otherwise the full parser, so help, usage lines and errors read the same
-either way. The command's body is run(args) in hyperstruct.commands.<name>,
+A process loads only what its own command runs. A plain command line
+(argv[0] a command, its positionals, then each flag once in full with a
+value its type and choices accept) is read straight from COMMANDS, and
+argparse never loads. Anything else (help, abbreviations, --flag=value, a
+usage error) goes to argparse: when argv[0] names a command, main builds
+that command's subparser alone, and otherwise the full parser, so help,
+usage lines and errors read the same either way and argparse writes all
+of them. The command's body is run(args) in hyperstruct.commands.<name>,
 which imports the library modules it runs. Reading a document compiles the
 tower reader, and a payload section's module (topology, states or catelem,
 which hold that section's codec) only when the document carries the
@@ -15,22 +19,24 @@ section; only --out compiles the tower writer and loads tempfile and
 pathlib. validate alone compiles the tower laws.
 
 A command process ends in run_process, which both `python -m
-hyperstruct.cli` and the installed `hyperstruct` script call: it runs main,
-flushes stdout and stderr, and ends with os._exit(code), skipping the
-module teardown and final garbage collection of an interpreter about to
-die. A stdout that cannot take all of the output, a pipe whose reader
-leaves mid-write included, is an input error there (exit 2, `cannot write
-<stdout>: <reason>` on stderr). main itself returns the exit code and
-never exits, so tests and an in-process caller (the benchmark's replay)
-can run many commands in one interpreter.
+hyperstruct.cli` and the installed `hyperstruct` script call: it pauses
+the cyclic garbage collector, runs main, flushes stdout and stderr, and
+ends with os._exit(code), skipping the module teardown and final garbage
+collection of an interpreter about to die. A stdout that cannot take all
+of the output, a pipe whose reader leaves mid-write included, is an input
+error there (exit 2, `cannot write <stdout>: <reason>` on stderr). main
+itself returns the exit code, never exits and leaves the collector as it
+found it, so tests and an in-process caller (the benchmark's replay) can
+run many commands in one interpreter.
 """
 from __future__ import annotations
 
-import argparse
 import errno
+import gc
 import io
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import HyperstructError, NotComposable, NotGluable
 
@@ -107,13 +113,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None):
     """The full parser, or, given a command, the parser with that command's subparser alone.
 
     The lone subparser's parent names every command in its metavar, so its
     usage lines match the full parser's. The full parser leaves the metavar
     unset: argparse names the argument by its metavar in its errors.
     """
+    import argparse
+
     p = argparse.ArgumentParser(prog="hyperstruct", description="Level towers of bonds: build, check, fold, measure.")
     metavar = "{" + ",".join(COMMANDS) + "}" if command else None
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
@@ -127,6 +135,65 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
+def _value(kwargs: dict, token: str):
+    """token as argparse stores it for an argument with these keywords, or
+    None if argparse would refuse it or might read it as a flag."""
+    if token.startswith("-"):
+        return None
+    try:
+        value = kwargs.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in kwargs.get("choices", [value]) else None
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's values for a plain command line, read from COMMANDS, or None.
+
+    Plain means: argv[0] names a command, its positionals come first, then
+    each flag once, spelled in full, its value not starting with "-" and
+    accepted by the flag's type and choices; every required flag is present
+    and no exclusive group has two members set. Any other argv is argparse's
+    to read, refuse or answer with help.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    positionals, flags, groups = [], {}, []
+    for arg in COMMANDS[argv[0]][1]:
+        if isinstance(arg, list):
+            groups.append({flag for flag, _ in arg})
+        for name, kwargs in arg if isinstance(arg, list) else [arg]:
+            dest = name.lstrip("-").replace("-", "_")
+            values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+            if name.startswith("-"):
+                flags[name] = dest, kwargs
+            else:
+                positionals.append((name, kwargs))
+    n = next((i for i, token in enumerate(argv[1:]) if token.startswith("-")), len(argv) - 1)
+    if not sum(kwargs.get("nargs") != "?" for _, kwargs in positionals) <= n <= len(positionals):
+        return None
+    for (name, kwargs), token in zip(positionals, argv[1 : 1 + n]):
+        values[name] = _value(kwargs, token)
+        if values[name] is None:
+            return None
+    seen = set()
+    tokens = iter(argv[1 + n :])
+    for flag in tokens:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, kwargs = flags[flag]
+        values[dest] = True if kwargs.get("action") == "store_true" else _value(kwargs, next(tokens, "-"))
+        if values[dest] is None:
+            return None
+    if any(kwargs.get("required") and flag not in seen for flag, (_, kwargs) in flags.items()):
+        return None
+    if any(len(group & seen) > 1 for group in groups):
+        return None
+    return SimpleNamespace(**values)
+
+
 def _command(name: str):
     """The module that runs a command: hyperstruct.commands.<name>, "-" read as "_".
 
@@ -136,7 +203,7 @@ def _command(name: str):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return _command(args.command).run(args)
     except HyperstructError as e:
@@ -160,7 +227,7 @@ class _Stdout(io.RawIOBase):
 
 
 def run_process() -> None:
-    """Run main as the whole life of a command process, then end it with os._exit.
+    """Run main, the collector paused, as the whole life of a command process, then end it with os._exit.
 
     Both `python -m hyperstruct.cli` and the installed `hyperstruct` script
     come here. The process flushes stdout and stderr itself and skips the
@@ -178,6 +245,7 @@ def run_process() -> None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         out = sys.stdout
         sys.stdout = io.TextIOWrapper(_Stdout(), out.encoding, out.errors, line_buffering=out.line_buffering)
+        gc.disable()  # the few cycles a command leaves die with the process
         code = main()
         sys.stdout.flush()
     except OSError as e:

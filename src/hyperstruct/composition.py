@@ -145,9 +145,10 @@ def fuse(
     h.bond(b)
     if not (0 <= k < min(a.level, b.level)):
         raise LevelOutOfRange(f"gluing level {k} not below both bonds")
-    if not composable(h, a, b, k, "weak"):
-        raise NotGluable(f"{a!r} and {b!r} share nothing at level {k}")
-    h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
+    try:
+        h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
+    except NotComposable:
+        raise NotGluable(f"{a!r} and {b!r} share nothing at level {k}") from None
     rec = FusionRecord(k=k, m=max(a.level, b.level), n=min(a.level, b.level), a=a, b=b, result=eid)
     return h2._replace(fusion_log=h2.fusion_log + (rec,)), eid
 

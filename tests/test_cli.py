@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import KEYED_ROWS, at_path, every_section_document, tower_from_supports
 from hyperstruct import cli, errors, installers
@@ -1276,4 +1278,90 @@ class TestParserText:
         built = []
         monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
         assert main(["validate", str(CORPUS / "brunnian_3_3.json")]) == 0
-        assert built == ["validate"] and commands(build_parser("validate")) == ["validate"]
+        assert built == []  # plain argv is read from COMMANDS
+        for argv in (["validate", "--help"], ["validate"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert built == ["validate", "validate"] and commands(build_parser("validate")) == ["validate"]
+
+
+#: Tokens a plain command line carries, and tokens that argparse reads in its own way or refuses.
+PLAIN_TOKENS = ["0", "3", " 3", "٣", "", "d.json", "1:x"]
+HOSTILE_TOKENS = ["-1", "2.5", "x", "loose", "graph", "-", "--", "-h", "--help", "--ou", "--out=x", "--bogus"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with each of its arguments present or not, a value drawn
+    for each (mostly from its choices or PLAIN_TOKENS), the flags in any
+    order, and now and then a hostile token, a repeated flag or an extra
+    positional among them."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    arguments = [a for arg in COMMANDS[command][1] for a in (arg if isinstance(arg, list) else [arg])]
+
+    def token(kwargs):
+        pool = HOSTILE_TOKENS if draw(st.integers(0, 7)) == 0 else kwargs.get("choices", PLAIN_TOKENS)
+        return draw(st.sampled_from(pool))
+
+    positionals, flags = [], []
+    for name, kwargs in arguments:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        if not name.startswith("-"):
+            positionals.append(token(kwargs))
+        else:
+            flags.append([name] if kwargs.get("action") == "store_true" else [name, token(kwargs)])
+    if draw(st.integers(0, 5)) == 0:
+        positionals.append(draw(st.sampled_from(PLAIN_TOKENS)))
+    if draw(st.integers(0, 1)) == 0:
+        flags.append([draw(st.sampled_from(HOSTILE_TOKENS + [name for name, _ in arguments]))])
+    return [command, *positionals, *chain.from_iterable(draw(st.permutations(flags)))]
+
+
+class TestPlainArgs:
+    """The plain reader gives exactly argparse's values, or leaves the argv to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_values_match_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["install", "relation", "p.json", "--ou", "o.json"],
+            ["globalize", "d.json", "--out=o.json"],
+            ["globalize", "d.json", "--out", "a.json", "--out", "b.json"],
+            ["install", "--graded", "simplicial", "p.json"],
+            ["fuse", "d.json", "--a", "1:x", "--b", "1:y", "--k", "-1", "--id", "f"],
+            ["validate", "-h"],
+            ["validate", "--", "d.json"],
+            ["nerve", "d.json", "--max-dim", "two"],
+            ["install", "graph", "p.json"],
+            ["compose", "d.json", "--a", "1:x", "--b", "1:y", "--p", "0", "--mode", "loose", "--id", "c"],
+            ["topology-check", "d.json", "--exhaustive", "--sampled", "3"],
+            ["emergent", "d.json", "--level", "0", "--s1", "a"],
+            ["globalize", "d.json", "--out"],
+            ["validate", "a.json", "b.json"],
+            ["validate"],
+            ["frobnicate"],
+            [],
+        ],
+        ids=[
+            "abbreviated", "flag=value", "repeated", "flag-first", "dash-value", "-h", "--", "bad-int", "bad-choice",
+            "bad-option-choice", "exclusive", "missing-required", "missing-value", "extra-positional", "no-positional",
+            "unknown-command", "empty",
+        ],
+    )
+    def test_anything_else_goes_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_accepted_lines(self):
+        assert vars(cli._plain_args(["install", "brunnian", "--branching", "3,3"])) == {
+            "command": "install", "kind": "brunnian", "input": None, "branching": "3,3", "graded": False, "out": None,
+        }
+        assert vars(cli._plain_args(["topology-check", "d.json", "--sampled", " 3"])) == {
+            "command": "topology-check", "input": "d.json", "level": None, "exhaustive": False, "sampled": 3,
+        }

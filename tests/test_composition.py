@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from helpers import random_tower
+from hyperstruct import composition
 from hyperstruct.assignments import TENSOR_PAIRS, UNION, Combiner
 from hyperstruct.composition import (
     combine_tokens,
@@ -26,9 +27,11 @@ from hyperstruct.core import (
     identity_bond,
     iterated_boundary,
     new_hyperstructure,
+    sorted_elements,
     validate,
 )
-from hyperstruct.errors import CombinerUndefined, LevelOutOfRange, NotComposable, NotGluable
+from hyperstruct.errors import CombinerUndefined, DuplicateId, LevelOutOfRange, NotComposable, NotGluable
+from hyperstruct.installers import make_brunnian_tower
 
 
 def chain_tower():
@@ -181,8 +184,35 @@ class TestFuse:
         h = assign_property(h, 0, s2, "p")
         h, a = add_bond(h, 0, s1, "p", "a")
         h, b = add_bond(h, 0, s2, "p", "b")
-        with pytest.raises(NotGluable):
+        with pytest.raises(NotGluable, match=r"^1:a and 1:b share nothing at level 0$"):
             fuse(h, a, b, 0, None, "c")
+
+    def test_walks_each_operand_once(self, monkeypatch):
+        h = make_brunnian_tower([2, 2])
+        a, b = sorted_elements(h.levels[2])[0], sorted_elements(h.levels[1])[0]
+        calls = []
+        monkeypatch.setattr(composition, "iterated_boundary", lambda *args: calls.append(args[1:]) or iterated_boundary(*args))
+        fuse(h, a, b, 0, None, "c")
+        assert len(calls) == 2
+
+    def test_lifting_comes_before_the_gluing_check(self):
+        """fuse checks gluing inside compose_cross, on the lifted operand, so
+        an identity id already taken is refused first, as in compose_cross."""
+        h = new_hyperstructure(["x", "y", "u", "v"])
+        s1, s2 = h.support_at(0, ["x", "y"]), h.support_at(0, ["u", "v"])
+        h = assign_property(h, 0, s1, "p")
+        h = assign_property(h, 0, s2, "p")
+        h, a = add_bond(h, 0, s1, "p", "a")
+        h, b = add_bond(h, 0, s2, "p", "b")
+        s = Support.of([a])
+        h = assign_property(h, 1, s, "q")
+        h, top = add_bond(h, 1, s, "q", "top")
+        h, _ = add_bond(h, 1, s, "q", "id:b")  # the id lifting b would take
+        taken = "^element 'id:b' already present at level 2$"
+        with pytest.raises(DuplicateId, match=taken):
+            compose_cross(h, top, b, 0, "weak", None, "c")
+        with pytest.raises(DuplicateId, match=taken):
+            fuse(h, top, b, 0, None, "c")
 
     def test_cross_level_fuse(self):
         h = new_hyperstructure(["a", "b", "c"])

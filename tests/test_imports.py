@@ -7,10 +7,14 @@ document loads a section's module (topology, states or catelem, which hold
 the section codecs) only when the section is present, reading loads the
 document reader and `--out` the writer, and only `validate` loads the tower
 laws. `tempfile` and `pathlib` load only for `--out`, which is pinned with
-`python -S`, since a site hook may import them first. The value types are
+`python -S`, since a site hook may import them first. A plain command line
+is read from the command table, so `argparse` (and `gettext` and `locale`,
+which it imports) load only for help and usage errors. The value types are
 NamedTuples and plain classes, so no command loads `dataclasses`, nor
-`inspect`, which `dataclasses` imports.
+`inspect`, which `dataclasses` imports. A command process runs with the
+cyclic collector paused; `main` called in-process leaves it on.
 """
+import gc
 import json
 import os
 import subprocess
@@ -97,20 +101,23 @@ def test_a_document_loads_only_its_sections_modules(name, expected):
     assert loaded & set(PAYLOAD_MODULES) == expected
 
 
-#: Modules outside hyperstruct that a command may load only for --out.
+#: Modules outside hyperstruct that a command may load only for --out, and
+#: those that only help and usage errors load.
 OUT_STDLIB = {"tempfile", "pathlib"}
+PARSER_STDLIB = {"argparse", "gettext", "locale"}
 
 
-def _loaded_by_command(*argv: str, site: bool = True) -> set[str]:
-    """The hyperstruct submodules, and tempfile and pathlib, that
-    `python -m hyperstruct.cli argv` imports, read from its -X importtime
-    report; with site=False, under `python -S`."""
+def _loaded_by_command(*argv: str, site: bool = True, code: int = 0) -> set[str]:
+    """The hyperstruct submodules, and the OUT_STDLIB and PARSER_STDLIB
+    modules, that `python -m hyperstruct.cli argv` imports before exiting
+    with code, read from its -X importtime report; with site=False, under
+    `python -S`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     command = [sys.executable, *([] if site else ["-S"]), "-X", "importtime", "-m", "hyperstruct.cli", *argv]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.returncode == code, done.stdout + done.stderr
     names = (line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:"))
-    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.") or m in OUT_STDLIB}
+    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.") or m in OUT_STDLIB | PARSER_STDLIB}
 
 
 def _without(name: str, section: str, tmp_path) -> str:
@@ -166,17 +173,56 @@ COMMAND_IDS = [
 @pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_each_command_loads_only_its_modules(argv, expected, tmp_path):
     loaded = _loaded_by_command(*argv(tmp_path))
-    assert loaded - OUT_STDLIB == SHARED | expected - OUT_STDLIB
+    assert loaded - OUT_STDLIB - PARSER_STDLIB == SHARED | expected - OUT_STDLIB
 
 
 @pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_without_site_each_command_loads_only_its_modules(argv, expected, tmp_path):
-    """Under python -S nothing is preloaded, so tempfile and pathlib show up exactly when --out writes."""
+    """Under python -S nothing is preloaded, so tempfile and pathlib show up
+    exactly when --out writes, and a plain command line loads no argparse."""
     assert _loaded_by_command(*argv(tmp_path), site=False) == SHARED | expected
 
 
 def test_help_loads_no_command():
-    assert _loaded_by_command("--help", site=False) == {"errors"}
+    assert _loaded_by_command("--help", site=False) == {"errors"} | PARSER_STDLIB
+
+
+@pytest.mark.parametrize("argv, code", [(["validate", "--help"], 0), (["validate"], 2), (["validate", "a.json", "--bogus"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert _loaded_by_command(*argv, site=False, code=code) == {"errors"} | PARSER_STDLIB
+
+
+def test_main_leaves_the_collector_on():
+    assert gc.isenabled()
+    from hyperstruct.cli import main
+
+    assert main(["validate", str(CORPUS / "brunnian_3_3.json")]) == 0
+    assert gc.isenabled()
+
+
+def test_a_command_process_runs_without_the_collector():
+    """run_process, as `python -m hyperstruct.cli` runs it, pauses the
+    collector before the command, and parse leaves it paused."""
+    probe = f"""
+import gc, runpy, sys
+import hyperstruct.commands.validate as command
+
+run = command.run
+
+def observed(args):
+    print("collector on:", gc.isenabled(), file=sys.stderr)
+    code = run(args)
+    print("collector on:", gc.isenabled(), file=sys.stderr)
+    return code
+
+command.run = observed
+sys.argv = ["hyperstruct", "validate", {str(CORPUS / "brunnian_3_3.json")!r}]
+runpy.run_module("hyperstruct.cli", run_name="__main__", alter_sys=True)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "collector on: False\ncollector on: False\n")
+    assert done.stdout.startswith("validate: pass")
 
 
 @pytest.mark.parametrize(
