@@ -3,8 +3,8 @@
 Two bonds compose at a probe level p when their boundaries, dissolved down
 to p, either coincide (strict) or merely overlap (weak). The composite binds
 the union of the operands' supports and carries a combined property token.
-Cross-level composition lifts the lower bond with identity bonds first; fuse
-is the weak-mode gluing recorded in the tower's operation log.
+Cross-level composition checks the pair, then adds the lower bond's identity
+lift with the composite; fuse is weak gluing recorded in the tower's log.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from .core import (
     Support,
     add_bonds,
     assemble,
-    identity_bond,
-    identity_spec,
     iterated_boundary,
+    lift_specs,
     pair_token,
     sorted_elements,
     union_token,
@@ -89,20 +88,7 @@ def compose(
     """
     if a.level != b.level:
         raise NotComposable(f"levels differ ({a.level} vs {b.level}); use compose_cross")
-    if not composable(h, a, b, p, mode):
-        raise NotComposable(f"{a!r} and {b!r} are not {mode}-compatible at level {p}")
-    ba, bb = h.bond(a), h.bond(b)
-    sup = ba.support.union(bb.support)
-    token = combine_tokens(combiner, ba.property, bb.property)
-    if token == IDENTITY_PROPERTY:
-        # only an identity bond composed with itself reaches the reserved
-        # token, and its composite is that bond again
-        return h, a
-    if raw_id is None:
-        raw_id = f"({a.id}□{b.id})"
-    if not sup.members:  # two bonds of a broken document that bind nothing
-        raise EmptySupport("cannot assign a property to the empty support")
-    return add_bonds(h, [BondSpec(sup.level, sup, token, raw_id)]), ElementId(sup.level + 1, raw_id)
+    return _glue(h, a, b, p, mode, combiner, raw_id)
 
 
 def compose_cross(
@@ -117,19 +103,33 @@ def compose_cross(
     """Compose bonds at different levels by lifting the lower one.
 
     Identity bonds are the canonical level-raising device: the lower bond is
-    wrapped until both operands sit at the same level, then compose applies.
+    wrapped until both operands sit at the same level. The pair is checked
+    first, and the lift is built with the composite in one add_bonds call.
     """
     if a.level < b.level:
         a, b = b, a
-    m, n = a.level, b.level
-    if not (0 <= p < n):
-        raise LevelOutOfRange(f"probe level {p} must lie below the lower bond (level {n})")
-    h.bond(a)
-    h.bond(b)
-    lifted = b
-    while lifted.level < m:
-        h, lifted = identity_bond(h, lifted.level, lifted)
-    return compose(h, a, lifted, p, mode, combiner, raw_id)
+    if not (0 <= p < b.level):
+        raise LevelOutOfRange(f"probe level {p} must lie below the lower bond (level {b.level})")
+    return _glue(h, a, b, p, mode, combiner, raw_id)
+
+
+def _glue(h, a, b, p, mode, combiner, raw_id) -> tuple[Hyperstructure, ElementId]:
+    """Glue a with b lifted to a's level, deciding on the pair as given: a lift keeps b's boundaries."""
+    if not composable(h, a, b, p, mode):
+        raise NotComposable(f"{a!r} and {b!r} are not {mode}-compatible at level {p}")
+    specs, lifted = lift_specs(h, b, a.level)
+    ba = h.bond(a)
+    bb = Bond(lifted, specs[-1].support, IDENTITY_PROPERTY, True) if specs else h.bond(lifted)
+    sup = ba.support.union(bb.support)
+    token = combine_tokens(combiner, ba.property, bb.property)
+    if token == IDENTITY_PROPERTY:
+        # only identity bonds reach the reserved token, and their composite is a again
+        return (add_bonds(h, specs) if specs else h), a
+    if raw_id is None:
+        raw_id = f"({a.id}□{lifted.id})"
+    if not sup.members:  # two bonds of a broken document that bind nothing
+        raise EmptySupport("cannot assign a property to the empty support")
+    return add_bonds(h, [*specs, BondSpec(sup.level, sup, token, raw_id)]), ElementId(sup.level + 1, raw_id)
 
 
 def fuse(
@@ -162,13 +162,8 @@ def _prefix_support(s: Support, tag: str) -> Support:
 
 
 def _pad_to_order(h: Hyperstructure, order: int) -> Hyperstructure:
-    """Raise a tower's order by wrapping every top element in an identity bond."""
-    specs = []
-    top = sorted_elements(h.levels[h.order])
-    for i in range(h.order, order):
-        wraps = [identity_spec(e) for e in top]
-        specs += wraps
-        top = [ElementId(i + 1, spec.raw_id) for spec in wraps]
+    """Raise a tower's order by lifting every top element with identity bonds."""
+    specs = [spec for e in sorted_elements(h.levels[h.order]) for spec in lift_specs(h, e, order)[0]]
     return add_bonds(h, specs, order)
 
 

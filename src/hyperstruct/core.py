@@ -466,9 +466,16 @@ def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> H
     return assemble(levels, omegas, bonds, h.fusion_log)
 
 
-def identity_spec(x: ElementId) -> BondSpec:
-    """The spec of x's identity bond: {x} under the reserved token, named id:<x's raw id>."""
-    return BondSpec(x.level, Support(x.level, frozenset({x})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{x.id}", True)
+def lift_specs(h: Hyperstructure, x: ElementId, level: int) -> tuple[list[BondSpec], ElementId]:
+    """The identity specs lifting x to the given level, reusing the tower's identity bonds, and the top they reach."""
+    specs = []
+    while x.level < level:
+        above = h.identity_index.get(x)
+        if above is None:
+            specs.append(BondSpec(x.level, Support(x.level, frozenset({x})), IDENTITY_PROPERTY, f"{IDENTITY_PROPERTY}:{x.id}", True))
+            above = ElementId(x.level + 1, specs[-1].raw_id)
+        x = above
+    return specs, x
 
 
 def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructure, ElementId]:
@@ -476,11 +483,8 @@ def identity_bond(h: Hyperstructure, i: int, x: ElementId) -> tuple[Hyperstructu
     h.check_level(i)
     if x.level != i or not h.has_element(x):
         raise UnknownElement(f"no element {x!r} at level {i}")
-    existing = h.identity_index.get(x)
-    if existing is not None:
-        return h, existing
-    spec = identity_spec(x)
-    return add_bonds(h, [spec]), ElementId(i + 1, spec.raw_id)
+    specs, lifted = lift_specs(h, x, i + 1)
+    return (add_bonds(h, specs) if specs else h), lifted
 
 
 def iterated_boundary(h: Hyperstructure, b: ElementId, p: int) -> Support:

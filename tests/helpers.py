@@ -18,6 +18,7 @@ from hyperstruct.core import (
     Bond,
     BondSpec,
     ElementId,
+    FusionRecord,
     Hyperstructure,
     Support,
     add_bond,
@@ -34,6 +35,7 @@ from hyperstruct.errors import (
     InvalidCategory,
     LevelOutOfRange,
     NotComposable,
+    NotGluable,
     PropertyNotAssigned,
     ReservedProperty,
     SweepTooLarge,
@@ -446,6 +448,37 @@ def reference_compose(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mod
         raw_id = f"({a.id}□{b.id})"
     h = assign_property(h, sup.level, sup, token)
     return reference_add_bond(h, sup.level, sup, token, raw_id)
+
+
+def reference_compose_cross(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mode="strict", combiner=None, raw_id=None):
+    """compose_cross restated: decide on the pair as given and name the token,
+    then lift the lower bond one identity bond at a time and compose."""
+    if a.level < b.level:
+        a, b = b, a
+    if not 0 <= p < b.level:
+        raise LevelOutOfRange(f"probe level {p} must lie below the lower bond (level {b.level})")
+    if not composable(h, a, b, p, mode):
+        raise NotComposable(f"{a!r} and {b!r} are not {mode}-compatible at level {p}")
+    # a lifted operand carries the reserved token, so an undefined combination is refused before any lift
+    combine_tokens(combiner, h.bond(a).property, IDENTITY_PROPERTY if b.level < a.level else h.bond(b).property)
+    lifted = b
+    while lifted.level < a.level:
+        h, lifted = reference_identity_bond(h, lifted.level, lifted)
+    return reference_compose(h, a, lifted, p, mode, combiner, raw_id)
+
+
+def reference_fuse(h: Hyperstructure, a: ElementId, b: ElementId, k: int, combiner=None, raw_id=None):
+    """fuse restated over reference_compose_cross: weak gluing, then one log record."""
+    h.bond(a)
+    h.bond(b)
+    if not 0 <= k < min(a.level, b.level):
+        raise LevelOutOfRange(f"gluing level {k} not below both bonds")
+    try:
+        h2, eid = reference_compose_cross(h, a, b, k, "weak", combiner, raw_id)
+    except NotComposable:
+        raise NotGluable(f"{a!r} and {b!r} share nothing at level {k}") from None
+    rec = FusionRecord(k=k, m=max(a.level, b.level), n=min(a.level, b.level), a=a, b=b, result=eid)
+    return h2._replace(fusion_log=h2.fusion_log + (rec,)), eid
 
 
 def chain_add_bonds(h: Hyperstructure, specs, order: int = 0) -> Hyperstructure:

@@ -19,10 +19,12 @@ from helpers import (
     random_tower,
     reference_add_bond,
     reference_compose,
+    reference_compose_cross,
+    reference_fuse,
     reference_identity_bond,
 )
 from hyperstruct.assignments import TENSOR_PAIRS
-from hyperstruct.composition import _pad_to_order, compose
+from hyperstruct.composition import _pad_to_order, compose, compose_cross, fuse
 from hyperstruct.core import (
     BondSpec,
     ElementId,
@@ -192,8 +194,8 @@ def add_bond_cases(draw):
 
 
 class TestOneBondOperationsMatchReference:
-    """add_bond, identity_bond and compose build through add_bonds; the
-    references in helpers add one bond the slow way."""
+    """add_bond, identity_bond, compose, compose_cross and fuse build through
+    add_bonds; the references in helpers add one bond the slow way."""
 
     @settings(max_examples=300, deadline=None)
     @given(add_bond_cases())
@@ -225,6 +227,35 @@ class TestOneBondOperationsMatchReference:
         raw = data.draw(st.sampled_from([None, "c"] + _raw_ids(h, a.level)))
         args = (h, a, b, p, mode, combiner, raw)
         assert result(compose, *args) == result(reference_compose, *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.data())
+    def test_compose_cross_and_fuse(self, seed, data):
+        h = random_tower(random.Random(seed), max_order=4)
+        assume(h.bonds)
+        a, b = (data.draw(st.sampled_from(h.bonds)).id for _ in range(2))
+        low, high = sorted((a, b), key=lambda e: e.level)
+        setup = data.draw(st.sampled_from(["none", "lift id taken", "partly lifted"])) if low.level < high.level else "none"
+        if setup == "lift id taken":
+            # a plain bond takes the id that the lift of the lower operand would get at some level
+            j = data.draw(st.integers(low.level, high.level - 1))
+            name = f"{IDENTITY_PROPERTY}:" * (j - low.level + 1) + str(low.id)
+            x = low if j == low.level else data.draw(st.sampled_from(sorted_elements(h.levels[j])))
+            if not h.has_element(ElementId(j + 1, name)):
+                h = add_bonds(h, [BondSpec(j, Support(j, frozenset({x})), "p", name)])
+        elif setup == "partly lifted":
+            # identity bonds the tower already has carry the lift part of the way or all of it
+            x = low
+            for _ in range(data.draw(st.integers(1, high.level - low.level))):
+                h, x = reference_identity_bond(h, x.level, x)
+        p = data.draw(st.integers(-1, high.level))
+        mode = data.draw(st.sampled_from(["strict", "weak"]))
+        combiner = data.draw(st.sampled_from([None, TENSOR_PAIRS, "sum"]))
+        raw = data.draw(st.sampled_from([None, "c"] + _raw_ids(h, high.level)))
+        args = (h, a, b, p, mode, combiner, raw)
+        assert result(compose_cross, *args) == result(reference_compose_cross, *args)
+        args = (h, a, b, p, combiner, raw)
+        assert result(fuse, *args) == result(reference_fuse, *args)
 
     @pytest.mark.parametrize(
         "fault, kind, message",

@@ -743,6 +743,23 @@ UNDER_NO_TOP = {
     "states": {"top": [["t", "L"]], "co_connectors": [{"kind": "identity"}, {"kind": "identity"}]},
 }
 
+#: level 0 x, y, u, v; level 1 a = {x, y} and b = {u, v}; level 2 top = {a}, and id:b = {a},
+#: a plain bond holding the id that lifting b to level 2 would take
+LIFT_ID_TAKEN = {
+    "format": "hyperstruct/1",
+    "hyperstructure": {
+        "order": 2,
+        "levels": [["x", "y", "u", "v"], ["a", "b"], ["top", "id:b"]],
+        "omega": [[{"support": ["x", "y"], "properties": ["p"]}, {"support": ["u", "v"], "properties": ["p"]}], [{"support": ["a"], "properties": ["q"]}], []],
+        "bonds": [
+            {"id": "a", "level": 1, "support": ["x", "y"], "property": "p"},
+            {"id": "b", "level": 1, "support": ["u", "v"], "property": "p"},
+            {"id": "top", "level": 2, "support": ["a"], "property": "q"},
+            {"id": "id:b", "level": 2, "support": ["a"], "property": "q"},
+        ],
+    },
+}
+
 #: Runs whose exit code and whole stdout are pinned: each refusal at a level
 #: or section boundary that a document or an argument reaches, and the runs
 #: beside them. doc is made by _doc, or is a JSON value written as it is (an
@@ -1102,6 +1119,14 @@ PINNED_RUNS = [
         0,
         "composed: 2:c\nsupport: {{v0,v1},{v0,v2},{v1,v2}}\nproperty: id∪simplex\n",
         id="compose-across-levels",
+    ),
+    # the pair is checked before b is lifted, so the taken lift id is never reached
+    pytest.param(
+        LIFT_ID_TAKEN,
+        ["fuse", DOC, "--a", "2:top", "--b", "1:b", "--k", "0", "--id", "c"],
+        1,
+        "error: NotGluable\n2:top and 1:b share nothing at level 0\n",
+        id="fuse-across-levels-refused-before-lifting",
     ),
 ]
 

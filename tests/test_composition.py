@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from helpers import random_tower
-from hyperstruct import composition
+from hyperstruct import composition, core
 from hyperstruct.assignments import TENSOR_PAIRS, UNION, Combiner
 from hyperstruct.composition import (
     combine_tokens,
@@ -22,6 +22,7 @@ from hyperstruct.core import (
     Hyperstructure,
     Support,
     add_bond,
+    add_bonds,
     assign_property,
     boundary,
     identity_bond,
@@ -164,6 +165,32 @@ class TestComposeCross:
         with pytest.raises(LevelOutOfRange):
             compose_cross(h, a2, b1, 1, "weak", None, "c")
 
+    def test_one_construction_per_composite(self, monkeypatch):
+        """Lifting across two levels and gluing is one add_bonds call, and a
+        refused pair builds nothing."""
+        h = make_brunnian_tower([2, 2, 2])
+        top, low = sorted_elements(h.levels[3])[0], sorted_elements(h.levels[1])[0]
+        calls = []
+        monkeypatch.setattr(composition, "add_bonds", lambda h, specs: calls.append(specs) or add_bonds(h, specs))
+        h2, c = compose_cross(h, top, low, 0, "weak", None, "c")
+        assert [len(specs) for specs in calls] == [3]  # two identity bonds and the composite
+        assert c == ElementId(3, "c") and iterated_boundary(h2, c, 1).members == iterated_boundary(h, top, 1).members | {low}
+        calls.clear()
+        with pytest.raises(NotComposable):
+            compose_cross(h, top, low, 0, "strict", None, "c")
+        assert calls == []
+
+    def test_identity_bond_reused_without_a_build(self, monkeypatch):
+        """identity_bond adds an element's identity bond once and then finds it."""
+        h = make_brunnian_tower([2, 2])
+        low = sorted_elements(h.levels[1])[0]
+        calls = []
+        monkeypatch.setattr(core, "add_bonds", lambda h, specs: calls.append(specs) or add_bonds(h, specs))
+        h2, lifted = identity_bond(h, 1, low)
+        assert len(calls) == 1
+        assert identity_bond(h2, 1, low) == (h2, lifted)
+        assert len(calls) == 1
+
 
 class TestFuse:
     def test_shared_base_element(self):
@@ -195,9 +222,11 @@ class TestFuse:
         fuse(h, a, b, 0, None, "c")
         assert len(calls) == 2
 
-    def test_lifting_comes_before_the_gluing_check(self):
-        """fuse checks gluing inside compose_cross, on the lifted operand, so
-        an identity id already taken is refused first, as in compose_cross."""
+    def test_gluing_check_comes_before_lifting(self):
+        """compose_cross decides on the pair as given before it builds the
+        lift, so a pair that does not glue is refused as such even when
+        another bond holds the id its lift would take; a pair that glues
+        still meets the taken id when the lift is added."""
         h = new_hyperstructure(["x", "y", "u", "v"])
         s1, s2 = h.support_at(0, ["x", "y"]), h.support_at(0, ["u", "v"])
         h = assign_property(h, 0, s1, "p")
@@ -208,11 +237,16 @@ class TestFuse:
         h = assign_property(h, 1, s, "q")
         h, top = add_bond(h, 1, s, "q", "top")
         h, _ = add_bond(h, 1, s, "q", "id:b")  # the id lifting b would take
-        taken = "^element 'id:b' already present at level 2$"
-        with pytest.raises(DuplicateId, match=taken):
+        with pytest.raises(NotComposable, match=r"^2:top and 1:b are not weak-compatible at level 0$"):
             compose_cross(h, top, b, 0, "weak", None, "c")
-        with pytest.raises(DuplicateId, match=taken):
+        with pytest.raises(NotGluable, match=r"^2:top and 1:b share nothing at level 0$"):
             fuse(h, top, b, 0, None, "c")
+        h, _ = add_bond(h, 1, s, "q", "id:a")  # top and a glue, and a's lift id is taken
+        taken = "^element 'id:a' already present at level 2$"
+        with pytest.raises(DuplicateId, match=taken):
+            compose_cross(h, top, a, 0, "weak", None, "c")
+        with pytest.raises(DuplicateId, match=taken):
+            fuse(h, top, a, 0, None, "c")
 
     def test_cross_level_fuse(self):
         h = new_hyperstructure(["a", "b", "c"])
