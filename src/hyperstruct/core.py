@@ -19,7 +19,8 @@ one of its names is first read.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -222,6 +223,9 @@ class Support(FrozenRecord):
 # the slots' own setters, which the frozen __setattr__ does not guard
 _set_level = Support.level.__set__
 _set_members = Support.members.__set__
+_level = attrgetter("level")
+_members = attrgetter("members")
+_new = tuple.__new__  # a NamedTuple from its field values, without its Python-level __new__
 
 
 class Bond(NamedTuple):
@@ -367,13 +371,16 @@ def new_hyperstructure(base: Iterable[RawId]) -> Hyperstructure:
     ids = list(base)
     if not ids:
         raise EmptyBase("base collection is empty")
-    seen = set()
-    for r in ids:
-        if r in seen:
-            raise DuplicateId(f"base identifier {r!r} repeats")
-        seen.add(r)
-    level0 = frozenset(ElementId(0, r) for r in ids)
-    return Hyperstructure(order=0, levels=(level0,), omegas=({},), bonds=())
+    table = dict(zip(ids, map(_new, repeat(ElementId), zip(repeat(0), ids))))
+    if len(table) < len(ids):  # walk the ids to name the first repeat
+        seen = set()
+        for r in ids:
+            if r in seen:
+                raise DuplicateId(f"base identifier {r!r} repeats")
+            seen.add(r)
+    h = Hyperstructure(order=0, levels=(frozenset(table.values()),), omegas=({},), bonds=())
+    h.__dict__["element_index"] = (table,)  # the cached property, from the table built above
+    return h
 
 
 class BondSpec(NamedTuple):
@@ -431,38 +438,75 @@ def _check_spec(levels: Sequence[AbstractSet[ElementId]], i: int, s: Support, to
         raise ReservedProperty(f"{IDENTITY_PROPERTY!r} is reserved for identity bonds")
 
 
+def _run_at_once(levels: list[set[ElementId]], i: int, run: list[BondSpec]) -> tuple | None:
+    """The supports, tokens, new elements and identity flags of a run of specs
+    at level i, when the whole run passes _check_spec's rules with every member
+    at level i, and its raw ids are distinct and new at level i + 1; None
+    otherwise."""
+    top = len(levels) - 1
+    _, sups, tokens, raws, flags = zip(*run)
+    members = list(map(_members, sups))
+    if not (0 <= i <= top and set(map(_level, sups)) == {i} and all(members) and set().union(*members) <= levels[i]):
+        return None
+    if IDENTITY_PROPERTY in tokens and not all(flag for token, flag in zip(tokens, flags) if token == IDENTITY_PROPERTY):
+        return None
+    eids = list(map(_new, repeat(ElementId), zip(repeat(i + 1), raws)))
+    fresh = set(eids)
+    if len(fresh) < len(eids) or (i < top and not levels[i + 1].isdisjoint(fresh)):
+        return None
+    return sups, tokens, eids, flags
+
+
+def _bind(levels: list[set[ElementId]], omegas: list[dict], bonds: list[Bond], i: int, sups, tokens, eids, flags) -> None:
+    """Add checked bonds at level i: grow the tower when i is its top, assign each token to its support, register the bonds."""
+    if i == len(levels) - 1:
+        levels.append(set())
+        omegas.append({})
+    table = omegas[i]
+    for s, token in zip(sups, tokens):
+        have = table.setdefault(s, frozenset((token,)))  # one hash of s for a first entry
+        if token not in have:
+            table[s] = have | {token}
+    levels[i + 1].update(eids)
+    bonds.extend(map(_new, repeat(Bond), zip(eids, sups, tokens, flags)))
+
+
 def add_bonds(h: Hyperstructure, specs: Iterable[BondSpec], order: int = 0) -> Hyperstructure:
     """Register bonds in the order given, assigning each token to its support first.
 
     Every bond of the library is added here. Empty levels are added until
-    the tower has at least the given order. Each spec is then checked
-    against the tower built so far; binding at the top level grows the
-    tower by one level, and a raw id already present at the bond's level
-    raises DuplicateId. An identity spec may carry the reserved token. The
-    work is linear in the tower and the specs.
+    the tower has at least the given order. The specs are then bound run by
+    run, a run being consecutive specs at one level: each run is checked
+    whole against the tower built so far and its bonds are built at once.
+    Binding at the top level grows the tower by one level, a raw id already
+    present at the bond's level raises DuplicateId, and an identity spec may
+    carry the reserved token. Only a run that the whole-run check refuses is
+    bound one spec at a time, each checked by _check_spec; that loop names
+    the first fault in the order given, or accepts a member that the tower
+    holds at another level. The work is linear in the tower and the specs.
     """
     levels = [set(lvl) for lvl in h.levels]
     omegas = [dict(table) for table in h.omegas]
     bonds = list(h.bonds)
-
-    def grow():
+    while len(levels) <= order:
         levels.append(set())
         omegas.append({})
-
-    while len(levels) <= order:
-        grow()
-    for i, s, token, raw_id, identity in specs:
-        _check_spec(levels, i, s, token, identity)
-        if i == len(levels) - 1:
-            grow()
-        eid = ElementId(i + 1, raw_id)
-        if eid in levels[i + 1]:
-            raise DuplicateId(f"element {raw_id!r} already present at level {i + 1}")
-        have = omegas[i].setdefault(s, frozenset((token,)))  # one hash of s for a first entry
-        if token not in have:
-            omegas[i][s] = have | {token}
-        levels[i + 1].add(eid)
-        bonds.append(Bond(eid, s, token, identity))
+    given: list[BondSpec] = []
+    try:
+        given.extend(specs)
+    finally:  # a generator that raised partway: the specs it gave are bound first, so a fault among them is still the error raised
+        for i, run in groupby(given, itemgetter(0)):
+            run = list(run)
+            columns = _run_at_once(levels, i, run)
+            if columns is not None:
+                _bind(levels, omegas, bonds, i, *columns)
+                continue
+            for level, s, token, raw_id, identity in run:
+                _check_spec(levels, level, s, token, identity)
+                eid = ElementId(level + 1, raw_id)
+                if level + 1 < len(levels) and eid in levels[level + 1]:
+                    raise DuplicateId(f"element {raw_id!r} already present at level {level + 1}")
+                _bind(levels, omegas, bonds, level, (s,), (token,), (eid,), (identity,))
     return assemble(levels, omegas, bonds, h.fusion_log)
 
 

@@ -18,7 +18,7 @@ import gc
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, assemble
+from .core import Bond, ElementId, FusionRecord, Hyperstructure, IDENTITY_PROPERTY, RawId, Support, _new, assemble
 from .document import FORMAT, SECTIONS, Document, _expect_id, _expect_list, _expect_obj, _expect_row, _of_types, load_json
 from .errors import DanglingReference, ParseError, ReservedProperty, SchemaError
 
@@ -28,7 +28,6 @@ _BOND_FIELDS = frozenset({"id", "level", "support", "property", "identity"})
 _BOND_REQUIRED = _BOND_FIELDS - {"identity"}
 _omega_columns = itemgetter("support", "properties")
 _bond_columns = itemgetter("level", "id", "support", "property", "identity")
-_new = tuple.__new__  # a NamedTuple from its field values, without its Python-level __new__
 
 
 def _columns(entries: list, fields: itemgetter, n: int) -> tuple | None:

@@ -6,7 +6,7 @@ whose codimension-1 sub-collections are bound.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -16,6 +16,7 @@ from .core import (
     Hyperstructure,
     RawId,
     Support,
+    _new,
     add_bonds,
     id_key,
     new_hyperstructure,
@@ -39,8 +40,9 @@ BRUNNIAN_PROPERTY = "brunnian"
 BRUNNIAN_CAP = 1 << 16
 
 
-def _base_support(raw_ids: Iterable[RawId]) -> Support:
-    return Support(0, frozenset(ElementId(0, r) for r in raw_ids))
+def _specs(level: int, supports: Iterable[Support], token: str, raw_ids: Iterable[RawId]) -> list[BondSpec]:
+    """One spec per support and raw id, each binding its support at level under token, built at once."""
+    return list(map(_new, repeat(BondSpec), zip(repeat(level), supports, repeat(token), raw_ids, repeat(False))))
 
 
 def _canonical_name(raw_ids: Collection[RawId]) -> str:
@@ -70,7 +72,7 @@ def from_relation(components: Sequence[Iterable[RawId]], tuples: Iterable[Sequen
             for k, x in enumerate(t):
                 if x not in comps[k]:
                     raise UnknownCoordinate(f"coordinate {x!r} not in component {k + 1}")
-            s = _base_support(f"{x}@{k + 1}" for k, x in enumerate(t))
+            s = Support(0, frozenset(ElementId(0, f"{x}@{k + 1}") for k, x in enumerate(t)))
             yield BondSpec(0, s, REL_PROPERTY, "(" + ",".join(str(x) for x in t) + ")")
 
     return add_bonds(h, specs(), order=1)
@@ -91,11 +93,9 @@ def from_hypergraph(vertices: Iterable[RawId], edges: Iterable[Iterable[RawId]])
             stray = next(v for v in sorted(members, key=id_key) if v not in base)
             raise UnknownVertex(f"edge vertex {stray!r} not declared")
         names[members] = _canonical_name(members)
-    specs = [
-        BondSpec(0, Support(0, frozenset([base[v] for v in members])), EDGE_PROPERTY, name)
-        for members, name in sorted(names.items(), key=itemgetter(1))
-    ]
-    return add_bonds(h, specs, order=1)
+    ordered = sorted(names.items(), key=itemgetter(1))
+    supports = [Support(0, frozenset(map(base.__getitem__, members))) for members, _ in ordered]
+    return add_bonds(h, _specs(0, supports, EDGE_PROPERTY, map(itemgetter(1), ordered)), order=1)
 
 
 def from_simplicial_complex(
@@ -135,21 +135,20 @@ def from_simplicial_complex(
     by_size = [s for s in ordered if len(s) >= 2]
     if not by_size:
         return h
+    base = h.element_index[0]
+    names = list(map(_canonical_name, by_size))
 
     if not graded:
-        specs = [BondSpec(0, _base_support(s), SIMPLEX_PROPERTY, _canonical_name(s)) for s in by_size]
-        return add_bonds(h, specs)
+        supports = [Support(0, frozenset(map(base.__getitem__, s))) for s in by_size]
+        return add_bonds(h, _specs(0, supports, SIMPLEX_PROPERTY, names))
 
     # graded: the level-k bond for a k-simplex binds its (k-1)-face bonds
+    element = {frozenset((v,)): e for v, e in base.items()}  # each simplex and the element it becomes
     specs = []
-    for s in by_size:
+    for s, name in zip(by_size, names):
         k = len(s) - 1
-        if k == 1:
-            sup = _base_support(s)
-        else:
-            faces = combinations(sorted(s, key=id_key), len(s) - 1)
-            sup = Support(k - 1, frozenset(ElementId(k - 1, _canonical_name(face)) for face in faces))
-        specs.append(BondSpec(k - 1, sup, SIMPLEX_PROPERTY, _canonical_name(s)))
+        specs.append(BondSpec(k - 1, Support(k - 1, frozenset(element[s - {v}] for v in s)), SIMPLEX_PROPERTY, name))
+        element[s] = ElementId(k, name)
     return add_bonds(h, specs)
 
 
@@ -229,14 +228,12 @@ def make_brunnian_tower(branching: Sequence[int]) -> Hyperstructure:
         total *= n
         if total > BRUNNIAN_CAP:  # checked factor by factor, so a long list stops early
             raise InvalidBranching(f"the branching factors ask for more than BRUNNIAN_CAP = {BRUNNIAN_CAP} base elements")
-    h = new_hyperstructure([f"v{j}" for j in range(total)])
-    current = [ElementId(0, f"v{j}") for j in range(total)]
+    names = [f"v{j}" for j in range(total)]
+    h = new_hyperstructure(names)
     specs = []
     for level, n in enumerate(branching):
-        nxt = []
-        for j in range(len(current) // n):
-            raw = f"g{level + 1}.{j}"
-            specs.append(BondSpec(level, Support(level, frozenset(current[j * n : (j + 1) * n])), BRUNNIAN_PROPERTY, raw))
-            nxt.append(ElementId(level + 1, raw))
-        current = nxt
+        below = list(map(_new, repeat(ElementId), zip(repeat(level), names)))
+        names = [f"g{level + 1}.{j}" for j in range(len(below) // n)]
+        blocks = zip(*[iter(below)] * n)  # consecutive n-element blocks; n divides len(below)
+        specs += _specs(level, map(Support, repeat(level), map(frozenset, blocks)), BRUNNIAN_PROPERTY, names)
     return add_bonds(h, specs)

@@ -37,7 +37,7 @@ from hyperstruct.core import (
     sorted_elements,
 )
 from hyperstruct.document import Document, serialize
-from hyperstruct.errors import DuplicateId, HyperstructError, PropertyNotAssigned, UnknownElement
+from hyperstruct.errors import DuplicateId, HyperstructError, PropertyNotAssigned, SchemaError, UnknownElement
 from hyperstruct.installers import (
     brunnian_bond_ids,
     brunnian_order,
@@ -86,13 +86,22 @@ def complexes(draw):
 
 @st.composite
 def spec_lists(draw):
-    """Specs over a small base, mostly valid; about one in three carries a fault."""
+    """Specs over a small base, mostly valid; about one in three carries a fault.
+
+    Specs often keep the level of the one before, so add_bonds sees runs at
+    one level, and a later run may step back down. Some lists are given as
+    a generator that raises after `cut` specs.
+    """
     base = ["a", "b", "c", 1]
     order = draw(st.integers(0, 2))
     known = [[ElementId(0, r) for r in base]] + [[] for _ in range(order)]
     specs = []
     for n in range(draw(st.integers(0, 10))):
-        level = draw(st.sampled_from([i for i, elems in enumerate(known) if elems]))
+        levels = [i for i, elems in enumerate(known) if elems]
+        if specs and specs[-1].level in levels and draw(st.booleans()):
+            level = specs[-1].level
+        else:
+            level = draw(st.sampled_from(levels))
         members = set(draw(st.lists(st.sampled_from(known[level]), min_size=1, max_size=3)))
         raw = draw(st.sampled_from([f"n{n}", f"n{n}", "x", 1, "1"]))
         identity = draw(st.integers(0, 5)) == 0
@@ -115,21 +124,55 @@ def spec_lists(draw):
             raw = specs[-1].raw_id
             level = specs[-1].level
             members = set(specs[-1].support.members)
+        elif fault is None and level in (0, 1) and draw(st.integers(0, 5)) == 0:
+            level = bool(level)  # a valid spec whose level is False or True
         specs.append(BondSpec(level, Support(support_level, frozenset(members)), token, raw, identity))
         if fault is None:
             if level + 1 == len(known):
                 known.append([])
             known[level + 1].append(ElementId(level + 1, raw))
-    return base, specs, order
+    cut = draw(st.integers(0, len(specs))) if draw(st.integers(0, 3)) == 0 else None
+    return base, specs, order, cut
+
+
+def spec_source(specs, cut):
+    """specs as a list, or as a generator that raises SchemaError after the first cut of them."""
+    if cut is None:
+        return list(specs)
+
+    def generate():
+        yield from specs[:cut]
+        raise SchemaError(f"cut after {cut} specs")
+
+    return generate()
+
+
+def error(build, *args):
+    """The error's class and message, or None when the build succeeds."""
+    try:
+        build(*args)
+    except HyperstructError as e:
+        return type(e), str(e)
+    return None
+
+
+def one_spec_at_a_time(h, specs, order):
+    """add_bonds of each spec alone, in order: every spec is checked against the tower before it."""
+    h = add_bonds(h, [], order)
+    for spec in specs:
+        h = add_bonds(h, [spec])
+    return h
 
 
 class TestAddBondsMatchesChain:
     @settings(max_examples=200, deadline=None)
     @given(spec_lists())
     def test_same_tower_or_same_error(self, case):
-        base, specs, order = case
+        base, specs, order, cut = case
         h = new_hyperstructure(base)
-        assert outcome(add_bonds, h, specs, order) == outcome(chain_add_bonds, h, specs, order)
+        assert outcome(add_bonds, h, spec_source(specs, cut), order) == outcome(chain_add_bonds, h, spec_source(specs, cut), order)
+        # the message too: a run bound at once names the fault that binding its specs one by one names
+        assert error(add_bonds, h, spec_source(specs, cut), order) == error(one_spec_at_a_time, h, spec_source(specs, cut), order)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31), st.lists(st.sampled_from(["p", "q"]), min_size=1, max_size=6))
@@ -143,6 +186,11 @@ class TestAddBondsMatchesChain:
     def test_equal_canonical_names_still_collide(self):
         with pytest.raises(DuplicateId, match=re.escape("element '{1}' already present at level 1")):
             from_hypergraph([1, "1"], [[1], ["1"]])
+
+    def test_a_fault_before_a_generator_error_is_named_first(self):
+        # from_relation's spec generator raises ArityMismatch at ("b",), after the repeated tuple
+        with pytest.raises(DuplicateId, match=re.escape("element '(a,x)' already present at level 1")):
+            from_relation([["a", "b"], ["x"]], [["a", "x"], ["a", "x"], ["b"]])
 
 
 def result(build, *args):
@@ -210,9 +258,13 @@ class TestOneBondOperationsMatchReference:
         x = data.draw(st.sampled_from(everything + [ElementId(0, "ghost")]))
         i = data.draw(st.sampled_from([x.level] * 4 + [x.level + 1, -1]))
         name = f"{IDENTITY_PROPERTY}:{x.id}"
-        if h.has_element(x) and not h.has_element(ElementId(x.level + 1, name)) and data.draw(st.booleans()):
+        setup = data.draw(st.sampled_from(["none", "name taken", "lifted"]))
+        if h.has_element(x) and not h.has_element(ElementId(x.level + 1, name)) and setup == "name taken":
             # a plain bond takes the name x's identity bond would get
             h = add_bonds(h, [BondSpec(x.level, Support(x.level, frozenset({x})), "p", name)])
+        elif h.has_element(x) and setup == "lifted":
+            # x has an identity bond already, which identity_bond must return rather than add again
+            h, _ = reference_identity_bond(h, x.level, x)
         assert result(identity_bond, h, i, x) == result(reference_identity_bond, h, i, x)
 
     @settings(max_examples=200, deadline=None)

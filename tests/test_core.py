@@ -40,7 +40,8 @@ from hyperstruct.errors import (
     ReservedProperty,
     UnknownElement,
 )
-from hyperstruct.installers import from_simplicial_complex
+from hyperstruct import core
+from hyperstruct.installers import from_hypergraph, from_simplicial_complex, make_brunnian_tower
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -225,6 +226,28 @@ class TestAddBondsChecks:
             runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60).stdout)
         want = b"UnknownElement support member 0:x not in the tower\n" * 2 + b"NotABond 1:{v0,v1} has no bond record\n"
         assert runs == [want] * 2
+
+    def test_check_spec_runs_only_for_a_refused_run(self, monkeypatch):
+        """A run that passes the whole-run check never asks _check_spec; a
+        refused one asks it spec by spec up to the first fault."""
+        calls = []
+        monkeypatch.setattr(core, "_check_spec", lambda *args: calls.append(args) or _check_spec(*args))
+        rng = random.Random(7)
+        vertices = [f"v{j}" for j in range(200)]
+        edges = set()
+        while len(edges) < 400:
+            edges.add(frozenset(rng.sample(vertices, rng.randint(2, 4))))
+        h = from_hypergraph(vertices, sorted(map(sorted, edges)))
+        assert len(h.bonds) == 400
+        make_brunnian_tower([3, 3])
+        assert calls == []
+        h = new_hyperstructure(["a", "b", "c"])
+        specs = [BondSpec(0, h.support_at(0, [r]), "p", f"e{r}") for r in "abc"]
+        specs[2] = specs[2]._replace(support=Support(0, frozenset()))
+        specs.append(BondSpec(0, h.support_at(0, ["a"]), "p", "ea"))  # a second fault, after the first
+        with pytest.raises(EmptySupport, match="a bond must bind a nonempty support"):
+            add_bonds(h, specs)
+        assert len(calls) <= 3
 
 
 class TestIdentityBond:
