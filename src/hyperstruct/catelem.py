@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .core import FrozenRecord, Hyperstructure, sorted_elements
+from .core import Hyperstructure, Record, sorted_elements
 from .document import _expect_id, _expect_int, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError, SweepTooLarge
 
@@ -54,8 +54,8 @@ class Morphism(NamedTuple):
     tgt: ObjId
 
 
-class FiniteCategory(FrozenRecord):
-    """A FrozenRecord with an instance __dict__, which holds the cached indexes and the lawful mark."""
+class FiniteCategory(Record):
+    """A Record with an instance __dict__, which holds the cached indexes and the lawful mark."""
 
     _fields = ("objects", "morphisms", "identities", "composition")
     objects: frozenset
@@ -367,12 +367,12 @@ def projection_functor(elements_cat: FiniteCategory):
 # -- nerves and homology ----------------------------------------------------------
 
 
-class SimplicialData(FrozenRecord):
+class SimplicialData(Record):
     """Nondegenerate simplices per dimension with face pointers.
 
     A face entry of None marks a face that degenerated (its chain collapsed
     onto an identity) and therefore contributes nothing to boundaries.
-    A FrozenRecord with an instance __dict__, which holds the face rows and
+    A Record with an instance __dict__, which holds the face rows and
     the counts per dimension. A nerve holds chain positions there instead of
     names: `simplices` and `faces` are built from them on first read, and an
     instance built with its own values shadows both.

@@ -16,8 +16,7 @@ def run(args) -> int:
     else:
         h2, eid = composition.compose_cross(h, a, b, args.p, args.mode, comb, args.id)
     bond = h2.bond(eid)
-    doc.hyperstructure = h2
-    _emit(args.out, doc)
+    _emit(args.out, doc._replace(hyperstructure=h2))
     _print(
         [
             f"composed: {eid!r}",

@@ -13,8 +13,7 @@ def run(args) -> int:
     h2, eid = composition.fuse(h, a, b, args.k, _combiner(args.combiner), args.id)
     rec = h2.fusion_log[-1]
     bond = h2.bond(eid)
-    doc.hyperstructure = h2
-    _emit(args.out, doc)
+    _emit(args.out, doc._replace(hyperstructure=h2))
     _print(
         [
             f"fused: {eid!r}",

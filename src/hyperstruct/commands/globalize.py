@@ -19,7 +19,6 @@ def run(args) -> int:
         if not rep.passed:
             _print(lines)
             return 1
-    sec.assignment = lam
-    _emit(args.out, doc)
+    _emit(args.out, doc._replace(states=sec._replace(assignment=lam)))
     _print(lines)
     return 0

@@ -13,7 +13,6 @@ def run(args) -> int:
         raise SchemaError("localize needs states.top and states.co_connectors")
     lam = states.localize(h, sec.top, sec.co_connectors)
     lines = _assignment_lines("localized", lam)
-    sec.assignment = lam
-    _emit(args.out, doc)
+    _emit(args.out, doc._replace(states=sec._replace(assignment=lam)))
     _print(lines)
     return 0

@@ -21,8 +21,7 @@ def run(args) -> int:
         names = sorted(map(_simplex_name, data.simplices[k]))
         lines.append(f"dim {k}: " + (" ".join(names) if names else "(none)"))
     if args.out:
-        doc.simplicial = _flatten_nerve(data)
-        _emit(args.out, doc)
+        _emit(args.out, doc._replace(simplicial=_flatten_nerve(data)))
     _print(lines)
     return 0
 

@@ -61,10 +61,20 @@ def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToke
 
 def composable(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mode: CompatibilityMode = "strict") -> bool:
     """Whether the probe-level boundaries make the pair composable."""
+    _check_probe(h, a, b, p)
+    return _compatible(h, a, b, p, mode)
+
+
+def _check_probe(h: Hyperstructure, a: ElementId, b: ElementId, p: int) -> None:
+    """Refuse a pair that is not two bonds of h, or a probe level not below both."""
     h.bond(a)
     h.bond(b)
     if p < 0 or p >= min(a.level, b.level):
         raise LevelOutOfRange(f"probe level {p} not below both bonds ({a.level}, {b.level})")
+
+
+def _compatible(h: Hyperstructure, a: ElementId, b: ElementId, p: int, mode: CompatibilityMode) -> bool:
+    """Whether the boundaries of two checked bonds at level p are mode-compatible."""
     da = iterated_boundary(h, a, p).members
     db = iterated_boundary(h, b, p).members
     if mode == "strict":
@@ -88,6 +98,7 @@ def compose(
     """
     if a.level != b.level:
         raise NotComposable(f"levels differ ({a.level} vs {b.level}); use compose_cross")
+    _check_probe(h, a, b, p)
     return _glue(h, a, b, p, mode, combiner, raw_id)
 
 
@@ -110,12 +121,15 @@ def compose_cross(
         a, b = b, a
     if not (0 <= p < b.level):
         raise LevelOutOfRange(f"probe level {p} must lie below the lower bond (level {b.level})")
+    h.bond(a)
+    h.bond(b)
     return _glue(h, a, b, p, mode, combiner, raw_id)
 
 
 def _glue(h, a, b, p, mode, combiner, raw_id) -> tuple[Hyperstructure, ElementId]:
-    """Glue a with b lifted to a's level, deciding on the pair as given: a lift keeps b's boundaries."""
-    if not composable(h, a, b, p, mode):
+    """Glue a with b lifted to a's level, deciding on the pair as given: a lift keeps b's boundaries.
+    The caller has checked that both are bonds, b's level is at most a's and p lies below it."""
+    if not _compatible(h, a, b, p, mode):
         raise NotComposable(f"{a!r} and {b!r} are not {mode}-compatible at level {p}")
     specs, lifted = lift_specs(h, b, a.level)
     ba = h.bond(a)
@@ -145,8 +159,9 @@ def fuse(
     h.bond(b)
     if not (0 <= k < min(a.level, b.level)):
         raise LevelOutOfRange(f"gluing level {k} not below both bonds")
+    upper, lower = (a, b) if a.level >= b.level else (b, a)
     try:
-        h2, eid = compose_cross(h, a, b, k, "weak", combiner, raw_id)
+        h2, eid = _glue(h, upper, lower, k, "weak", combiner, raw_id)
     except NotComposable:
         raise NotGluable(f"{a!r} and {b!r} share nothing at level {k}") from None
     rec = FusionRecord(k=k, m=max(a.level, b.level), n=min(a.level, b.level), a=a, b=b, result=eid)

@@ -9,6 +9,11 @@ an element one level up with a singleton boundary.
 All operations are functional: they return a new tower and never mutate
 their input, so any value can be shared freely across threads.
 
+Every value type of the library is a NamedTuple unless it needs one of
+three things: custom iteration (`Support`), an instance dict for cached
+indexes and marks (`Hyperstructure`, `FiniteCategory`), or fields named
+lazily (`SimplicialData`). Those four share one frozen base, `Record`.
+
 This module holds the value types, the spellings of combined property
 tokens, and the bulk construction path that reading, writing and installing
 a tower use. It also exports validate and its finding codes (from
@@ -65,11 +70,12 @@ def id_key(raw: RawId):
 
 
 class Record:
-    """Base of the value classes that cannot be NamedTuples.
+    """Base of the value classes that cannot be NamedTuples (see above).
 
-    Subclasses name their fields in `_fields` and set them in `__init__`;
-    they get a NamedTuple's `==`, repr and `_replace`. A Record is mutable
-    and unhashable; a FrozenRecord is neither.
+    Subclasses name their fields in `_fields` and set them in `__init__`
+    through the instance dict or the slots' own setters. They get a
+    NamedTuple's `==`, repr, hash and `_replace`, and refuse any later
+    assignment.
     """
 
     __slots__ = ()
@@ -83,7 +89,14 @@ class Record:
             return self._astuple() == other._astuple()
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"{type(self).__qualname__}(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
@@ -97,21 +110,6 @@ class Record:
         if unknown:
             raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
         return type(self)(**{f: changes.get(f, getattr(self, f)) for f in self._fields})
-
-
-class FrozenRecord(Record):
-    """A Record whose attributes cannot be set after __init__; it hashes as the tuple of its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ElementId(NamedTuple):
@@ -147,13 +145,13 @@ def _key_sorted(items: list, element=None) -> list:
         return sorted(items, key=lambda x: x.key)
 
 
-class Support(FrozenRecord):
+class Support(Record):
     """A finite set of elements, all at one level.
 
     The empty support exists only as an omega-table key (behaviour of
     assignments under unions needs a value at the empty collection); bonds
     always bind a nonempty support. Iterating, `len` and `in` read the
-    members, so this is a FrozenRecord rather than a NamedTuple.
+    members, so this is a Record rather than a NamedTuple.
     """
 
     __slots__ = ("level", "members")
@@ -258,10 +256,10 @@ class FusionRecord(NamedTuple):
 OmegaTable = Mapping[Support, frozenset[PropertyToken]]
 
 
-class Hyperstructure(FrozenRecord):
+class Hyperstructure(Record):
     """A tower: its levels, omega tables, bond registry and fusion log.
 
-    A FrozenRecord with an instance __dict__, which holds the cached indexes.
+    A Record with an instance __dict__, which holds the cached indexes.
     """
 
     _fields = ("order", "levels", "omegas", "bonds", "fusion_log")

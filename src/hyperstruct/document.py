@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ElementId, Hyperstructure, RawId, Record, id_key
+from .core import ElementId, Hyperstructure, RawId, id_key
 from .errors import HyperstructError, SchemaError
 
 if TYPE_CHECKING:
@@ -132,32 +132,22 @@ def load_json(text: str, error: type[HyperstructError], prefix: str):
     return data
 
 
-class StatesSection(Record):
-    _fields = ("tower", "base", "top", "connectors", "co_connectors", "assignment")
-    tower: StateTower | None
-    base: dict[ElementId, object] | None
-    top: dict[ElementId, object] | None
-    connectors: tuple[Connector, ...] | None
-    co_connectors: tuple[CoConnector, ...] | None
-    assignment: LambdaAssignment | None
-
-    def __init__(self, tower=None, base=None, top=None, connectors=None, co_connectors=None, assignment=None):
-        self.tower, self.base, self.top = tower, base, top
-        self.connectors, self.co_connectors, self.assignment = connectors, co_connectors, assignment
+class StatesSection(NamedTuple):
+    tower: StateTower | None = None
+    base: dict[ElementId, object] | None = None
+    top: dict[ElementId, object] | None = None
+    connectors: tuple[Connector, ...] | None = None
+    co_connectors: tuple[CoConnector, ...] | None = None
+    assignment: LambdaAssignment | None = None
 
 
-class Document(Record):
-    _fields = ("hyperstructure", "topology", "states", "category", "presheaf", "simplicial")
-    hyperstructure: Hyperstructure | None
-    topology: dict[ElementId, frozenset[Sieve]] | None
-    states: StatesSection | None
-    category: FiniteCategory | None
-    presheaf: Presheaf | None
-    simplicial: SimplicialData | None
-
-    def __init__(self, hyperstructure=None, topology=None, states=None, category=None, presheaf=None, simplicial=None):
-        self.hyperstructure, self.topology, self.states = hyperstructure, topology, states
-        self.category, self.presheaf, self.simplicial = category, presheaf, simplicial
+class Document(NamedTuple):
+    hyperstructure: Hyperstructure | None = None
+    topology: dict[ElementId, frozenset[Sieve]] | None = None
+    states: StatesSection | None = None
+    category: FiniteCategory | None = None
+    presheaf: Presheaf | None = None
+    simplicial: SimplicialData | None = None
 
 
 SECTIONS = {"format", "hyperstructure", "topology", "states", "category", "presheaf", "simplicial"}

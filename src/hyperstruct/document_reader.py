@@ -229,27 +229,27 @@ def _parse(text: str) -> Document:
     obj = _expect_obj(load_json(text, ParseError, ""), "document", SECTIONS, {"format"})
     if obj["format"] != FORMAT:
         raise SchemaError(f"unsupported format {obj['format']!r}; expected {FORMAT!r}")
-    doc = Document()
+    h = topology = states = category = presheaf = simplicial = None
     if "hyperstructure" in obj:
-        doc.hyperstructure = _h_from_json(obj["hyperstructure"])
+        h = _h_from_json(obj["hyperstructure"])
     if "topology" in obj:
         from .topology import _topology_from_json
 
-        doc.topology = _topology_from_json(obj["topology"], doc.hyperstructure)
+        topology = _topology_from_json(obj["topology"], h)
     if "states" in obj:
         from .states import _states_from_json
 
-        doc.states = _states_from_json(obj["states"], doc.hyperstructure)
+        states = _states_from_json(obj["states"], h)
     if "category" in obj:
         from .catelem import _category_from_json
 
-        doc.category = _category_from_json(obj["category"])
+        category = _category_from_json(obj["category"])
     if "presheaf" in obj:
         from .catelem import _presheaf_from_json
 
-        doc.presheaf = _presheaf_from_json(obj["presheaf"], doc.category)
+        presheaf = _presheaf_from_json(obj["presheaf"], category)
     if "simplicial" in obj:
         from .catelem import _simplicial_from_json
 
-        doc.simplicial = _simplicial_from_json(obj["simplicial"])
-    return doc
+        simplicial = _simplicial_from_json(obj["simplicial"])
+    return Document(h, topology, states, category, presheaf, simplicial)

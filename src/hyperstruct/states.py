@@ -460,7 +460,7 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
     if h is None:
         raise DanglingReference("states: requires a hyperstructure section")
     obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
-    s = StatesSection()
+    tower = base = top = connectors = co_connectors = assignment = None
     if obj.get("spaces") is not None:
         spaces = []
         ops = []
@@ -481,20 +481,20 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
                     _refuse_repeat(table, key, where)
                     table[key] = result
                 ops.append(SpaceOp(unit=_expect_id(o["unit"], "op", "states"), table=table))
-        s.tower = state_tower(spaces, ops)
+        tower = state_tower(spaces, ops)
 
     index = h.element_index
     if obj.get("base") is not None:
-        s.base = _read_pairs(obj["base"], index[0], "states.base", " at level 0")
+        base = _read_pairs(obj["base"], index[0], "states.base", " at level 0")
     if obj.get("top") is not None:
-        s.top = _read_pairs(obj["top"], index[h.order], "states.top", f" at level {h.order}")
+        top = _read_pairs(obj["top"], index[h.order], "states.top", f" at level {h.order}")
     if obj.get("connectors") is not None:
-        s.connectors = tuple(
+        connectors = tuple(
             _connector_from_json(c, f"states.connectors[{k}]")
             for k, c in enumerate(_expect_list(obj["connectors"], "states.connectors"))
         )
     if obj.get("co_connectors") is not None:
-        s.co_connectors = tuple(
+        co_connectors = tuple(
             _co_connector_from_json(c, f"states.co_connectors[{k}]", h, k)
             for k, c in enumerate(_expect_list(obj["co_connectors"], "states.co_connectors"))
         )
@@ -502,13 +502,13 @@ def _states_from_json(value, h: Hyperstructure | None) -> StatesSection:
         raw_levels = _expect_list(obj["assignment"], "states.assignment")
         if len(raw_levels) != h.order + 1:
             raise SchemaError(f"states.assignment: expected {h.order + 1} levels")
-        s.assignment = LambdaAssignment(
+        assignment = LambdaAssignment(
             per_level=tuple(
                 _read_pairs(entries, index[i], f"states.assignment[{i}]", "", _state_from_json)
                 for i, entries in enumerate(raw_levels)
             )
         )
-    return s
+    return StatesSection(tower, base, top, connectors, co_connectors, assignment)
 
 
 def __getattr__(name: str):

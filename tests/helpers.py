@@ -1071,20 +1071,20 @@ def reference_parse(text: str):
     obj = _reference_expect_obj(data, "document", d.SECTIONS, {"format"})
     if obj["format"] != d.FORMAT:
         raise SchemaError(f"unsupported format {obj['format']!r}; expected {d.FORMAT!r}")
-    doc = d.Document()
+    doc = {}  # the sections read so far, made into a Document at the end
     if "hyperstructure" in obj:
-        doc.hyperstructure = reference_h_from_json(obj["hyperstructure"])
+        doc["hyperstructure"] = reference_h_from_json(obj["hyperstructure"])
     if "topology" in obj:
-        doc.topology = topology._topology_from_json(obj["topology"], doc.hyperstructure)
+        doc["topology"] = topology._topology_from_json(obj["topology"], doc.get("hyperstructure"))
     if "states" in obj:
-        doc.states = reference_states_from_json(obj["states"], doc.hyperstructure)
+        doc["states"] = reference_states_from_json(obj["states"], doc.get("hyperstructure"))
     if "category" in obj:
-        doc.category = catelem._category_from_json(obj["category"])
+        doc["category"] = catelem._category_from_json(obj["category"])
     if "presheaf" in obj:
-        doc.presheaf = catelem._presheaf_from_json(obj["presheaf"], doc.category)
+        doc["presheaf"] = catelem._presheaf_from_json(obj["presheaf"], doc.get("category"))
     if "simplicial" in obj:
-        doc.simplicial = catelem._simplicial_from_json(obj["simplicial"])
-    return doc
+        doc["simplicial"] = catelem._simplicial_from_json(obj["simplicial"])
+    return d.Document(**doc)
 
 
 # The states section as the codec first wrote and read it: a dict tree, and
@@ -1240,7 +1240,7 @@ def reference_states_from_json(value, h: Hyperstructure | None):
     if h is None:
         raise DanglingReference("states: requires a hyperstructure section")
     obj = _expect_obj(value, "states", {"spaces", "base", "top", "connectors", "co_connectors", "assignment"})
-    s = StatesSection()
+    s = {}  # the fields read so far, made into a StatesSection at the end
     if obj.get("spaces") is not None:
         spaces = []
         ops = []
@@ -1264,7 +1264,7 @@ def reference_states_from_json(value, h: Hyperstructure | None):
                         raise SchemaError(f"states.spaces[{k}].op.table: duplicate entry for {key!r}")
                     table[key] = result
                 ops.append(SpaceOp(unit=_expect_state(o["unit"], "op"), table=table))
-        s.tower = state_tower(spaces, ops)
+        s["tower"] = state_tower(spaces, ops)
 
     def read_pairs(name: str, level: int) -> dict[ElementId, object] | None:
         raw = obj.get(name)
@@ -1284,15 +1284,15 @@ def reference_states_from_json(value, h: Hyperstructure | None):
             out[el] = state
         return out
 
-    s.base = read_pairs("base", 0)
-    s.top = read_pairs("top", h.order)
+    s["base"] = read_pairs("base", 0)
+    s["top"] = read_pairs("top", h.order)
     if obj.get("connectors") is not None:
-        s.connectors = tuple(
+        s["connectors"] = tuple(
             _connector_from_json(c, f"states.connectors[{k}]")
             for k, c in enumerate(_expect_list(obj["connectors"], "states.connectors"))
         )
     if obj.get("co_connectors") is not None:
-        s.co_connectors = tuple(
+        s["co_connectors"] = tuple(
             _co_connector_from_json(c, f"states.co_connectors[{k}]", h, k)
             for k, c in enumerate(_expect_list(obj["co_connectors"], "states.co_connectors"))
         )
@@ -1315,8 +1315,8 @@ def reference_states_from_json(value, h: Hyperstructure | None):
                     raise SchemaError(f"states.assignment[{i}]: duplicate entry for {el!r}")
                 level[el] = state
             per_level.append(level)
-        s.assignment = LambdaAssignment(per_level=tuple(per_level))
-    return s
+        s["assignment"] = LambdaAssignment(per_level=tuple(per_level))
+    return StatesSection(**s)
 
 
 # A document that uses every keyed list of every section, and its rows.

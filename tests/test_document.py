@@ -477,16 +477,16 @@ def _with_sections(h, rng) -> Document:
     """A document around h with whichever payload sections apply to it."""
     doc = Document(hyperstructure=h)
     if rng.random() < 0.5:
-        doc.topology = maximal_topology(h)
+        doc = doc._replace(topology=maximal_topology(h))
     if rng.random() < 0.5:
         base = {e: rng.choice([0, 1, "s", "é\""]) for e in h.elements(0)}
-        sec = StatesSection(base=base, connectors=(SUM,) * h.order if rng.random() < 0.5 else None)
-        if sec.connectors is not None and all(isinstance(v, int) for v in base.values()):
-            sec.assignment = globalize(h, base, sec.connectors)
-        doc.states = sec
+        connectors = (SUM,) * h.order if rng.random() < 0.5 else None
+        assigned = connectors is not None and all(isinstance(v, int) for v in base.values())
+        assignment = globalize(h, base, connectors) if assigned else None
+        doc = doc._replace(states=StatesSection(base=base, connectors=connectors, assignment=assignment))
     if rng.random() < 0.3:
         other = parse((CORPUS / rng.choice(["square_category.json", "hollow_triangle.json"])).read_text(encoding="utf-8"))
-        doc.category, doc.presheaf, doc.simplicial = other.category, other.presheaf, other.simplicial
+        doc = doc._replace(category=other.category, presheaf=other.presheaf, simplicial=other.simplicial)
     return doc
 
 
@@ -517,7 +517,7 @@ def _bond(change):
         assume(bonds)
         k = rng.randrange(len(bonds))
         bonds[k] = change(bonds[k], value)
-        doc.hyperstructure = doc.hyperstructure._replace(bonds=tuple(bonds))
+        return doc._replace(hyperstructure=doc.hyperstructure._replace(bonds=tuple(bonds)))
 
     return put
 
@@ -528,7 +528,7 @@ def _fusion(change):
     def put(doc, value, rng):
         log = doc.hyperstructure.fusion_log
         assume(log)
-        doc.hyperstructure = doc.hyperstructure._replace(fusion_log=(change(log[0], value),) + log[1:])
+        return doc._replace(hyperstructure=doc.hyperstructure._replace(fusion_log=(change(log[0], value),) + log[1:]))
 
     return put
 
@@ -537,7 +537,7 @@ def _tower(change):
     """A cell of the document's tower outside its bonds and fusion log."""
 
     def put(doc, value, rng):
-        doc.hyperstructure = change(doc.hyperstructure, value)
+        return doc._replace(hyperstructure=change(doc.hyperstructure, value))
 
     return put
 
@@ -554,9 +554,11 @@ def _first(table: dict, value) -> dict:
 
 def _topology_root(level: bool):
     def put(doc, value, rng):
-        root = min(doc.topology, key=repr)
-        sieves = doc.topology.pop(root)
-        doc.topology[ElementId(value, root.id) if level else ElementId(root.level, value)] = sieves
+        topology = dict(doc.topology)
+        root = min(topology, key=repr)
+        sieves = topology.pop(root)
+        topology[ElementId(value, root.id) if level else ElementId(root.level, value)] = sieves
+        return doc._replace(topology=topology)
 
     return put
 
@@ -564,7 +566,7 @@ def _topology_root(level: bool):
 def _morphism(field: str):
     def put(doc, value, rng):
         c = doc.category
-        doc.category = c._replace(morphisms=(c.morphisms[0]._replace(**{field: value}),) + c.morphisms[1:])
+        return doc._replace(category=c._replace(morphisms=(c.morphisms[0]._replace(**{field: value}),) + c.morphisms[1:]))
 
     return put
 
@@ -573,7 +575,7 @@ def _category(field: str):
     """The first entry of the category's identities or composition."""
 
     def put(doc, value, rng):
-        doc.category = doc.category._replace(**{field: _first(getattr(doc.category, field), value)})
+        return doc._replace(category=doc.category._replace(**{field: _first(getattr(doc.category, field), value)}))
 
     return put
 
@@ -581,17 +583,17 @@ def _category(field: str):
 def _action(doc, value, rng):
     p = doc.presheaf
     m = min((m for m, t in p.on_morphisms.items() if t), key=repr)
-    doc.presheaf = p._replace(on_morphisms={**p.on_morphisms, m: _first(p.on_morphisms[m], value)})
+    return doc._replace(presheaf=p._replace(on_morphisms={**p.on_morphisms, m: _first(p.on_morphisms[m], value)}))
 
 
 def _face(doc, value, rng):
     s = doc.simplicial
     sid = min(s.simplices[1], key=repr)
-    doc.simplicial = s._replace(faces={**s.faces, sid: (value,) + s.faces[sid][1:]})
+    return doc._replace(simplicial=s._replace(faces={**s.faces, sid: (value,) + s.faces[sid][1:]}))
 
 
 def _max_dim(doc, value, rng):
-    doc.simplicial = doc.simplicial._replace(max_dim=value)
+    return doc._replace(simplicial=doc.simplicial._replace(max_dim=value))
 
 
 def _op(field: str):
@@ -600,7 +602,7 @@ def _op(field: str):
     def put(doc, value, rng):
         ops = doc.states.tower.ops
         op = ops[0]._replace(unit=value) if field == "unit" else ops[0]._replace(table=_first(ops[0].table, value))
-        doc.states.tower = doc.states.tower._replace(ops=(op,) + ops[1:])
+        return doc._replace(states=doc.states._replace(tower=doc.states.tower._replace(ops=(op,) + ops[1:])))
 
     return put
 
@@ -611,30 +613,31 @@ def _table(field: str, k: int):
     def put(doc, value, rng):
         folds = list(getattr(doc.states, field))
         folds[k] = folds[k]._replace(table=_first(folds[k].table, value))
-        setattr(doc.states, field, tuple(folds))
+        return doc._replace(states=doc.states._replace(**{field: tuple(folds)}))
 
     return put
 
 
 def _first_property(doc, value, rng):
     h = doc.hyperstructure
-    doc.hyperstructure = h._replace(bonds=(h.bonds[0]._replace(property=value),) + h.bonds[1:])
+    return doc._replace(hyperstructure=h._replace(bonds=(h.bonds[0]._replace(property=value),) + h.bonds[1:]))
 
 
 def _base(doc, value, rng):
-    doc.states.base = _first(doc.states.base, value)
+    return doc._replace(states=doc.states._replace(base=_first(doc.states.base, value)))
 
 
 def _assigned(doc, value, rng):
     levels = doc.states.assignment.per_level
-    doc.states.assignment = LambdaAssignment((_first(levels[0], value),) + levels[1:])
+    return doc._replace(states=doc.states._replace(assignment=LambdaAssignment((_first(levels[0], value),) + levels[1:])))
 
 
 ID, INT = (str, int), (int,)
 #: Each cell of a document's tables whose type the reader checks: the types
 #: it takes there, whether the value goes into a set or a dict key, and how
-#: to put a value in. Tower cells go into a random fused tower with payload
-#: sections; the others into the every-section document.
+#: to put a value in: put(doc, value, rng) returns the changed document.
+#: Tower cells go into a random fused tower with payload sections; the
+#: others into the every-section document.
 TOWER_CELLS = {
     "bond property": ((str,), False, _bond(lambda b, v: b._replace(property=v))),
     "bond identity": ((bool,), False, _bond(lambda b, v: b._replace(identity=v))),
@@ -699,7 +702,7 @@ class TestCodecOracle:
             doc = _with_sections(_fused(random_tower(rng, max_order=3, max_per_level=6), rng), rng)
         else:
             doc = parse(json.dumps({**every_section_document(), **json.loads((CORPUS / "hollow_triangle.json").read_text())}))
-        change(doc, value, rng)
+        doc = change(doc, value, rng)
         _assert_written_like_the_reference(doc)
         if type(value) not in takes:
             got = _outcome(serialize, doc)
@@ -725,7 +728,7 @@ class TestCodecOracle:
         doc = parse(json.dumps({**every_section_document(), **json.loads((CORPUS / "hollow_triangle.json").read_text())}))
         rng = random.Random(0)
         for cell, value in reversed(faults):
-            puts[cell](doc, value, rng)
+            doc = puts[cell](doc, value, rng)
         with pytest.raises(SchemaError) as got:
             serialize(doc)
         assert str(got.value) == message
@@ -768,7 +771,7 @@ class TestCodecOracle:
         text = gen.dump(gen.states_document(rng, vertices, edges)[0])
         doc = parse(text)
         assert serialize(doc) == reference_serialize(doc) == text
-        doc.states.assignment = globalize(doc.hyperstructure, doc.states.base, doc.states.connectors)
+        doc = doc._replace(states=doc.states._replace(assignment=globalize(doc.hyperstructure, doc.states.base, doc.states.connectors)))
         assert serialize(doc) == reference_serialize(doc)
 
 
@@ -813,24 +816,24 @@ def states_documents(draw):
         pairs = [(p, c) for p in some(n - k) for c in some(n - k - 1)]
         return CoConnector("per_child", {pair: draw(states) for pair in pairs})
 
-    sec = StatesSection()
+    sec = {}  # the fields drawn so far, made into a StatesSection at the end
     if draw(st.booleans()):
         spaces = draw(st.lists(st.sampled_from([(frozenset({0, 1}), OR), (frozenset({"x", 2, "1"}), None)]), max_size=3))
-        sec.tower = state_tower([space for space, _ in spaces], [op for _, op in spaces])
+        sec["tower"] = state_tower([space for space, _ in spaces], [op for _, op in spaces])
     if draw(st.booleans()):
-        sec.base = keyed(0, states)
+        sec["base"] = keyed(0, states)
     if draw(st.booleans()):
-        sec.top = keyed(n, states)
+        sec["top"] = keyed(n, states)
     if draw(st.booleans()):
         table = Connector("table", {(0, "s"): 1, (1,): "x", (-2, 1, 1): 0})
-        sec.connectors = tuple(draw(st.sampled_from((SUM, PRODUCT, UNION_FOLD, table))) for _ in range(n))
+        sec["connectors"] = tuple(draw(st.sampled_from((SUM, PRODUCT, UNION_FOLD, table))) for _ in range(n))
     if draw(st.booleans()):
-        sec.co_connectors = tuple(co_connector(k) for k in range(n))
+        sec["co_connectors"] = tuple(co_connector(k) for k in range(n))
     if draw(st.booleans()):
         marked = st.one_of(states, st.sampled_from((UNASSIGNED, CONFLICT)))
         levels = n + 1 + (draw(st.integers(0, 5)) == 0)
-        sec.assignment = LambdaAssignment(per_level=tuple(keyed(i, marked) for i in range(levels)))
-    return Document(hyperstructure=h, states=sec)
+        sec["assignment"] = LambdaAssignment(per_level=tuple(keyed(i, marked) for i in range(levels)))
+    return Document(hyperstructure=h, states=StatesSection(**sec))
 
 
 class TestStatesCodecOracle:
