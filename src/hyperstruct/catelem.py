@@ -441,6 +441,12 @@ class SimplicialData(Record):
         return rows
 
 
+def check_max_dim(max_dim: int) -> None:
+    """Refuse a negative dimension bound, as nerve and betti_gf2 do."""
+    if max_dim < 0:
+        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+
+
 def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     """Chains of composable non-identity morphisms, up to the given length.
     Morphisms are held in id-key order, so chains come out lexicographically.
@@ -453,8 +459,7 @@ def nerve(cat: FiniteCategory, max_dim: int) -> SimplicialData:
     finite_category's messages. The walk keeps positions only (each chain's
     last arrow and the rows of its faces); the result names the chains when
     they are first read, so a nerve that only feeds betti_gf2 names none."""
-    if max_dim < 0:
-        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    check_max_dim(max_dim)
     strict = not _is_lawful(cat)
     if strict:
         _check_morphisms(cat)
@@ -574,8 +579,7 @@ def gf2_rank(cols: Iterable[int]) -> int:
 
 def betti_gf2(s: SimplicialData, max_dim: int) -> list[int]:
     """GF(2) Betti numbers for dimensions 0..min(max_dim, declared dim)."""
-    if max_dim < 0:
-        raise InconsistentComplex(f"max_dim must be non-negative, got {max_dim}")
+    check_max_dim(max_dim)
     top = min(max_dim, s.max_dim)
     mats = {k: boundary_matrix(s, k) for k in range(1, s.max_dim + 1) if s.dim_count(k)}
     for k in range(1, s.max_dim):

@@ -10,6 +10,7 @@ def run(args) -> int:
         data = doc.simplicial
     else:
         cat = _need(doc, "category")
+        catelem.check_max_dim(args.max_dim)  # before the nerve is built to max_dim + 1
         data = catelem.nerve(cat, args.max_dim + 1)
     numbers = catelem.betti_gf2(data, args.max_dim)
     _print(["betti: " + " ".join(str(n) for n in numbers)])

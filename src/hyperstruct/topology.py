@@ -5,7 +5,7 @@ join in through the singleton embedding (each refines only itself), which
 lets covering chains run all the way to the bottom. Sieves are downward
 closed bond families rooted at an element, a topology assigns sieve
 collections satisfying the maximality, stability and transitivity axioms,
-and a site is a tower paired with a topology that passed the checks.
+and a site is a tower paired with a topology that satisfies them.
 
 Every consumer of the preorder (refines, the sieve functions, the axiom
 checker, descent in states and refinement_category in catelem) reads one
@@ -42,14 +42,21 @@ sieve's text once written, so later checks on the same tower reuse it.
 The view also keeps a memo from families to masks, keyed by the family's
 frozenset value. maximal_topology records each maximal sieve it builds
 there, at most one family per element, and mask_of reads it first, so
-make_site on that topology, and descent over the site, turn each family
-(or an equal one built elsewhere) into its mask with one lookup. Nothing
-else writes the memo; like the texts, it lives as long as the tower.
+descent over a site, and a check of any topology listing those families,
+turn each family (or an equal one built elsewhere) into its mask with one
+lookup. Nothing else writes the memo; like the texts, it lives as long as
+the tower.
+
+maximal_topology also keeps the mapping it built in the tower's instance
+dict and hands out a copy of it on every call. The maximal sieves form a
+Grothendieck topology on any tower (the trivial one), so make_site does not
+sweep a mapping whose collections are the very frozensets kept there: it
+recognizes them by identity, and sweeps every other mapping, however equal.
 """
 from __future__ import annotations
 
 import random
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import ElementId, Hyperstructure, _key_sorted, sorted_elements
@@ -333,6 +340,17 @@ def _sampled_masks(order: _LevelOrder, i: int, rng: random.Random, count: int) -
     return sorted(seen)
 
 
+def _refuse_above_cap(order: _LevelOrder) -> None:
+    """Raise SweepTooLarge at the level's first root whose ideal has more than EXHAUSTIVE_CAP members."""
+    for i, b in enumerate(order.elements):
+        size = order.below[i].bit_count()
+        if size > EXHAUSTIVE_CAP:
+            raise SweepTooLarge(
+                f"exhaustive sweep at {b!r} would enumerate the subsets of a {size}-element ideal; "
+                f"the cap is {EXHAUSTIVE_CAP}, use a sampled check"
+            )
+
+
 def is_grothendieck_topology(
     h: Hyperstructure,
     topology: TopologyAssignment,
@@ -362,13 +380,7 @@ def is_grothendieck_topology(
     if exhaustive is None:
         exhaustive = len(elements) <= EXHAUSTIVE_CAP
     if exhaustive:
-        for i, b in enumerate(elements):
-            size = order.below[i].bit_count()
-            if size > EXHAUSTIVE_CAP:
-                raise SweepTooLarge(
-                    f"exhaustive sweep at {b!r} would enumerate the subsets of a {size}-element ideal; "
-                    f"the cap is {EXHAUSTIVE_CAP}, use a sampled check"
-                )
+        _refuse_above_cap(order)
     else:
         notes.append(f"sampled: seed={seed} size={SAMPLE_SIZE}")
 
@@ -470,21 +482,30 @@ def _axiom_violations(order: _LevelOrder, masks: list[set[int]], invalid: list[F
                     yield Finding("transitivity", f"{head}{text(i, s)} but is missing from J({ids[i]})")
 
 
+_MAXIMAL = "_maximal_topology"  # the tower's instance-dict key for the mapping maximal_topology built
+
+
 def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
     """The topology whose only covering of each element is its maximal sieve.
 
     Each family built is recorded in its level order's mask memo, so
-    make_site and descent read it back with one lookup.
+    descent reads it back with one lookup. The first call on a tower keeps
+    the mapping on the tower, and every call returns a new dict holding the
+    kept collections: editing it never reaches the kept one, and make_site
+    recognizes those collections without sweeping them.
     """
-    out: dict[ElementId, frozenset[Sieve]] = {}
-    for o in (_level_order(h, i) for i in range(h.order + 1)):
-        masks, element = o.masks, o.elements.__getitem__
-        for e, m, ideal in zip(o.elements, o.below, o.ideals):
-            family = frozenset(map(element, ideal))
-            masks[family] = m
-            # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
-            out[e] = frozenset((tuple.__new__(Sieve, (e, family)),))
-    return out
+    kept = h.__dict__.get(_MAXIMAL)
+    if kept is None:
+        kept = {}
+        for o in (_level_order(h, i) for i in range(h.order + 1)):
+            masks, element = o.masks, o.elements.__getitem__
+            for e, m, ideal in zip(o.elements, o.below, o.ideals):
+                family = frozenset(map(element, ideal))
+                masks[family] = m
+                # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
+                kept[e] = frozenset((tuple.__new__(Sieve, (e, family)),))
+        h.__dict__[_MAXIMAL] = kept
+    return dict(kept)
 
 
 class CoveringChain(NamedTuple):
@@ -533,12 +554,14 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
 
 
 class Site(NamedTuple):
-    """A tower together with a topology that passed every level's axioms.
+    """A tower together with a topology that satisfies every level's axioms.
 
-    Build one with make_site: the descent check reads the refinement orders
-    that make_site builds. A tower they cannot be built for (an element above
-    level 0 without a bond record) raises NotABond there, as it does in every
-    other consumer of the order.
+    Build one with make_site, which either checks the axioms level by level
+    or recognizes the tower's own maximal topology, where they always hold.
+    The descent check reads the refinement orders that make_site builds. A
+    tower they cannot be built for (an element above level 0 without a bond
+    record) raises NotABond there, as it does in every other consumer of the
+    order.
     """
 
     h: Hyperstructure
@@ -546,10 +569,29 @@ class Site(NamedTuple):
 
 
 def make_site(h: Hyperstructure, topology: TopologyAssignment, exhaustive: bool | None = None, seed: int = 0) -> Site:
-    for i in range(h.order + 1):
-        rep = is_grothendieck_topology(h, topology, i, exhaustive=exhaustive, seed=seed)
-        if not rep.passed:
-            raise NotATopology(f"axioms fail at level {i}", report=rep)
+    """The site of h under topology, whose mapping it copies.
+
+    Each level, from 0 up, is checked by is_grothendieck_topology with
+    exhaustive and seed, and the first level that fails raises NotATopology
+    carrying that level's report. The one mapping not checked is h's own
+    maximal topology: when topology has the keys maximal_topology(h) gave
+    and holds, at each of them, the very frozenset that call built, the
+    axioms hold (the maximal sieves are the trivial topology), so no level
+    is swept. Any other mapping is swept, even an equal one rebuilt value by
+    value. Either way an exhaustive check raises SweepTooLarge at the first
+    root, level by level, whose ideal has more than EXHAUSTIVE_CAP members,
+    and a tower whose refinement orders cannot be built raises NotABond.
+    """
+    kept = h.__dict__.get(_MAXIMAL)
+    if kept is not None and topology.keys() == kept.keys() and all(map(is_, map(topology.__getitem__, kept), kept.values())):
+        if exhaustive:
+            for i in range(h.order + 1):
+                _refuse_above_cap(_level_order(h, i))
+    else:
+        for i in range(h.order + 1):
+            rep = is_grothendieck_topology(h, topology, i, exhaustive=exhaustive, seed=seed)
+            if not rep.passed:
+                raise NotATopology(f"axioms fail at level {i}", report=rep)
     return Site(h=h, topology=dict(topology))
 
 

@@ -533,6 +533,13 @@ class TestErrorShape:
         assert out.startswith("error: InconsistentComplex")
         assert not out_path.exists()
 
+    def test_negative_max_dim_builds_no_nerve(self, capsys, monkeypatch):
+        from hyperstruct import catelem
+
+        monkeypatch.setattr(catelem, "nerve", lambda *args: pytest.fail("betti built a nerve it refuses"))
+        code, out = run(capsys, "betti", str(CORPUS / "square_category.json"), "--max-dim", "-1")
+        assert (code, out) == (2, "error: InconsistentComplex\nmax_dim must be non-negative, got -1\n")
+
     @pytest.mark.parametrize("value", [{}, ["x@1"], True, None, 1.5])
     @pytest.mark.parametrize("section", [("omega", 0, 0), ("bonds", 0)])
     def test_non_id_in_a_support_list(self, capsys, tmp_path, section, value):
@@ -1019,6 +1026,21 @@ PINNED_RUNS = [
         2,
         "error: SchemaError\nsimplicial.dimensions[1]: duplicate simplex ids\n",
         id="repeated-simplex-id",
+    ),
+    # a negative bound is refused as given, before a category's nerve is built one dimension higher
+    pytest.param(
+        _doc("square_category.json"),
+        ["betti", DOC, "--max-dim", "-5"],
+        2,
+        "error: InconsistentComplex\nmax_dim must be non-negative, got -5\n",
+        id="betti-negative-max-dim-on-a-category",
+    ),
+    pytest.param(
+        _doc("hollow_triangle.json"),
+        ["betti", DOC, "--max-dim", "-5"],
+        2,
+        "error: InconsistentComplex\nmax_dim must be non-negative, got -5\n",
+        id="betti-negative-max-dim-on-simplicial-data",
     ),
     # install
     pytest.param(

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import pickle
 import random
 import re
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -59,7 +61,7 @@ from hyperstruct.topology import (
     pullback_sieve,
     refines,
 )
-from hyperstruct.topology import _bit_indices, _level_order, _LevelOrder, _sampled_masks
+from hyperstruct.topology import _MAXIMAL, _bit_indices, _level_order, _LevelOrder, _sampled_masks
 
 FULL_TRIANGLE = [["v0"], ["v1"], ["v2"], ["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0", "v1", "v2"]]
 
@@ -473,6 +475,25 @@ class TestForeignMembers:
         assert rep.lines()[1:] == ["not-a-sieve: family under 1:b0 names 0:x, not a level-1 element: Sieve(1:b0: {x})"]
 
 
+def rebuilt(j):
+    """A mapping equal to j whose collections are new objects."""
+    return {e: frozenset(set(v)) for e, v in j.items()}
+
+
+@contextmanager
+def counted_checks():
+    """The levels make_site sweeps with is_grothendieck_topology inside the context, in call order."""
+    levels = []
+
+    def check(h, j, level, *args, **kwargs):
+        levels.append(level)
+        return is_grothendieck_topology(h, j, level, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hyperstruct.topology.is_grothendieck_topology", check)
+        yield levels
+
+
 class TestSite:
     def test_maximal_site_on_valid_towers(self):
         rng = random.Random(19)
@@ -495,12 +516,25 @@ class TestSite:
             return tower_from_supports([frozenset(f"v{i}" for i in range(k + 1)) for k in range(n)])
 
         at_cap, above = chain(EXHAUSTIVE_CAP), chain(EXHAUSTIVE_CAP + 1)
+        refusal = rf"1:b{EXHAUSTIVE_CAP}\b.*{EXHAUSTIVE_CAP + 1}-element ideal"
         assert is_grothendieck_topology(at_cap, maximal_topology(at_cap), 1, exhaustive=True).passed
-        with pytest.raises(SweepTooLarge, match=rf"1:b{EXHAUSTIVE_CAP}\b.*{EXHAUSTIVE_CAP + 1}-element ideal"):
+        with pytest.raises(SweepTooLarge, match=refusal):
             is_grothendieck_topology(above, maximal_topology(above), 1, exhaustive=True)
         # the default sweep samples that level, and level 0 stays exhaustive
         assert is_grothendieck_topology(above, maximal_topology(above), 1).passed
         assert is_grothendieck_topology(above, maximal_topology(above), 0, exhaustive=True).passed
+        # make_site refuses alike, whether it recognizes the maximal topology or sweeps an equal one
+        j = maximal_topology(above)
+        with counted_checks() as levels:
+            refused = []
+            for candidate in (j, rebuilt(j)):
+                with pytest.raises(SweepTooLarge, match=refusal) as exc:
+                    make_site(above, candidate, exhaustive=True)
+                refused.append(str(exc.value))
+            make_site(above, j)
+            make_site(above, j, exhaustive=False)
+        assert refused[0] == refused[1]
+        assert levels == [0, 1]  # the rebuilt mapping's sweep alone
 
     def test_sampled_mode_notes_seed(self):
         supports = [frozenset({"x", "y"})]
@@ -508,6 +542,80 @@ class TestSite:
         rep = is_grothendieck_topology(h, maximal_topology(h), 1, exhaustive=False, seed=7)
         assert rep.passed
         assert any("sampled" in n for n in rep.notes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_recognizing_the_maximal_topology_is_sound(self, seed):
+        h = random_tower(random.Random(seed))
+        j = maximal_topology(h)
+        # the oracle for skipping the sweep: the maximal sieves pass every level's axioms
+        assert all(is_grothendieck_topology(h, j, i).passed for i in range(h.order + 1))
+        twin = rebuilt(j)
+        assert twin == j
+        with counted_checks() as levels:
+            recognized = make_site(h, j)
+            for exhaustive in (True, False):
+                assert make_site(h, j, exhaustive=exhaustive) == recognized
+            assert levels == []
+            assert make_site(h, twin) == recognized
+        assert levels == list(range(h.order + 1))
+
+    def test_kept_collections_under_other_keys_are_swept(self):
+        # the kept collections in the kept order, under the keys reversed
+        h = graded_triangle()
+        j = maximal_topology(h)
+        with counted_checks() as levels, pytest.raises(NotATopology) as exc:
+            make_site(h, dict(zip(reversed(list(j)), j.values())))
+        assert levels == [0]
+        assert any(f.code == "misrooted" for f in exc.value.report.findings)
+
+    def test_a_mapping_with_a_key_more_or_less_is_swept(self):
+        h = graded_triangle()
+        j = maximal_topology(h)
+        with counted_checks() as levels:
+            make_site(h, {**j, ElementId(0, "ghost"): frozenset()})
+            assert levels == [0, 1, 2]
+            with pytest.raises(NotATopology):
+                make_site(h, {e: v for e, v in j.items() if e.level})
+        assert levels == [0, 1, 2, 0]
+
+    def test_the_kept_topology_never_leaks(self):
+        h = graded_triangle()
+        j = maximal_topology(h)
+        doc = parse(serialize(Document(hyperstructure=h, topology=j)))
+        derived = {
+            "_replace": h._replace(fusion_log=h.fusion_log),
+            "pickle": pickle.loads(pickle.dumps(h)),
+            "parse(serialize)": doc.hyperstructure,
+        }
+        for name, d in derived.items():
+            assert d == h and _MAXIMAL not in d.__dict__, name
+            with counted_checks() as levels:
+                assert make_site(d, j).topology == j
+            assert levels == [0, 1, 2], name
+        with counted_checks() as levels:
+            assert make_site(h, doc.topology).topology == j  # parsed, so equal but not the kept objects
+        assert levels == [0, 1, 2]
+        grown = add_bonds(h, [BondSpec(0, Support.of([h.element(0, "v0"), h.element(0, "v2")]), "p", "extra")])
+        assert _MAXIMAL not in grown.__dict__
+        with counted_checks() as levels, pytest.raises(NotATopology):
+            make_site(grown, j)  # the new bond has no collection
+        assert levels == [0, 1]
+
+    def test_edits_never_reach_the_kept_topology(self):
+        h = graded_triangle()
+        fresh = maximal_topology(pickle.loads(pickle.dumps(h)))  # built for an equal tower
+        j = maximal_topology(h)
+        top = h.element(2, "{v0,v1,v2}")
+        j[top] = frozenset()
+        del j[h.element(0, "v0")]
+        site = make_site(h, maximal_topology(h))
+        site.topology[top] = frozenset()
+        again = maximal_topology(h)
+        assert again == fresh and again is not site.topology
+        with counted_checks() as levels:
+            make_site(h, again)
+        assert levels == []
 
 
 @settings(max_examples=200, deadline=None)
