@@ -9,9 +9,9 @@ prediction counts as emergent.
 """
 from __future__ import annotations
 
-from typing import Literal, Mapping, NamedTuple
+from collections.abc import Mapping
 
-from .core import PropertyToken, Support, pair_token
+from .core import PropertyToken, Support, pair_token, value_type
 from .errors import CombinerUndefined, MissingInducedMap, NotDisjoint
 from .report import CheckReport, Finding
 
@@ -19,16 +19,16 @@ TokenSet = frozenset[PropertyToken]
 TokenMap = Mapping[PropertyToken, PropertyToken]
 
 
-class InducedMaps(NamedTuple):
-    """Explicit functorial data for an omega table.
+class InducedMaps(value_type("InducedMaps", "variance restrictions")):
+    """Explicit functorial data for an omega table: a variance, "covariant"
+    or "contravariant", and a TokenMap for each (sub, sup) pair of Supports.
 
     Covariant maps follow inclusions upward (value at the smaller support
     maps into the larger); contravariant maps restrict downward. Identity
     inclusions always act as identities and need not be listed.
     """
 
-    variance: Literal["covariant", "contravariant"]
-    restrictions: Mapping[tuple[Support, Support], TokenMap]
+    __slots__ = ()
 
     def map_for(self, sub: Support, sup: Support) -> TokenMap:
         if sub == sup:
@@ -58,12 +58,14 @@ def _check_into(m: TokenMap, dom: TokenSet, cod: TokenSet, sub: Support, sup: Su
             raise MissingInducedMap(f"induced map for {sub!r} ⊆ {sup!r} sends {x!r} outside the target tokens")
 
 
-class Combiner(NamedTuple):
-    """Rule producing the union's token set from the parts and the overlap."""
+class Combiner(value_type("Combiner", "name kind table", defaults=(None,))):
+    """Rule producing the union's token set from the parts and the overlap.
 
-    name: str
-    kind: Literal["union", "disjoint-union", "tensor-pairs", "table"]
-    table: Mapping[tuple[TokenSet, TokenSet, TokenSet], TokenSet] | None = None
+    Its kind is "union", "disjoint-union", "tensor-pairs" or "table"; a
+    table maps each (part, part, overlap) triple of TokenSets to a TokenSet.
+    """
+
+    __slots__ = ()
 
     def lookup(self, w1: TokenSet, w2: TokenSet, w12: TokenSet) -> TokenSet:
         if self.table is None:

@@ -29,10 +29,10 @@ data from elsewhere derives its rows from `faces` once per dimension.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .core import Hyperstructure, Record, sorted_elements
+from .core import Hyperstructure, _refuse, sorted_elements, value_type
 from .document import _expect_id, _expect_int, _expect_list, _expect_obj, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, InconsistentComplex, InvalidCategory, InvalidPresheaf, SchemaError, SweepTooLarge
 
@@ -48,23 +48,19 @@ def _key(x) -> str:
     return repr(x) if not isinstance(x, (str, int)) else f"{type(x).__name__}:{x}"
 
 
-class Morphism(NamedTuple):
-    id: MorId
-    src: ObjId
-    tgt: ObjId
+class Morphism(value_type("Morphism", "id src tgt")):
+    """A morphism id and the ids of its source and target objects."""
+
+    __slots__ = ()
 
 
-class FiniteCategory(Record):
-    """A Record with an instance __dict__, which holds the cached indexes and the lawful mark."""
+class FiniteCategory(value_type("FiniteCategory", "objects morphisms identities composition")):
+    """A finite category: a frozenset of objects, a tuple of Morphisms, each
+    object's identity morphism id, and the composition table, which maps
+    (g, f) to g after f.
 
-    _fields = ("objects", "morphisms", "identities", "composition")
-    objects: frozenset
-    morphisms: tuple[Morphism, ...]
-    identities: Mapping[ObjId, MorId]
-    composition: Mapping[tuple[MorId, MorId], MorId]  # (g, f) -> g after f
-
-    def __init__(self, objects, morphisms, identities, composition):
-        self.__dict__.update(objects=objects, morphisms=morphisms, identities=identities, composition=composition)
+    It keeps an instance dict, which holds the cached indexes and the lawful mark.
+    """
 
     def morphism(self, m: MorId) -> Morphism:
         got = self.by_id.get(m)
@@ -212,11 +208,14 @@ def poset_category(elements: Iterable[ObjId], leq) -> FiniteCategory:
     return _derived(preorder, objs, mors, identities, composition, order=antisymmetric)
 
 
-class Presheaf(NamedTuple):
-    """Contravariant set-valued data: u: C' -> C acts by P(C) -> P(C')."""
+class Presheaf(value_type("Presheaf", "on_objects on_morphisms")):
+    """Contravariant set-valued data: u: C' -> C acts by P(C) -> P(C').
 
-    on_objects: Mapping[ObjId, frozenset]
-    on_morphisms: Mapping[MorId, Mapping[Hashable, Hashable]]
+    on_objects maps each object to its frozenset of sections, on_morphisms
+    each morphism id to its action, a mapping of sections.
+    """
+
+    __slots__ = ()
 
     def at(self, c: ObjId) -> frozenset:
         got = self.on_objects.get(c)
@@ -367,22 +366,42 @@ def projection_functor(elements_cat: FiniteCategory):
 # -- nerves and homology ----------------------------------------------------------
 
 
-class SimplicialData(Record):
+class SimplicialData:
     """Nondegenerate simplices per dimension with face pointers.
 
     A face entry of None marks a face that degenerated (its chain collapsed
     onto an identity) and therefore contributes nothing to boundaries.
-    A Record with an instance __dict__, which holds the face rows and
-    the counts per dimension. A nerve holds chain positions there instead of
-    names: `simplices` and `faces` are built from them on first read, and an
-    instance built with its own values shadows both.
+    The instance dict holds the fields, the face rows and the counts per
+    dimension. A nerve holds chain positions there instead of names:
+    `simplices` and `faces` are built from them on first read, and an
+    instance built with its own values shadows both. So this is the one
+    value type that is not a tuple; it keeps the same contract by hand.
     """
 
     _fields = ("max_dim", "simplices", "faces")
-    max_dim: int
+    __setattr__ = __delattr__ = _refuse
+    __hash__ = None  # faces is a dict
 
     def __init__(self, max_dim, simplices, faces):
         self.__dict__.update(max_dim=max_dim, simplices=simplices, faces=faces)
+
+    def _astuple(self) -> tuple:
+        return self.max_dim, self.simplices, self.faces
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is SimplicialData else NotImplemented
+
+    def __repr__(self):
+        return "SimplicialData(max_dim=%r, simplices=%r, faces=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return SimplicialData, self._astuple()
+
+    def _replace(self, **changes):
+        copy = SimplicialData(*map(changes.pop, self._fields, self._astuple()))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return copy
 
     @cached_property
     def simplices(self) -> tuple[tuple[Hashable, ...], ...]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from ..errors import HyperstructError, ParseError, SchemaError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from ..core import Hyperstructure
     from ..document import Document

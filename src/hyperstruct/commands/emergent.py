@@ -1,13 +1,9 @@
 """emergent: tokens at a union not produced by the combiner."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import _need, _print, _read_document
+from ..core import Hyperstructure, RawId
 from .refs import _combiner, _resolve_id
-
-if TYPE_CHECKING:
-    from ..core import Hyperstructure, RawId
 
 
 def run(args) -> int:

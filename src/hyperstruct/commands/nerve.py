@@ -1,11 +1,10 @@
 """nerve: composable chains of the document's category."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import _emit, _need, _print, _read_document
 from ..errors import SchemaError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .. import catelem
 

@@ -1,13 +1,8 @@
 """Element references and combiner names, as compose, fuse and emergent read them."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..core import ElementId
+from ..core import ElementId, Hyperstructure, RawId
 from ..errors import SchemaError
-
-if TYPE_CHECKING:
-    from ..core import Hyperstructure, RawId
 
 
 def _resolve_id(h: Hyperstructure, level: int, raw: str) -> RawId:

@@ -8,8 +8,6 @@ lift with the composite; fuse is weak gluing recorded in the tower's log.
 """
 from __future__ import annotations
 
-from typing import Literal
-
 from .core import (
     Bond,
     BondSpec,
@@ -36,7 +34,11 @@ from .errors import (
     NotGluable,
 )
 
-CompatibilityMode = Literal["strict", "weak"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
+
+    CompatibilityMode = Literal["strict", "weak"]
 
 
 def combine_tokens(combiner, a: PropertyToken, b: PropertyToken) -> PropertyToken:

@@ -9,10 +9,12 @@ an element one level up with a singleton boundary.
 All operations are functional: they return a new tower and never mutate
 their input, so any value can be shared freely across threads.
 
-Every value type of the library is a NamedTuple unless it needs one of
-three things: custom iteration (`Support`), an instance dict for cached
-indexes and marks (`Hyperstructure`, `FiniteCategory`), or fields named
-lazily (`SimplicialData`). Those four share one frozen base, `Record`.
+Every value type of the library but one is the tuple of its fields, built
+on a base from `value_type`, so `==`, hash and field reads run at C speed
+and the contract (`_replace`, pickling, read-only attributes) is the same
+on every Python. `Hyperstructure` and `FiniteCategory` add an instance dict
+for cached indexes and marks. `SimplicialData` names its fields lazily, so
+it is a plain class of its own.
 
 This module holds the value types, the spellings of combined property
 tokens, and the bulk construction path that reading, writing and installing
@@ -23,10 +25,11 @@ one of its names is first read.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence, Set
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -69,54 +72,42 @@ def id_key(raw: RawId):
     return (isinstance(raw, str), raw)
 
 
-class Record:
-    """Base of the value classes that cannot be NamedTuples (see above).
+_new = tuple.__new__  # a value from its field values, without its Python-level __new__
 
-    Subclasses name their fields in `_fields` and set them in `__init__`
-    through the instance dict or the slots' own setters. They get a
-    NamedTuple's `==`, repr, hash and `_replace`, and refuse any later
-    assignment.
+
+def _replace(self, **changes):
+    """A copy with the given fields changed; an unknown field is a ValueError."""
+    copy = _new(type(self), map(changes.pop, self._fields, self[:]))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return copy
+
+
+def _reduce(self):
+    return type(self), self[:]  # the fields alone: no instance dict, and no __iter__ of the subclass
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} values are immutable")
+
+
+def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
+    """The base of a value type: a namedtuple (C-level ==, hash and field
+    reads) whose `_replace` raises ValueError for an unknown field, which
+    pickles as its fields alone, and which refuses every assignment and
+    deletion. A subclass sets `__slots__ = ()` unless it keeps cached
+    indexes in an instance dict, which `_replace` and pickling leave behind.
     """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
-
-    def __reduce__(self):
-        return type(self), self._astuple()
-
-    def _replace(self, **changes):
-        """A copy with the given fields changed, built by the constructor."""
-        unknown = changes.keys() - set(self._fields)
-        if unknown:
-            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
-        return type(self)(**{f: changes.get(f, getattr(self, f)) for f in self._fields})
+    base = namedtuple(name, fields, defaults=defaults)
+    base._replace, base.__reduce__ = _replace, _reduce
+    base.__setattr__ = base.__delattr__ = _refuse
+    return base
 
 
-class ElementId(NamedTuple):
+class ElementId(value_type("ElementId", "level id")):
     """An element of the tower, addressed by (level, identifier)."""
 
-    level: int
-    id: RawId
+    __slots__ = ()
 
     @property
     def key(self):
@@ -145,31 +136,18 @@ def _key_sorted(items: list, element=None) -> list:
         return sorted(items, key=lambda x: x.key)
 
 
-class Support(Record):
-    """A finite set of elements, all at one level.
+class Support(value_type("Support", "level members")):
+    """A finite set of elements (the frozenset members), all at one level.
 
     The empty support exists only as an omega-table key (behaviour of
     assignments under unions needs a value at the empty collection); bonds
     always bind a nonempty support. Iterating, `len` and `in` read the
-    members, so this is a Record rather than a NamedTuple.
+    members, in sorted order, so the namedtuple helpers that iterate
+    (`_make`, `_asdict`) do not apply. As a tuple, a Support equals, hashes
+    and orders as the plain tuple (level, members).
     """
 
-    __slots__ = ("level", "members")
-    _fields = __slots__
-    level: int
-    members: frozenset[ElementId]
-
-    def __init__(self, level: int, members: frozenset[ElementId]):
-        _set_level(self, level)
-        _set_members(self, members)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.level == other.level and self.members == other.members
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.level, self.members))
+    __slots__ = ()
 
     @classmethod
     def of(cls, members: Iterable[ElementId]) -> "Support":
@@ -218,59 +196,39 @@ class Support(Record):
         return "{" + ",".join(str(e.id) for e in sorted_elements(self.members)) + "}"
 
 
-# the slots' own setters, which the frozen __setattr__ does not guard
-_set_level = Support.level.__set__
-_set_members = Support.members.__set__
 _level = attrgetter("level")
 _members = attrgetter("members")
-_new = tuple.__new__  # a NamedTuple from its field values, without its Python-level __new__
 
 
-class Bond(NamedTuple):
-    """A registered binder: one support, one property token.
+class Bond(value_type("Bond", "id support property identity", defaults=(False,))):
+    """A registered binder: its ElementId, one Support, one property token,
+    and whether it is an identity bond.
 
     A bond knows what it binds — its id never maps to a second support.
     """
 
-    id: ElementId
-    support: Support
-    property: PropertyToken
-    identity: bool = False
+    __slots__ = ()
 
     @property
     def key(self):
         return self.id.key
 
 
-class FusionRecord(NamedTuple):
-    """One gluing event: operand levels (m, n) glued at level k."""
+class FusionRecord(value_type("FusionRecord", "k m n a b result")):
+    """One gluing event: operands a and b, of levels (m, n), glued at level k into result."""
 
-    k: int
-    m: int
-    n: int
-    a: ElementId
-    b: ElementId
-    result: ElementId
+    __slots__ = ()
 
 
 OmegaTable = Mapping[Support, frozenset[PropertyToken]]
 
 
-class Hyperstructure(Record):
-    """A tower: its levels, omega tables, bond registry and fusion log.
+class Hyperstructure(value_type("Hyperstructure", "order levels omegas bonds fusion_log", defaults=((),))):
+    """A tower: its order, levels (frozensets of ElementIds), omega tables
+    (one OmegaTable per level), bond registry and fusion log.
 
-    A Record with an instance __dict__, which holds the cached indexes.
+    It keeps an instance dict, which holds the cached indexes.
     """
-
-    _fields = ("order", "levels", "omegas", "bonds", "fusion_log")
-    order: int
-    levels: tuple[frozenset[ElementId], ...]
-    omegas: tuple[OmegaTable, ...]
-    bonds: tuple[Bond, ...]
-    fusion_log: tuple[FusionRecord, ...]
-
-    def __init__(self, order, levels, omegas, bonds, fusion_log=()):
-        self.__dict__.update(order=order, levels=levels, omegas=omegas, bonds=bonds, fusion_log=fusion_log)
 
     # -- derived indexes (cached; instances are immutable) --
 
@@ -381,14 +339,10 @@ def new_hyperstructure(base: Iterable[RawId]) -> Hyperstructure:
     return h
 
 
-class BondSpec(NamedTuple):
+class BondSpec(value_type("BondSpec", "level support token raw_id identity", defaults=(False,))):
     """One bond for add_bonds: bind the level-`level` support under `token` as `raw_id`."""
 
-    level: int
-    support: Support
-    token: PropertyToken
-    raw_id: RawId
-    identity: bool = False
+    __slots__ = ()
 
 
 def assemble(
@@ -412,7 +366,7 @@ def assemble(
     )
 
 
-def _check_spec(levels: Sequence[AbstractSet[ElementId]], i: int, s: Support, token: PropertyToken, identity: bool) -> None:
+def _check_spec(levels: Sequence[Set[ElementId]], i: int, s: Support, token: PropertyToken, identity: bool) -> None:
     """Refuse a bond over the level-i support s that the given levels cannot take.
 
     The checks run in a fixed order, so a spec that breaks several rules

@@ -29,15 +29,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ElementId, Hyperstructure, RawId, id_key
+from .core import ElementId, RawId, id_key, value_type
 from .errors import HyperstructError, SchemaError
-
-if TYPE_CHECKING:
-    from .catelem import FiniteCategory, Presheaf, SimplicialData
-    from .states import CoConnector, Connector, LambdaAssignment, StateTower
-    from .topology import Sieve
 
 FORMAT = "hyperstruct/1"
 
@@ -132,22 +126,20 @@ def load_json(text: str, error: type[HyperstructError], prefix: str):
     return data
 
 
-class StatesSection(NamedTuple):
-    tower: StateTower | None = None
-    base: dict[ElementId, object] | None = None
-    top: dict[ElementId, object] | None = None
-    connectors: tuple[Connector, ...] | None = None
-    co_connectors: tuple[CoConnector, ...] | None = None
-    assignment: LambdaAssignment | None = None
+class StatesSection(value_type("StatesSection", "tower base top connectors co_connectors assignment", defaults=(None,) * 6)):
+    """A states section: a StateTower, the base and top states (dicts keyed by
+    ElementId), tuples of Connectors and CoConnectors, and a
+    LambdaAssignment; each None when absent."""
+
+    __slots__ = ()
 
 
-class Document(NamedTuple):
-    hyperstructure: Hyperstructure | None = None
-    topology: dict[ElementId, frozenset[Sieve]] | None = None
-    states: StatesSection | None = None
-    category: FiniteCategory | None = None
-    presheaf: Presheaf | None = None
-    simplicial: SimplicialData | None = None
+class Document(value_type("Document", "hyperstructure topology states category presheaf simplicial", defaults=(None,) * 6)):
+    """A document's sections: a Hyperstructure, a topology (a dict from
+    ElementId to a frozenset of Sieves), a StatesSection, a FiniteCategory,
+    a Presheaf and SimplicialData; each None when absent."""
+
+    __slots__ = ()
 
 
 SECTIONS = {"format", "hyperstructure", "topology", "states", "category", "presheaf", "simplicial"}

@@ -6,9 +6,9 @@ whose codimension-1 sub-collections are bound.
 """
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .core import (
     BondSpec,
@@ -20,6 +20,7 @@ from .core import (
     add_bonds,
     id_key,
     new_hyperstructure,
+    value_type,
 )
 from .errors import (
     ArityMismatch,
@@ -155,15 +156,14 @@ def from_simplicial_complex(
 # -- Brunnian structure ----------------------------------------------------------
 
 
-class BrunnianComplex(NamedTuple):
-    """A vertex set plus a family of bound subsets.
+class BrunnianComplex(value_type("BrunnianComplex", "vertices family")):
+    """A vertex set plus a family of bound subsets, both frozensets.
 
     Unlike a simplicial complex the family need not be downward closed;
     the empty set and all singletons must belong to it.
     """
 
-    vertices: frozenset
-    family: frozenset[frozenset]
+    __slots__ = ()
 
     @classmethod
     def of(cls, vertices: Iterable[RawId], family: Iterable[Iterable[RawId]]) -> "BrunnianComplex":

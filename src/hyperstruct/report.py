@@ -5,12 +5,15 @@ rendering is byte-stable for identical inputs.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
+
+from .core import value_type
 
 
-class Finding(NamedTuple):
-    code: str
-    message: str
+class Finding(value_type("Finding", "code message")):
+    """One failed property: its code and its witness message."""
+
+    __slots__ = ()
 
 
 class CheckReport:

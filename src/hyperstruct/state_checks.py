@@ -5,13 +5,14 @@ localizing and reading a states section never compile them.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from .core import Hyperstructure, sorted_elements
 from .errors import OperationMissing
 from .report import CheckReport, Finding
 from .states import Connector, LambdaAssignment, Marker, StateTower
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .topology import Site
 

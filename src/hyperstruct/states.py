@@ -10,16 +10,16 @@ loads when one of them is first read from here.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import partial
 from itertools import product as iter_product
 from json.encoder import encode_basestring
 from math import prod
-from typing import Mapping, NamedTuple, Sequence
 
 # union_token is core's; taking it through composition keeps composition loaded with
 # states, since perfbench/tracing.py finds the functions it wraps in sys.modules
 from .composition import union_token
-from .core import ElementId, Hyperstructure, RawId, _key_sorted, id_key, sorted_elements
+from .core import ElementId, Hyperstructure, RawId, _key_sorted, id_key, sorted_elements, value_type
 from .document import StatesSection, _expect_id, _expect_list, _expect_obj, _expect_row, _jkey, _of_types, _refuse_repeat
 from .errors import (
     CoConnectorUndefined,
@@ -50,11 +50,11 @@ CONFLICT = Marker("conflict")
 MARKERS = {m.name: m for m in (UNASSIGNED, CONFLICT)}
 
 
-class SpaceOp(NamedTuple):
-    """A total associative unital binary operation given as a finite table."""
+class SpaceOp(value_type("SpaceOp", "unit table")):
+    """A total associative unital binary operation given as a finite table,
+    which maps each pair of states to a state."""
 
-    unit: StateToken
-    table: Mapping[tuple[StateToken, StateToken], StateToken]
+    __slots__ = ()
 
     def apply(self, a: StateToken, b: StateToken) -> StateToken:
         got = self.table.get((a, b))
@@ -69,11 +69,11 @@ class SpaceOp(NamedTuple):
         return acc
 
 
-class StateTower(NamedTuple):
-    """State spaces S_0..S_n; index 0 is the global end, index n the local one."""
+class StateTower(value_type("StateTower", "spaces ops")):
+    """State spaces S_0..S_n (frozensets of states), each with its SpaceOp
+    or None; index 0 is the global end, index n the local one."""
 
-    spaces: tuple[frozenset[StateToken], ...]
-    ops: tuple[SpaceOp | None, ...]
+    __slots__ = ()
 
     def space_for_level(self, order: int, level: int) -> frozenset[StateToken]:
         return self.spaces[order - level]
@@ -111,15 +111,15 @@ def _at_bond(at: ElementId | None) -> str:
     return f" at bond {at!r}" if at is not None else ""
 
 
-class Connector(NamedTuple):
+class Connector(value_type("Connector", "kind table", defaults=(None,))):
     """Reduces the multiset of a bond's boundary states to the bond's state.
 
     Built-in folds (product, sum, union) are associative and commutative by
     construction; table connectors map canonical sorted multisets directly.
+    The kind is "product", "sum", "union" or "table".
     """
 
-    kind: str  # "product" | "sum" | "union" | "table"
-    table: Mapping[tuple[StateToken, ...], StateToken] | None = None
+    __slots__ = ()
 
     def apply(self, values: Sequence[StateToken], at: ElementId | None = None) -> StateToken:
         if not values:
@@ -152,10 +152,10 @@ SUM = Connector(kind="sum")
 UNION_FOLD = Connector(kind="union")
 
 
-class LambdaAssignment(NamedTuple):
-    """Per-level state maps; index i holds the states of the level-i elements."""
+class LambdaAssignment(value_type("LambdaAssignment", "per_level")):
+    """Per-level state maps; index i maps the level-i elements to their states or Markers."""
 
-    per_level: tuple[Mapping[ElementId, StateToken | Marker], ...]
+    __slots__ = ()
 
     def get(self, e: ElementId, default=None):
         if e.level < len(self.per_level):
@@ -213,11 +213,11 @@ def globalize(h: Hyperstructure, base: Mapping, connectors: Sequence[Connector])
     return LambdaAssignment(per_level=tuple(per_level))
 
 
-class CoConnector(NamedTuple):
-    """Distributes a bond's state to one boundary member on the way down."""
+class CoConnector(value_type("CoConnector", "kind table", defaults=(None,))):
+    """Distributes a bond's state to one boundary member on the way down.
+    The kind is "identity", "table" or "per_child"."""
 
-    kind: str  # "identity" | "table" | "per_child"
-    table: Mapping | None = None
+    __slots__ = ()
 
     def apply(self, state: StateToken, parent: ElementId, child: ElementId) -> StateToken:
         if self.kind == "identity":

@@ -56,10 +56,10 @@ recognizes them by identity, and sweeps every other mapping, however equal.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from operator import is_, itemgetter
-from typing import Iterable, Mapping, NamedTuple
 
-from .core import ElementId, Hyperstructure, _key_sorted, sorted_elements
+from .core import ElementId, Hyperstructure, _key_sorted, _new, sorted_elements, value_type
 from .document import _expect_id, _expect_int, _expect_list, _expect_row, _jkey, _refuse_repeat
 from .errors import DanglingReference, MixedLevels, NotATopology, NotRefinement, SchemaError, SweepTooLarge, UnknownElement
 from .report import CheckReport, Finding
@@ -73,11 +73,11 @@ SAMPLE_SIZE = 64
 _raw_id = itemgetter(1)  # an ElementId's raw id, which orders the elements of one level
 
 
-class Sieve(NamedTuple):
-    """A downward-closed family of same-level elements under a root."""
+class Sieve(value_type("Sieve", "root members")):
+    """A downward-closed family of same-level elements (the frozenset
+    members) under a root ElementId."""
 
-    root: ElementId
-    members: frozenset[ElementId]
+    __slots__ = ()
 
     @property
     def key(self):
@@ -502,17 +502,16 @@ def maximal_topology(h: Hyperstructure) -> dict[ElementId, frozenset[Sieve]]:
             for e, m, ideal in zip(o.elements, o.below, o.ideals):
                 family = frozenset(map(element, ideal))
                 masks[family] = m
-                # tuple.__new__ builds the Sieve that Sieve(e, family) would, without its Python-level __new__
-                kept[e] = frozenset((tuple.__new__(Sieve, (e, family)),))
+                kept[e] = frozenset((_new(Sieve, (e, family)),))
         h.__dict__[_MAXIMAL] = kept
     return dict(kept)
 
 
-class CoveringChain(NamedTuple):
-    """A boundary-linked chain of elements with per-level covering families."""
+class CoveringChain(value_type("CoveringChain", "chain families")):
+    """A boundary-linked chain of elements with per-level covering families:
+    a tuple of ElementIds, one per level, and a tuple of frozensets of them."""
 
-    chain: tuple[ElementId, ...]
-    families: tuple[frozenset[ElementId], ...]
+    __slots__ = ()
 
 
 def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain: CoveringChain) -> CheckReport:
@@ -553,7 +552,7 @@ def check_covering_chain(h: Hyperstructure, topology: TopologyAssignment, chain:
     return CheckReport("covering-chain", findings)
 
 
-class Site(NamedTuple):
+class Site(value_type("Site", "h topology")):
     """A tower together with a topology that satisfies every level's axioms.
 
     Build one with make_site, which either checks the axioms level by level
@@ -561,11 +560,11 @@ class Site(NamedTuple):
     The descent check reads the refinement orders that make_site builds. A
     tower they cannot be built for (an element above level 0 without a bond
     record) raises NotABond there, as it does in every other consumer of the
-    order.
+    order. Its fields are the tower h and the topology, a mapping from
+    each element to its frozenset of Sieves.
     """
 
-    h: Hyperstructure
-    topology: Mapping[ElementId, frozenset[Sieve]]
+    __slots__ = ()
 
 
 def make_site(h: Hyperstructure, topology: TopologyAssignment, exhaustive: bool | None = None, seed: int = 0) -> Site:

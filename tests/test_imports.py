@@ -10,9 +10,11 @@ laws. `tempfile` and `pathlib` load only for `--out`, which is pinned with
 `python -S`, since a site hook may import them first. A plain command line
 is read from the command table, so `argparse` (and `gettext` and `locale`,
 which it imports) load only for help and usage errors. The value types are
-NamedTuples and plain classes, so no command loads `dataclasses`, nor
-`inspect`, which `dataclasses` imports. A command process runs with the
-cyclic collector paused; `main` called in-process leaves it on.
+built on `collections.namedtuple` and the annotations are never evaluated,
+so no command loads `typing`, which is pinned with `python -S` too, nor
+`dataclasses`, nor `inspect`, which `dataclasses` imports. A command
+process runs with the cyclic collector paused; `main` called in-process
+leaves it on.
 """
 import gc
 import json
@@ -101,14 +103,15 @@ def test_a_document_loads_only_its_sections_modules(name, expected):
     assert loaded & set(PAYLOAD_MODULES) == expected
 
 
-#: Modules outside hyperstruct that a command may load only for --out, and
-#: those that only help and usage errors load.
+#: Modules outside hyperstruct that a command may load only for --out,
+#: those that only help and usage errors load, and typing, which none loads.
 OUT_STDLIB = {"tempfile", "pathlib"}
 PARSER_STDLIB = {"argparse", "gettext", "locale"}
+TYPING = {"typing"}
 
 
 def _loaded_by_command(*argv: str, site: bool = True, code: int = 0) -> set[str]:
-    """The hyperstruct submodules, and the OUT_STDLIB and PARSER_STDLIB
+    """The hyperstruct submodules, and the OUT_STDLIB, PARSER_STDLIB and TYPING
     modules, that `python -m hyperstruct.cli argv` imports before exiting
     with code, read from its -X importtime report; with site=False, under
     `python -S`."""
@@ -117,7 +120,7 @@ def _loaded_by_command(*argv: str, site: bool = True, code: int = 0) -> set[str]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stdout + done.stderr
     names = (line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:"))
-    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.") or m in OUT_STDLIB | PARSER_STDLIB}
+    return {m.removeprefix("hyperstruct.") for m in names if m.startswith("hyperstruct.") or m in OUT_STDLIB | PARSER_STDLIB | TYPING}
 
 
 def _without(name: str, section: str, tmp_path) -> str:
@@ -173,14 +176,17 @@ COMMAND_IDS = [
 @pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_each_command_loads_only_its_modules(argv, expected, tmp_path):
     loaded = _loaded_by_command(*argv(tmp_path))
-    assert loaded - OUT_STDLIB - PARSER_STDLIB == SHARED | expected - OUT_STDLIB
+    assert loaded - OUT_STDLIB - PARSER_STDLIB - TYPING == SHARED | expected - OUT_STDLIB
 
 
 @pytest.mark.parametrize("argv, expected", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_without_site_each_command_loads_only_its_modules(argv, expected, tmp_path):
     """Under python -S nothing is preloaded, so tempfile and pathlib show up
-    exactly when --out writes, and a plain command line loads no argparse."""
-    assert _loaded_by_command(*argv(tmp_path), site=False) == SHARED | expected
+    exactly when --out writes, and a plain command line loads no argparse
+    and no typing."""
+    loaded = _loaded_by_command(*argv(tmp_path), site=False)
+    assert not loaded & TYPING
+    assert loaded == SHARED | expected
 
 
 def test_help_loads_no_command():

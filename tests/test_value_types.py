@@ -8,8 +8,8 @@ import pickle
 import pytest
 
 from hyperstruct.assignments import Combiner, InducedMaps
-from hyperstruct.catelem import FiniteCategory, Morphism, Presheaf, SimplicialData
-from hyperstruct.core import Bond, ElementId, FusionRecord, Hyperstructure, Support, new_hyperstructure
+from hyperstruct.catelem import FiniteCategory, Morphism, Presheaf, SimplicialData, poset_category
+from hyperstruct.core import Bond, BondSpec, ElementId, FusionRecord, Hyperstructure, Support, add_bonds, new_hyperstructure
 from hyperstruct.document import Document, StatesSection
 from hyperstruct.installers import BrunnianComplex
 from hyperstruct.report import Finding
@@ -68,7 +68,7 @@ def test_value_type_contract(cls, fields, hashable):
     values = tuple(fields.values())
     v, w = cls(**fields), cls(*values)
     assert v == w and not v != w
-    if not isinstance(v, tuple):  # a NamedTuple equals the plain tuple of its fields; a Record equals only its own type
+    if not isinstance(v, tuple):  # the others equal the plain tuple of their fields; SimplicialData equals only its own type
         assert v != values and not v == values
     assert tuple(getattr(v, f) for f in cls._fields) == values
 
@@ -101,3 +101,20 @@ def test_value_type_contract(cls, fields, hashable):
         v._replace(no_such_field=1)
 
     assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_cached_indexes_and_marks_are_not_fields():
+    """A tower's cached indexes and a category's lawful mark live in the
+    instance dict: a pickled or replaced copy starts without them, and none
+    of them can be assigned."""
+    h = add_bonds(new_hyperstructure(["a", "b"]), [BondSpec(0, AB, "edge", "x")])
+    assert h.bond_index == {X: Bond(X, AB, "edge")} and h.element_index[1] == {"x": X}
+    cat = poset_category([0, 1], lambda x, y: x <= y)
+    assert {"bond_index", "element_index"} <= h.__dict__.keys() and "_lawful" in cat.__dict__
+    for v in (h, cat):
+        for copy in (pickle.loads(pickle.dumps(v)), v._replace()):
+            assert copy == v and copy.__dict__ == {}
+    index = h.bond_index
+    with pytest.raises(AttributeError):
+        setattr(h, "bond_index", {})
+    assert h.bond_index is index
